@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
-from .exactfield import GaussianRational, I, ZERO, gq
-from .linalg import ExactMatrix, det, kernel_basis, rank_of_rows, same_span
-from .sun1 import LieElement, e_vec, scale_vec, unitary_corpus, xi
+from .exactfield import GaussianRational, I, ZERO, gq, sub_mul
+from .linalg import ExactMatrix, det, kernel_basis, rref, same_span
+from .sun1 import LieElement, e_vec, k_basis, scale_vec, xi
 from .symrep import (
     DualSymTensor,
     RepContext,
@@ -484,13 +484,56 @@ def transform_cocycle(A: ExactMatrix, a: Cocycle) -> Cocycle:
     return Cocycle(a.ctx, new_a, new_b)
 
 
+def _in_span(vec: Vector, reducers: Sequence[tuple[int, list]]) -> bool:
+    """Whether vec lies in the row span of a reduced row-echelon form.
+
+    ``reducers`` holds (pivot column, nonzero (column, entry) pairs) for each
+    row; vec is reduced in place and lies in the span iff nothing is left.
+    """
+    for pc, row in reducers:
+        f = vec[pc]
+        if f:
+            for j, x in row:
+                vec[j] = sub_mul(vec[j], f, x)
+    return not any(vec)
+
+
 def kernel_is_invariant(ctx: RepContext, kernel: Sequence[Cocycle]) -> bool:
-    """The compact group maps the kernel into itself (exact rank test)."""
-    ncols = 2 * ctx.n * ctx.dim_w
-    base = [cocycle_to_vector(a) for a in kernel]
-    r = rank_of_rows(base, ncols)
-    for A in unitary_corpus(ctx.n):
-        moved = [cocycle_to_vector(transform_cocycle(A, a)) for a in kernel]
-        if rank_of_rows(base + moved, ncols) != r:
-            return False
+    """The compact group K maps the span of ``kernel`` into itself.
+
+    K = U(n) is connected, so this holds exactly when its Lie algebra k maps
+    the span into itself.  For X = diag(B, c) running over ``k_basis(n)``,
+    which spans k, the infinitesimal action on a cocycle is
+
+        (X.a)(Y) = rho(X) a(Y) - a([X, Y]),   [X, xi(v)] = xi((B - c) v),
+
+    and each X.a must reduce to zero against the reduced row-echelon form
+    of the span (an exact test).  The verdict covers all of K, not a sample
+    of its elements; ``transform_cocycle`` is the group-level reference.
+    """
+    if not kernel:
+        return True
+    n = ctx.n
+    index = ctx.basis_index()
+    R, pivots = rref(ExactMatrix([cocycle_to_vector(a) for a in kernel]))
+    reducers = [
+        (pc, [(j, x) for j, x in enumerate(R.row(r)) if x])
+        for r, pc in enumerate(pivots)
+    ]
+    for X in k_basis(n):
+        M = X.matrix
+        c = M.at(n, n)
+        # column j of B - c: the bracket [X, xi(e_j)] = xi((B - c) e_j)
+        cols = [
+            [M.at(i, j) - c if i == j else M.at(i, j) for i in range(n)]
+            for j in range(n)
+        ]
+        shifts = cols + [scale_vec(I, v) for v in cols]
+        for a in kernel:
+            moved = []
+            for p in range(2 * n):
+                w = rho_apply(X, a.value(p)) - a.evaluate(shifts[p])
+                moved.extend(w.to_vector(index))
+            if not _in_span(moved, reducers):
+                return False
     return True

@@ -8,6 +8,7 @@ requested configuration and the tool version; sweep entries are emitted in
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -64,7 +65,10 @@ def verify_case(n: int, m: int, dual: bool = False, with_lemmas: bool = False) -
             {
                 "name": "compact-invariance",
                 "status": "pass" if kernel_is_invariant(ctx, kernel) else "fail",
-                "details": "the unitary corpus maps the kernel into itself",
+                "details": (
+                    "the Lie algebra k maps the kernel into itself, which is"
+                    " equivalent to K-invariance because U(n) is connected"
+                ),
             }
         )
         case = report.as_dict()
@@ -141,15 +145,27 @@ def sweep_specs(n_max: int | None, m_max: int | None) -> list[tuple]:
     return sorted(specs, key=_case_key)
 
 
+def worker_count(jobs: int, n_cases: int) -> int:
+    """Worker processes for a sweep: never more than cases or CPUs."""
+    return max(1, min(jobs, n_cases, os.cpu_count() or 1))
+
+
 def run_sweep(n_max: int | None, m_max: int | None, jobs: int = 1) -> dict:
     specs = sweep_specs(n_max, m_max)
     t0 = time.perf_counter()
     cases: list[dict] = []
     interrupted = False
+    workers = worker_count(jobs, len(specs))
     try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                cases = list(pool.map(_run_spec, specs))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                try:
+                    # results arrive in spec order; keep each as it comes
+                    for case in pool.map(_run_spec, specs):
+                        cases.append(case)
+                except KeyboardInterrupt:
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    raise
         else:
             for spec in specs:
                 cases.append(_run_spec(spec))

@@ -1,7 +1,14 @@
 import json
+import os
 
 from sunharm.cli import main
-from sunharm.verify import exit_code_for, make_document, run_sweep, sweep_specs
+from sunharm.verify import (
+    exit_code_for,
+    make_document,
+    run_sweep,
+    sweep_specs,
+    worker_count,
+)
 
 
 def scrub(x):
@@ -118,6 +125,53 @@ def test_interrupted_sweep_reports_partial(monkeypatch):
     assert exit_code_for(doc) == 1
     statuses = [c.get("status") for c in doc["cases"]]
     assert "incomplete" in statuses
+
+
+def test_interrupted_parallel_sweep_keeps_finished_cases(monkeypatch):
+    import sunharm.verify as v
+
+    made = {}
+
+    class FakePool:
+        # map hands back two finished cases, then the interrupt arrives
+        def __init__(self, max_workers):
+            made["workers"] = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, specs):
+            made["done"] = [fn(spec) for spec in specs[:2]]
+            yield from made["done"]
+            raise KeyboardInterrupt
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            made["cancelled"] = cancel_futures
+
+    monkeypatch.setattr(v, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(v.os, "cpu_count", lambda: 4)
+    doc = v.run_sweep(2, 2, jobs=2)
+    assert made["workers"] == 2
+    assert made["cancelled"] is True
+    assert doc["status"] == "incomplete"
+    cases = doc["cases"]
+    assert len(cases) == len(sweep_specs(2, 2))
+    assert cases[:2] == made["done"]
+    assert all(c["status"] == "incomplete" for c in cases[2:])
+    assert doc["summary"]["cases_incomplete"] == len(cases) - 2
+
+
+def test_worker_count_clamp(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert worker_count(1, 32) == 1
+    assert worker_count(3, 32) == 3
+    assert worker_count(10**6, 32) == 4
+    assert worker_count(8, 3) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(8, 32) == 1
 
 
 def test_exit_code_logic():

@@ -21,7 +21,9 @@ from sunharm import (
     rho_apply,
     symmetric_component_membership,
     t_op,
+    transform_cocycle,
     tstar_op,
+    unitary_corpus,
     xi,
     xi_minus,
     xi_plus,
@@ -302,6 +304,27 @@ def test_polarization_cocycles_are_solutions(dual):
 def test_kernel_k_invariance(n, m, dual):
     ctx = RepContext(n, m, dual)
     assert kernel_is_invariant(ctx, harmonic_kernel(ctx))
+
+
+def corpus_is_invariant(ctx, kernel):
+    """Group-level reference: every corpus unitary keeps the span's rank."""
+    ncols = 2 * ctx.n * ctx.dim_w
+    base = [cocycle_to_vector(a) for a in kernel]
+    r = rank_of_rows(base, ncols)
+    for A in unitary_corpus(ctx.n):
+        moved = [cocycle_to_vector(transform_cocycle(A, a)) for a in kernel]
+        if rank_of_rows(base + moved, ncols) != r:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n,m,dual", [(2, 2, False), (2, 2, True), (3, 2, True)])
+def test_lie_algebra_invariance_matches_group_corpus(n, m, dual):
+    ctx = RepContext(n, m, dual)
+    K = harmonic_kernel(ctx)
+    for sub, expected in ((K, True), (K[:1], False), (K[1:], False)):
+        assert kernel_is_invariant(ctx, sub) is expected
+        assert corpus_is_invariant(ctx, sub) is expected
 
 
 def test_kernel_deterministic():

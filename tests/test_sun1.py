@@ -28,6 +28,7 @@ from sunharm.sun1 import (
     scale_vec,
     tangent_samples,
 )
+from sunharm.linalg import rank_of_rows
 
 
 def test_xi_block_form():
@@ -141,6 +142,19 @@ def test_cartan_relations(n):
     for X in ps:
         for Y in ps:
             assert is_compact(bracket(X, Y).matrix)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_k_basis_spans_k(n):
+    # k is a copy of u(n), of real dimension n^2: every element lies in k
+    # and the real span of the flattened (re, im) entries has rank n^2
+    ks = k_basis(n)
+    assert all(is_compact(X.matrix) for X in ks)
+    rows = []
+    for X in ks:
+        entries = [x for row in X.matrix.copy_rows() for x in row]
+        rows.append([gq(part) for x in entries for part in (x.re, x.im)])
+    assert rank_of_rows(rows, 2 * (n + 1) ** 2) == n * n
 
 
 def test_adjoint_identity():
