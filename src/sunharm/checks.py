@@ -32,7 +32,10 @@ from .harmonic import (
     cocycle_to_vector,
     harmonic_kernel,
     minus_part,
+    pairwise_relation_rows,
     plus_part,
+    values_from_vector,
+    values_to_vector,
 )
 
 
@@ -130,25 +133,8 @@ def check_operator_grading(n: int, m: int) -> list[dict]:
 
 def _pairwise_relation_kernel(ops: Sequence[ExactMatrix]) -> list[list[GaussianRational]]:
     """Kernel of {(x_1..x_n) : Op_a x_b = Op_b x_a for all a < b}."""
-    n = len(ops)
-    d_in = ops[0].cols
-    d_out = ops[0].rows
-    rows = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            ma = ops[a]._d
-            mb = ops[b]._d
-            for r in range(d_out):
-                row = [ZERO] * (n * d_in)
-                for s in range(d_in):
-                    if ma[r][s]:
-                        row[b * d_in + s] = ma[r][s]
-                    if mb[r][s]:
-                        row[a * d_in + s] = row[a * d_in + s] - mb[r][s]
-                rows.append(row)
-    if not rows:
-        # n = 1: no pairs, every form satisfies the relation
-        return kernel_basis(ExactMatrix.zeros(1, n * d_in))
+    # n = 1: no pairs, every form satisfies the relation (a zero row)
+    rows = pairwise_relation_rows(ops) or [[ZERO] * ops[0].cols]
     return kernel_basis(ExactMatrix(rows))
 
 
@@ -175,11 +161,7 @@ def check_dual_symmetry(n: int, m: int) -> dict:
     span = []
     for nu in monomials(n, m + 1):
         tau = DualSymTensor.monomial(nu + (0,))
-        vec = [ZERO] * (n * d_in)
-        for k in range(n):
-            for a, c in shift_down(tau, k).coeffs.items():
-                vec[k * d_in + in_index[a]] = c
-        span.append(vec)
+        span.append(values_to_vector([shift_down(tau, k) for k in range(n)], in_index))
     expected = math.comb(n + m, m + 1)
     ok = len(ker) == expected and same_span(ker, span, n * d_in)
     return _entry(
@@ -218,11 +200,7 @@ def check_symmetric_forcing(n: int, m: int, j: int) -> list[dict]:
     span = []
     for sigma in monomials(n, j + 1):
         s = SymTensor.monomial(sigma + (m - j,))
-        vec = [ZERO] * (n * d_in)
-        for k in range(n):
-            for a, c in derivative(s, k).coeffs.items():
-                vec[k * d_in + in_index[a]] = c
-        span.append(vec)
+        span.append(values_to_vector([derivative(s, k) for k in range(n)], in_index))
     expected = math.comb(n + j, j + 1)
     ok = len(ker) == expected and same_span(ker, span, n * d_in)
     entries.append(
@@ -274,7 +252,6 @@ def check_contraction_isometry(n: int, m: int, j: int) -> dict:
     if not 1 <= j < m:
         raise ValueError("j out of range")
     in_basis = graded_monomials(n, m, j)
-    in_index = {a: i for i, a in enumerate(in_basis)}
     d_in = len(in_basis)
 
     # hook component: kernel of the multiplication map into degree j+1
@@ -295,18 +272,10 @@ def check_contraction_isometry(n: int, m: int, j: int) -> dict:
             out = t if out is None else out + t
         return out
 
-    def values_from_vec(vec):
-        vals = []
-        for k in range(n):
-            coeffs = {}
-            for s in range(d_in):
-                c = vec[k * d_in + s]
-                if c:
-                    coeffs[in_basis[s]] = c
-            vals.append(SymTensor(n, m, coeffs))
-        return vals
-
-    hook_ok = all(contraction(values_from_vec(h)).is_zero() for h in hook)
+    hook_ok = all(
+        contraction(values_from_vector(SymTensor, n, m, in_basis, h)).is_zero()
+        for h in hook
+    )
 
     # adjoint composition on the symmetric (polarization) basis
     scalar = None
@@ -364,30 +333,22 @@ def riemann_split_report(ctx: RepContext) -> dict:
     kernel = harmonic_kernel(ctx)
     kdim = len(kernel)
     vecs = [cocycle_to_vector(a) for a in kernel]
-    ncols = 2 * n * ctx.dim_w
+    index = ctx.basis_index()
 
     def part_sub_basis(part):
         """Basis (as cocycles) of {a in kernel : part(a) = 0}."""
         if not kernel:
             return []
-        rows = []
-        for j in range(n):
-            residuals = [part(a, e_vec(j, n)) for a in kernel]
-            index = ctx.basis_index()
-            cols = [w.to_vector(index) for w in residuals]
-            for s in range(ctx.dim_w):
-                rows.append([cols[r][s] for r in range(kdim)])
-        combos = kernel_basis(ExactMatrix(rows)) if rows else []
-        out = []
-        for combo in combos:
-            vec = [ZERO] * ncols
-            for r, c in enumerate(combo):
-                if c:
-                    for t in range(ncols):
-                        if vecs[r][t]:
-                            vec[t] = vec[t] + c * vecs[r][t]
-            out.append(vec)
-        return [cocycle_from_vector(ctx, v) for v in out]
+        # column r: the residuals part(a_r, e_j) of kernel element r over all j
+        residuals = ExactMatrix(
+            [values_to_vector([part(a, e_vec(j, n)) for j in range(n)], index)
+             for a in kernel]
+        ).transpose()
+        combine = ExactMatrix(vecs).transpose()
+        return [
+            cocycle_from_vector(ctx, combine.apply(combo))
+            for combo in kernel_basis(residuals)
+        ]
 
     complex_sub = part_sub_basis(minus_part)  # minus part vanishes
     conj_sub = part_sub_basis(plus_part)  # plus part vanishes

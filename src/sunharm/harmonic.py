@@ -180,14 +180,38 @@ def tstar_op(a: Cocycle):
     return out
 
 
-# -- the assembled linear system ------------------------------------------
+# -- the constraint-system layer --------------------------------------------
 
 
-def _action_matrices(ctx: RepContext) -> list[ExactMatrix]:
-    return [
-        rho_matrix(_basis_tangent(ctx.n, p), ctx.n, ctx.m, ctx.dual)
-        for p in range(2 * ctx.n)
-    ]
+def pairwise_relation_rows(ops: Sequence[ExactMatrix]) -> list[Vector]:
+    """Rows of the relations Op_a x_b = Op_b x_a for all pairs a < b.
+
+    The unknown (x_0, ..., x_{k-1}) has one block per op, each of the ops'
+    input dimension.  Pairs come in lex order, one row per output
+    coordinate; block b carries Op_a and block a carries -Op_b.  A single
+    op gives no rows.
+    """
+    k = len(ops)
+    d_in = ops[0].cols
+    mats = [M._d for M in ops]
+    rows = []
+    for a in range(k):
+        for b in range(a + 1, k):
+            for ra, rb in zip(mats[a], mats[b]):
+                row = [ZERO] * (k * d_in)
+                for s in range(d_in):
+                    if ra[s]:
+                        row[b * d_in + s] = ra[s]
+                    if rb[s]:
+                        row[a * d_in + s] = -rb[s]
+                rows.append(row)
+    return rows
+
+
+def system_shape(ctx: RepContext) -> tuple[int, int]:
+    """(rows, columns) of ``assemble_system(ctx)``, without building it."""
+    nb = 2 * ctx.n
+    return (math.comb(nb, 2) + 1) * ctx.dim_w, nb * ctx.dim_w
 
 
 def assemble_system(ctx: RepContext) -> ExactMatrix:
@@ -196,57 +220,41 @@ def assemble_system(ctx: RepContext) -> ExactMatrix:
     Rows: the two-form blocks for pairs (p, q) in lex order, then the trace
     block; columns: cocycle coordinates (block p, then monomial).
     """
-    n, d = ctx.n, ctx.dim_w
-    nb = 2 * n
-    mats = [M._d for M in _action_matrices(ctx)]
-    rows = []
-    for p in range(nb):
-        for q in range(p + 1, nb):
-            for r in range(d):
-                row = [ZERO] * (nb * d)
-                mp = mats[p][r]
-                mq = mats[q][r]
-                bq = q * d
-                bp = p * d
-                for s in range(d):
-                    if mp[s]:
-                        row[bq + s] = mp[s]
-                    if mq[s]:
-                        row[bp + s] = row[bp + s] - mq[s]
-                rows.append(row)
-    for r in range(d):
-        row = [ZERO] * (nb * d)
-        for p in range(nb):
-            mp = mats[p][r]
-            b = p * d
-            for s in range(d):
-                if mp[s]:
-                    row[b + s] = row[b + s] + mp[s]
-        rows.append(row)
+    mats = [
+        rho_matrix(_basis_tangent(ctx.n, p), ctx.n, ctx.m, ctx.dual)
+        for p in range(2 * ctx.n)
+    ]
+    rows = pairwise_relation_rows(mats)
+    # trace block: sum_p rho(Y_p) a(Y_p), row r spans every block
+    rows.extend([x for M in mats for x in M.row(r)] for r in range(ctx.dim_w))
     return ExactMatrix(rows)
 
 
-def cocycle_to_vector(a: Cocycle) -> Vector:
-    ctx = a.ctx
-    index = ctx.basis_index()
+def values_to_vector(values: Sequence, index: dict) -> Vector:
+    """Coordinates of a tuple of tensors: block k holds values[k] in the
+    order of ``index`` (monomial -> position)."""
     out = []
-    for p in range(2 * ctx.n):
-        out.extend(a.value(p).to_vector(index))
+    for w in values:
+        out.extend(w.to_vector(index))
     return out
 
 
+def values_from_vector(cls, n: int, m: int, basis: Sequence, vec: Sequence) -> list:
+    """Inverse of ``values_to_vector``: one ``cls(n, m, ...)`` tensor per
+    block of len(basis) coordinates."""
+    d = len(basis)
+    return [
+        cls(n, m, {basis[s]: c for s, c in enumerate(vec[p : p + d]) if c})
+        for p in range(0, len(vec), d)
+    ]
+
+
+def cocycle_to_vector(a: Cocycle) -> Vector:
+    return values_to_vector(a.a_values + a.b_values, a.ctx.basis_index())
+
+
 def cocycle_from_vector(ctx: RepContext, vec: Sequence[GaussianRational]) -> Cocycle:
-    d = ctx.dim_w
-    basis = ctx.basis()
-    cls = ctx.value_class
-    values = []
-    for p in range(2 * ctx.n):
-        coeffs = {}
-        for s in range(d):
-            c = vec[p * d + s]
-            if c:
-                coeffs[basis[s]] = c
-        values.append(cls(ctx.n, ctx.m, coeffs))
+    values = values_from_vector(ctx.value_class, ctx.n, ctx.m, ctx.basis(), vec)
     return Cocycle(ctx, values[: ctx.n], values[ctx.n :])
 
 
@@ -372,8 +380,7 @@ def _check(name: str, passed: bool, detail: str = "") -> dict:
     return {"name": name, "status": "pass" if passed else "fail", "details": detail}
 
 
-def classify(ctx: RepContext, kernel: Sequence[Cocycle],
-             system_shape: tuple[int, int] | None = None) -> KernelReport:
+def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> KernelReport:
     """Run the structural verdicts on a computed kernel basis.
 
     Flags (each an exact zero test): linearity (conjugate-linear for the
@@ -381,11 +388,7 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle],
     membership in the symmetric component, and the dimension count.
     """
     n, m = ctx.n, ctx.m
-    if system_shape is None:
-        rows = (math.comb(2 * n, 2) + 1) * ctx.dim_w
-        cols = 2 * n * ctx.dim_w
-    else:
-        rows, cols = system_shape
+    rows, cols = system_shape(ctx)
     report = KernelReport(
         ctx=ctx,
         system_rows=rows,
@@ -453,8 +456,7 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle],
     # Independent oracle: the explicit symmetric solutions span the kernel.
     pol = [cocycle_to_vector(a) for a in polarization_cocycles(ctx)]
     ker_vecs = [cocycle_to_vector(a) for a in kernel]
-    ncols = 2 * n * ctx.dim_w
-    span_ok = same_span(ker_vecs, pol, ncols)
+    span_ok = same_span(ker_vecs, pol, cols)
     report.checks.append(
         _check(
             "polarization-span",
@@ -530,10 +532,9 @@ def kernel_is_invariant(ctx: RepContext, kernel: Sequence[Cocycle]) -> bool:
         ]
         shifts = cols + [scale_vec(I, v) for v in cols]
         for a in kernel:
-            moved = []
-            for p in range(2 * n):
-                w = rho_apply(X, a.value(p)) - a.evaluate(shifts[p])
-                moved.extend(w.to_vector(index))
-            if not _in_span(moved, reducers):
+            moved = [
+                rho_apply(X, a.value(p)) - a.evaluate(shifts[p]) for p in range(2 * n)
+            ]
+            if not _in_span(values_to_vector(moved, index), reducers):
                 return False
     return True

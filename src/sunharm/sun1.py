@@ -24,6 +24,7 @@ rotations, which are unitary inside Q(i).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from . import linalg
@@ -336,8 +337,12 @@ def tangent_samples(n: int) -> list[Vector]:
     return out
 
 
-def k_basis(n: int) -> list[LieElement]:
-    """A spanning set of the compact subalgebra k inside su(n,1)."""
+@lru_cache(maxsize=None)
+def k_basis(n: int) -> tuple[LieElement, ...]:
+    """A spanning set of the compact subalgebra k inside su(n,1).
+
+    Built and validated once per n; the tuple keeps the cached set immutable.
+    """
     out = [h0(n)]
     for a in range(n):
         block = [[ZERO] * n for _ in range(n)]
@@ -353,7 +358,7 @@ def k_basis(n: int) -> list[LieElement]:
             block[a][b] = I
             block[b][a] = I
             out.append(compact_element(ExactMatrix(block), ZERO))
-    return out
+    return tuple(out)
 
 
 def p_basis(n: int) -> list[LieElement]:

@@ -17,11 +17,10 @@ from .exactfield import BACKEND_NAME
 from .harmonic import (
     DECISION_NOTES,
     classify,
-    cocycle_from_vector,
+    harmonic_kernel,
     kernel_is_invariant,
-    assemble_system,
+    system_shape,
 )
-from .linalg import kernel_basis
 from .symrep import RepContext
 
 VERSION = "0.1.0"
@@ -39,14 +38,12 @@ def verify_case(n: int, m: int, dual: bool = False, with_lemmas: bool = False) -
     ctx = RepContext(n, m, dual)
     if n == 1:
         rep = riemann_split_report(ctx)
+        rows, cols = system_shape(ctx)
         case = {
             "case": {"n": n, "m": m, "dual": dual},
             "mode": "riemann-surface",
             "note": _RIEMANN_NOTE,
-            "system": {
-                "rows": (1 + 1) * ctx.dim_w,
-                "columns": 2 * ctx.dim_w,
-            },
+            "system": {"rows": rows, "columns": cols},
             "kernel": {"dimension": rep["kernel_dim"], "expected_dimension": None},
             "riemann": {
                 "complex_linear_dim": rep["complex_linear_dim"],
@@ -58,9 +55,8 @@ def verify_case(n: int, m: int, dual: bool = False, with_lemmas: bool = False) -
             "decisions": list(DECISION_NOTES),
         }
     else:
-        M = assemble_system(ctx)
-        kernel = [cocycle_from_vector(ctx, v) for v in kernel_basis(M)]
-        report = classify(ctx, kernel, (M.rows, M.cols))
+        kernel = harmonic_kernel(ctx)
+        report = classify(ctx, kernel)
         report.checks.append(
             {
                 "name": "compact-invariance",
@@ -92,7 +88,7 @@ def lemmas_case(n: int, m: int) -> dict:
     return case
 
 
-_KIND_ORDER = {"verify-primal": 0, "verify-dual": 1, "lemmas": 2, "riemann": 3}
+_KIND_ORDER = {"verify-primal": 0, "verify-dual": 1, "lemmas": 2}
 
 
 def _case_key(spec: tuple) -> tuple:
@@ -108,8 +104,6 @@ def _run_spec(spec: tuple) -> dict:
         return verify_case(n, m, dual=True)
     if kind == "lemmas":
         return lemmas_case(n, m)
-    if kind == "riemann":
-        return verify_case(n, m, dual=False)
     raise ValueError(f"unknown case kind {kind}")
 
 
@@ -118,9 +112,10 @@ def sweep_specs(n_max: int | None, m_max: int | None) -> list[tuple]:
 
     With explicit bounds: the rectangle 2 <= n <= n_max, 1 <= m <= m_max.
     With defaults: the budgeted grid n <= 3, m <= 4 plus (4,1) and (4,2).
-    Riemann-surface entries (n = 1, m in {2, 4}) ride along when m_max
-    allows.  Every (n, m) contributes a primal case, a dual case and the
-    structure battery.
+    Riemann-surface entries (primal n = 1, m in {2, 4}, which
+    ``verify_case`` reports as the split) ride along when m_max allows.
+    Every (n, m) contributes a primal case, a dual case and the structure
+    battery.
     """
     defaulted = n_max is None and m_max is None
     if defaulted:
@@ -141,7 +136,7 @@ def sweep_specs(n_max: int | None, m_max: int | None) -> list[tuple]:
         specs.append(("lemmas", n, m))
     for m in (2, 4):
         if m <= mm:
-            specs.append(("riemann", 1, m))
+            specs.append(("verify-primal", 1, m))
     return sorted(specs, key=_case_key)
 
 

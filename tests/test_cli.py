@@ -71,15 +71,15 @@ def test_lemmas_command_vacuous_range(tmp_path):
 
 def test_sweep_entry_counts():
     specs = sweep_specs(3, 3)
-    verifies = [s for s in specs if s[0].startswith("verify")]
+    verifies = [s for s in specs if s[0].startswith("verify") and s[1] >= 2]
     assert len(verifies) == 2 * (2 * 3)  # primal+dual over n in {2,3}, m in {1,2,3}
     assert ("lemmas", 2, 1) in specs
-    assert ("riemann", 1, 2) in specs
+    assert ("verify-primal", 1, 2) in specs
 
 
 def test_sweep_default_budget():
     specs = sweep_specs(None, None)
-    cases = {(n, m) for kind, n, m in specs if kind == "verify-primal"}
+    cases = {(n, m) for kind, n, m in specs if kind == "verify-primal" and n >= 2}
     assert cases == {(n, m) for n in (2, 3) for m in (1, 2, 3, 4)} | {(4, 1), (4, 2)}
 
 

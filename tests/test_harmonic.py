@@ -28,7 +28,14 @@ from sunharm import (
     xi_minus,
     xi_plus,
 )
-from sunharm.harmonic import cocycle_to_vector, _basis_tangent
+from sunharm.harmonic import (
+    _basis_tangent,
+    cocycle_from_vector,
+    cocycle_to_vector,
+    system_shape,
+    values_from_vector,
+    values_to_vector,
+)
 from sunharm.checks import (
     check_contraction_isometry,
     check_dual_symmetry,
@@ -38,7 +45,7 @@ from sunharm.checks import (
     riemann_split_report,
 )
 from sunharm.linalg import rank_of_rows, same_span
-from sunharm.symrep import project_grade
+from sunharm.symrep import graded_monomials, project_grade
 from sunharm.sun1 import scale_vec, tangent_samples
 
 from conftest import conjugate_linear_cocycle, make_rng, random_cocycle, random_value
@@ -254,6 +261,33 @@ def test_system_shape_counts():
     d = ctx.dim_w
     assert M.cols == 2 * 3 * d
     assert M.rows == (math.comb(6, 2) + 1) * d
+    for n in (1, 2, 3):
+        for dual in (False, True):
+            ctx = RepContext(n, 2, dual)
+            M = assemble_system(ctx)
+            assert system_shape(ctx) == (M.rows, M.cols)
+
+
+@pytest.mark.parametrize(
+    "n,m,dual", [(1, 3, False), (2, 2, False), (2, 2, True), (3, 1, True)]
+)
+def test_vector_round_trip(n, m, dual):
+    """Coordinates and tensors convert back and forth without loss: whole
+    cocycles in the ambient basis, and tuples of graded values in a graded
+    sub-basis."""
+    ctx = RepContext(n, m, dual)
+    rng = make_rng(53)
+    for _ in range(3):
+        a = random_cocycle(rng, ctx)
+        vec = cocycle_to_vector(a)
+        assert len(vec) == system_shape(ctx)[1]
+        assert cocycle_from_vector(ctx, vec) == a
+    basis = graded_monomials(n, m, 1)
+    index = {alpha: i for i, alpha in enumerate(basis)}
+    values = [random_value(rng, ctx, 1) for _ in range(n)]
+    vec = values_to_vector(values, index)
+    assert len(vec) == n * len(basis)
+    assert values_from_vector(ctx.value_class, n, m, basis, vec) == values
 
 
 @pytest.mark.parametrize(
