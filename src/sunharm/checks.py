@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .exactfield import GaussianRational, ZERO
+from .exactfield import GaussianRational
 from .linalg import ExactMatrix, kernel_basis, rank, same_span
 from .sun1 import e_vec, tangent_samples, xi, xi_minus, xi_plus
 from .symrep import (
@@ -47,10 +47,9 @@ def _entry(name: str, j, passed: bool | None, detail: str, **extra) -> dict:
 
 
 def _stack_vertically(mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    rows = []
-    for M in mats:
-        rows.extend(M.copy_rows())
-    return ExactMatrix(rows)
+    return ExactMatrix.from_rows(
+        [r for M in mats for r in M.sparse_rows()], mats[0].cols
+    )
 
 
 # -- grading and injectivity of the raising/lowering operators --------------
@@ -133,9 +132,8 @@ def check_operator_grading(n: int, m: int) -> list[dict]:
 
 def _pairwise_relation_kernel(ops: Sequence[ExactMatrix]) -> list[list[GaussianRational]]:
     """Kernel of {(x_1..x_n) : Op_a x_b = Op_b x_a for all a < b}."""
-    # n = 1: no pairs, every form satisfies the relation (a zero row)
-    rows = pairwise_relation_rows(ops) or [[ZERO] * ops[0].cols]
-    return kernel_basis(ExactMatrix(rows))
+    rows = pairwise_relation_rows(ops)
+    return kernel_basis(ExactMatrix.from_rows(rows, len(ops) * ops[0].cols))
 
 
 def check_dual_symmetry(n: int, m: int) -> dict:
@@ -257,13 +255,13 @@ def check_contraction_isometry(n: int, m: int, j: int) -> dict:
     # hook component: kernel of the multiplication map into degree j+1
     prod_basis = tuple(mu + (m - j,) for mu in monomials(n, j + 1))
     prod_index = {a: i for i, a in enumerate(prod_basis)}
-    rows = [[ZERO] * (n * d_in) for _ in range(len(prod_basis))]
+    rows = [{} for _ in prod_basis]
     for k in range(n):
         for cidx, alpha in enumerate(in_basis):
             image = multiply_var(SymTensor.monomial(alpha), k)
             (beta, c), = image.coeffs.items()
             rows[prod_index[beta]][k * d_in + cidx] = c
-    hook = kernel_basis(ExactMatrix(rows))
+    hook = kernel_basis(ExactMatrix.from_rows(rows, n * d_in))
 
     def contraction(values):
         out = None

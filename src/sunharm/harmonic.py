@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
-from .exactfield import GaussianRational, I, ZERO, gq, sub_mul
-from .linalg import ExactMatrix, det, kernel_basis, rref, same_span
+from .exactfield import GaussianRational, I, ZERO, gq
+from .linalg import ExactMatrix, Row, det, kernel_basis, rank_of_rows, same_span
 from .sun1 import LieElement, e_vec, k_basis, scale_vec, xi
 from .symrep import (
     DualSymTensor,
@@ -183,8 +183,8 @@ def tstar_op(a: Cocycle):
 # -- the constraint-system layer --------------------------------------------
 
 
-def pairwise_relation_rows(ops: Sequence[ExactMatrix]) -> list[Vector]:
-    """Rows of the relations Op_a x_b = Op_b x_a for all pairs a < b.
+def pairwise_relation_rows(ops: Sequence[ExactMatrix]) -> list[Row]:
+    """Sparse rows of the relations Op_a x_b = Op_b x_a for all pairs a < b.
 
     The unknown (x_0, ..., x_{k-1}) has one block per op, each of the ops'
     input dimension.  Pairs come in lex order, one row per output
@@ -193,17 +193,13 @@ def pairwise_relation_rows(ops: Sequence[ExactMatrix]) -> list[Vector]:
     """
     k = len(ops)
     d_in = ops[0].cols
-    mats = [M._d for M in ops]
+    mats = [M.sparse_rows() for M in ops]
     rows = []
     for a in range(k):
         for b in range(a + 1, k):
             for ra, rb in zip(mats[a], mats[b]):
-                row = [ZERO] * (k * d_in)
-                for s in range(d_in):
-                    if ra[s]:
-                        row[b * d_in + s] = ra[s]
-                    if rb[s]:
-                        row[a * d_in + s] = -rb[s]
+                row = {b * d_in + s: x for s, x in ra.items()}
+                row.update((a * d_in + s, -x) for s, x in rb.items())
                 rows.append(row)
     return rows
 
@@ -220,14 +216,19 @@ def assemble_system(ctx: RepContext) -> ExactMatrix:
     Rows: the two-form blocks for pairs (p, q) in lex order, then the trace
     block; columns: cocycle coordinates (block p, then monomial).
     """
+    d = ctx.dim_w
     mats = [
         rho_matrix(_basis_tangent(ctx.n, p), ctx.n, ctx.m, ctx.dual)
         for p in range(2 * ctx.n)
     ]
     rows = pairwise_relation_rows(mats)
     # trace block: sum_p rho(Y_p) a(Y_p), row r spans every block
-    rows.extend([x for M in mats for x in M.row(r)] for r in range(ctx.dim_w))
-    return ExactMatrix(rows)
+    blocks = [M.sparse_rows() for M in mats]
+    rows.extend(
+        {p * d + s: x for p, B in enumerate(blocks) for s, x in B[r].items()}
+        for r in range(d)
+    )
+    return ExactMatrix.from_rows(rows, 2 * ctx.n * d)
 
 
 def values_to_vector(values: Sequence, index: dict) -> Vector:
@@ -486,20 +487,6 @@ def transform_cocycle(A: ExactMatrix, a: Cocycle) -> Cocycle:
     return Cocycle(a.ctx, new_a, new_b)
 
 
-def _in_span(vec: Vector, reducers: Sequence[tuple[int, list]]) -> bool:
-    """Whether vec lies in the row span of a reduced row-echelon form.
-
-    ``reducers`` holds (pivot column, nonzero (column, entry) pairs) for each
-    row; vec is reduced in place and lies in the span iff nothing is left.
-    """
-    for pc, row in reducers:
-        f = vec[pc]
-        if f:
-            for j, x in row:
-                vec[j] = sub_mul(vec[j], f, x)
-    return not any(vec)
-
-
 def kernel_is_invariant(ctx: RepContext, kernel: Sequence[Cocycle]) -> bool:
     """The compact group K maps the span of ``kernel`` into itself.
 
@@ -509,19 +496,14 @@ def kernel_is_invariant(ctx: RepContext, kernel: Sequence[Cocycle]) -> bool:
 
         (X.a)(Y) = rho(X) a(Y) - a([X, Y]),   [X, xi(v)] = xi((B - c) v),
 
-    and each X.a must reduce to zero against the reduced row-echelon form
-    of the span (an exact test).  The verdict covers all of K, not a sample
-    of its elements; ``transform_cocycle`` is the group-level reference.
+    and every X.a must lie in the span: adding them all to the (independent)
+    kernel vectors leaves the rank unchanged, an exact test.  The verdict
+    covers all of K, not a sample of its elements; ``transform_cocycle`` is
+    the group-level reference.
     """
-    if not kernel:
-        return True
     n = ctx.n
     index = ctx.basis_index()
-    R, pivots = rref(ExactMatrix([cocycle_to_vector(a) for a in kernel]))
-    reducers = [
-        (pc, [(j, x) for j, x in enumerate(R.row(r)) if x])
-        for r, pc in enumerate(pivots)
-    ]
+    vecs = [cocycle_to_vector(a) for a in kernel]
     for X in k_basis(n):
         M = X.matrix
         c = M.at(n, n)
@@ -535,6 +517,5 @@ def kernel_is_invariant(ctx: RepContext, kernel: Sequence[Cocycle]) -> bool:
             moved = [
                 rho_apply(X, a.value(p)) - a.evaluate(shifts[p]) for p in range(2 * n)
             ]
-            if not _in_span(values_to_vector(moved, index), reducers):
-                return False
-    return True
+            vecs.append(values_to_vector(moved, index))
+    return rank_of_rows(vecs, system_shape(ctx)[1]) == len(kernel)

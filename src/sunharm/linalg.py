@@ -1,18 +1,28 @@
-"""Dense exact linear algebra over Q(i).
+"""Sparse exact linear algebra over Q(i).
 
-Matrices are dense and immutable by convention.  Elimination uses ordinary
-pivot-normalized Gauss-Jordan reduction with a deterministic pivot rule
-(first nonzero entry scanning columns left to right, rows top to bottom),
-so ranks, kernels and reduced forms are reproducible bit for bit.  Kernel
-bases are canonical: free columns are taken in increasing order and each
-basis vector carries a 1 in its free position.
+A matrix stores one dict per row, mapping a column to its nonzero entry;
+no zero entry is ever stored.  Matrices are immutable by convention, and
+``row(i)`` and ``copy_rows()`` give dense views.
+
+Every rank, kernel, span and reduced form comes from one elimination.  It
+takes the rows one at a time, reduces each against the pivot rows found so
+far (in increasing pivot column), makes the first nonzero column of what is
+left a new pivot, and back-substitutes the pivot rows at the end.  The
+reduced row-echelon form is unique, so ranks, kernels and reduced forms do
+not depend on the order of the rows and are reproducible bit for bit.
+Kernel bases are canonical: free columns are taken in increasing order and
+each basis vector carries a 1 in its free position.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 from .exactfield import GaussianRational, ZERO, ONE, dump_entry, gq, sub_mul
+
+#: A sparse row: column -> nonzero entry.
+Row = dict[int, GaussianRational]
 
 
 def _entry(x) -> GaussianRational:
@@ -21,8 +31,22 @@ def _entry(x) -> GaussianRational:
     return gq(x)
 
 
+def _sub_mul_row(r: Row, f: GaussianRational, tail: Row) -> None:
+    """r -= f * tail in place, dropping the entries that cancel; f != 0."""
+    for j, x in tail.items():
+        a = r.get(j)
+        if a is None:
+            r[j] = sub_mul(ZERO, f, x)
+        else:
+            a = sub_mul(a, f, x)
+            if a:
+                r[j] = a
+            else:
+                del r[j]
+
+
 class ExactMatrix:
-    """A rows x cols matrix of Gaussian rationals."""
+    """A rows x cols matrix of Gaussian rationals, stored by nonzero entries."""
 
     __slots__ = ("rows", "cols", "_d")
 
@@ -33,77 +57,92 @@ class ExactMatrix:
         cols = len(d[0])
         if any(len(row) != cols for row in d):
             raise ValueError("ragged rows")
-        self._d = d
+        self._d = [{j: x for j, x in enumerate(row) if x} for row in d]
         self.rows = len(d)
         self.cols = cols
 
     @classmethod
+    def from_rows(cls, rows: Iterable[Row], cols: int) -> "ExactMatrix":
+        """A matrix from sparse rows {column: nonzero entry}, taken as they
+        are: entries are not coerced, and rows may be empty or absent."""
+        M = cls.__new__(cls)
+        M._d = list(rows)
+        M.rows = len(M._d)
+        M.cols = cols
+        return M
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[ZERO] * cols for _ in range(rows)])
+        return cls.from_rows([{} for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls.diagonal([ONE] * n)
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "ExactMatrix":
-        n = len(entries)
-        return cls(
-            [[_entry(entries[i]) if i == j else ZERO for j in range(n)] for i in range(n)]
+        entries = [_entry(x) for x in entries]
+        return cls.from_rows(
+            [{i: x} if x else {} for i, x in enumerate(entries)], len(entries)
         )
 
     def at(self, i: int, j: int) -> GaussianRational:
-        return self._d[i][j]
+        return self._d[i].get(j, ZERO)
 
     def row(self, i: int) -> list[GaussianRational]:
-        return list(self._d[i])
+        out = [ZERO] * self.cols
+        for j, x in self._d[i].items():
+            out[j] = x
+        return out
+
+    def sparse_rows(self) -> list[Row]:
+        """The stored rows, one {column: nonzero entry} dict each; read only."""
+        return self._d
 
     def column(self, j: int) -> list[GaussianRational]:
-        return [r[j] for r in self._d]
+        return [r.get(j, ZERO) for r in self._d]
 
     def copy_rows(self) -> list[list[GaussianRational]]:
-        return [list(r) for r in self._d]
+        return [self.row(i) for i in range(self.rows)]
 
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        return ExactMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._d, other._d)]
-        )
+        return self - other.scale(-ONE)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        return ExactMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._d, other._d)]
-        )
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
+        out = []
+        for ra, rb in zip(self._d, other._d):
+            r = dict(ra)
+            _sub_mul_row(r, ONE, rb)
+            out.append(r)
+        return ExactMatrix.from_rows(out, self.cols)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-a for a in row] for row in self._d])
+        return self.scale(-ONE)
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("incompatible shapes for matrix product")
-        od = other._d
         out = []
         for row in self._d:
-            orow = []
-            for j in range(other.cols):
-                s = ZERO
-                for k, a in enumerate(row):
-                    if a:
-                        b = od[k][j]
-                        if b:
-                            s = s + a * b
-                orow.append(s)
-            out.append(orow)
-        return ExactMatrix(out)
+            r: Row = {}
+            for k, a in row.items():
+                _sub_mul_row(r, -a, other._d[k])
+            out.append(r)
+        return ExactMatrix.from_rows(out, other.cols)
 
     def scale(self, s) -> "ExactMatrix":
         s = _entry(s)
-        return ExactMatrix([[s * a for a in row] for row in self._d])
+        if not s:
+            return ExactMatrix.zeros(self.rows, self.cols)
+        return ExactMatrix.from_rows(
+            [{j: s * x for j, x in r.items()} for r in self._d], self.cols
+        )
 
     def apply(self, v: Sequence[GaussianRational]) -> list[GaussianRational]:
         """Matrix-vector product."""
@@ -112,94 +151,90 @@ class ExactMatrix:
         out = []
         for row in self._d:
             s = ZERO
-            for a, x in zip(row, v):
-                if a and x:
+            for j, a in row.items():
+                x = v[j]
+                if x:
                     s = s + a * x
             out.append(s)
         return out
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self._d[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        out: list[Row] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._d):
+            for j, x in row.items():
+                out[j][i] = x
+        return ExactMatrix.from_rows(out, self.rows)
 
     def conj_transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [
-                [self._d[i][j].conjugate() for i in range(self.rows)]
-                for j in range(self.cols)
-            ]
+        return ExactMatrix.from_rows(
+            [{j: x.conjugate() for j, x in r.items()} for r in self.transpose()._d],
+            self.rows,
         )
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self._d)
+        return not any(self._d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(a == b for ra, rb in zip(self._d, other._d) for a, b in zip(ra, rb))
-        )
+        return self.rows == other.rows and self.cols == other.cols and self._d == other._d
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"
 
-    def _check_same_shape(self, other: "ExactMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
+
+def _echelon(rows: Iterable[Row]) -> dict[int, Row]:
+    """Row echelon form of the span of ``rows``: pivot column -> the rest of
+    its pivot row, whose pivot entry is an implicit 1.
+
+    Each row is reduced against the pivots found so far in increasing pivot
+    column; a pivot row has entries only right of its pivot, so a step never
+    brings back a column already passed.  The input rows are not modified.
+    """
+    pivots: dict[int, Row] = {}
+    for row in rows:
+        r = dict(row)
+        todo = [c for c in r if c in pivots]
+        heapify(todo)
+        while todo:
+            c = heappop(todo)
+            f = r.pop(c, None)
+            if f is not None:  # None: cancelled, or queued twice
+                tail = pivots[c]
+                _sub_mul_row(r, f, tail)
+                for j in tail:
+                    if j in pivots:
+                        heappush(todo, j)
+        if r:
+            p = min(r)
+            inv = r.pop(p).inverse()
+            pivots[p] = {j: x * inv for j, x in r.items()}
+    return pivots
 
 
-def _reduce(rows: list[list[GaussianRational]], cols: int) -> list[int]:
-    """In-place Gauss-Jordan reduction; returns the pivot columns."""
-    nrows = len(rows)
-    r = 0
-    pivots: list[int] = []
-    for c in range(cols):
-        pr = -1
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        if p != ONE:
-            inv = p.inverse()
-            for j in range(c, cols):
-                if prow[j]:
-                    prow[j] = prow[j] * inv
-        nz = [j for j in range(c, cols) if prow[j]]
-        for i in range(nrows):
-            if i == r:
-                continue
-            row = rows[i]
-            f = row[c]
-            if not f:
-                continue
-            for j in nz:
-                row[j] = sub_mul(row[j], f, prow[j])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+def _reduced_echelon(rows: Iterable[Row]) -> dict[int, Row]:
+    """Reduced row-echelon form: ``_echelon`` back-substituted, so each
+    pivot row is 0 in every other pivot column."""
+    pivots = _echelon(rows)
+    for c in sorted(pivots, reverse=True):
+        tail = pivots[c]
+        # pivot rows right of c are already reduced: no pivot columns return
+        for j in [j for j in tail if j in pivots]:
+            _sub_mul_row(tail, tail.pop(j), pivots[j])
     return pivots
 
 
 def rref(M: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
     """Reduced row-echelon form and the list of pivot columns."""
-    rows = M.copy_rows()
-    pivots = _reduce(rows, M.cols)
-    return ExactMatrix(rows), pivots
+    pivots = _reduced_echelon(M._d)
+    cs = sorted(pivots)
+    rows = [{c: ONE, **pivots[c]} for c in cs]
+    rows.extend({} for _ in range(M.rows - len(cs)))
+    return ExactMatrix.from_rows(rows, M.cols), cs
 
 
 def rank(M: ExactMatrix) -> int:
-    rows = M.copy_rows()
-    return len(_reduce(rows, M.cols))
+    return len(_echelon(M._d))
 
 
 def kernel_basis(M: ExactMatrix) -> list[list[GaussianRational]]:
@@ -208,29 +243,27 @@ def kernel_basis(M: ExactMatrix) -> list[list[GaussianRational]]:
     One vector per free column, free columns in increasing order, each
     vector with a 1 in its own free position; M @ v == 0 exactly.
     """
-    rows = M.copy_rows()
-    pivots = _reduce(rows, M.cols)
-    pivot_set = set(pivots)
-    basis = []
+    pivots = _reduced_echelon(M._d)
+    basis = {}
     for f in range(M.cols):
-        if f in pivot_set:
-            continue
-        v = [ZERO] * M.cols
-        v[f] = ONE
-        for ridx, pc in enumerate(pivots):
-            coeff = rows[ridx][f]
-            if coeff:
-                v[pc] = -coeff
-        basis.append(v)
-    return basis
+        if f not in pivots:
+            basis[f] = v = [ZERO] * M.cols
+            v[f] = ONE
+    # after back-substitution every tail entry sits in a free column
+    for c, tail in pivots.items():
+        for f, x in tail.items():
+            basis[f][c] = -x
+    return list(basis.values())
 
 
 def rank_of_rows(vectors: Iterable[Sequence[GaussianRational]], cols: int) -> int:
-    """Rank of the span of the given coordinate vectors."""
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return 0
-    return len(_reduce(rows, cols))
+    """Rank of the span of the given coordinate vectors, each of length cols."""
+    rows = []
+    for v in vectors:
+        if len(v) != cols:
+            raise ValueError(f"vector of length {len(v)} in a space of dimension {cols}")
+        rows.append({j: x for j, x in enumerate(v) if x})
+    return len(_echelon(rows))
 
 
 def same_span(
@@ -239,11 +272,8 @@ def same_span(
     cols: int,
 ) -> bool:
     """True when the two families of vectors span the same subspace."""
-    ra = rank_of_rows(a, cols)
-    rb = rank_of_rows(b, cols)
-    if ra != rb:
-        return False
-    return rank_of_rows(list(a) + list(b), cols) == ra
+    r = rank_of_rows(a, cols)
+    return r == rank_of_rows(b, cols) == rank_of_rows(list(a) + list(b), cols)
 
 
 def det(M: ExactMatrix) -> GaussianRational:
@@ -282,4 +312,4 @@ def det(M: ExactMatrix) -> GaussianRational:
 
 def dump_text(M: ExactMatrix) -> str:
     """Plain-text debug dump: one row per line, tab-separated entries."""
-    return "\n".join("\t".join(dump_entry(x) for x in row) for row in M._d)
+    return "\n".join("\t".join(dump_entry(x) for x in row) for row in M.copy_rows())

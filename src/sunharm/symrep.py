@@ -312,13 +312,7 @@ def _matrix_of(X) -> ExactMatrix:
 
 
 def _nonzero_entries(M: ExactMatrix) -> list[tuple[int, int, GaussianRational]]:
-    out = []
-    for j in range(M.rows):
-        for i in range(M.cols):
-            x = M.at(j, i)
-            if x:
-                out.append((j, i, x))
-    return out
+    return [(j, i, x) for j, row in enumerate(M.sparse_rows()) for i, x in row.items()]
 
 
 def rho_apply(X, w: _CoeffPoly) -> _CoeffPoly:
@@ -361,21 +355,23 @@ def rho_apply(X, w: _CoeffPoly) -> _CoeffPoly:
     return w._like(out)
 
 
+def _map_matrix(image, in_basis, out_basis) -> ExactMatrix:
+    """Sparse matrix of the linear map sending each monomial of in_basis to
+    ``image(monomial)``; raises if an image leaves span(out_basis)."""
+    out_index = {a: i for i, a in enumerate(out_basis)}
+    rows = [{} for _ in out_basis]
+    for cidx, alpha in enumerate(in_basis):
+        for a, c in image(alpha).coeffs.items():
+            if a not in out_index:
+                raise ValueError(f"image monomial {a} outside the target basis")
+            rows[out_index[a]][cidx] = c
+    return ExactMatrix.from_rows(rows, len(in_basis))
+
+
 def rho_matrix(X, n: int, m: int, dual: bool = False) -> ExactMatrix:
     """Matrix of the action on S^m (or its dual) in the lex monomial basis."""
     basis = monomials(n + 1, m)
-    index = monomial_index(n + 1, m)
-    d = len(basis)
-    cls = DualSymTensor if dual else SymTensor
-    cols = []
-    for alpha in basis:
-        img = rho_apply(X, cls.monomial(alpha))
-        cols.append(img)
-    rows = [[ZERO] * d for _ in range(d)]
-    for cidx, img in enumerate(cols):
-        for a, c in img.coeffs.items():
-            rows[index[a]][cidx] = c
-    return ExactMatrix(rows)
+    return rho_matrix_restricted(X, basis, basis, dual)
 
 
 def rho_matrix_restricted(
@@ -388,16 +384,8 @@ def rho_matrix_restricted(
 
     Raises if some image falls outside the target span (a grading bug).
     """
-    out_index = {a: i for i, a in enumerate(out_basis)}
     cls = DualSymTensor if dual else SymTensor
-    rows = [[ZERO] * len(in_basis) for _ in range(len(out_basis))]
-    for cidx, alpha in enumerate(in_basis):
-        img = rho_apply(X, cls.monomial(alpha))
-        for a, c in img.coeffs.items():
-            if a not in out_index:
-                raise ValueError(f"image monomial {a} outside the target basis")
-            rows[out_index[a]][cidx] = c
-    return ExactMatrix(rows)
+    return _map_matrix(lambda a: rho_apply(X, cls.monomial(a)), in_basis, out_basis)
 
 
 def _poly_mul(d1: dict, d2: dict) -> dict:
@@ -453,13 +441,7 @@ def substitute(g: ExactMatrix, w: SymTensor) -> SymTensor:
 def group_matrix(g: ExactMatrix, n: int, m: int) -> ExactMatrix:
     """Matrix of the substitution action of g on S^m(C^{n+1})."""
     basis = monomials(n + 1, m)
-    index = monomial_index(n + 1, m)
-    rows = [[ZERO] * len(basis) for _ in range(len(basis))]
-    for cidx, alpha in enumerate(basis):
-        img = substitute(g, SymTensor.monomial(alpha))
-        for a, c in img.coeffs.items():
-            rows[index[a]][cidx] = c
-    return ExactMatrix(rows)
+    return _map_matrix(lambda a: substitute(g, SymTensor.monomial(a)), basis, basis)
 
 
 def k_group_action(A: ExactMatrix, w: _CoeffPoly) -> _CoeffPoly:
@@ -472,22 +454,10 @@ def k_group_action(A: ExactMatrix, w: _CoeffPoly) -> _CoeffPoly:
     if isinstance(w, SymTensor):
         return substitute(g, w)
     n, m = w.n, w.degree
+    # lam(g^{-1} v) on coordinates: the transpose of g^{-1}'s matrix
     Minv = group_matrix(sun1.group_inverse(g), n, m)
-    basis = monomials(n + 1, m)
-    index = monomial_index(n + 1, m)
-    vec = w.to_vector(index)
-    out = {}
-    for bidx, beta in enumerate(basis):
-        s = ZERO
-        for aidx, alpha in enumerate(basis):
-            c = vec[aidx]
-            if c:
-                x = Minv.at(aidx, bidx)
-                if x:
-                    s = s + c * x
-        if s:
-            out[beta] = s
-    return DualSymTensor(n, m, out)
+    image = Minv.transpose().apply(w.to_vector(monomial_index(n + 1, m)))
+    return DualSymTensor(n, m, dict(zip(monomials(n + 1, m), image)))
 
 
 @dataclass(frozen=True)

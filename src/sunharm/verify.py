@@ -3,7 +3,7 @@
 A report document is a plain dict (JSON-ready).  Its content, apart from the
 timing fields ``seconds`` and ``total_seconds``, is a pure function of the
 requested configuration and the tool version; sweep entries are emitted in
-(n, m, kind, dual) order regardless of how many workers computed them.
+(n, m, kind) order regardless of how many workers computed them.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from sunharm.harmonic import (
     _basis_tangent,
     cocycle_from_vector,
     cocycle_to_vector,
+    pairwise_relation_rows,
     system_shape,
     values_from_vector,
     values_to_vector,
@@ -45,7 +46,7 @@ from sunharm.checks import (
     riemann_split_report,
 )
 from sunharm.linalg import rank_of_rows, same_span
-from sunharm.symrep import graded_monomials, project_grade
+from sunharm.symrep import graded_monomials, project_grade, rho_matrix_restricted
 from sunharm.sun1 import scale_vec, tangent_samples
 
 from conftest import conjugate_linear_cocycle, make_rng, random_cocycle, random_value
@@ -266,6 +267,17 @@ def test_system_shape_counts():
             ctx = RepContext(n, 2, dual)
             M = assemble_system(ctx)
             assert system_shape(ctx) == (M.rows, M.cols)
+
+
+@pytest.mark.parametrize("n,dual", [(1, False), (2, True), (3, False)])
+def test_constraint_systems_store_no_zero_entries(n, dual):
+    """The harmonic system and a lemma-battery relation system store their
+    nonzero entries only."""
+    M = assemble_system(RepContext(n, 2, dual))
+    mid, up = graded_monomials(n, 2, 1), graded_monomials(n, 2, 2)
+    ops = [rho_matrix_restricted(xi_plus(e_vec(a, n)), mid, up) for a in range(n)]
+    rows = M.sparse_rows() + pairwise_relation_rows(ops)
+    assert all(x for r in rows for x in r.values())
 
 
 @pytest.mark.parametrize(

@@ -99,6 +99,43 @@ def test_rank_of_rows_empty():
     assert rank_of_rows([], 5) == 0
 
 
+def test_vectors_must_match_the_column_count():
+    with pytest.raises(ValueError):
+        rank_of_rows([[ZERO, ZERO, ONE]], 2)
+    with pytest.raises(ValueError):
+        rank_of_rows([[ONE]], 2)
+    with pytest.raises(ValueError):
+        same_span([[ONE, ZERO]], [[ONE, ZERO, ZERO]], 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices())
+def test_rref_is_reduced_and_independent_of_row_order(M):
+    R, pivots = rref(M)
+    assert rref(ExactMatrix(M.copy_rows()[::-1])) == (R, pivots)
+    assert pivots == sorted(set(pivots)) and len(pivots) == rank(M)
+    for r, pc in enumerate(pivots):
+        assert R.at(r, pc) == ONE
+        assert all(not R.at(i, pc) for i in range(R.rows) if i != r)
+        assert all(not x for x in R.row(r)[:pc])
+    assert all(not any(R.row(i)) for i in range(len(pivots), R.rows))
+    assert same_span(M.copy_rows(), R.copy_rows()[: len(pivots)], M.cols)
+
+
+def test_rejects_float_zero():
+    with pytest.raises(TypeError):
+        ExactMatrix([[0.0]])
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrices())
+def test_dense_construction_stores_only_nonzeros(M):
+    rows = M.copy_rows()
+    sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    assert ExactMatrix(rows) == ExactMatrix.from_rows(sparse, M.cols)
+    assert M.sparse_rows() == sparse
+
+
 def test_rejects_ragged():
     with pytest.raises(ValueError):
         ExactMatrix([[1, 2], [1]])
