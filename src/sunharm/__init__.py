@@ -41,7 +41,6 @@ from .symrep import (
 )
 from .harmonic import (
     Cocycle,
-    KernelReport,
     TwoForm,
     assemble_system,
     classify,
@@ -72,7 +71,6 @@ __all__ = [
     "ExactMatrix",
     "GaussianRational",
     "I",
-    "KernelReport",
     "LieElement",
     "ONE",
     "RepContext",

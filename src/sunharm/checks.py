@@ -3,8 +3,8 @@
 Each check here is an independent computation: relation subspaces come out
 of fresh eliminations, spanning sets are written down explicitly, and every
 comparison is an exact rank or zero test.  The entries returned are plain
-dicts ``{"name", "j", "status", "details"}`` with status ``pass``, ``fail``
-or ``vacuous`` (empty parameter range), ready for the report layer.
+dicts ``{"name", "j", "status", "details"}`` built by ``symrep.check_entry``,
+with status ``pass``, ``fail`` or ``vacuous`` (empty parameter range).
 """
 
 from __future__ import annotations
@@ -14,18 +14,18 @@ from typing import Sequence
 
 from .exactfield import GaussianRational
 from .linalg import ExactMatrix, kernel_basis, rank, same_span
-from .sun1 import e_vec, tangent_samples, xi, xi_minus, xi_plus
+from .sun1 import e_vec, xi_minus, xi_plus
 from .symrep import (
     DualSymTensor,
     RepContext,
     SymTensor,
-    derivative,
+    check_entry,
     graded_monomials,
     monomials,
     multiply_var,
+    polarization,
     rho_apply,
     rho_matrix_restricted,
-    shift_down,
 )
 from .harmonic import (
     cocycle_from_vector,
@@ -39,13 +39,6 @@ from .harmonic import (
 )
 
 
-def _entry(name: str, j, passed: bool | None, detail: str, **extra) -> dict:
-    status = "vacuous" if passed is None else ("pass" if passed else "fail")
-    out = {"name": name, "j": j, "status": status, "details": detail}
-    out.update(extra)
-    return out
-
-
 def _stack_vertically(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     return ExactMatrix.from_rows(
         [r for M in mats for r in M.sparse_rows()], mats[0].cols
@@ -53,6 +46,16 @@ def _stack_vertically(mats: Sequence[ExactMatrix]) -> ExactMatrix:
 
 
 # -- grading and injectivity of the raising/lowering operators --------------
+
+
+def _independent(mats: Sequence[ExactMatrix]) -> bool:
+    """Whether the matrices, flattened to vectors, are linearly independent."""
+    cols = mats[0].cols
+    flat = [
+        {r * cols + c: x for r, row in enumerate(M.sparse_rows()) for c, x in row.items()}
+        for M in mats
+    ]
+    return rank(ExactMatrix.from_rows(flat, mats[0].rows * cols)) == len(mats)
 
 
 def check_operator_grading(n: int, m: int) -> list[dict]:
@@ -63,65 +66,54 @@ def check_operator_grading(n: int, m: int) -> list[dict]:
     nonzero for v != 0, and the stacked maps over a basis of directions must
     have trivial kernel.  On the extreme grades the action collapses to a
     single linearity type.
+
+    v -> rho(xi+(v)) is complex-linear and v -> rho(xi-(v)) conjugate-linear,
+    so the basis e_a settles each claim for every v: a restriction vanishes
+    for some v != 0 exactly when its n basis restrictions are linearly
+    dependent.  That of xi(v) = xi+(v) + xi-(v) is then nonzero as well,
+    since its two halves land in different grades.
     """
     entries = []
-    samples = [v for v in tangent_samples(n) if any(v)]
+    basis = [e_vec(a, n) for a in range(n)]
     for k in range(1, m):
         mid = graded_monomials(n, m, k)
         up = graded_monomials(n, m, k + 1)
         down = graded_monomials(n, m, k - 1)
-        ok = True
-        detail = []
-        for v in samples:
-            try:
-                Mp = rho_matrix_restricted(xi_plus(v), mid, up)
-                Mm = rho_matrix_restricted(xi_minus(v), mid, down)
-                full = rho_matrix_restricted(xi(v), mid, tuple(up) + tuple(down))
-            except ValueError:
-                ok = False
-                detail.append("image escaped the adjacent grades")
-                break
-            if Mp.is_zero() or Mm.is_zero() or full.is_zero():
-                ok = False
-                detail.append("restriction vanished for a nonzero direction")
-                break
-        if ok:
-            dk = len(mid)
-            plus_stack = _stack_vertically(
-                [rho_matrix_restricted(xi_plus(e_vec(a, n)), mid, up) for a in range(n)]
-            )
-            minus_stack = _stack_vertically(
-                [
-                    rho_matrix_restricted(xi_minus(e_vec(a, n)), mid, down)
-                    for a in range(n)
-                ]
-            )
-            inj = rank(plus_stack) == dk and rank(minus_stack) == dk
-            if not inj:
-                ok = False
-                detail.append("stacked raising/lowering map has a kernel")
-        entries.append(
-            _entry(
-                "operator-grading",
-                k,
-                ok,
-                "; ".join(detail) if detail else "grade shifts, nonvanishing and joint injectivity verified",
-            )
-        )
+        ok = False
+        try:
+            plus = [rho_matrix_restricted(xi_plus(e), mid, up) for e in basis]
+            minus = [rho_matrix_restricted(xi_minus(e), mid, down) for e in basis]
+        except ValueError:
+            detail = "image escaped the adjacent grades"
+        else:
+            if not (_independent(plus) and _independent(minus)):
+                detail = "restriction vanished for a nonzero direction"
+            elif not (
+                rank(_stack_vertically(plus)) == len(mid)
+                and rank(_stack_vertically(minus)) == len(mid)
+            ):
+                detail = "stacked raising/lowering map has a kernel"
+            else:
+                ok = True
+                detail = (
+                    "grade shifts, nonvanishing for every v != 0 and joint"
+                    " injectivity verified"
+                )
+        entries.append(check_entry("operator-grading", ok, detail, j=k))
     top = graded_monomials(n, m, m)
     bottom = graded_monomials(n, m, 0)
-    extreme_ok = True
-    for v in samples:
-        if any(rho_apply(xi_plus(v), SymTensor.monomial(a)) for a in top):
-            extreme_ok = False
-        if any(rho_apply(xi_minus(v), SymTensor.monomial(a)) for a in bottom):
-            extreme_ok = False
+    extreme_ok = not any(
+        rho_apply(xi_plus(e), SymTensor.monomial(a)) for e in basis for a in top
+    ) and not any(
+        rho_apply(xi_minus(e), SymTensor.monomial(a)) for e in basis for a in bottom
+    )
     entries.append(
-        _entry(
+        check_entry(
             "extreme-linearity",
-            None,
             extreme_ok,
-            "top grade sees only the conjugate-linear half, bottom grade only the complex-linear half",
+            "for every v != 0 the top grade sees only the conjugate-linear half,"
+            " the bottom grade only the complex-linear half",
+            j=None,
         )
     )
     return entries
@@ -146,7 +138,7 @@ def check_dual_symmetry(n: int, m: int) -> dict:
     shifts of dual monomials of degree m+1).
     """
     if n < 2:
-        return _entry("dual-symmetry", None, None, "needs n >= 2")
+        return check_entry("dual-symmetry", None, "needs n >= 2", j=None)
     in_basis = graded_monomials(n, m, m)
     out_basis = graded_monomials(n, m, m - 1)
     in_index = {a: i for i, a in enumerate(in_basis)}
@@ -156,17 +148,17 @@ def check_dual_symmetry(n: int, m: int) -> dict:
     ]
     ker = _pairwise_relation_kernel(ops)
     d_in = len(in_basis)
-    span = []
-    for nu in monomials(n, m + 1):
-        tau = DualSymTensor.monomial(nu + (0,))
-        span.append(values_to_vector([shift_down(tau, k) for k in range(n)], in_index))
+    span = [
+        values_to_vector(polarization(DualSymTensor.monomial(nu + (0,))), in_index)
+        for nu in monomials(n, m + 1)
+    ]
     expected = math.comb(n + m, m + 1)
     ok = len(ker) == expected and same_span(ker, span, n * d_in)
-    return _entry(
+    return check_entry(
         "dual-symmetry",
-        None,
         ok,
         f"relation subspace dimension {len(ker)}, expected {expected}, span equality {ok}",
+        j=None,
         dimension=len(ker),
         expected=expected,
     )
@@ -195,27 +187,25 @@ def check_symmetric_forcing(n: int, m: int, j: int) -> list[dict]:
     ]
     ker = _pairwise_relation_kernel(ops)
     d_in = len(in_basis)
-    span = []
-    for sigma in monomials(n, j + 1):
-        s = SymTensor.monomial(sigma + (m - j,))
-        span.append(values_to_vector([derivative(s, k) for k in range(n)], in_index))
+    span = [
+        values_to_vector(polarization(SymTensor.monomial(sigma + (m - j,))), in_index)
+        for sigma in monomials(n, j + 1)
+    ]
     expected = math.comb(n + j, j + 1)
     ok = len(ker) == expected and same_span(ker, span, n * d_in)
     entries.append(
-        _entry(
+        check_entry(
             "symmetric-forcing",
-            j,
             ok,
             f"relation subspace dimension {len(ker)}, expected {expected}, span equality {ok}",
+            j=j,
             dimension=len(ker),
             expected=expected,
         )
     )
 
     if n < 2:
-        entries.append(
-            _entry("hook-counterexample", j, None, "needs n >= 2")
-        )
+        entries.append(check_entry("hook-counterexample", None, "needs n >= 2", j=j))
         return entries
     w1 = -SymTensor.monomial((j - 1, 1) + (0,) * (n - 2) + (m - j,))
     w2 = SymTensor.monomial((j,) + (0,) * (n - 1) + (m - j,))
@@ -226,11 +216,11 @@ def check_symmetric_forcing(n: int, m: int, j: int) -> list[dict]:
     rhs_expected = SymTensor.monomial(target, j)
     ok = lhs == lhs_expected and rhs == rhs_expected and lhs != rhs
     entries.append(
-        _entry(
+        check_entry(
             "hook-counterexample",
-            j,
             ok,
             "two sides evaluate to -1 and j times the same monomial",
+            j=j,
         )
     )
     return entries
@@ -279,8 +269,7 @@ def check_contraction_isometry(n: int, m: int, j: int) -> dict:
     scalar = None
     iso_ok = True
     for sigma in monomials(n, j + 1):
-        s = SymTensor.monomial(sigma + (m - j,))
-        values = [derivative(s, k) for k in range(n)]
+        values = polarization(SymTensor.monomial(sigma + (m - j,)))
         image = contraction(values)
         back = [rho_apply(xi_minus(e_vec(k, n)), image) for k in range(n)]
         for k in range(n):
@@ -304,12 +293,12 @@ def check_contraction_isometry(n: int, m: int, j: int) -> dict:
     pin_ok = pinned == pin_expected
 
     ok = hook_ok and iso_ok and pin_ok
-    return _entry(
+    return check_entry(
         "contraction-isometry",
-        j,
         ok,
         f"hook kernel dim {len(hook)} annihilated: {hook_ok}; "
         f"adjoint composition scalar {scalar}: {iso_ok}; pinned value: {pin_ok}",
+        j=j,
         hook_dim=len(hook),
         scalar=str(scalar),
     )
@@ -361,26 +350,26 @@ def riemann_split_report(ctx: RepContext) -> dict:
         )
 
     checks = [
-        {
-            "name": "equal-dimensions",
-            "status": "pass" if len(complex_sub) == len(conj_sub) else "fail",
-            "details": f"complex-linear {len(complex_sub)}, conjugate-linear {len(conj_sub)}",
-        },
-        {
-            "name": "direct-sum",
-            "status": "pass" if len(complex_sub) + len(conj_sub) == kdim else "fail",
-            "details": f"parts sum to {len(complex_sub) + len(conj_sub)} of {kdim}",
-        },
-        {
-            "name": "complex-part-extreme-grade",
-            "status": "pass" if supported_in(complex_sub, complex_grade) else "fail",
-            "details": f"complex-linear part supported in grade {complex_grade}",
-        },
-        {
-            "name": "conjugate-part-extreme-grade",
-            "status": "pass" if supported_in(conj_sub, conj_grade) else "fail",
-            "details": f"conjugate-linear part supported in grade {conj_grade}",
-        },
+        check_entry(
+            "equal-dimensions",
+            len(complex_sub) == len(conj_sub),
+            f"complex-linear {len(complex_sub)}, conjugate-linear {len(conj_sub)}",
+        ),
+        check_entry(
+            "direct-sum",
+            len(complex_sub) + len(conj_sub) == kdim,
+            f"parts sum to {len(complex_sub) + len(conj_sub)} of {kdim}",
+        ),
+        check_entry(
+            "complex-part-extreme-grade",
+            supported_in(complex_sub, complex_grade),
+            f"complex-linear part supported in grade {complex_grade}",
+        ),
+        check_entry(
+            "conjugate-part-extreme-grade",
+            supported_in(conj_sub, conj_grade),
+            f"conjugate-linear part supported in grade {conj_grade}",
+        ),
     ]
     return {
         "kernel_dim": kdim,
@@ -397,14 +386,15 @@ def riemann_split_report(ctx: RepContext) -> dict:
 def lemma_battery(n: int, m: int) -> list[dict]:
     """All structure checks for one (n, m): grading, dual symmetry,
     symmetric forcing for every grade, contraction isometry for every
-    applicable grade."""
+    applicable grade.  Rejects n < 1 or m < 1 as ``RepContext`` does."""
+    RepContext(n, m)
     entries = list(check_operator_grading(n, m))
     entries.append(check_dual_symmetry(n, m))
     for j in range(1, m + 1):
         entries.extend(check_symmetric_forcing(n, m, j))
     if m == 1:
         entries.append(
-            _entry("contraction-isometry", None, None, "no grade with 1 <= j < m")
+            check_entry("contraction-isometry", None, "no grade with 1 <= j < m", j=None)
         )
     else:
         for j in range(1, m):

@@ -64,14 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_case(n: int, m: int) -> str | None:
-    if n < 1:
-        return "n must be >= 1"
-    if m < 1:
-        return "m must be >= 1"
-    return None
-
-
 def _render_case(case: dict, out) -> None:
     c = case["case"]
     side = "dual" if c["dual"] else "primal"
@@ -131,10 +123,6 @@ def main(argv: list[str] | None = None) -> int:
     out = sys.stdout
     try:
         if args.command == "verify":
-            msg = _validate_case(args.n, args.m)
-            if msg:
-                print(f"invalid configuration: {msg}", file=sys.stderr)
-                return EXIT_INVALID_CONFIG
             case = verify_case(args.n, args.m, dual=args.dual, with_lemmas=args.all_lemmas)
             doc = make_document(
                 "verify",
@@ -143,10 +131,6 @@ def main(argv: list[str] | None = None) -> int:
             )
             return _finish(doc, args.json, out)
         if args.command == "lemmas":
-            msg = _validate_case(args.n, args.m)
-            if msg:
-                print(f"invalid configuration: {msg}", file=sys.stderr)
-                return EXIT_INVALID_CONFIG
             case = lemmas_case(args.n, args.m)
             doc = make_document("lemmas", {"n": args.n, "m": args.m}, [case])
             return _finish(doc, args.json, out)

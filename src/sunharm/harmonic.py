@@ -24,7 +24,7 @@ used by the CLI) is an exact zero test on these objects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -34,27 +34,17 @@ from .sun1 import LieElement, e_vec, k_basis, scale_vec, xi
 from .symrep import (
     DualSymTensor,
     RepContext,
-    SymTensor,
-    derivative,
+    check_entry,
     k_group_action,
     monomials,
     multiply_var,
+    polarization,
     raise_weighted,
     rho_apply,
     rho_matrix,
-    shift_down,
 )
 
 Vector = list[GaussianRational]
-
-#: Convention notes recorded in every report.
-DECISION_NOTES = (
-    "two-form convention: T a(Y1,Y2) = rho(Y1)a(Y2) - rho(Y2)a(Y1), the"
-    " antisymmetrization whose vanishing is equivalent to symmetry of"
-    " (u,v) -> rho(xi_u)a(xi_v)",
-    "trace convention: T* sums rho(Y)a(Y) over all 2n real basis directions"
-    " xi(e_j) and xi(i e_j)",
-)
 
 
 @lru_cache(maxsize=None)
@@ -294,17 +284,13 @@ def symmetric_component_membership(values: Sequence) -> tuple[bool, GaussianRati
     cert = ZERO
     if g is None:
         return True, cert
-    dual = isinstance(values[0], DualSymTensor)
-    if dual:
-        s = values[0]._like({}, degree=values[0].degree + 1)
-        for k in range(n):
-            s = s + raise_weighted(values[k], k)
-        section = [shift_down(s, k) for k in range(n)]
-    else:
-        s = values[0]._like({}, degree=values[0].degree + 1)
-        for k in range(n):
-            s = s + multiply_var(values[k], k)
-        section = [derivative(s, k) for k in range(n)]
+    # multiply the values up into one tensor of degree g + 1; dual values
+    # use raise_weighted, the transpose of derivative
+    lift = raise_weighted if isinstance(values[0], DualSymTensor) else multiply_var
+    s = values[0]._like({}, degree=values[0].degree + 1)
+    for k in range(n):
+        s = s + lift(values[k], k)
+    section = polarization(s)
     inv = gq(1) / (g + 1)
     member = True
     for k in range(n):
@@ -324,94 +310,43 @@ def polarization_cocycles(ctx: RepContext) -> list[Cocycle]:
     cocycles built from exponent shifts of dual monomials.  Each satisfies
     T = 0 and T* = 0; together they give the independent dimension oracle.
     """
-    n, m = ctx.n, ctx.m
+    # B_j = i A_j makes a cocycle complex-linear, B_j = -i A_j conjugate-linear
+    twist = I if ctx.dual else -I
     out = []
-    for sigma in monomials(n, m + 1):
-        if ctx.dual:
-            tau = DualSymTensor.monomial(sigma + (0,))
-            a_vals = [shift_down(tau, k) for k in range(n)]
-            b_vals = [w.scale(I) for w in a_vals]
-        else:
-            s = SymTensor.monomial(sigma + (0,))
-            a_vals = [derivative(s, k) for k in range(n)]
-            b_vals = [w.scale(-I) for w in a_vals]
-        out.append(Cocycle(ctx, a_vals, b_vals))
+    for sigma in monomials(ctx.n, ctx.m + 1):
+        a_vals = polarization(ctx.value_class.monomial(sigma + (0,)))
+        out.append(Cocycle(ctx, a_vals, [w.scale(twist) for w in a_vals]))
     return out
 
 
 # -- classification ---------------------------------------------------------
 
 
-@dataclass
-class KernelReport:
-    """Structured verdict for one (n, m, dual) kernel computation."""
-
-    ctx: RepContext
-    system_rows: int
-    system_cols: int
-    kernel_dim: int
-    expected_dim: int
-    flags: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
-    lemmas: list = field(default_factory=list)
-    seconds: float = 0.0
-
-    def all_passed(self) -> bool:
-        ok = all(c["status"] == "pass" for c in self.checks)
-        return ok and all(e["status"] in ("pass", "vacuous") for e in self.lemmas)
-
-    def as_dict(self) -> dict:
-        return {
-            "case": {"n": self.ctx.n, "m": self.ctx.m, "dual": self.ctx.dual},
-            "mode": "kernel-verification",
-            "system": {"rows": self.system_rows, "columns": self.system_cols},
-            "kernel": {
-                "dimension": self.kernel_dim,
-                "expected_dimension": self.expected_dim,
-            },
-            "flags": dict(self.flags),
-            "checks": list(self.checks),
-            "lemmas": list(self.lemmas),
-            "decisions": list(DECISION_NOTES),
-            "seconds": self.seconds,
-        }
-
-
-def _check(name: str, passed: bool, detail: str = "") -> dict:
-    return {"name": name, "status": "pass" if passed else "fail", "details": detail}
-
-
-def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> KernelReport:
+def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dict]]:
     """Run the structural verdicts on a computed kernel basis.
 
     Flags (each an exact zero test): linearity (conjugate-linear for the
     primal side, complex-linear for the dual), support in the top grade,
     membership in the symmetric component, and the dimension count.
+    Returns the flags and the check entries.
     """
     n, m = ctx.n, ctx.m
-    rows, cols = system_shape(ctx)
-    report = KernelReport(
-        ctx=ctx,
-        system_rows=rows,
-        system_cols=cols,
-        kernel_dim=len(kernel),
-        expected_dim=ctx.expected_kernel_dim,
-    )
+    flags = {}
     linear_key = "complex_linear" if ctx.dual else "conjugate_linear"
 
     # Every kernel element must re-verify through the operator path.
     op_ok = all(t_op(a).is_zero() and tstar_op(a).is_zero() for a in kernel)
-    report.checks.append(
-        _check("operator-recheck", op_ok, "T and T* vanish via direct evaluation")
-    )
+    checks = [
+        check_entry("operator-recheck", op_ok, "T and T* vanish via direct evaluation")
+    ]
 
     wrong_part = minus_part if ctx.dual else plus_part
     lin_ok = all(
         wrong_part(a, e_vec(j, n)).is_zero() for a in kernel for j in range(n)
     )
-    report.flags[linear_key] = lin_ok
-    report.checks.append(
-        _check(
+    flags[linear_key] = lin_ok
+    checks.append(
+        check_entry(
             linear_key.replace("_", "-"),
             lin_ok,
             "vanishing of the opposite-linearity component",
@@ -421,10 +356,8 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> KernelReport:
     top_ok = all(
         w.support_grades() <= {m} for a in kernel for w in (*a.a_values, *a.b_values)
     )
-    report.flags["top_graded"] = top_ok
-    report.checks.append(
-        _check("top-graded", top_ok, f"values supported in grade {m} only")
-    )
+    flags["top_graded"] = top_ok
+    checks.append(check_entry("top-graded", top_ok, f"values supported in grade {m} only"))
 
     sym_ok = lin_ok and top_ok
     if sym_ok:
@@ -435,9 +368,9 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> KernelReport:
             if not member:
                 sym_ok = False
                 break
-    report.flags["symmetric_component"] = sym_ok
-    report.checks.append(
-        _check(
+    flags["symmetric_component"] = sym_ok
+    checks.append(
+        check_entry(
             "symmetric-component",
             sym_ok,
             "hook projection of each basis element is exactly zero",
@@ -445,9 +378,9 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> KernelReport:
     )
 
     dim_ok = len(kernel) == ctx.expected_kernel_dim
-    report.flags["dimension_match"] = dim_ok
-    report.checks.append(
-        _check(
+    flags["dimension_match"] = dim_ok
+    checks.append(
+        check_entry(
             "dimension-match",
             dim_ok,
             f"kernel dimension {len(kernel)} vs expected {ctx.expected_kernel_dim}",
@@ -457,15 +390,15 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> KernelReport:
     # Independent oracle: the explicit symmetric solutions span the kernel.
     pol = [cocycle_to_vector(a) for a in polarization_cocycles(ctx)]
     ker_vecs = [cocycle_to_vector(a) for a in kernel]
-    span_ok = same_span(ker_vecs, pol, cols)
-    report.checks.append(
-        _check(
+    span_ok = same_span(ker_vecs, pol, system_shape(ctx)[1])
+    checks.append(
+        check_entry(
             "polarization-span",
             span_ok,
             "kernel equals the span of the explicit symmetric solutions",
         )
     )
-    return report
+    return flags, checks
 
 
 def transform_cocycle(A: ExactMatrix, a: Cocycle) -> Cocycle:

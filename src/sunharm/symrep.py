@@ -251,6 +251,13 @@ def raise_weighted(w: _CoeffPoly, var: int) -> _CoeffPoly:
     return w._like(out, degree=w.degree + 1)
 
 
+def polarization(s: _CoeffPoly) -> list[_CoeffPoly]:
+    """The polarization section s -> (d_k s)_k over the first n variables:
+    partial derivatives of a primal tensor, exponent shifts of a dual one."""
+    step = shift_down if isinstance(s, DualSymTensor) else derivative
+    return [step(s, k) for k in range(s.n)]
+
+
 # -- pairings --------------------------------------------------------------
 
 
@@ -495,3 +502,52 @@ class RepContext:
 
     def zero_value(self) -> _CoeffPoly:
         return self.value_class.zero(self.n, self.m)
+
+
+# -- report entries ----------------------------------------------------------
+
+#: Convention notes recorded in every report entry.
+DECISION_NOTES = (
+    "two-form convention: T a(Y1,Y2) = rho(Y1)a(Y2) - rho(Y2)a(Y1), the"
+    " antisymmetrization whose vanishing is equivalent to symmetry of"
+    " (u,v) -> rho(xi_u)a(xi_v)",
+    "trace convention: T* sums rho(Y)a(Y) over all 2n real basis directions"
+    " xi(e_j) and xi(i e_j)",
+)
+
+
+def check_entry(name: str, verdict: bool | None, details: str, **extra) -> dict:
+    """One check entry: status ``pass`` or ``fail``, or ``vacuous`` for a
+    verdict of None (empty parameter range).  A grade ``j`` follows the
+    name; any other ``extra`` field follows the details."""
+    entry = {"name": name}
+    if "j" in extra:
+        entry["j"] = extra.pop("j")
+    entry["status"] = "vacuous" if verdict is None else ("pass" if verdict else "fail")
+    entry["details"] = details
+    entry.update(extra)
+    return entry
+
+
+def case_entry(
+    ctx: RepContext,
+    mode: str,
+    *,
+    checks: Sequence[dict] = (),
+    lemmas: Sequence[dict] = (),
+    seconds: float = 0.0,
+    **blocks,
+) -> dict:
+    """One report entry for a case.
+
+    Every entry has the keys case, mode, checks, lemmas, decisions and
+    seconds; the mode's own ``blocks`` (note, system, kernel, flags,
+    riemann, status) sit between mode and checks, in the order given.
+    """
+    entry = {"case": {"n": ctx.n, "m": ctx.m, "dual": ctx.dual}, "mode": mode}
+    entry.update(blocks)
+    entry["checks"] = list(checks)
+    entry["lemmas"] = list(lemmas)
+    entry["decisions"] = list(DECISION_NOTES)
+    entry["seconds"] = round(seconds, 6)
+    return entry

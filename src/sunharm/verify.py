@@ -3,7 +3,9 @@
 A report document is a plain dict (JSON-ready).  Its content, apart from the
 timing fields ``seconds`` and ``total_seconds``, is a pure function of the
 requested configuration and the tool version; sweep entries are emitted in
-(n, m, kind) order regardless of how many workers computed them.
+(n, m, kind) order regardless of how many workers computed them.  Every case
+entry, whatever its mode, is built by ``symrep.case_entry`` and every check
+entry by ``symrep.check_entry``.
 """
 
 from __future__ import annotations
@@ -14,14 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .checks import lemma_battery, riemann_split_report
 from .exactfield import BACKEND_NAME
-from .harmonic import (
-    DECISION_NOTES,
-    classify,
-    harmonic_kernel,
-    kernel_is_invariant,
-    system_shape,
-)
-from .symrep import RepContext
+from .harmonic import classify, harmonic_kernel, kernel_is_invariant, system_shape
+from .symrep import RepContext, case_entry, check_entry
 
 VERSION = "0.1.0"
 
@@ -36,56 +32,62 @@ def verify_case(n: int, m: int, dual: bool = False, with_lemmas: bool = False) -
     split report instead of the one-sided classifier)."""
     t0 = time.perf_counter()
     ctx = RepContext(n, m, dual)
+    rows, cols = system_shape(ctx)
+    system = {"rows": rows, "columns": cols}
     if n == 1:
         rep = riemann_split_report(ctx)
-        rows, cols = system_shape(ctx)
-        case = {
-            "case": {"n": n, "m": m, "dual": dual},
-            "mode": "riemann-surface",
+        mode, checks = "riemann-surface", rep["checks"]
+        blocks = {
             "note": _RIEMANN_NOTE,
-            "system": {"rows": rows, "columns": cols},
+            "system": system,
             "kernel": {"dimension": rep["kernel_dim"], "expected_dimension": None},
             "riemann": {
                 "complex_linear_dim": rep["complex_linear_dim"],
                 "conjugate_linear_dim": rep["conjugate_linear_dim"],
                 "split": rep["split"],
             },
-            "checks": rep["checks"],
-            "lemmas": [],
-            "decisions": list(DECISION_NOTES),
         }
     else:
         kernel = harmonic_kernel(ctx)
-        report = classify(ctx, kernel)
-        report.checks.append(
-            {
-                "name": "compact-invariance",
-                "status": "pass" if kernel_is_invariant(ctx, kernel) else "fail",
-                "details": (
-                    "the Lie algebra k maps the kernel into itself, which is"
-                    " equivalent to K-invariance because U(n) is connected"
-                ),
-            }
+        flags, checks = classify(ctx, kernel)
+        checks.append(
+            check_entry(
+                "compact-invariance",
+                kernel_is_invariant(ctx, kernel),
+                "the Lie algebra k maps the kernel into itself, which is"
+                " equivalent to K-invariance because U(n) is connected",
+            )
         )
-        case = report.as_dict()
-    if with_lemmas:
-        case["lemmas"] = lemma_battery(n, m)
-    case["seconds"] = round(time.perf_counter() - t0, 6)
-    return case
+        mode = "kernel-verification"
+        blocks = {
+            "system": system,
+            "kernel": {
+                "dimension": len(kernel),
+                "expected_dimension": ctx.expected_kernel_dim,
+            },
+            "flags": flags,
+        }
+    lemmas = lemma_battery(n, m) if with_lemmas else []
+    return case_entry(
+        ctx,
+        mode,
+        checks=checks,
+        lemmas=lemmas,
+        seconds=time.perf_counter() - t0,
+        **blocks,
+    )
 
 
 def lemmas_case(n: int, m: int) -> dict:
     """The structure-check battery alone, as a report entry."""
     t0 = time.perf_counter()
-    case = {
-        "case": {"n": n, "m": m, "dual": False},
-        "mode": "lemma-battery",
-        "checks": [],
-        "lemmas": lemma_battery(n, m),
-        "decisions": list(DECISION_NOTES),
-        "seconds": round(time.perf_counter() - t0, 6),
-    }
-    return case
+    lemmas = lemma_battery(n, m)
+    return case_entry(
+        RepContext(n, m),
+        "lemma-battery",
+        lemmas=lemmas,
+        seconds=time.perf_counter() - t0,
+    )
 
 
 _KIND_ORDER = {"verify-primal": 0, "verify-dual": 1, "lemmas": 2}
@@ -166,18 +168,9 @@ def run_sweep(n_max: int | None, m_max: int | None, jobs: int = 1) -> dict:
                 cases.append(_run_spec(spec))
     except KeyboardInterrupt:
         interrupted = True
-        done = len(cases)
-        for spec in specs[done:]:
-            kind, n, m = spec
-            cases.append(
-                {
-                    "case": {"n": n, "m": m, "dual": kind == "verify-dual"},
-                    "mode": kind,
-                    "status": "incomplete",
-                    "checks": [],
-                    "lemmas": [],
-                }
-            )
+        for kind, n, m in specs[len(cases) :]:
+            ctx = RepContext(n, m, kind == "verify-dual")
+            cases.append(case_entry(ctx, kind, status="incomplete"))
     # jobs is an execution detail: concurrency must not affect the report.
     doc = make_document(
         command="sweep",

@@ -7,6 +7,25 @@ from sunharm import Cocycle, RepContext, gq
 from sunharm.symrep import graded_monomials, monomials
 
 
+#: Report keys that hold wall-clock timings rather than report content.
+TIMING_KEYS = ("seconds", "total_seconds")
+
+
+def scrub(x, drop=TIMING_KEYS):
+    """A report document with the ``drop`` keys removed at every level."""
+    if isinstance(x, dict):
+        return {k: scrub(v, drop) for k, v in x.items() if k not in drop}
+    if isinstance(x, list):
+        return [scrub(v, drop) for v in x]
+    return x
+
+
+def all_passed(checks, lemmas=()) -> bool:
+    """Every check passed, and every lemma entry passed or was vacuous."""
+    ok = all(c["status"] == "pass" for c in checks)
+    return ok and all(e["status"] in ("pass", "vacuous") for e in lemmas)
+
+
 def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
 

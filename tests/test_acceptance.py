@@ -54,7 +54,7 @@ from sunharm.sun1 import (
 from sunharm.symrep import SymTensor
 from sunharm.verify import run_sweep
 
-from conftest import make_rng, random_value
+from conftest import make_rng, random_value, scrub
 
 GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2)]
 
@@ -74,8 +74,7 @@ def kernel_and_report(n: int, m: int, dual: bool):
 def _kernel_suite(dual: bool) -> bool:
     ok = True
     for n, m in GRID:
-        ctx, kernel, report = kernel_and_report(n, m, dual)
-        flags = report.flags
+        ctx, kernel, (flags, _checks) = kernel_and_report(n, m, dual)
         linear_key = "complex_linear" if dual else "conjugate_linear"
         ok &= flags[linear_key] and flags["top_graded"] and flags["symmetric_component"]
         ok &= len(kernel) == math.comb(n + m, m + 1)
@@ -171,9 +170,9 @@ def test_riemann_surface_suite():
         rep = riemann_split_report(RepContext(1, m))
         ok &= rep["split"]
         ok &= rep["complex_linear_dim"] == rep["conjugate_linear_dim"]
-        ctx, kernel, report = kernel_and_report(1, m, False)
-        ok &= not report.flags["conjugate_linear"]
-        ok &= not report.flags["dimension_match"]
+        ctx, kernel, (flags, _checks) = kernel_and_report(1, m, False)
+        ok &= not flags["conjugate_linear"]
+        ok &= not flags["dimension_match"]
     report_line("n=1 kernels split evenly and the one-sided classifier fails", ok)
 
 
@@ -221,19 +220,9 @@ def test_structural_suite():
     )
 
 
-def _scrub(x):
-    if isinstance(x, dict):
-        return {
-            k: _scrub(v) for k, v in x.items() if k not in ("seconds", "total_seconds")
-        }
-    if isinstance(x, list):
-        return [_scrub(v) for v in x]
-    return x
-
-
 def test_determinism_suite():
     a = run_sweep(3, 3, jobs=1)
     b = run_sweep(3, 3, jobs=1)
-    same = json.dumps(_scrub(a), sort_keys=True) == json.dumps(_scrub(b), sort_keys=True)
+    same = json.dumps(scrub(a), sort_keys=True) == json.dumps(scrub(b), sort_keys=True)
     clean = a["summary"]["checks_failed"] == 0
     report_line("repeated sweeps byte-identical modulo timing fields", same and clean)

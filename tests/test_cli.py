@@ -1,6 +1,10 @@
 import json
 import os
+from pathlib import Path
 
+import pytest
+
+from sunharm.checks import lemma_battery
 from sunharm.cli import main
 from sunharm.verify import (
     exit_code_for,
@@ -10,13 +14,9 @@ from sunharm.verify import (
     worker_count,
 )
 
+from conftest import TIMING_KEYS, scrub
 
-def scrub(x):
-    if isinstance(x, dict):
-        return {k: scrub(v) for k, v in x.items() if k not in ("seconds", "total_seconds")}
-    if isinstance(x, list):
-        return [scrub(v) for v in x]
-    return x
+GOLDEN = Path(__file__).with_name("golden_sweep_2_2.json")
 
 
 def test_verify_passes(capsys, tmp_path):
@@ -44,6 +44,23 @@ def test_verify_dual(tmp_path):
 def test_verify_rejects_m_zero(capsys):
     assert main(["verify", "--n", "2", "--m", "0"]) == 2
     assert "m must be >= 1" in capsys.readouterr().err
+
+
+def test_lemmas_rejects_n_zero(capsys):
+    assert main(["lemmas", "--n", "0", "--m", "2"]) == 2
+    assert "invalid configuration: n must be >= 1" in capsys.readouterr().err
+
+
+def test_lemma_battery_rejects_n_zero():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        lemma_battery(0, 2)
+
+
+def test_sweep_report_matches_golden():
+    # every mode appears: riemann-surface (1, 2), kernel-verification and
+    # lemma-battery; the indented text pins key order as well as content
+    doc = scrub(run_sweep(2, 2), TIMING_KEYS + ("backend",))
+    assert json.dumps(doc, indent=2) + "\n" == GOLDEN.read_text()
 
 
 def test_verify_riemann_route(tmp_path):

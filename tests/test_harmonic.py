@@ -49,7 +49,13 @@ from sunharm.linalg import rank_of_rows, same_span
 from sunharm.symrep import graded_monomials, project_grade, rho_matrix_restricted
 from sunharm.sun1 import scale_vec, tangent_samples
 
-from conftest import conjugate_linear_cocycle, make_rng, random_cocycle, random_value
+from conftest import (
+    all_passed,
+    conjugate_linear_cocycle,
+    make_rng,
+    random_cocycle,
+    random_value,
+)
 
 
 def single_entry_cocycle(ctx, j, value, part="a"):
@@ -419,31 +425,32 @@ def test_membership_grading_mismatch():
 
 def test_classify_primal_all_flags():
     ctx = RepContext(2, 2)
-    report = classify(ctx, harmonic_kernel(ctx))
-    assert report.flags == {
+    kernel = harmonic_kernel(ctx)
+    flags, checks = classify(ctx, kernel)
+    assert flags == {
         "conjugate_linear": True,
         "top_graded": True,
         "symmetric_component": True,
         "dimension_match": True,
     }
-    assert report.kernel_dim == math.comb(4, 3) == 4
-    assert report.all_passed()
+    assert len(kernel) == math.comb(4, 3) == 4
+    assert all_passed(checks)
 
 
 def test_classify_dual_flags():
     ctx = RepContext(2, 1, dual=True)
-    report = classify(ctx, harmonic_kernel(ctx))
-    assert report.flags["complex_linear"]
-    assert report.flags["symmetric_component"]
-    assert report.all_passed()
+    flags, checks = classify(ctx, harmonic_kernel(ctx))
+    assert flags["complex_linear"]
+    assert flags["symmetric_component"]
+    assert all_passed(checks)
 
 
 def test_classify_fails_on_riemann_case():
     ctx = RepContext(1, 2)
-    report = classify(ctx, harmonic_kernel(ctx))
-    assert not report.flags["conjugate_linear"]
-    assert not report.flags["dimension_match"]
-    assert not report.all_passed()
+    flags, checks = classify(ctx, harmonic_kernel(ctx))
+    assert not flags["conjugate_linear"]
+    assert not flags["dimension_match"]
+    assert not all_passed(checks)
 
 
 # -- structure batteries ------------------------------------------------------
@@ -455,6 +462,25 @@ def test_operator_grading_battery(n, m):
     assert all(e["status"] == "pass" for e in entries)
     ks = [e["j"] for e in entries if e["name"] == "operator-grading"]
     assert ks == list(range(1, m))
+
+
+def test_operator_grading_flags_dependent_restrictions(monkeypatch):
+    # make rho(xi+(e_2))|_1 twice rho(xi+(e_1))|_1: the family [M, 2M] is
+    # dependent, so rho(xi+(v))|_1 vanishes for v = (2, -1)
+    import sunharm.checks as checks
+
+    real = checks.rho_matrix_restricted
+    first = xi_plus(e_vec(0, 2))
+
+    def doubled(X, in_basis, out_basis, dual=False):
+        if X.kind == "xi-plus" and X.matrix != first.matrix:
+            return real(first, in_basis, out_basis, dual).scale(2)
+        return real(X, in_basis, out_basis, dual)
+
+    monkeypatch.setattr(checks, "rho_matrix_restricted", doubled)
+    entry = check_operator_grading(2, 2)[0]
+    assert (entry["name"], entry["j"], entry["status"]) == ("operator-grading", 1, "fail")
+    assert entry["details"] == "restriction vanished for a nonzero direction"
 
 
 def test_raising_annihilates_top_grade():
