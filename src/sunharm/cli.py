@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .verify import (
@@ -117,11 +118,28 @@ def _finish(doc: dict, json_path: str | None, out) -> int:
     return exit_code_for(doc)
 
 
+def _check_json_path(path: str | None) -> None:
+    """Refuse a ``--json`` path that cannot be written, before any case is
+    computed.  The probe opens the file for appending, so an existing file
+    keeps its content, and removes a file it created."""
+    if path is None:
+        return
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise ValueError(f"cannot write --json {path}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     out = sys.stdout
     try:
+        _check_json_path(args.json)
         if args.command == "verify":
             case = verify_case(args.n, args.m, dual=args.dual, with_lemmas=args.all_lemmas)
             doc = make_document(

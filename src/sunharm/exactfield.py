@@ -4,6 +4,14 @@ Every number in this package is an element of Q(i): a complex number whose
 real and imaginary parts are arbitrary-precision rationals.  Nothing is ever
 rounded, so a zero test downstream is a certificate, not an approximation.
 
+Each component has one representation: a Python ``int`` when it is
+integral, and the backend rational in lowest terms with positive denominator
+only when it is not.  Almost every value the program touches is a Gaussian
+integer, and plain ``int`` arithmetic spares those the rational type's
+construction, gcd and operator dispatch.  Equality and hashing do not see the
+difference (``Fraction(2) == 2`` and ``hash(Fraction(2)) == hash(2)``), and
+an ``int`` has ``numerator`` and ``denominator`` like any exact rational.
+
 The rational layer underneath is pluggable.  gmpy2's ``mpq`` is used when it
 can be imported (same canonical-form semantics as ``fractions.Fraction``,
 considerably faster); set the environment variable ``SUNHARM_RATIONAL`` to
@@ -34,25 +42,33 @@ else:
 #: Name of the active rational backend, for reports and benchmarks.
 BACKEND_NAME = "gmpy2" if Rational is not Fraction else "fraction"
 
-_RZERO = Rational(0)
-_RONE = Rational(1)
+
+def _canon(q):
+    """A computed rational component in canonical form: int when integral."""
+    if type(q) is int or q.denominator != 1:
+        return q
+    return int(q.numerator)
 
 
 def _to_rational(x):
-    """Coerce x to the backend rational type.  Floats are refused."""
-    if type(x) is type(_RZERO):
+    """Coerce x to a component: an int when integral, else the backend
+    rational.  Floats are refused."""
+    if type(x) is int:
         return x
     if isinstance(x, float):
         raise TypeError("floats are not allowed in exact arithmetic")
-    return Rational(x)
+    if isinstance(x, int):  # bool and other int subclasses
+        return int(x)
+    return _canon(x if type(x) is Rational else Rational(x))
 
 
 class GaussianRational:
     """A complex number with exact rational real and imaginary parts.
 
     Values are immutable by convention: no method mutates ``re`` or ``im``.
-    Rationals are kept in lowest terms with positive denominator (the backend
-    guarantees it), so equality is structural.
+    A component is an ``int`` when integral and otherwise a backend rational
+    in lowest terms with positive denominator (the backend guarantees it),
+    so equality is structural.
     """
 
     __slots__ = ("re", "im")
@@ -67,7 +83,7 @@ class GaussianRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _raw(self.re + other.re, self.im + other.im)
+        return _make(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
@@ -75,20 +91,20 @@ class GaussianRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _raw(self.re - other.re, self.im - other.im)
+        return _make(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return _raw(other.re - self.re, other.im - self.im)
+        return _make(other.re - self.re, other.im - self.im)
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
-        return _raw(a * c - b * d, a * d + b * c)
+        return _make(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -124,14 +140,16 @@ class GaussianRational:
         n = self.re * self.re + self.im * self.im
         if not n:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return _raw(self.re / n, -self.im / n)
+        # through the backend rational: int / int would give a float
+        n = Rational(n)
+        return _make(self.re / n, -self.im / n)
 
     def conjugate(self):
         return _raw(self.re, -self.im)
 
     def norm_sq(self):
-        """|z|^2, an exact nonnegative rational."""
-        return self.re * self.re + self.im * self.im
+        """|z|^2, an exact nonnegative rational (an int when integral)."""
+        return _canon(self.re * self.re + self.im * self.im)
 
     # -- predicates, hashing, display -----------------------------------
 
@@ -148,6 +166,9 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
+        # a real value equals its real part, so it must hash like it
+        if not self.im:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __str__(self):
@@ -172,20 +193,30 @@ def _imag_str(im):
 
 
 def _raw(re, im):
-    """Fast constructor for components already of the backend type."""
+    """Fast constructor for components already in canonical form."""
     z = GaussianRational.__new__(GaussianRational)
     z.re = re
     z.im = im
     return z
 
 
+def _make(re, im):
+    """Constructor for computed components: an integral one becomes an int.
+
+    The int test is inlined, since sums and products of Gaussian integers,
+    the common case, need nothing more.
+    """
+    z = GaussianRational.__new__(GaussianRational)
+    z.re = re if type(re) is int else _canon(re)
+    z.im = im if type(im) is int else _canon(im)
+    return z
+
+
 def _coerce(x):
     if type(x) is GaussianRational:
         return x
-    if isinstance(x, int):
-        return _raw(Rational(x), _RZERO)
-    if isinstance(x, (Fraction,)) or type(x) is type(_RZERO):
-        return _raw(_to_rational(x), _RZERO)
+    if isinstance(x, (int, Fraction)) or type(x) is Rational:
+        return _raw(_to_rational(x), 0)
     return None
 
 
@@ -202,7 +233,7 @@ I = gq(0, 1)
 def sub_mul(a: GaussianRational, f: GaussianRational, b: GaussianRational):
     """a - f*b in one allocation; the elimination hot path lives on this."""
     fre, fim, bre, bim = f.re, f.im, b.re, b.im
-    return _raw(a.re - (fre * bre - fim * bim), a.im - (fre * bim + fim * bre))
+    return _make(a.re - (fre * bre - fim * bim), a.im - (fre * bim + fim * bre))
 
 
 def dump_entry(z: GaussianRational) -> str:

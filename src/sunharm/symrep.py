@@ -536,6 +536,7 @@ def case_entry(
     checks: Sequence[dict] = (),
     lemmas: Sequence[dict] = (),
     seconds: float = 0.0,
+    phases: dict[str, float] | None = None,
     **blocks,
 ) -> dict:
     """One report entry for a case.
@@ -543,6 +544,8 @@ def case_entry(
     Every entry has the keys case, mode, checks, lemmas, decisions and
     seconds; the mode's own ``blocks`` (note, system, kernel, flags,
     riemann, status) sit between mode and checks, in the order given.
+    ``phases`` (phase name -> seconds), when given, follows ``seconds``;
+    like it, it is timing and not report content.
     """
     entry = {"case": {"n": ctx.n, "m": ctx.m, "dual": ctx.dual}, "mode": mode}
     entry.update(blocks)
@@ -550,4 +553,6 @@ def case_entry(
     entry["lemmas"] = list(lemmas)
     entry["decisions"] = list(DECISION_NOTES)
     entry["seconds"] = round(seconds, 6)
+    if phases is not None:
+        entry["phases"] = {name: round(s, 6) for name, s in phases.items()}
     return entry

@@ -1,11 +1,11 @@
 """Case orchestration: run verifications, aggregate structured reports.
 
 A report document is a plain dict (JSON-ready).  Its content, apart from the
-timing fields ``seconds`` and ``total_seconds``, is a pure function of the
-requested configuration and the tool version; sweep entries are emitted in
-(n, m, kind) order regardless of how many workers computed them.  Every case
-entry, whatever its mode, is built by ``symrep.case_entry`` and every check
-entry by ``symrep.check_entry``.
+timing fields ``seconds``, ``phases`` and ``total_seconds``, is a pure
+function of the requested configuration and the tool version; sweep entries
+are emitted in (n, m, kind) order regardless of how many workers computed
+them.  Every case entry, whatever its mode, is built by
+``symrep.case_entry`` and every check entry by ``symrep.check_entry``.
 """
 
 from __future__ import annotations
@@ -27,15 +27,29 @@ _RIEMANN_NOTE = (
 )
 
 
+def _timed(phases: dict, name: str, fn, *args):
+    """``fn(*args)``, with its wall time recorded as ``phases[name]``."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    phases[name] = time.perf_counter() - t0
+    return out
+
+
 def verify_case(n: int, m: int, dual: bool = False, with_lemmas: bool = False) -> dict:
     """Kernel computation + classification for one case (n = 1 gets the
-    split report instead of the one-sided classifier)."""
+    split report instead of the one-sided classifier).
+
+    The entry's ``phases`` block times each phase that ran: ``kernel``
+    (assembly and solve), ``classify``, ``invariance`` and, with the
+    battery, ``lemmas``; for n = 1, ``riemann`` and ``lemmas``.
+    """
     t0 = time.perf_counter()
+    phases: dict[str, float] = {}
     ctx = RepContext(n, m, dual)
     rows, cols = system_shape(ctx)
     system = {"rows": rows, "columns": cols}
     if n == 1:
-        rep = riemann_split_report(ctx)
+        rep = _timed(phases, "riemann", riemann_split_report, ctx)
         mode, checks = "riemann-surface", rep["checks"]
         blocks = {
             "note": _RIEMANN_NOTE,
@@ -48,12 +62,13 @@ def verify_case(n: int, m: int, dual: bool = False, with_lemmas: bool = False) -
             },
         }
     else:
-        kernel = harmonic_kernel(ctx)
-        flags, checks = classify(ctx, kernel)
+        kernel = _timed(phases, "kernel", harmonic_kernel, ctx)
+        flags, checks = _timed(phases, "classify", classify, ctx, kernel)
+        invariant = _timed(phases, "invariance", kernel_is_invariant, ctx, kernel)
         checks.append(
             check_entry(
                 "compact-invariance",
-                kernel_is_invariant(ctx, kernel),
+                invariant,
                 "the Lie algebra k maps the kernel into itself, which is"
                 " equivalent to K-invariance because U(n) is connected",
             )
@@ -67,13 +82,14 @@ def verify_case(n: int, m: int, dual: bool = False, with_lemmas: bool = False) -
             },
             "flags": flags,
         }
-    lemmas = lemma_battery(n, m) if with_lemmas else []
+    lemmas = _timed(phases, "lemmas", lemma_battery, n, m) if with_lemmas else []
     return case_entry(
         ctx,
         mode,
         checks=checks,
         lemmas=lemmas,
         seconds=time.perf_counter() - t0,
+        phases=phases,
         **blocks,
     )
 

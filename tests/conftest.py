@@ -8,7 +8,7 @@ from sunharm.symrep import graded_monomials, monomials
 
 
 #: Report keys that hold wall-clock timings rather than report content.
-TIMING_KEYS = ("seconds", "total_seconds")
+TIMING_KEYS = ("seconds", "total_seconds", "phases")
 
 
 def scrub(x, drop=TIMING_KEYS):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import sunharm.cli as cli
 from sunharm.checks import lemma_battery
 from sunharm.cli import main
 from sunharm.verify import (
@@ -11,6 +12,7 @@ from sunharm.verify import (
     make_document,
     run_sweep,
     sweep_specs,
+    verify_case,
     worker_count,
 )
 
@@ -39,6 +41,49 @@ def test_verify_dual(tmp_path):
     case = json.loads(path.read_text())["cases"][0]
     assert case["case"]["dual"] is True
     assert case["flags"]["complex_linear"] is True
+
+
+def test_verify_entry_phases():
+    # timings of the phases that ran, in the order they ran
+    case = verify_case(2, 1, with_lemmas=True)
+    assert list(case["phases"]) == ["kernel", "classify", "invariance", "lemmas"]
+    assert list(verify_case(2, 1)["phases"]) == ["kernel", "classify", "invariance"]
+    assert list(verify_case(1, 2)["phases"]) == ["riemann"]
+    assert all(type(s) is float and s >= 0 for s in case["phases"].values())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "2", "--m", "1"],
+        ["lemmas", "--n", "2", "--m", "1"],
+        ["sweep", "--n-max", "2", "--m-max", "1"],
+    ],
+)
+def test_unwritable_json_path_rejected_before_any_case(argv, tmp_path, capsys, monkeypatch):
+    def no_case(*args, **kwargs):
+        raise AssertionError("a case ran before the --json path was checked")
+
+    for name in ("verify_case", "lemmas_case", "run_sweep"):
+        monkeypatch.setattr(cli, name, no_case)
+    for bad in (tmp_path / "no" / "such" / "out.json", tmp_path):
+        assert main(argv + ["--json", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid configuration: cannot write --json")
+        assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_json_probe_leaves_no_file(tmp_path):
+    # the path is writable, so the probe passes; the configuration error
+    # that follows must not leave the probe's file behind
+    path = tmp_path / "out.json"
+    assert main(["verify", "--n", "2", "--m", "0", "--json", str(path)]) == 2
+    assert not path.exists()
+    # an existing file keeps its content until a report replaces it
+    path.write_text("keep")
+    assert main(["verify", "--n", "2", "--m", "0", "--json", str(path)]) == 2
+    assert path.read_text() == "keep"
 
 
 def test_verify_rejects_m_zero(capsys):

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sunharm import I, ONE, ZERO, gq
-from sunharm.exactfield import dump_entry
+from sunharm.exactfield import dump_entry, sub_mul
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 scalars = st.builds(gq, rationals, rationals)
 nonzero_scalars = scalars.filter(bool)
+# components that are ints or Fractions, integral or not, in any mix
+components = st.one_of(st.integers(-8, 8), rationals)
+mixed_scalars = st.builds(gq, components, components)
 
 
 def test_modulus_identity():
@@ -41,6 +44,60 @@ def test_canonical_form():
     assert z.re.numerator == 1 and z.re.denominator == 2
     assert z.im.numerator == 1 and z.im.denominator == 2
     assert math.gcd(int(z.re.numerator), int(z.re.denominator)) == 1
+    z = gq(Fraction(4, 2))
+    assert type(z.re) is int and z.re == 2
+    assert type(z.im) is int and z.im == 0
+
+
+@given(st.one_of(st.integers(), st.fractions()))
+def test_hash_matches_equal_rational(q):
+    # gq(q) == q, so they must hash alike: a dict keyed by one finds the other
+    assert gq(q) == q
+    assert hash(gq(q)) == hash(q)
+    assert q in {gq(q): None} and gq(q) in {q: None}
+
+
+def _pair(z):
+    return Fraction(z.re), Fraction(z.im)
+
+
+def _times(p, q):
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+def _inv(p):
+    n = p[0] * p[0] + p[1] * p[1]
+    return p[0] / n, -p[1] / n
+
+
+def _assert_canonical(q):
+    """An exact component: an int exactly when integral, never a float."""
+    assert type(q) is not float
+    assert (type(q) is int) == (Fraction(q).denominator == 1), repr(q)
+
+
+@given(mixed_scalars, mixed_scalars, mixed_scalars)
+def test_components_are_int_exactly_when_integral(a, b, c):
+    pa, pb, pc = _pair(a), _pair(b), _pair(c)
+    bc = _times(pb, pc)
+    results = [
+        (a + b, (pa[0] + pb[0], pa[1] + pb[1])),
+        (a - b, (pa[0] - pb[0], pa[1] - pb[1])),
+        (3 - a, (3 - pa[0], -pa[1])),
+        (a * b, _times(pa, pb)),
+        (a.conjugate(), (pa[0], -pa[1])),
+        (sub_mul(a, b, c), (pa[0] - bc[0], pa[1] - bc[1])),
+    ]
+    if b:
+        results.append((a / b, _times(pa, _inv(pb))))
+        results.append((b.inverse(), _inv(pb)))
+    for z, expected in results:
+        _assert_canonical(z.re)
+        _assert_canonical(z.im)
+        assert (z.re, z.im) == expected
+    n = a.norm_sq()
+    _assert_canonical(n)
+    assert n == pa[0] * pa[0] + pa[1] * pa[1]
 
 
 def test_str_and_dump():
