@@ -8,34 +8,14 @@ symmetric power of C^{n+1} (or its dual), certifies its structure
 the supporting graded-operator checks.  See the README for the CLI.
 """
 
-__version__ = "0.1.0"
-
 from .exactfield import BACKEND_NAME, GaussianRational, I, ONE, ZERO, gq
-from .linalg import ExactMatrix, det, dump_text, kernel_basis, rank, rref
-from .sun1 import (
-    LieElement,
-    adjoint_on_p_plus,
-    bracket,
-    canonical_weight,
-    e_vec,
-    embed_k,
-    h0,
-    j_form,
-    unitary_corpus,
-    xi,
-    xi_minus,
-    xi_plus,
-)
+from .linalg import ExactMatrix, kernel_basis, rank, rref
+from .sun1 import e_vec, h0, j_form, xi, xi_minus, xi_plus
 from .symrep import (
     DualSymTensor,
     RepContext,
     SymTensor,
-    inner,
-    k_group_action,
     monomials,
-    pair,
-    power_of_vector,
-    project_grade,
     rho_apply,
     rho_matrix,
 )
@@ -51,7 +31,6 @@ from .harmonic import (
     polarization_cocycles,
     symmetric_component_membership,
     t_op,
-    transform_cocycle,
     tstar_op,
 )
 from .checks import (
@@ -62,6 +41,7 @@ from .checks import (
     lemma_battery,
     riemann_split_report,
 )
+from .verify import VERSION as __version__
 from .verify import lemmas_case, run_sweep, verify_case
 
 __all__ = [
@@ -71,42 +51,30 @@ __all__ = [
     "ExactMatrix",
     "GaussianRational",
     "I",
-    "LieElement",
     "ONE",
     "RepContext",
     "SymTensor",
     "TwoForm",
     "ZERO",
-    "adjoint_on_p_plus",
     "assemble_system",
-    "bracket",
-    "canonical_weight",
     "check_contraction_isometry",
     "check_dual_symmetry",
     "check_operator_grading",
     "check_symmetric_forcing",
     "classify",
-    "det",
-    "dump_text",
     "e_vec",
-    "embed_k",
     "gq",
     "h0",
     "harmonic_kernel",
-    "inner",
     "j_form",
-    "k_group_action",
     "kernel_basis",
     "kernel_is_invariant",
     "lemma_battery",
     "lemmas_case",
     "minus_part",
     "monomials",
-    "pair",
     "plus_part",
     "polarization_cocycles",
-    "power_of_vector",
-    "project_grade",
     "rank",
     "rho_apply",
     "rho_matrix",
@@ -115,9 +83,7 @@ __all__ = [
     "run_sweep",
     "symmetric_component_membership",
     "t_op",
-    "transform_cocycle",
     "tstar_op",
-    "unitary_corpus",
     "verify_case",
     "xi",
     "xi_minus",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .exactfield import GaussianRational
 from .linalg import ExactMatrix, kernel_basis, rank, same_span
 from .sun1 import e_vec, xi_minus, xi_plus
 from .symrep import (
@@ -122,10 +121,40 @@ def check_operator_grading(n: int, m: int) -> list[dict]:
 # -- relation subspaces ------------------------------------------------------
 
 
-def _pairwise_relation_kernel(ops: Sequence[ExactMatrix]) -> list[list[GaussianRational]]:
-    """Kernel of {(x_1..x_n) : Op_a x_b = Op_b x_a for all a < b}."""
-    rows = pairwise_relation_rows(ops)
-    return kernel_basis(ExactMatrix.from_rows(rows, len(ops) * ops[0].cols))
+def _relation_subspace_entry(
+    name: str, n: int, m: int, g: int, half, dual: bool, j: int | None
+) -> dict:
+    """Compare the relation subspace with its explicit symmetric spanning set.
+
+    The subspace {x : rho(half(e_a)) x_b = rho(half(e_b)) x_a for all a < b}
+    inside n copies of grade g is computed by elimination; it must have
+    dimension C(n+g, g+1) and, by mutual rank, the span of the polarizations
+    of the degree-(g+1) monomials in the first n variables.
+    """
+    cls = DualSymTensor if dual else SymTensor
+    in_basis = graded_monomials(n, m, g)
+    out_basis = graded_monomials(n, m, g - 1)
+    ops = [
+        rho_matrix_restricted(half(e_vec(a, n)), in_basis, out_basis, dual)
+        for a in range(n)
+    ]
+    cols = n * len(in_basis)
+    ker = kernel_basis(ExactMatrix.from_rows(pairwise_relation_rows(ops), cols))
+    in_index = {a: i for i, a in enumerate(in_basis)}
+    span = [
+        values_to_vector(polarization(cls.monomial(sigma + (m - g,))), in_index)
+        for sigma in monomials(n, g + 1)
+    ]
+    expected = math.comb(n + g, g + 1)
+    ok = len(ker) == expected and same_span(ker, span, cols)
+    return check_entry(
+        name,
+        ok,
+        f"relation subspace dimension {len(ker)}, expected {expected}, span equality {ok}",
+        j=j,
+        dimension=len(ker),
+        expected=expected,
+    )
 
 
 def check_dual_symmetry(n: int, m: int) -> dict:
@@ -139,28 +168,8 @@ def check_dual_symmetry(n: int, m: int) -> dict:
     """
     if n < 2:
         return check_entry("dual-symmetry", None, "needs n >= 2", j=None)
-    in_basis = graded_monomials(n, m, m)
-    out_basis = graded_monomials(n, m, m - 1)
-    in_index = {a: i for i, a in enumerate(in_basis)}
-    ops = [
-        rho_matrix_restricted(xi_plus(e_vec(a, n)), in_basis, out_basis, dual=True)
-        for a in range(n)
-    ]
-    ker = _pairwise_relation_kernel(ops)
-    d_in = len(in_basis)
-    span = [
-        values_to_vector(polarization(DualSymTensor.monomial(nu + (0,))), in_index)
-        for nu in monomials(n, m + 1)
-    ]
-    expected = math.comb(n + m, m + 1)
-    ok = len(ker) == expected and same_span(ker, span, n * d_in)
-    return check_entry(
-        "dual-symmetry",
-        ok,
-        f"relation subspace dimension {len(ker)}, expected {expected}, span equality {ok}",
-        j=None,
-        dimension=len(ker),
-        expected=expected,
+    return _relation_subspace_entry(
+        "dual-symmetry", n, m, g=m, half=xi_plus, dual=True, j=None
     )
 
 
@@ -177,32 +186,11 @@ def check_symmetric_forcing(n: int, m: int, j: int) -> list[dict]:
     """
     if not 1 <= j <= m:
         raise ValueError("j out of range")
-    entries = []
-    in_basis = graded_monomials(n, m, j)
-    out_basis = graded_monomials(n, m, j - 1)
-    in_index = {a: i for i, a in enumerate(in_basis)}
-    ops = [
-        rho_matrix_restricted(xi_minus(e_vec(a, n)), in_basis, out_basis)
-        for a in range(n)
-    ]
-    ker = _pairwise_relation_kernel(ops)
-    d_in = len(in_basis)
-    span = [
-        values_to_vector(polarization(SymTensor.monomial(sigma + (m - j,))), in_index)
-        for sigma in monomials(n, j + 1)
-    ]
-    expected = math.comb(n + j, j + 1)
-    ok = len(ker) == expected and same_span(ker, span, n * d_in)
-    entries.append(
-        check_entry(
-            "symmetric-forcing",
-            ok,
-            f"relation subspace dimension {len(ker)}, expected {expected}, span equality {ok}",
-            j=j,
-            dimension=len(ker),
-            expected=expected,
+    entries = [
+        _relation_subspace_entry(
+            "symmetric-forcing", n, m, g=j, half=xi_minus, dual=False, j=j
         )
-    )
+    ]
 
     if n < 2:
         entries.append(check_entry("hook-counterexample", None, "needs n >= 2", j=j))

@@ -234,9 +234,3 @@ def sub_mul(a: GaussianRational, f: GaussianRational, b: GaussianRational):
     """a - f*b in one allocation; the elimination hot path lives on this."""
     fre, fim, bre, bim = f.re, f.im, b.re, b.im
     return _make(a.re - (fre * bre - fim * bim), a.im - (fre * bim + fim * bre))
-
-
-def dump_entry(z: GaussianRational) -> str:
-    """Debug-dump form ``a/b+c/d*i`` with explicit denominators."""
-    re, im = z.re, z.im
-    return f"{re.numerator}/{re.denominator}+{im.numerator}/{im.denominator}*i"

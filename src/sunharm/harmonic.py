@@ -29,13 +29,12 @@ from functools import lru_cache
 from typing import Sequence
 
 from .exactfield import GaussianRational, I, ZERO, gq
-from .linalg import ExactMatrix, Row, det, kernel_basis, rank_of_rows, same_span
-from .sun1 import LieElement, e_vec, k_basis, scale_vec, xi
+from .linalg import ExactMatrix, Row, kernel_basis, rank_of_rows, same_span
+from .sun1 import e_vec, k_basis, scale_vec, xi
 from .symrep import (
     DualSymTensor,
     RepContext,
     check_entry,
-    k_group_action,
     monomials,
     multiply_var,
     polarization,
@@ -48,7 +47,7 @@ Vector = list[GaussianRational]
 
 
 @lru_cache(maxsize=None)
-def _basis_tangent(n: int, p: int) -> LieElement:
+def _basis_tangent(n: int, p: int) -> ExactMatrix:
     """The p-th real basis tangent (0 <= p < 2n)."""
     if p < n:
         return xi(e_vec(p, n))
@@ -102,8 +101,9 @@ class Cocycle:
         return all(w.is_zero() for w in self.a_values + self.b_values)
 
 
-def plus_part(a: Cocycle, v: Sequence):
-    """Complex-linear component: (a(xi_v) - i a(xi_iv)) / 2."""
+def _linear_part(a: Cocycle, v: Sequence, twist: GaussianRational, conj: bool):
+    """sum_j (a(xi_{e_j}) + twist a(xi_{i e_j})) / 2 times v_j, or times
+    conj(v_j) when ``conj``: the one body of ``plus_part`` and ``minus_part``."""
     out = a.ctx.zero_value()
     half = gq("1/2")
     for j, x in enumerate(v):
@@ -111,23 +111,19 @@ def plus_part(a: Cocycle, v: Sequence):
             x = gq(x)
         if not x:
             continue
-        pj = (a.a_values[j] - a.b_values[j].scale(I)).scale(half)
-        out = out + pj.scale(x)
+        part = (a.a_values[j] + a.b_values[j].scale(twist)).scale(half)
+        out = out + part.scale(x.conjugate() if conj else x)
     return out
+
+
+def plus_part(a: Cocycle, v: Sequence):
+    """Complex-linear component: (a(xi_v) - i a(xi_iv)) / 2."""
+    return _linear_part(a, v, -I, conj=False)
 
 
 def minus_part(a: Cocycle, v: Sequence):
     """Conjugate-linear component: (a(xi_v) + i a(xi_iv)) / 2."""
-    out = a.ctx.zero_value()
-    half = gq("1/2")
-    for j, x in enumerate(v):
-        if type(x) is not GaussianRational:
-            x = gq(x)
-        if not x:
-            continue
-        mj = (a.a_values[j] + a.b_values[j].scale(I)).scale(half)
-        out = out + mj.scale(x.conjugate())
-    return out
+    return _linear_part(a, v, I, conj=True)
 
 
 class TwoForm:
@@ -401,25 +397,6 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dic
     return flags, checks
 
 
-def transform_cocycle(A: ExactMatrix, a: Cocycle) -> Cocycle:
-    """Induced action of an embedded unitary on a cocycle.
-
-    (k . a)(xi_v) = rho(k) a(xi_{w}) with w = Ad(k)^{-1} v; on p the adjoint
-    action of k = embed(A) is v -> det(A) A v, so its inverse is
-    v -> conj(det(A)) A* v.
-    """
-    n = a.ctx.n
-    dinv = det(A).conjugate()
-    Ainv = A.conj_transpose()
-    new_a = []
-    new_b = []
-    for j in range(n):
-        u = [dinv * x for x in Ainv.column(j)]
-        new_a.append(k_group_action(A, a.evaluate(u)))
-        new_b.append(k_group_action(A, a.evaluate(scale_vec(I, u))))
-    return Cocycle(a.ctx, new_a, new_b)
-
-
 def kernel_is_invariant(ctx: RepContext, kernel: Sequence[Cocycle]) -> bool:
     """The compact group K maps the span of ``kernel`` into itself.
 
@@ -431,18 +408,18 @@ def kernel_is_invariant(ctx: RepContext, kernel: Sequence[Cocycle]) -> bool:
 
     and every X.a must lie in the span: adding them all to the (independent)
     kernel vectors leaves the rank unchanged, an exact test.  The verdict
-    covers all of K, not a sample of its elements; ``transform_cocycle`` is
-    the group-level reference.
+    covers all of K, not a sample of its elements; ``transform_cocycle`` in
+    ``tests/reference.py`` is the group-level reference the tests compare it
+    against.
     """
     n = ctx.n
     index = ctx.basis_index()
     vecs = [cocycle_to_vector(a) for a in kernel]
     for X in k_basis(n):
-        M = X.matrix
-        c = M.at(n, n)
+        c = X.at(n, n)
         # column j of B - c: the bracket [X, xi(e_j)] = xi((B - c) e_j)
         cols = [
-            [M.at(i, j) - c if i == j else M.at(i, j) for i in range(n)]
+            [X.at(i, j) - c if i == j else X.at(i, j) for i in range(n)]
             for j in range(n)
         ]
         shifts = cols + [scale_vec(I, v) for v in cols]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
-from .exactfield import GaussianRational, ZERO, ONE, dump_entry, gq, sub_mul
+from .exactfield import GaussianRational, ZERO, ONE, gq, sub_mul
 
 #: A sparse row: column -> nonzero entry.
 Row = dict[int, GaussianRational]
@@ -274,42 +274,3 @@ def same_span(
     """True when the two families of vectors span the same subspace."""
     r = rank_of_rows(a, cols)
     return r == rank_of_rows(b, cols) == rank_of_rows(list(a) + list(b), cols)
-
-
-def det(M: ExactMatrix) -> GaussianRational:
-    if M.rows != M.cols:
-        raise ValueError("determinant of a non-square matrix")
-    rows = M.copy_rows()
-    n = M.rows
-    sign = ONE
-    acc = ONE
-    for c in range(n):
-        pr = -1
-        for i in range(c, n):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr < 0:
-            return ZERO
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            sign = -sign
-        p = rows[c][c]
-        acc = acc * p
-        inv = p.inverse()
-        for i in range(c + 1, n):
-            f = rows[i][c]
-            if not f:
-                continue
-            f = f * inv
-            prow = rows[c]
-            row = rows[i]
-            for j in range(c, n):
-                if prow[j]:
-                    row[j] = sub_mul(row[j], f, prow[j])
-    return sign * acc
-
-
-def dump_text(M: ExactMatrix) -> str:
-    """Plain-text debug dump: one row per line, tab-separated entries."""
-    return "\n".join("\t".join(dump_entry(x) for x in row) for row in M.copy_rows())

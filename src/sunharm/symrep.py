@@ -31,8 +31,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-from . import sun1
-from .exactfield import GaussianRational, ONE, ZERO, gq
+from .exactfield import GaussianRational, ZERO, gq
 from .linalg import ExactMatrix
 
 MultiIndex = tuple[int, ...]
@@ -67,13 +66,6 @@ def graded_monomials(n: int, m: int, k: int) -> tuple[MultiIndex, ...]:
 
 def grade_of(alpha: MultiIndex, degree: int) -> int:
     return degree - alpha[-1]
-
-
-def _factorial_weight(alpha: MultiIndex) -> int:
-    w = 1
-    for a in alpha:
-        w *= math.factorial(a)
-    return w
 
 
 def _as_scalar(x) -> GaussianRational:
@@ -201,14 +193,6 @@ class DualSymTensor(_CoeffPoly):
 # -- grading, calculus on exponents ---------------------------------------
 
 
-def project_grade(w: _CoeffPoly, k: int) -> _CoeffPoly:
-    """Orthogonal projection onto grade k (last exponent = degree - k)."""
-    if k < 0 or k > w.degree:
-        raise ValueError(f"grade {k} out of range for degree {w.degree}")
-    keep = w.degree - k
-    return w._like({a: c for a, c in w.coeffs.items() if a[-1] == keep})
-
-
 def derivative(w: _CoeffPoly, var: int) -> _CoeffPoly:
     """Formal partial derivative in coordinate ``var`` (0-based)."""
     out: dict[MultiIndex, GaussianRational] = {}
@@ -258,77 +242,19 @@ def polarization(s: _CoeffPoly) -> list[_CoeffPoly]:
     return [step(s, k) for k in range(s.n)]
 
 
-# -- pairings --------------------------------------------------------------
-
-
-def inner(w1: SymTensor, w2: SymTensor) -> GaussianRational:
-    """<e^a, e^a> = a!; monomials orthogonal; conjugate-linear in w2."""
-    if not isinstance(w1, SymTensor) or not isinstance(w2, SymTensor):
-        raise TypeError("inner product is defined on primal tensors")
-    if w1.n != w2.n or w1.degree != w2.degree:
-        raise ValueError("degree/dimension mismatch")
-    s = ZERO
-    small, big = (w1.coeffs, w2.coeffs) if len(w1.coeffs) <= len(w2.coeffs) else (w2.coeffs, w1.coeffs)
-    for a, _ in small.items():
-        c1 = w1.coeffs.get(a)
-        c2 = w2.coeffs.get(a)
-        if c1 and c2:
-            s = s + c1 * c2.conjugate() * _factorial_weight(a)
-    return s
-
-
-def pair(lam: DualSymTensor, w: SymTensor) -> GaussianRational:
-    """Canonical bilinear pairing: dual monomials hit matching monomials."""
-    if not isinstance(lam, DualSymTensor) or not isinstance(w, SymTensor):
-        raise TypeError("pair() takes a dual tensor and a primal tensor")
-    if lam.n != w.n or lam.degree != w.degree:
-        raise ValueError("degree mismatch")
-    s = ZERO
-    for a, c in lam.coeffs.items():
-        d = w.coeffs.get(a)
-        if d:
-            s = s + c * d
-    return s
-
-
-def power_of_vector(vec: Sequence, m: int) -> SymTensor:
-    """(sum_i v_i e_i)^m expanded with multinomial coefficients."""
-    v = [_as_scalar(x) for x in vec]
-    n = len(v) - 1
-    out = {}
-    for alpha in monomials(n + 1, m):
-        c = gq(math.factorial(m))
-        ok = True
-        for vi, ai in zip(v, alpha):
-            if ai == 0:
-                continue
-            if not vi:
-                ok = False
-                break
-            c = c * (vi ** ai) / math.factorial(ai)
-        if ok and c:
-            out[alpha] = c
-    return SymTensor(n, m, out)
-
-
-# -- Lie algebra and group actions -----------------------------------------
-
-
-def _matrix_of(X) -> ExactMatrix:
-    return X.matrix if isinstance(X, sun1.LieElement) else X
+# -- the Lie algebra action ------------------------------------------------
 
 
 def _nonzero_entries(M: ExactMatrix) -> list[tuple[int, int, GaussianRational]]:
     return [(j, i, x) for j, row in enumerate(M.sparse_rows()) for i, x in row.items()]
 
 
-def rho_apply(X, w: _CoeffPoly) -> _CoeffPoly:
+def rho_apply(X: ExactMatrix, w: _CoeffPoly) -> _CoeffPoly:
     """Apply the Lie algebra element X to w (derivation action; dual action
     on dual tensors).  Preserves the total degree."""
-    M = _matrix_of(X)
-    if M.rows != w.n + 1:
+    if X.rows != w.n + 1:
         raise ValueError("matrix size does not match tensor dimension")
-    entries = _nonzero_entries(M)
+    entries = _nonzero_entries(X)
     out: dict[MultiIndex, GaussianRational] = {}
     if isinstance(w, DualSymTensor):
         # (rho'(X) lam)(v) = -lam(rho(X) v): negated transpose on coordinates.
@@ -375,14 +301,14 @@ def _map_matrix(image, in_basis, out_basis) -> ExactMatrix:
     return ExactMatrix.from_rows(rows, len(in_basis))
 
 
-def rho_matrix(X, n: int, m: int, dual: bool = False) -> ExactMatrix:
+def rho_matrix(X: ExactMatrix, n: int, m: int, dual: bool = False) -> ExactMatrix:
     """Matrix of the action on S^m (or its dual) in the lex monomial basis."""
     basis = monomials(n + 1, m)
     return rho_matrix_restricted(X, basis, basis, dual)
 
 
 def rho_matrix_restricted(
-    X,
+    X: ExactMatrix,
     in_basis: Sequence[MultiIndex],
     out_basis: Sequence[MultiIndex],
     dual: bool = False,
@@ -393,78 +319,6 @@ def rho_matrix_restricted(
     """
     cls = DualSymTensor if dual else SymTensor
     return _map_matrix(lambda a: rho_apply(X, cls.monomial(a)), in_basis, out_basis)
-
-
-def _poly_mul(d1: dict, d2: dict) -> dict:
-    out: dict[MultiIndex, GaussianRational] = {}
-    for a1, c1 in d1.items():
-        for a2, c2 in d2.items():
-            b = tuple(x + y for x, y in zip(a1, a2))
-            add = c1 * c2
-            s = out.get(b)
-            out[b] = add if s is None else s + add
-    return {a: c for a, c in out.items() if c}
-
-
-def substitute(g: ExactMatrix, w: SymTensor) -> SymTensor:
-    """Multiplicative substitution e_i -> g e_i, expanded in monomials."""
-    nvars = w.n + 1
-    if g.rows != nvars:
-        raise ValueError("matrix size does not match tensor dimension")
-    images = []
-    for i in range(nvars):
-        col = {}
-        for j in range(nvars):
-            x = g.at(j, i)
-            if x:
-                key = tuple(1 if t == j else 0 for t in range(nvars))
-                col[key] = x
-        images.append(col)
-    unit = {tuple([0] * nvars): ONE}
-    powers: dict[tuple[int, int], dict] = {}
-
-    def image_power(i: int, e: int) -> dict:
-        if e == 0:
-            return unit
-        got = powers.get((i, e))
-        if got is None:
-            got = _poly_mul(image_power(i, e - 1), images[i])
-            powers[(i, e)] = got
-        return got
-
-    out: dict[MultiIndex, GaussianRational] = {}
-    for a, c in w.coeffs.items():
-        term = unit
-        for i, e in enumerate(a):
-            if e:
-                term = _poly_mul(term, image_power(i, e))
-        for b, x in term.items():
-            add = c * x
-            s = out.get(b)
-            out[b] = add if s is None else s + add
-    return SymTensor(w.n, w.degree, out)
-
-
-def group_matrix(g: ExactMatrix, n: int, m: int) -> ExactMatrix:
-    """Matrix of the substitution action of g on S^m(C^{n+1})."""
-    basis = monomials(n + 1, m)
-    return _map_matrix(lambda a: substitute(g, SymTensor.monomial(a)), basis, basis)
-
-
-def k_group_action(A: ExactMatrix, w: _CoeffPoly) -> _CoeffPoly:
-    """Action of the embedded unitary diag(A, det(A)^{-1}) on w.
-
-    Primal tensors transform by substitution; dual tensors by
-    (g . lam)(v) = lam(g^{-1} v).
-    """
-    g = sun1.embed_k(A)
-    if isinstance(w, SymTensor):
-        return substitute(g, w)
-    n, m = w.n, w.degree
-    # lam(g^{-1} v) on coordinates: the transpose of g^{-1}'s matrix
-    Minv = group_matrix(sun1.group_inverse(g), n, m)
-    image = Minv.transpose().apply(w.to_vector(monomial_index(n + 1, m)))
-    return DualSymTensor(n, m, dict(zip(monomials(n + 1, m), image)))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ from .exactfield import BACKEND_NAME
 from .harmonic import classify, harmonic_kernel, kernel_is_invariant, system_shape
 from .symrep import RepContext, case_entry, check_entry
 
+#: The tool version, written into every report; ``sunharm.__version__``
+#: and ``sunharm --version`` read it from here.
 VERSION = "0.1.0"
 
 _RIEMANN_NOTE = (
@@ -159,8 +161,11 @@ def sweep_specs(n_max: int | None, m_max: int | None) -> list[tuple]:
 
 
 def worker_count(jobs: int, n_cases: int) -> int:
-    """Worker processes for a sweep: never more than cases or CPUs."""
-    return max(1, min(jobs, n_cases, os.cpu_count() or 1))
+    """Worker processes for a sweep: never more than cases or the CPUs this
+    process may run on (its affinity mask, where the platform has one)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return max(1, min(jobs, n_cases, cpus))
 
 
 def run_sweep(n_max: int | None, m_max: int | None, jobs: int = 1) -> dict:

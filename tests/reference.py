@@ -1,0 +1,407 @@
+"""Group-level and dense reference implementations the tests compare against.
+
+The certifier in ``sunharm`` works in the Lie algebra: it checks compact
+invariance through k and never builds a group element, a determinant or a
+pairing.  This module keeps those objects, outside the package, so the tests
+can check the algebra against the group it integrates to.
+
+A unitary A in U(n) embeds into the group as diag(A, det(A)^{-1}); its
+adjoint action on the holomorphic half p+ is v -> det(A) * A v.  Tensors
+transform under it by the substitution e_i -> g e_i, dual tensors by
+(g . lam)(v) = lam(g^{-1} v), and a cocycle by (k . a)(xi_v) =
+rho(k) a(xi_w) with w = Ad(k)^{-1} v.
+
+All entries are Gaussian rationals, so "unitary" means exactly unitary; the
+corpus below sticks to signed/unit-scaled permutations and Pythagorean
+rotations, which are unitary inside Q(i).
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+from sunharm import Cocycle, ExactMatrix, I, ONE, ZERO, gq
+from sunharm.exactfield import GaussianRational, sub_mul
+from sunharm.sun1 import _vec, e_vec, in_su, scale_vec, xi, xi_plus
+from sunharm.symrep import (
+    DualSymTensor,
+    SymTensor,
+    _map_matrix,
+    monomial_index,
+    monomials,
+)
+
+Vector = list[GaussianRational]
+
+
+# -- the Lie algebra -----------------------------------------------------------
+
+
+def bracket(X: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:
+    """Matrix commutator XY - YX."""
+    return X * Y - Y * X
+
+
+def is_compact(M: ExactMatrix) -> bool:
+    n = M.rows - 1
+    if any(M.at(i, n) for i in range(n)) or any(M.at(n, j) for j in range(n)):
+        return False
+    return in_su(M)
+
+
+def is_xi_shape(M: ExactMatrix) -> bool:
+    n = M.rows - 1
+    for i in range(n):
+        for j in range(n):
+            if M.at(i, j):
+                return False
+    if M.at(n, n):
+        return False
+    return all(M.at(n, j) == M.at(j, n).conjugate() for j in range(n))
+
+
+def is_xi_plus_shape(M: ExactMatrix) -> bool:
+    n = M.rows - 1
+    for i in range(n + 1):
+        for j in range(n + 1):
+            if M.at(i, j) and not (j == n and i < n):
+                return False
+    return True
+
+
+def p_basis(n: int) -> list[ExactMatrix]:
+    """The 2n real basis tangents xi(e_j), xi(i e_j)."""
+    out = [xi(e_vec(j, n)) for j in range(n)]
+    out.extend(xi(scale_vec(I, e_vec(j, n))) for j in range(n))
+    return out
+
+
+def tangent_samples(n: int) -> list[Vector]:
+    """Deterministic sample vectors in C^n used by structure checks."""
+    out = [e_vec(j, n) for j in range(n)]
+    out.append(scale_vec(I, e_vec(0, n)))
+    if n >= 2:
+        v = e_vec(0, n)
+        v[1] = I
+        out.append(v)
+        w = scale_vec(gq(1, 1), e_vec(0, n))
+        w[n - 1] = gq("1/2")
+        out.append(w)
+    else:
+        out.append([gq("2/3", "-1/2")])
+    return out
+
+
+# -- dense determinant ---------------------------------------------------------
+
+
+def det(M: ExactMatrix) -> GaussianRational:
+    """Determinant by dense Gaussian elimination with row swaps."""
+    if M.rows != M.cols:
+        raise ValueError("determinant of a non-square matrix")
+    rows = M.copy_rows()
+    n = M.rows
+    sign = ONE
+    acc = ONE
+    for c in range(n):
+        pr = -1
+        for i in range(c, n):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr < 0:
+            return ZERO
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            sign = -sign
+        p = rows[c][c]
+        acc = acc * p
+        inv = p.inverse()
+        for i in range(c + 1, n):
+            f = rows[i][c]
+            if not f:
+                continue
+            f = f * inv
+            prow = rows[c]
+            row = rows[i]
+            for j in range(c, n):
+                if prow[j]:
+                    row[j] = sub_mul(row[j], f, prow[j])
+    return sign * acc
+
+
+# -- the compact group -----------------------------------------------------------
+
+
+def is_unitary(A: ExactMatrix) -> bool:
+    if A.rows != A.cols:
+        return False
+    return A * A.conj_transpose() == ExactMatrix.identity(A.rows)
+
+
+def embed_k(A: ExactMatrix) -> ExactMatrix:
+    """diag(A, det(A)^{-1}): the group embedding of U(n); rejects non-unitary A."""
+    if not is_unitary(A):
+        raise ValueError("matrix is not exactly unitary")
+    n = A.rows
+    c = det(A).inverse()
+    rows = [[ZERO] * (n + 1) for _ in range(n + 1)]
+    for i in range(n):
+        for j in range(n):
+            rows[i][j] = A.at(i, j)
+    rows[n][n] = c
+    return ExactMatrix(rows)
+
+
+def adjoint_on_p_plus(A: ExactMatrix, v: Sequence) -> Vector:
+    """The vector w with  embed_k(A) xi_plus(v) embed_k(A)^{-1} = xi_plus(w).
+
+    Concretely w = det(A) * A v; the determinant twist is what makes the
+    covariance identity hold.
+    """
+    if not is_unitary(A):
+        raise ValueError("matrix is not exactly unitary")
+    d = det(A)
+    return [d * x for x in A.apply(_vec(v))]
+
+
+def canonical_weight(A: ExactMatrix) -> GaussianRational:
+    """Action of A on the top exterior power of p+, checked against det^{n+1}.
+
+    The adjoint-action matrix on p+ is recovered literally by conjugating
+    each xi_plus(e_j); its determinant must equal det(A)^{n+1}.
+    """
+    if not is_unitary(A):
+        raise ValueError("matrix is not exactly unitary")
+    n = A.rows
+    g = embed_k(A)
+    ginv = g.conj_transpose()
+    cols = []
+    for j in range(n):
+        M = g * xi_plus(e_vec(j, n)) * ginv
+        if not is_xi_plus_shape(M):
+            raise AssertionError("conjugation left p+; structure bug")
+        cols.append([M.at(i, n) for i in range(n)])
+    action = ExactMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
+    weight = det(action)
+    expected = det(A) ** (n + 1)
+    if weight != expected:
+        raise AssertionError("top exterior weight differs from det^(n+1)")
+    return weight
+
+
+def unitary_corpus(n: int) -> list[ExactMatrix]:
+    """Exactly unitary matrices over Q(i) spanning enough of U(n) for tests.
+
+    Signed/unit-scaled permutations (entries 0, +-1, +-i) plus rational
+    rotations built from Pythagorean triples.
+    """
+    mats = [ExactMatrix.identity(n)]
+    d = [ONE] * n
+    d[0] = I
+    mats.append(ExactMatrix.diagonal(d))
+    if n == 1:
+        mats.append(ExactMatrix([[gq(-1)]]))
+        mats.append(ExactMatrix([[gq("3/5", "4/5")]]))
+        return mats
+    d = [ONE] * n
+    d[0], d[1] = I, -I
+    mats.append(ExactMatrix.diagonal(d))
+    # transposition of the first two coordinates, with a sign
+    perm = [[ZERO] * n for _ in range(n)]
+    perm[0][1] = ONE
+    perm[1][0] = -ONE
+    for i in range(2, n):
+        perm[i][i] = ONE
+    mats.append(ExactMatrix(perm))
+    # i-scaled cycle on the first two coordinates
+    sc = [[ZERO] * n for _ in range(n)]
+    sc[0][1] = I
+    sc[1][0] = I
+    for i in range(2, n):
+        sc[i][i] = ONE
+    mats.append(ExactMatrix(sc))
+    # 3-4-5 rotation in the (1,2) plane
+    rot = [[ZERO] * n for _ in range(n)]
+    rot[0][0] = gq("3/5")
+    rot[0][1] = gq("4/5")
+    rot[1][0] = gq("-4/5")
+    rot[1][1] = gq("3/5")
+    for i in range(2, n):
+        rot[i][i] = ONE
+    mats.append(ExactMatrix(rot))
+    # complex Pythagorean rotation
+    crot = [[ZERO] * n for _ in range(n)]
+    crot[0][0] = gq("3/5")
+    crot[0][1] = gq(0, "4/5")
+    crot[1][0] = gq(0, "4/5")
+    crot[1][1] = gq("3/5")
+    for i in range(2, n):
+        crot[i][i] = ONE
+    mats.append(ExactMatrix(crot))
+    if n >= 3:
+        # 5-12-13 rotation in the (2,3) plane
+        r2 = [[ZERO] * n for _ in range(n)]
+        r2[0][0] = ONE
+        r2[1][1] = gq("5/13")
+        r2[1][2] = gq("12/13")
+        r2[2][1] = gq("-12/13")
+        r2[2][2] = gq("5/13")
+        for i in range(3, n):
+            r2[i][i] = ONE
+        mats.append(ExactMatrix(r2))
+    return mats
+
+
+# -- the group action on tensors -------------------------------------------------
+
+
+def _poly_mul(d1: dict, d2: dict) -> dict:
+    out: dict = {}
+    for a1, c1 in d1.items():
+        for a2, c2 in d2.items():
+            b = tuple(x + y for x, y in zip(a1, a2))
+            add = c1 * c2
+            s = out.get(b)
+            out[b] = add if s is None else s + add
+    return {a: c for a, c in out.items() if c}
+
+
+def substitute(g: ExactMatrix, w: SymTensor) -> SymTensor:
+    """Multiplicative substitution e_i -> g e_i, expanded in monomials."""
+    nvars = w.n + 1
+    if g.rows != nvars:
+        raise ValueError("matrix size does not match tensor dimension")
+    images = []
+    for i in range(nvars):
+        col = {}
+        for j in range(nvars):
+            x = g.at(j, i)
+            if x:
+                key = tuple(1 if t == j else 0 for t in range(nvars))
+                col[key] = x
+        images.append(col)
+    unit = {tuple([0] * nvars): ONE}
+    powers: dict[tuple[int, int], dict] = {}
+
+    def image_power(i: int, e: int) -> dict:
+        if e == 0:
+            return unit
+        got = powers.get((i, e))
+        if got is None:
+            got = _poly_mul(image_power(i, e - 1), images[i])
+            powers[(i, e)] = got
+        return got
+
+    out: dict = {}
+    for a, c in w.coeffs.items():
+        term = unit
+        for i, e in enumerate(a):
+            if e:
+                term = _poly_mul(term, image_power(i, e))
+        for b, x in term.items():
+            add = c * x
+            s = out.get(b)
+            out[b] = add if s is None else s + add
+    return SymTensor(w.n, w.degree, out)
+
+
+def group_matrix(g: ExactMatrix, n: int, m: int) -> ExactMatrix:
+    """Matrix of the substitution action of g on S^m(C^{n+1})."""
+    basis = monomials(n + 1, m)
+    return _map_matrix(lambda a: substitute(g, SymTensor.monomial(a)), basis, basis)
+
+
+def k_group_action(A: ExactMatrix, w):
+    """Action of the embedded unitary diag(A, det(A)^{-1}) on w.
+
+    Primal tensors transform by substitution; dual tensors by
+    (g . lam)(v) = lam(g^{-1} v).
+    """
+    g = embed_k(A)
+    if isinstance(w, SymTensor):
+        return substitute(g, w)
+    n, m = w.n, w.degree
+    # lam(g^{-1} v) on coordinates: the transpose of g^{-1}'s matrix
+    Minv = group_matrix(g.conj_transpose(), n, m)
+    image = Minv.transpose().apply(w.to_vector(monomial_index(n + 1, m)))
+    return DualSymTensor(n, m, dict(zip(monomials(n + 1, m), image)))
+
+
+def transform_cocycle(A: ExactMatrix, a: Cocycle) -> Cocycle:
+    """Induced action of an embedded unitary on a cocycle.
+
+    (k . a)(xi_v) = rho(k) a(xi_{w}) with w = Ad(k)^{-1} v; on p the adjoint
+    action of k = embed(A) is v -> det(A) A v, so its inverse is
+    v -> conj(det(A)) A* v.
+    """
+    n = a.ctx.n
+    dinv = det(A).conjugate()
+    Ainv = A.conj_transpose()
+    new_a = []
+    new_b = []
+    for j in range(n):
+        u = [dinv * x for x in Ainv.column(j)]
+        new_a.append(k_group_action(A, a.evaluate(u)))
+        new_b.append(k_group_action(A, a.evaluate(scale_vec(I, u))))
+    return Cocycle(a.ctx, new_a, new_b)
+
+
+# -- pairings and gradings ---------------------------------------------------------
+
+
+def inner(w1: SymTensor, w2: SymTensor) -> GaussianRational:
+    """<e^a, e^a> = a!; monomials orthogonal; conjugate-linear in w2."""
+    if not isinstance(w1, SymTensor) or not isinstance(w2, SymTensor):
+        raise TypeError("inner product is defined on primal tensors")
+    if w1.n != w2.n or w1.degree != w2.degree:
+        raise ValueError("degree/dimension mismatch")
+    s = ZERO
+    for a, c1 in w1.coeffs.items():
+        c2 = w2.coeffs.get(a)
+        if c2:
+            s = s + c1 * c2.conjugate() * math.prod(map(math.factorial, a))
+    return s
+
+
+def pair(lam: DualSymTensor, w: SymTensor) -> GaussianRational:
+    """Canonical bilinear pairing: dual monomials hit matching monomials."""
+    if not isinstance(lam, DualSymTensor) or not isinstance(w, SymTensor):
+        raise TypeError("pair() takes a dual tensor and a primal tensor")
+    if lam.n != w.n or lam.degree != w.degree:
+        raise ValueError("degree mismatch")
+    s = ZERO
+    for a, c in lam.coeffs.items():
+        d = w.coeffs.get(a)
+        if d:
+            s = s + c * d
+    return s
+
+
+def power_of_vector(vec: Sequence, m: int) -> SymTensor:
+    """(sum_i v_i e_i)^m expanded with multinomial coefficients."""
+    v = _vec(vec)
+    n = len(v) - 1
+    out = {}
+    for alpha in monomials(n + 1, m):
+        c = gq(math.factorial(m))
+        ok = True
+        for vi, ai in zip(v, alpha):
+            if ai == 0:
+                continue
+            if not vi:
+                ok = False
+                break
+            c = c * (vi ** ai) / math.factorial(ai)
+        if ok and c:
+            out[alpha] = c
+    return SymTensor(n, m, out)
+
+
+def project_grade(w, k: int):
+    """Orthogonal projection onto grade k (last exponent = degree - k)."""
+    if k < 0 or k > w.degree:
+        raise ValueError(f"grade {k} out of range for degree {w.degree}")
+    keep = w.degree - k
+    return w._like({a: c for a, c in w.coeffs.items() if a[-1] == keep})

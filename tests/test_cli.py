@@ -227,6 +227,8 @@ def test_interrupted_parallel_sweep_keeps_finished_cases(monkeypatch):
 
 
 def test_worker_count_clamp(monkeypatch):
+    # a platform without an affinity mask clamps to os.cpu_count()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert worker_count(1, 32) == 1
     assert worker_count(3, 32) == 3
@@ -234,6 +236,11 @@ def test_worker_count_clamp(monkeypatch):
     assert worker_count(8, 3) == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert worker_count(8, 32) == 1
+    # an affinity mask of one CPU wins over a machine of four
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert worker_count(8, 32) == 1
+    assert worker_count(8, 3) == 1
 
 
 def test_exit_code_logic():

