@@ -9,8 +9,8 @@ the supporting graded-operator checks.  See the README for the CLI.
 """
 
 from .exactfield import BACKEND_NAME, GaussianRational, I, ONE, ZERO, gq
-from .linalg import ExactMatrix, kernel_basis, rank, rref
-from .sun1 import e_vec, h0, j_form, xi, xi_minus, xi_plus
+from .linalg import ExactMatrix, kernel_basis, rank
+from .sun1 import e_vec, j_form, xi, xi_minus, xi_plus
 from .symrep import (
     DualSymTensor,
     RepContext,
@@ -64,7 +64,6 @@ __all__ = [
     "classify",
     "e_vec",
     "gq",
-    "h0",
     "harmonic_kernel",
     "j_form",
     "kernel_basis",
@@ -79,7 +78,6 @@ __all__ = [
     "rho_apply",
     "rho_matrix",
     "riemann_split_report",
-    "rref",
     "run_sweep",
     "symmetric_component_membership",
     "t_op",

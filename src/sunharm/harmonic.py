@@ -19,6 +19,14 @@ ascending), then monomial index in lex order; constraint rows: all two-form
 blocks for pairs (p, q) in lex order, then the trace block.  Everything
 downstream (classification flags, isotypic membership, the structure checks
 used by the CLI) is an exact zero test on these objects.
+
+Compact invariance needs no kernel basis.  ``classify`` certifies that the
+kernel is the image of the polarization map P, whose columns are the
+explicit ``polarization_cocycles``; ``kernel_is_invariant`` then checks,
+as an exact identity of sparse matrices, that P intertwines the action of
+each element of ``k_generators(n)``.  With the dimension count, which
+makes P injective, they make the kernel a K-module isomorphic to
+S^{m+1}(C^n) (its dual on the dual side) twisted by a character of K.
 """
 
 from __future__ import annotations
@@ -29,8 +37,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .exactfield import GaussianRational, I, ZERO, gq
-from .linalg import ExactMatrix, Row, kernel_basis, rank_of_rows, same_span
-from .sun1 import e_vec, k_basis, scale_vec, xi
+from .linalg import ExactMatrix, Row, kernel_basis, same_span
+from .sun1 import e_vec, k_generators, scale_vec, xi
 from .symrep import (
     DualSymTensor,
     RepContext,
@@ -41,6 +49,7 @@ from .symrep import (
     raise_weighted,
     rho_apply,
     rho_matrix,
+    rho_matrix_restricted,
 )
 
 Vector = list[GaussianRational]
@@ -84,18 +93,6 @@ class Cocycle:
     def value(self, p: int):
         """Value on the p-th real basis tangent."""
         return self.a_values[p] if p < self.ctx.n else self.b_values[p - self.ctx.n]
-
-    def evaluate(self, v: Sequence):
-        """Value on xi(v) for an arbitrary complex tangent vector v."""
-        out = self.ctx.zero_value()
-        for j, x in enumerate(v):
-            if type(x) is not GaussianRational:
-                x = gq(x)
-            if x.re:
-                out = out + self.a_values[j].scale(gq(x.re))
-            if x.im:
-                out = out + self.b_values[j].scale(gq(x.im))
-        return out
 
     def is_zero(self) -> bool:
         return all(w.is_zero() for w in self.a_values + self.b_values)
@@ -397,35 +394,92 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dic
     return flags, checks
 
 
-def kernel_is_invariant(ctx: RepContext, kernel: Sequence[Cocycle]) -> bool:
-    """The compact group K maps the span of ``kernel`` into itself.
+def polarization_blocks(ctx: RepContext) -> list[ExactMatrix]:
+    """The polarization map P as a sparse matrix, split by tangent.
 
-    K = U(n) is connected, so this holds exactly when its Lie algebra k maps
-    the span into itself.  For X = diag(B, c) running over ``k_basis(n)``,
-    which spans k, the infinitesimal action on a cocycle is
-
-        (X.a)(Y) = rho(X) a(Y) - a([X, Y]),   [X, xi(v)] = xi((B - c) v),
-
-    and every X.a must lie in the span: adding them all to the (independent)
-    kernel vectors leaves the rank unchanged, an exact test.  The verdict
-    covers all of K, not a sample of its elements; ``transform_cocycle`` in
-    ``tests/reference.py`` is the group-level reference the tests compare it
-    against.
+    Column s of P is the coordinate vector of ``polarization_cocycles(ctx)[s]``,
+    with s running over S^{m+1}(C^n) in lex order (last exponent 0); block p
+    holds the dim W rows of its value on Y_p.
     """
-    n = ctx.n
     index = ctx.basis_index()
-    vecs = [cocycle_to_vector(a) for a in kernel]
-    for X in k_basis(n):
-        c = X.at(n, n)
-        # column j of B - c: the bracket [X, xi(e_j)] = xi((B - c) e_j)
-        cols = [
-            [X.at(i, j) - c if i == j else X.at(i, j) for i in range(n)]
-            for j in range(n)
-        ]
-        shifts = cols + [scale_vec(I, v) for v in cols]
-        for a in kernel:
-            moved = [
-                rho_apply(X, a.value(p)) - a.evaluate(shifts[p]) for p in range(2 * n)
-            ]
-            vecs.append(values_to_vector(moved, index))
-    return rank_of_rows(vecs, system_shape(ctx)[1]) == len(kernel)
+    pol = polarization_cocycles(ctx)
+    blocks = []
+    for p in range(2 * ctx.n):
+        rows: list[Row] = [{} for _ in range(ctx.dim_w)]
+        for s, a in enumerate(pol):
+            for alpha, x in a.value(p).coeffs.items():
+                rows[index[alpha]][s] = x
+        blocks.append(ExactMatrix.from_rows(rows, len(pol)))
+    return blocks
+
+
+def _bracket_mix(X: ExactMatrix) -> list[Row]:
+    """Row p holds the real coefficients R_pq of a([X, Y_p]) = sum_q R_pq a(Y_q)
+    for X = diag(B, c) in k and any real-linear cocycle a."""
+    n = X.rows - 1
+    c = X.at(n, n)
+    mix: list[Row] = [{} for _ in range(2 * n)]
+    for j in range(n):
+        for i in range(n):
+            # [X, Y_j] = xi(z) and [X, Y_{n+j}] = xi(i z) for z = (B - c) e_j,
+            # and xi(w e_i) = Re(w) Y_i + Im(w) Y_{n+i}
+            w = X.at(i, j) - c if i == j else X.at(i, j)
+            for p, q, x in (
+                (j, i, w.re), (j, n + i, w.im), (n + j, i, -w.im), (n + j, n + i, w.re)
+            ):
+                if x:
+                    mix[p][q] = gq(x)
+    return mix
+
+
+def intertwines(
+    ctx: RepContext, blocks: Sequence[ExactMatrix], X: ExactMatrix, chi
+) -> bool:
+    """A_X P = P (rho(X) + chi) on S^{m+1}(C^n), an exact matrix identity.
+
+    ``blocks`` is ``polarization_blocks(ctx)``.  A_X is the action of
+    X = diag(B, c) in k on cocycle coordinates, a -> rho(X) a(Y) - a([X, Y]):
+    rho(X) on each of the 2n blocks minus the real block mix of
+    ``_bracket_mix``.  On the right, rho(X) acts on the degree-(m + 1)
+    monomials with last exponent 0 (or their duals), which X = diag(B, c)
+    keeps among themselves, and chi is a scalar.
+    """
+    n, m = ctx.n, ctx.m
+    top = [s + (0,) for s in monomials(n, m + 1)]
+    rho = rho_matrix(X, n, m, ctx.dual)
+    target = rho_matrix_restricted(X, top, top, ctx.dual) + ExactMatrix.diagonal(
+        [chi] * len(top)
+    )
+    for block, mix in zip(blocks, _bracket_mix(X)):
+        moved = rho * block
+        for q, r in mix.items():
+            moved = moved - blocks[q].scale(r)
+        if moved != block * target:
+            return False
+    return True
+
+
+def kernel_is_invariant(ctx: RepContext, spans_kernel: bool) -> bool:
+    """The compact group K maps the harmonic kernel into itself.
+
+    ``spans_kernel`` is the verdict of the ``polarization-span`` check of
+    ``classify``: the kernel is the image of the polarization map P.  Then
+    the kernel is K-invariant when P intertwines the action of k: for every
+    X = diag(B, c) in ``k_generators(n)``,
+
+        X.P(s) = P(rho(X) s + chi(X) s),   chi(X) = -c (primal), +c (dual),
+
+    checked as the sparse matrix identity of ``intertwines``.  A subspace
+    invariant under X and Y is invariant under [X, Y], so generators of k
+    suffice, and K = U(n) is connected, so k-invariance is K-invariance.
+    No elimination runs; the verdict covers all of K.  On K, chi is the
+    differential of det on the primal side and of det^-1 on the dual side.
+    """
+    if not spans_kernel:
+        return False
+    n = ctx.n
+    blocks = polarization_blocks(ctx)
+    return all(
+        intertwines(ctx, blocks, X, X.at(n, n) if ctx.dual else -X.at(n, n))
+        for X in k_generators(n)
+    )

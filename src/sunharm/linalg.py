@@ -2,14 +2,14 @@
 
 A matrix stores one dict per row, mapping a column to its nonzero entry;
 no zero entry is ever stored.  Matrices are immutable by convention, and
-``row(i)`` and ``copy_rows()`` give dense views.
+``row(i)`` gives a dense view of one row.
 
-Every rank, kernel, span and reduced form comes from one elimination.  It
-takes the rows one at a time, reduces each against the pivot rows found so
-far (in increasing pivot column), makes the first nonzero column of what is
-left a new pivot, and back-substitutes the pivot rows at the end.  The
-reduced row-echelon form is unique, so ranks, kernels and reduced forms do
-not depend on the order of the rows and are reproducible bit for bit.
+Every rank, kernel and span comes from one elimination.  It takes the
+rows one at a time, reduces each against the pivot rows found so far (in
+increasing pivot column), makes the first nonzero column of what is left a
+new pivot, and back-substitutes the pivot rows at the end.  The reduced
+row-echelon form is unique, so ranks and kernels do not depend on the order
+of the rows and are reproducible bit for bit.
 Kernel bases are canonical: free columns are taken in increasing order and
 each basis vector carries a 1 in its free position.
 """
@@ -76,10 +76,6 @@ class ExactMatrix:
         return cls.from_rows([{} for _ in range(rows)], cols)
 
     @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls.diagonal([ONE] * n)
-
-    @classmethod
     def diagonal(cls, entries: Sequence) -> "ExactMatrix":
         entries = [_entry(x) for x in entries]
         return cls.from_rows(
@@ -98,12 +94,6 @@ class ExactMatrix:
     def sparse_rows(self) -> list[Row]:
         """The stored rows, one {column: nonzero entry} dict each; read only."""
         return self._d
-
-    def column(self, j: int) -> list[GaussianRational]:
-        return [r.get(j, ZERO) for r in self._d]
-
-    def copy_rows(self) -> list[list[GaussianRational]]:
-        return [self.row(i) for i in range(self.rows)]
 
     # -- algebra ---------------------------------------------------------
 
@@ -222,15 +212,6 @@ def _reduced_echelon(rows: Iterable[Row]) -> dict[int, Row]:
         for j in [j for j in tail if j in pivots]:
             _sub_mul_row(tail, tail.pop(j), pivots[j])
     return pivots
-
-
-def rref(M: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
-    """Reduced row-echelon form and the list of pivot columns."""
-    pivots = _reduced_echelon(M._d)
-    cs = sorted(pivots)
-    rows = [{c: ONE, **pivots[c]} for c in cs]
-    rows.extend({} for _ in range(M.rows - len(cs)))
-    return ExactMatrix.from_rows(rows, M.cols), cs
 
 
 def rank(M: ExactMatrix) -> int:

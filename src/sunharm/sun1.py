@@ -12,8 +12,10 @@ whose complex-linear / conjugate-linear halves in v are
     xi_plus(v)  = (xi(v) - i xi(iv))/2 = [[0, v], [0, 0]],
     xi_minus(v) = (xi(v) + i xi(iv))/2 = [[0, 0], [v*, 0]].
 
-The central element h0 = i/(n+1) * diag(1, ..., 1, -n) acts by +i on p+
-and -i on p-.  Every element is returned as its exact ``ExactMatrix``.
+The central element h0 = i/(n+1) * diag(1, ..., 1, -n) of k acts by +i on
+p+ and -i on p-; the tests build it (``tests/reference.py``), since the
+certifier only needs the generators of k.  Every element is returned as its
+exact ``ExactMatrix``.
 """
 
 from __future__ import annotations
@@ -78,15 +80,6 @@ def xi_minus(v: Sequence) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def h0(n: int) -> ExactMatrix:
-    """Central element of k defining the complex structure."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    c = I / (n + 1)
-    entries = [c] * n + [c * gq(-n)]
-    return ExactMatrix.diagonal(entries)
-
-
 def compact_element(block: ExactMatrix, corner) -> ExactMatrix:
     """Block-diagonal element diag(block, corner) of k, validated."""
     n = block.rows
@@ -118,24 +111,28 @@ def in_su(M: ExactMatrix) -> bool:
 
 
 @lru_cache(maxsize=None)
-def k_basis(n: int) -> tuple[ExactMatrix, ...]:
-    """A spanning set of the compact subalgebra k inside su(n,1).
+def k_generators(n: int) -> tuple[ExactMatrix, ...]:
+    """A Lie-algebra generating set of the compact subalgebra k = u(n).
 
-    Built and validated once per n; the tuple keeps the cached set immutable.
+    The n elements diag(i E_aa, -i), then, for each adjacent pair
+    (a, a + 1), the two real root elements diag(E_ab - E_ba, 0) and
+    diag(i (E_ab + E_ba), 0) with b = a + 1: 3n - 2 elements, every entry
+    a Gaussian integer.  The diagonal ones span the Cartan subalgebra and
+    the root elements generate every root space (J. E. Humphreys,
+    *Introduction to Lie Algebras and Representation Theory*, section 18),
+    so iterated brackets span all of k.  Built and validated once per n;
+    the tuple keeps the cached set immutable.
     """
-    out = [h0(n)]
+    out = []
     for a in range(n):
         block = [[ZERO] * n for _ in range(n)]
         block[a][a] = I
         out.append(compact_element(ExactMatrix(block), -I))
-    for a in range(n):
-        for b in range(a + 1, n):
+    for a in range(n - 1):
+        b = a + 1
+        for x, y in ((ONE, -ONE), (I, I)):
             block = [[ZERO] * n for _ in range(n)]
-            block[a][b] = ONE
-            block[b][a] = -ONE
-            out.append(compact_element(ExactMatrix(block), ZERO))
-            block = [[ZERO] * n for _ in range(n)]
-            block[a][b] = I
-            block[b][a] = I
+            block[a][b] = x
+            block[b][a] = y
             out.append(compact_element(ExactMatrix(block), ZERO))
     return tuple(out)

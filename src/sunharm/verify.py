@@ -66,13 +66,26 @@ def verify_case(n: int, m: int, dual: bool = False, with_lemmas: bool = False) -
     else:
         kernel = _timed(phases, "kernel", harmonic_kernel, ctx)
         flags, checks = _timed(phases, "classify", classify, ctx, kernel)
-        invariant = _timed(phases, "invariance", kernel_is_invariant, ctx, kernel)
+        passed = {c["name"] for c in checks if c["status"] == "pass"}
+        spans = "polarization-span" in passed
+        invariant = _timed(phases, "invariance", kernel_is_invariant, ctx, spans)
         checks.append(
             check_entry(
                 "compact-invariance",
                 invariant,
-                "the Lie algebra k maps the kernel into itself, which is"
-                " equivalent to K-invariance because U(n) is connected",
+                "the polarization map P spans the kernel and intertwines each"
+                " generator of k, so k maps the kernel into itself: K-invariance,"
+                " since U(n) is connected",
+            )
+        )
+        sym = f"S^{m + 1}(C^{n})"
+        module = f"{sym}' (x) det^-1" if dual else f"{sym} (x) det"
+        checks.append(
+            check_entry(
+                "k-module-type",
+                invariant and "dimension-match" in passed,
+                f"P is injective and intertwines K: the kernel is isomorphic to"
+                f" {module} as a K-module",
             )
         )
         mode = "kernel-verification"

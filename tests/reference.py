@@ -1,9 +1,11 @@
 """Group-level and dense reference implementations the tests compare against.
 
 The certifier in ``sunharm`` works in the Lie algebra: it checks compact
-invariance through k and never builds a group element, a determinant or a
-pairing.  This module keeps those objects, outside the package, so the tests
-can check the algebra against the group it integrates to.
+invariance as an identity of sparse matrices on generators of k, and never
+builds a group element, a determinant, a pairing, a spanning set of k or a
+reduced row-echelon form.  This module keeps those objects, outside the
+package, so the tests can check the algebra against the group it integrates
+to, and the identity against the elimination-based check it replaced.
 
 A unitary A in U(n) embeds into the group as diag(A, det(A)^{-1}); its
 adjoint action on the holomorphic half p+ is v -> det(A) * A v.  Tensors
@@ -21,9 +23,11 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from sunharm import Cocycle, ExactMatrix, I, ONE, ZERO, gq
+from sunharm import Cocycle, ExactMatrix, I, ONE, ZERO, gq, rho_apply
 from sunharm.exactfield import GaussianRational, sub_mul
-from sunharm.sun1 import _vec, e_vec, in_su, scale_vec, xi, xi_plus
+from sunharm.harmonic import cocycle_to_vector, system_shape, values_to_vector
+from sunharm.linalg import _reduced_echelon, rank_of_rows
+from sunharm.sun1 import _vec, compact_element, e_vec, in_su, scale_vec, xi, xi_plus
 from sunharm.symrep import (
     DualSymTensor,
     SymTensor,
@@ -33,6 +37,30 @@ from sunharm.symrep import (
 )
 
 Vector = list[GaussianRational]
+
+
+# -- dense views and the reduced row-echelon form ----------------------------
+
+
+def identity(n: int) -> ExactMatrix:
+    return ExactMatrix.diagonal([ONE] * n)
+
+
+def column(M: ExactMatrix, j: int) -> Vector:
+    return [M.at(i, j) for i in range(M.rows)]
+
+
+def dense_rows(M: ExactMatrix) -> list[Vector]:
+    return [M.row(i) for i in range(M.rows)]
+
+
+def rref(M: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
+    """Reduced row-echelon form and the list of pivot columns."""
+    pivots = _reduced_echelon(M.sparse_rows())
+    cs = sorted(pivots)
+    rows = [{c: ONE, **pivots[c]} for c in cs]
+    rows.extend({} for _ in range(M.rows - len(cs)))
+    return ExactMatrix.from_rows(rows, M.cols), cs
 
 
 # -- the Lie algebra -----------------------------------------------------------
@@ -70,6 +98,33 @@ def is_xi_plus_shape(M: ExactMatrix) -> bool:
     return True
 
 
+def h0(n: int) -> ExactMatrix:
+    """Central element of k defining the complex structure."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    c = I / (n + 1)
+    entries = [c] * n + [c * gq(-n)]
+    return ExactMatrix.diagonal(entries)
+
+
+def k_basis(n: int) -> list[ExactMatrix]:
+    """A spanning set of k: h0, the n elements diag(i E_aa, -i) and the two
+    real root elements of every pair a < b; n^2 + 1 elements."""
+    out = [h0(n)]
+    for a in range(n):
+        block = [[ZERO] * n for _ in range(n)]
+        block[a][a] = I
+        out.append(compact_element(ExactMatrix(block), -I))
+    for a in range(n):
+        for b in range(a + 1, n):
+            for x, y in ((ONE, -ONE), (I, I)):
+                block = [[ZERO] * n for _ in range(n)]
+                block[a][b] = x
+                block[b][a] = y
+                out.append(compact_element(ExactMatrix(block), ZERO))
+    return out
+
+
 def p_basis(n: int) -> list[ExactMatrix]:
     """The 2n real basis tangents xi(e_j), xi(i e_j)."""
     out = [xi(e_vec(j, n)) for j in range(n)]
@@ -100,7 +155,7 @@ def det(M: ExactMatrix) -> GaussianRational:
     """Determinant by dense Gaussian elimination with row swaps."""
     if M.rows != M.cols:
         raise ValueError("determinant of a non-square matrix")
-    rows = M.copy_rows()
+    rows = dense_rows(M)
     n = M.rows
     sign = ONE
     acc = ONE
@@ -137,7 +192,7 @@ def det(M: ExactMatrix) -> GaussianRational:
 def is_unitary(A: ExactMatrix) -> bool:
     if A.rows != A.cols:
         return False
-    return A * A.conj_transpose() == ExactMatrix.identity(A.rows)
+    return A * A.conj_transpose() == identity(A.rows)
 
 
 def embed_k(A: ExactMatrix) -> ExactMatrix:
@@ -197,7 +252,7 @@ def unitary_corpus(n: int) -> list[ExactMatrix]:
     Signed/unit-scaled permutations (entries 0, +-1, +-i) plus rational
     rotations built from Pythagorean triples.
     """
-    mats = [ExactMatrix.identity(n)]
+    mats = [identity(n)]
     d = [ONE] * n
     d[0] = I
     mats.append(ExactMatrix.diagonal(d))
@@ -342,10 +397,51 @@ def transform_cocycle(A: ExactMatrix, a: Cocycle) -> Cocycle:
     new_a = []
     new_b = []
     for j in range(n):
-        u = [dinv * x for x in Ainv.column(j)]
-        new_a.append(k_group_action(A, a.evaluate(u)))
-        new_b.append(k_group_action(A, a.evaluate(scale_vec(I, u))))
+        u = [dinv * x for x in column(Ainv, j)]
+        new_a.append(k_group_action(A, evaluate(a, u)))
+        new_b.append(k_group_action(A, evaluate(a, scale_vec(I, u))))
     return Cocycle(a.ctx, new_a, new_b)
+
+
+# -- cocycles and the elimination-based invariance check ------------------------
+
+
+def evaluate(a: Cocycle, v: Sequence):
+    """Value of the cocycle a on xi(v) for any complex tangent vector v."""
+    out = a.ctx.zero_value()
+    for j, x in enumerate(_vec(v)):
+        if x.re:
+            out = out + a.a_values[j].scale(gq(x.re))
+        if x.im:
+            out = out + a.b_values[j].scale(gq(x.im))
+    return out
+
+
+def rank_is_invariant(ctx, kernel: Sequence[Cocycle]) -> bool:
+    """k maps the span of ``kernel`` into itself, by elimination.
+
+    For X = diag(B, c) in ``k_basis(n)``, which spans k, the infinitesimal
+    action on a cocycle is (X.a)(Y) = rho(X) a(Y) - a([X, Y]) with
+    [X, xi(v)] = xi((B - c) v); every X.a must lie in the span, so adding
+    them all to the (independent) kernel vectors leaves the rank unchanged.
+    """
+    n = ctx.n
+    index = ctx.basis_index()
+    vecs = [cocycle_to_vector(a) for a in kernel]
+    for X in k_basis(n):
+        c = X.at(n, n)
+        # column j of B - c: the bracket [X, xi(e_j)] = xi((B - c) e_j)
+        cols = [
+            [X.at(i, j) - c if i == j else X.at(i, j) for i in range(n)]
+            for j in range(n)
+        ]
+        shifts = cols + [scale_vec(I, v) for v in cols]
+        for a in kernel:
+            moved = [
+                rho_apply(X, a.value(p)) - evaluate(a, shifts[p]) for p in range(2 * n)
+            ]
+            vecs.append(values_to_vector(moved, index))
+    return rank_of_rows(vecs, system_shape(ctx)[1]) == len(kernel)
 
 
 # -- pairings and gradings ---------------------------------------------------------

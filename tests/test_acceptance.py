@@ -35,7 +35,6 @@ from sunharm.checks import (
 )
 from sunharm.harmonic import cocycle_to_vector
 from sunharm.linalg import rank_of_rows, same_span
-from sunharm.sun1 import h0, k_basis
 from sunharm.symrep import SymTensor
 from sunharm.verify import run_sweep
 
@@ -46,9 +45,11 @@ from reference import (
     canonical_weight,
     det,
     embed_k,
+    h0,
     inner,
     is_compact,
     is_xi_shape,
+    k_basis,
     k_group_action,
     p_basis,
     tangent_samples,

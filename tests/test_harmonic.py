@@ -25,11 +25,14 @@ from sunharm import (
     xi_minus,
     xi_plus,
 )
+from sunharm import verify
 from sunharm.harmonic import (
     _basis_tangent,
     cocycle_from_vector,
     cocycle_to_vector,
+    intertwines,
     pairwise_relation_rows,
+    polarization_blocks,
     system_shape,
     values_from_vector,
     values_to_vector,
@@ -44,7 +47,7 @@ from sunharm.checks import (
 )
 from sunharm.linalg import rank_of_rows, same_span
 from sunharm.symrep import graded_monomials, rho_matrix_restricted
-from sunharm.sun1 import scale_vec
+from sunharm.sun1 import k_generators, scale_vec
 
 from conftest import (
     all_passed,
@@ -55,7 +58,9 @@ from conftest import (
 )
 from reference import (
     bracket,
+    evaluate,
     project_grade,
+    rank_is_invariant,
     tangent_samples,
     transform_cocycle,
     unitary_corpus,
@@ -110,12 +115,12 @@ def test_evaluate_consistency():
     ctx = RepContext(3, 2)
     a = random_cocycle(make_rng(6), ctx)
     for j in range(ctx.n):
-        assert a.evaluate(e_vec(j, ctx.n)) == a.a_values[j]
-        assert a.evaluate(scale_vec(I, e_vec(j, ctx.n))) == a.b_values[j]
+        assert evaluate(a, e_vec(j, ctx.n)) == a.a_values[j]
+        assert evaluate(a, scale_vec(I, e_vec(j, ctx.n))) == a.b_values[j]
     u = [gq("1/2", 1), gq(-2), gq(0, "2/3")]
     v = [gq(1), gq(0, -1), gq("1/3", "1/4")]
     total = [x + y for x, y in zip(u, v)]
-    assert a.evaluate(total) == a.evaluate(u) + a.evaluate(v)
+    assert evaluate(a, total) == evaluate(a, u) + evaluate(a, v)
 
 
 @pytest.mark.parametrize("dual", [False, True])
@@ -198,7 +203,7 @@ def test_two_form_matches_direct_symmetry_residual(n, m):
     for k in harmonic_kernel(ctx)[:2]:
         u = [gq(2, 1), gq("1/2", "1/3")][:n] + [ZERO] * (n - 2)
         v = [gq(0, 1), gq(-1, 2)][:n] + [ZERO] * (n - 2)
-        res = rho_apply(xi(u), k.evaluate(v)) - rho_apply(xi(v), k.evaluate(u))
+        res = rho_apply(xi(u), evaluate(k, v)) - rho_apply(xi(v), evaluate(k, u))
         assert res.is_zero()
         assert tstar_op(k).is_zero()
 
@@ -358,7 +363,22 @@ def test_polarization_cocycles_are_solutions(dual):
 @pytest.mark.parametrize("n,m,dual", [(2, 2, False), (2, 1, True)])
 def test_kernel_k_invariance(n, m, dual):
     ctx = RepContext(n, m, dual)
-    assert kernel_is_invariant(ctx, harmonic_kernel(ctx))
+    assert kernel_is_invariant(ctx, True)
+    # without the polarization-span certificate there is no verdict to give
+    assert not kernel_is_invariant(ctx, False)
+
+
+@pytest.mark.parametrize("n,m,dual", [(2, 1, False), (3, 2, True), (4, 2, False)])
+def test_polarization_intertwines_generators(n, m, dual):
+    ctx = RepContext(n, m, dual)
+    blocks = polarization_blocks(ctx)
+    for X in k_generators(n):
+        c = X.at(n, n)
+        chi = c if dual else -c
+        assert intertwines(ctx, blocks, X, chi)
+        # the flipped character fails wherever it differs: on every
+        # generator with c != 0, the n diagonal ones
+        assert intertwines(ctx, blocks, X, -chi) is (not c)
 
 
 def corpus_is_invariant(ctx, kernel):
@@ -378,8 +398,34 @@ def test_lie_algebra_invariance_matches_group_corpus(n, m, dual):
     ctx = RepContext(n, m, dual)
     K = harmonic_kernel(ctx)
     for sub, expected in ((K, True), (K[:1], False), (K[1:], False)):
-        assert kernel_is_invariant(ctx, sub) is expected
+        assert rank_is_invariant(ctx, sub) is expected
         assert corpus_is_invariant(ctx, sub) is expected
+
+
+def _statuses(entry):
+    return {c["name"]: c["status"] for c in entry["checks"]}
+
+
+@pytest.mark.parametrize(
+    "n,m,dual", [(2, 2, False), (2, 2, True), (3, 2, True), (3, 3, False)]
+)
+def test_invariance_verdict_matches_elimination_reference(monkeypatch, n, m, dual):
+    ctx = RepContext(n, m, dual)
+    K = harmonic_kernel(ctx)
+    for sub in (K, K[:1], K[1:]):
+        monkeypatch.setattr(verify, "harmonic_kernel", lambda ctx, sub=sub: sub)
+        status = _statuses(verify.verify_case(n, m, dual))["compact-invariance"]
+        assert status == ("pass" if rank_is_invariant(ctx, sub) else "fail")
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_invariance_fails_on_a_partial_kernel(monkeypatch, dual):
+    K = harmonic_kernel(RepContext(2, 2, dual))
+    statuses = _statuses(verify.verify_case(2, 2, dual))
+    assert statuses["compact-invariance"] == statuses["k-module-type"] == "pass"
+    monkeypatch.setattr(verify, "harmonic_kernel", lambda ctx: K[:1])
+    statuses = _statuses(verify.verify_case(2, 2, dual))
+    assert statuses["compact-invariance"] == statuses["k-module-type"] == "fail"
 
 
 def test_kernel_deterministic():

@@ -1,18 +1,24 @@
+from fractions import Fraction
+
 import pytest
 
-from sunharm import ExactMatrix, I, ONE, e_vec, gq, h0, j_form, xi, xi_minus, xi_plus
-from sunharm.sun1 import in_su, k_basis, scale_vec
+from sunharm import ExactMatrix, I, ONE, e_vec, gq, j_form, xi, xi_minus, xi_plus
+from sunharm.sun1 import in_su, k_generators, scale_vec
 from sunharm.linalg import rank_of_rows
 
 from reference import (
     adjoint_on_p_plus,
     bracket,
     canonical_weight,
+    dense_rows,
     det,
     embed_k,
+    h0,
+    identity,
     is_compact,
     is_unitary,
     is_xi_shape,
+    k_basis,
     p_basis,
     tangent_samples,
     unitary_corpus,
@@ -58,7 +64,7 @@ def test_xi_minus_conjugate_linear():
 
 
 def test_embed_identity():
-    assert embed_k(ExactMatrix.identity(2)) == ExactMatrix.identity(3)
+    assert embed_k(identity(2)) == identity(3)
 
 
 def test_embed_det_one():
@@ -131,22 +137,55 @@ def test_cartan_relations(n):
             assert is_compact(bracket(X, Y))
 
 
+def _real_coordinates(X):
+    # the (re, im) parts of every entry: a real coordinate vector of X
+    return [gq(part) for row in dense_rows(X) for x in row for part in (x.re, x.im)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_k_basis_spans_k(n):
     # k is a copy of u(n), of real dimension n^2: every element lies in k
     # and the real span of the flattened (re, im) entries has rank n^2
     ks = k_basis(n)
     assert all(is_compact(X) for X in ks)
-    rows = []
-    for X in ks:
-        entries = [x for row in X.copy_rows() for x in row]
-        rows.append([gq(part) for x in entries for part in (x.re, x.im)])
+    rows = [_real_coordinates(X) for X in ks]
     assert rank_of_rows(rows, 2 * (n + 1) ** 2) == n * n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_k_generators_generate_k(n):
+    # brackets with the generators, iterated until the real span stops
+    # growing, stay in k and span a space of real dimension n^2 = dim u(n)
+    gens = k_generators(n)
+    assert len(gens) == 3 * n - 2
+    cols = 2 * (n + 1) ** 2
+    span = [_real_coordinates(X) for X in gens]
+    dim = rank_of_rows(span, cols)
+    frontier = list(gens)
+    while frontier:
+        new = []
+        for X in frontier:
+            for Y in gens:
+                Z = bracket(X, Y)
+                assert is_compact(Z)
+                if rank_of_rows(span + [_real_coordinates(Z)], cols) > dim:
+                    span.append(_real_coordinates(Z))
+                    dim += 1
+                    new.append(Z)
+        frontier = new
+    assert dim == n * n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_k_generators_are_gaussian_integral(n):
+    for X in k_generators(n):
+        assert is_compact(X)
+        assert all(Fraction(z.re).denominator == 1 for z in _real_coordinates(X))
 
 
 def test_adjoint_identity():
     v = [gq(1, 2), gq(3)]
-    assert adjoint_on_p_plus(ExactMatrix.identity(2), v) == v
+    assert adjoint_on_p_plus(identity(2), v) == v
 
 
 def test_adjoint_examples():
@@ -168,7 +207,7 @@ def test_adjoint_covariance_literal(n):
 
 
 def test_canonical_weight_examples():
-    assert canonical_weight(ExactMatrix.identity(2)) == ONE
+    assert canonical_weight(identity(2)) == ONE
     assert canonical_weight(ExactMatrix.diagonal([I, ONE])) == -I
     assert canonical_weight(ExactMatrix.diagonal([I, -I])) == ONE
 

@@ -12,21 +12,22 @@ from sunharm import (
     ZERO,
     e_vec,
     gq,
-    h0,
     rho_apply,
     rho_matrix,
     xi,
     xi_minus,
     xi_plus,
 )
-from sunharm.sun1 import k_basis
 from sunharm.symrep import graded_monomials, monomial_index, monomials
 
 from conftest import make_rng, random_value
 from reference import (
     adjoint_on_p_plus,
     bracket,
+    h0,
+    identity,
     inner,
+    k_basis,
     k_group_action,
     pair,
     power_of_vector,
@@ -179,7 +180,7 @@ def test_dual_action_pairing_identity():
 
 def test_k_group_action_identity():
     w = SymTensor.monomial((1, 0, 1))
-    assert k_group_action(ExactMatrix.identity(2), w) == w
+    assert k_group_action(identity(2), w) == w
 
 
 def test_k_group_action_diagonal():
