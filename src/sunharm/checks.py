@@ -73,15 +73,16 @@ def check_operator_grading(n: int, m: int) -> list[dict]:
     since its two halves land in different grades.
     """
     entries = []
-    basis = [e_vec(a, n) for a in range(n)]
+    plus_ops = [xi_plus(e_vec(a, n)) for a in range(n)]
+    minus_ops = [xi_minus(e_vec(a, n)) for a in range(n)]
     for k in range(1, m):
         mid = graded_monomials(n, m, k)
         up = graded_monomials(n, m, k + 1)
         down = graded_monomials(n, m, k - 1)
         ok = False
         try:
-            plus = [rho_matrix_restricted(xi_plus(e), mid, up) for e in basis]
-            minus = [rho_matrix_restricted(xi_minus(e), mid, down) for e in basis]
+            plus = [rho_matrix_restricted(X, mid, up) for X in plus_ops]
+            minus = [rho_matrix_restricted(X, mid, down) for X in minus_ops]
         except ValueError:
             detail = "image escaped the adjacent grades"
         else:
@@ -102,9 +103,9 @@ def check_operator_grading(n: int, m: int) -> list[dict]:
     top = graded_monomials(n, m, m)
     bottom = graded_monomials(n, m, 0)
     extreme_ok = not any(
-        rho_apply(xi_plus(e), SymTensor.monomial(a)) for e in basis for a in top
+        rho_apply(X, SymTensor.monomial(a)) for X in plus_ops for a in top
     ) and not any(
-        rho_apply(xi_minus(e), SymTensor.monomial(a)) for e in basis for a in bottom
+        rho_apply(X, SymTensor.monomial(a)) for X in minus_ops for a in bottom
     )
     entries.append(
         check_entry(
@@ -240,11 +241,13 @@ def check_contraction_isometry(n: int, m: int, j: int) -> dict:
             (beta, c), = image.coeffs.items()
             rows[prod_index[beta]][k * d_in + cidx] = c
     hook = kernel_basis(ExactMatrix.from_rows(rows, n * d_in))
+    plus_ops = [xi_plus(e_vec(k, n)) for k in range(n)]
+    minus_ops = [xi_minus(e_vec(k, n)) for k in range(n)]
 
     def contraction(values):
         out = None
         for k in range(n):
-            t = rho_apply(xi_plus(e_vec(k, n)), values[k])
+            t = rho_apply(plus_ops[k], values[k])
             out = t if out is None else out + t
         return out
 
@@ -259,7 +262,7 @@ def check_contraction_isometry(n: int, m: int, j: int) -> dict:
     for sigma in monomials(n, j + 1):
         values = polarization(SymTensor.monomial(sigma + (m - j,)))
         image = contraction(values)
-        back = [rho_apply(xi_minus(e_vec(k, n)), image) for k in range(n)]
+        back = [rho_apply(X, image) for X in minus_ops]
         for k in range(n):
             w = values[k]
             u = back[k]
@@ -276,7 +279,7 @@ def check_contraction_isometry(n: int, m: int, j: int) -> dict:
     iso_ok = iso_ok and scalar is not None and scalar.is_real() and scalar.re > 0
 
     pin_in = SymTensor.monomial((j,) + (0,) * (n - 1) + (m - j,))
-    pinned = rho_apply(xi_plus(e_vec(0, n)), pin_in)
+    pinned = rho_apply(plus_ops[0], pin_in)
     pin_expected = SymTensor.monomial((j + 1,) + (0,) * (n - 1) + (m - j - 1,), m - j)
     pin_ok = pinned == pin_expected
 

@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .exactfield import GaussianRational, I, ZERO, gq
-from .linalg import ExactMatrix, Row, kernel_basis, same_span
+from .linalg import ExactMatrix, Row, kernel_basis, same_span, sparse_vector
 from .sun1 import e_vec, k_generators, scale_vec, xi
 from .symrep import (
     DualSymTensor,
@@ -228,7 +228,7 @@ def values_from_vector(cls, n: int, m: int, basis: Sequence, vec: Sequence) -> l
     block of len(basis) coordinates."""
     d = len(basis)
     return [
-        cls(n, m, {basis[s]: c for s, c in enumerate(vec[p : p + d]) if c})
+        cls(n, m, {basis[s]: c for s, c in sparse_vector(vec[p : p + d]).items()})
         for p in range(0, len(vec), d)
     ]
 

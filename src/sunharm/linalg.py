@@ -4,6 +4,13 @@ A matrix stores one dict per row, mapping a column to its nonzero entry;
 no zero entry is ever stored.  Matrices are immutable by convention, and
 ``row(i)`` gives a dense view of one row.
 
+``sparse_vector`` is the one step from a dense coordinate vector to a sparse
+row, and every dense input is converted by it exactly once.  Its zero test
+``x is not ZERO and x`` skips the shared ``ZERO`` that every dense vector of
+the package is filled with (``kernel_basis``, ``_CoeffPoly.to_vector``)
+without a method call; a zero computed elsewhere still fails the value test
+and is not stored.
+
 Every rank, kernel and span comes from one elimination.  It takes the
 rows one at a time, reduces each against the pivot rows found so far (in
 increasing pivot column), makes the first nonzero column of what is left a
@@ -23,6 +30,11 @@ from .exactfield import GaussianRational, ZERO, ONE, gq, sub_mul
 
 #: A sparse row: column -> nonzero entry.
 Row = dict[int, GaussianRational]
+
+
+def sparse_vector(v: Sequence[GaussianRational]) -> Row:
+    """The nonzero entries of a dense vector of Gaussian rationals."""
+    return {j: x for j, x in enumerate(v) if x is not ZERO and x}
 
 
 def _entry(x) -> GaussianRational:
@@ -57,7 +69,7 @@ class ExactMatrix:
         cols = len(d[0])
         if any(len(row) != cols for row in d):
             raise ValueError("ragged rows")
-        self._d = [{j: x for j, x in enumerate(row) if x} for row in d]
+        self._d = [sparse_vector(row) for row in d]
         self.rows = len(d)
         self.cols = cols
 
@@ -173,15 +185,17 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
 
-def _echelon(rows: Iterable[Row]) -> dict[int, Row]:
+def _echelon(rows: Iterable[Row], pivots: dict[int, Row] | None = None) -> dict[int, Row]:
     """Row echelon form of the span of ``rows``: pivot column -> the rest of
     its pivot row, whose pivot entry is an implicit 1.
 
     Each row is reduced against the pivots found so far in increasing pivot
     column; a pivot row has entries only right of its pivot, so a step never
-    brings back a column already passed.  The input rows are not modified.
+    brings back a column already passed.  Given ``pivots``, an echelon form
+    of other rows, the result is that of their span together with ``rows``.
+    Neither the input rows nor ``pivots`` are modified.
     """
-    pivots: dict[int, Row] = {}
+    pivots = dict(pivots) if pivots else {}
     for row in rows:
         r = dict(row)
         todo = [c for c in r if c in pivots]
@@ -237,21 +251,34 @@ def kernel_basis(M: ExactMatrix) -> list[list[GaussianRational]]:
     return list(basis.values())
 
 
-def rank_of_rows(vectors: Iterable[Sequence[GaussianRational]], cols: int) -> int:
-    """Rank of the span of the given coordinate vectors, each of length cols."""
+def _sparse_rows(vectors: Iterable[Sequence[GaussianRational]], cols: int) -> list[Row]:
     rows = []
     for v in vectors:
         if len(v) != cols:
             raise ValueError(f"vector of length {len(v)} in a space of dimension {cols}")
-        rows.append({j: x for j, x in enumerate(v) if x})
-    return len(_echelon(rows))
+        rows.append(sparse_vector(v))
+    return rows
+
+
+def rank_of_rows(vectors: Iterable[Sequence[GaussianRational]], cols: int) -> int:
+    """Rank of the span of the given coordinate vectors, each of length cols."""
+    return len(_echelon(_sparse_rows(vectors, cols)))
 
 
 def same_span(
-    a: Sequence[Sequence[GaussianRational]],
-    b: Sequence[Sequence[GaussianRational]],
+    a: Iterable[Sequence[GaussianRational]],
+    b: Iterable[Sequence[GaussianRational]],
     cols: int,
 ) -> bool:
-    """True when the two families of vectors span the same subspace."""
-    r = rank_of_rows(a, cols)
-    return r == rank_of_rows(b, cols) == rank_of_rows(list(a) + list(b), cols)
+    """True when the two families of vectors span the same subspace.
+
+    Each family is converted and eliminated once.  With equal ranks the
+    spans agree exactly when the pivot rows of ``b`` add nothing to the
+    echelon form of ``a``: rank(a) = rank(b) = rank(a + b).
+    """
+    rows_a, rows_b = _sparse_rows(a, cols), _sparse_rows(b, cols)
+    pa, pb = _echelon(rows_a), _echelon(rows_b)
+    if len(pa) != len(pb):
+        return False
+    union = _echelon(({c: ONE, **tail} for c, tail in pb.items()), pa)
+    return len(union) == len(pa)

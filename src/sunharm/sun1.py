@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .exactfield import GaussianRational, I, ONE, ZERO, gq
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, sparse_vector
 
 Vector = list[GaussianRational]
 
@@ -49,35 +49,30 @@ def j_form(n: int) -> ExactMatrix:
     return ExactMatrix.diagonal([ONE] * n + [-ONE])
 
 
-def xi(v: Sequence) -> ExactMatrix:
-    """The tangent element [[0, v], [v*, 0]] of p."""
+def _p_element(v: Sequence, upper: bool, lower: bool) -> ExactMatrix:
+    """The corner blocks of [[0, v], [v*, 0]] that are asked for, built from
+    the nonzero components of v only."""
     v = _vec(v)
     n = len(v)
-    rows = [[ZERO] * (n + 1) for _ in range(n + 1)]
-    for j, x in enumerate(v):
-        rows[j][n] = x
-        rows[n][j] = x.conjugate()
-    return ExactMatrix(rows)
+    nz = sparse_vector(v)
+    rows = [{n: nz[j]} if upper and j in nz else {} for j in range(n)]
+    rows.append({j: x.conjugate() for j, x in nz.items()} if lower else {})
+    return ExactMatrix.from_rows(rows, n + 1)
+
+
+def xi(v: Sequence) -> ExactMatrix:
+    """The tangent element [[0, v], [v*, 0]] of p."""
+    return _p_element(v, upper=True, lower=True)
 
 
 def xi_plus(v: Sequence) -> ExactMatrix:
     """Complex-linear half of xi(v): the strictly upper corner block."""
-    v = _vec(v)
-    n = len(v)
-    rows = [[ZERO] * (n + 1) for _ in range(n + 1)]
-    for j, x in enumerate(v):
-        rows[j][n] = x
-    return ExactMatrix(rows)
+    return _p_element(v, upper=True, lower=False)
 
 
 def xi_minus(v: Sequence) -> ExactMatrix:
     """Conjugate-linear half of xi(v): the strictly lower corner block."""
-    v = _vec(v)
-    n = len(v)
-    rows = [[ZERO] * (n + 1) for _ in range(n + 1)]
-    for j, x in enumerate(v):
-        rows[n][j] = x.conjugate()
-    return ExactMatrix(rows)
+    return _p_element(v, upper=False, lower=True)
 
 
 def compact_element(block: ExactMatrix, corner) -> ExactMatrix:

@@ -5,7 +5,10 @@ invariance as an identity of sparse matrices on generators of k, and never
 builds a group element, a determinant, a pairing, a spanning set of k or a
 reduced row-echelon form.  This module keeps those objects, outside the
 package, so the tests can check the algebra against the group it integrates
-to, and the identity against the elimination-based check it replaced.
+to, and the identity against the elimination-based check it replaced.  It
+also keeps the dense forms the package no longer takes: the span test that
+converts and ranks each family twice, and the p-elements written into dense
+arrays.
 
 A unitary A in U(n) embeds into the group as diag(A, det(A)^{-1}); its
 adjoint action on the holomorphic half p+ is v -> det(A) * A v.  Tensors
@@ -26,7 +29,7 @@ from typing import Sequence
 from sunharm import Cocycle, ExactMatrix, I, ONE, ZERO, gq, rho_apply
 from sunharm.exactfield import GaussianRational, sub_mul
 from sunharm.harmonic import cocycle_to_vector, system_shape, values_to_vector
-from sunharm.linalg import _reduced_echelon, rank_of_rows
+from sunharm.linalg import _echelon, _reduced_echelon, rank_of_rows
 from sunharm.sun1 import _vec, compact_element, e_vec, in_su, scale_vec, xi, xi_plus
 from sunharm.symrep import (
     DualSymTensor,
@@ -63,7 +66,42 @@ def rref(M: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
     return ExactMatrix.from_rows(rows, M.cols), cs
 
 
+# -- the three-pass span test ---------------------------------------------------
+
+
+def dense_rank_of_rows(vectors, cols: int) -> int:
+    """Rank of coordinate vectors of length cols, each made sparse by the
+    value test of its entries."""
+    rows = []
+    for v in vectors:
+        if len(v) != cols:
+            raise ValueError(f"vector of length {len(v)} in a space of dimension {cols}")
+        rows.append({j: x for j, x in enumerate(v) if x})
+    return len(_echelon(rows))
+
+
+def three_pass_same_span(a: Sequence, b: Sequence, cols: int) -> bool:
+    """Same span by three separate ranks: a, b and their union.  Takes
+    lists: an iterator would be exhausted before the union is formed."""
+    r = dense_rank_of_rows(a, cols)
+    return r == dense_rank_of_rows(b, cols) == dense_rank_of_rows(list(a) + list(b), cols)
+
+
 # -- the Lie algebra -----------------------------------------------------------
+
+
+def dense_p_element(v: Sequence, upper: bool, lower: bool) -> ExactMatrix:
+    """xi(v) (both corners), xi_plus(v) (upper) or xi_minus(v) (lower),
+    written into a dense (n+1) x (n+1) array and converted."""
+    v = _vec(v)
+    n = len(v)
+    rows = [[ZERO] * (n + 1) for _ in range(n + 1)]
+    for j, x in enumerate(v):
+        if upper:
+            rows[j][n] = x
+        if lower:
+            rows[n][j] = x.conjugate()
+    return ExactMatrix(rows)
 
 
 def bracket(X: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:

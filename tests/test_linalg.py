@@ -1,13 +1,54 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sunharm import ExactMatrix, I, ONE, ZERO, gq, kernel_basis, rank
-from sunharm.linalg import rank_of_rows, same_span
+from sunharm.linalg import rank_of_rows, same_span, sparse_vector
 
-from reference import dense_rows, det, identity, rref
+from reference import (
+    dense_rank_of_rows,
+    dense_rows,
+    det,
+    identity,
+    rref,
+    three_pass_same_span,
+)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 scalars = st.builds(gq, rationals, rationals)
+
+
+# entries of coordinate vectors: zeros that are not the shared ZERO (built
+# fresh, or computed), the shared ZERO, and arbitrary scalars
+entries = st.one_of(
+    st.just(ZERO),
+    st.builds(gq, st.just(0)),
+    st.builds(gq, st.just(Fraction(0, 3))),
+    scalars.map(lambda x: x - x),
+    scalars,
+    scalars,
+)
+
+
+@st.composite
+def span_pairs(draw):
+    """Two families of vectors in Q(i)^cols; half the time the second is
+    made of linear combinations of the first, so the spans often agree."""
+    cols = draw(st.integers(1, 4))
+    vectors = st.lists(st.lists(entries, min_size=cols, max_size=cols), max_size=4)
+    a = draw(vectors)
+    if draw(st.booleans()):
+        b = draw(vectors)
+    else:
+        combos = st.lists(scalars, min_size=len(a), max_size=len(a))
+        b = []
+        for c in draw(st.lists(combos, max_size=4)):
+            v = [gq(0)] * cols
+            for f, u in zip(c, a):
+                v = [x + f * y for x, y in zip(v, u)]
+            b.append(v)
+    return a, b, cols
 
 
 def matrices(max_dim=4):
@@ -53,6 +94,8 @@ def test_same_span():
     b = [[ONE, ONE], [ONE, -ONE]]
     assert same_span(a, b, 2)
     assert not same_span(a, [[ONE, ZERO]], 2)
+    # equal ranks, different spans: only the union rank tells them apart
+    assert not same_span([[ONE, ZERO]], [[ONE, ONE]], 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,6 +135,33 @@ def test_rref_is_canonical():
     assert R.row(1) == [ZERO, ZERO, ONE]
 
 
+def test_sparse_vector_drops_every_zero():
+    x = gq(3, -1)
+    v = [ZERO, gq(0), gq(Fraction(0, 3)), x - x, x, ONE]
+    assert sparse_vector(v) == {4: x, 5: ONE}
+    assert sparse_vector([ZERO] * 3) == {}
+
+
+@settings(max_examples=80, deadline=None)
+@given(span_pairs())
+def test_span_test_agrees_with_three_pass_reference(pair):
+    a, b, cols = pair
+    expected = three_pass_same_span(a, b, cols)
+    assert same_span(a, b, cols) == expected
+    assert same_span(b, a, cols) == expected
+    assert same_span(iter(a), (v for v in b), cols) == expected
+    assert rank_of_rows(a, cols) == dense_rank_of_rows(a, cols)
+    assert rank_of_rows(iter(b), cols) == dense_rank_of_rows(b, cols)
+
+
+def test_same_span_takes_generators():
+    a = [[ONE, ZERO], [ONE, ONE]]
+    b = [[gq(2), ZERO], [ZERO, I]]
+    assert same_span(iter(a), iter(b), 2)
+    assert same_span((v for v in a), (v for v in b), 2)
+    assert not same_span(iter(a), iter(b[:1]), 2)
+
+
 def test_rank_of_rows_empty():
     assert rank_of_rows([], 5) == 0
 
@@ -103,6 +173,21 @@ def test_vectors_must_match_the_column_count():
         rank_of_rows([[ONE]], 2)
     with pytest.raises(ValueError):
         same_span([[ONE, ZERO]], [[ONE, ZERO, ZERO]], 2)
+
+
+def test_wrong_length_raises_even_when_the_ranks_differ():
+    full = [[ONE, ZERO], [ZERO, ONE]]  # rank 2
+    for bad in ([ONE, ZERO, ZERO], [ONE]):
+        with pytest.raises(ValueError):
+            same_span(full, [bad], 2)
+        with pytest.raises(ValueError):
+            same_span([bad], full, 2)
+        with pytest.raises(ValueError):
+            same_span(full, [[ONE, ZERO], bad], 2)
+        with pytest.raises(ValueError):
+            same_span([[ZERO, ONE], bad], full, 2)
+        with pytest.raises(ValueError):
+            same_span([], [[ZERO, ZERO], bad], 2)
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from sunharm import ExactMatrix, I, ONE, e_vec, gq, j_form, xi, xi_minus, xi_plus
+from sunharm import ExactMatrix, I, ONE, ZERO, e_vec, gq, j_form, xi, xi_minus, xi_plus
 from sunharm.sun1 import in_su, k_generators, scale_vec
 from sunharm.linalg import rank_of_rows
 
@@ -10,6 +10,7 @@ from reference import (
     adjoint_on_p_plus,
     bracket,
     canonical_weight,
+    dense_p_element,
     dense_rows,
     det,
     embed_k,
@@ -55,6 +56,25 @@ def test_xi_plus_shape_and_sum():
     assert all(not p.at(2, j) for j in range(3))
     assert all(not m.at(j, 2) for j in range(3))
     assert p + m == xi(v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tangent_builders_match_dense_and_store_no_zero(n):
+    # zero components of every kind (the shared ZERO, fresh, computed, a raw
+    # int), real and Gaussian ones, rotated through every position
+    x = gq(2, -3)
+    parts = [ZERO, gq(5), gq(Fraction(0, 3)), x, x - x, gq("-1/2"), 0, I]
+    for shift in range(len(parts)):
+        v = [parts[(shift + j) % len(parts)] for j in range(n)]
+        for build, upper, lower in (
+            (xi, True, True),
+            (xi_plus, True, False),
+            (xi_minus, False, True),
+        ):
+            X = build(v)
+            assert X == dense_p_element(v, upper, lower)
+            assert all(y for row in X.sparse_rows() for y in row.values())
+        assert xi(v) == xi_plus(v) + xi_minus(v)
 
 
 def test_xi_minus_conjugate_linear():
