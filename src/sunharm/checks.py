@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .linalg import ExactMatrix, kernel_basis, rank, same_span
+from .linalg import ExactMatrix, kernel_basis, rank, same_span, sparse_vector
 from .sun1 import e_vec, xi_minus, xi_plus
 from .symrep import (
     DualSymTensor,
@@ -27,12 +27,14 @@ from .symrep import (
     rho_matrix_restricted,
 )
 from .harmonic import (
+    Cocycle,
     cocycle_from_vector,
     cocycle_to_vector,
     harmonic_kernel,
     minus_part,
     pairwise_relation_rows,
     plus_part,
+    system_shape,
     values_from_vector,
     values_to_vector,
 )
@@ -140,7 +142,10 @@ def _relation_subspace_entry(
         for a in range(n)
     ]
     cols = n * len(in_basis)
-    ker = kernel_basis(ExactMatrix.from_rows(pairwise_relation_rows(ops), cols))
+    ker = [
+        sparse_vector(v)
+        for v in kernel_basis(ExactMatrix.from_rows(pairwise_relation_rows(ops), cols))
+    ]
     in_index = {a: i for i, a in enumerate(in_basis)}
     span = [
         values_to_vector(polarization(cls.monomial(sigma + (m - g,))), in_index)
@@ -240,7 +245,9 @@ def check_contraction_isometry(n: int, m: int, j: int) -> dict:
             image = multiply_var(SymTensor.monomial(alpha), k)
             (beta, c), = image.coeffs.items()
             rows[prod_index[beta]][k * d_in + cidx] = c
-    hook = kernel_basis(ExactMatrix.from_rows(rows, n * d_in))
+    hook = [
+        sparse_vector(h) for h in kernel_basis(ExactMatrix.from_rows(rows, n * d_in))
+    ]
     plus_ops = [xi_plus(e_vec(k, n)) for k in range(n)]
     minus_ops = [xi_minus(e_vec(k, n)) for k in range(n)]
 
@@ -252,7 +259,7 @@ def check_contraction_isometry(n: int, m: int, j: int) -> dict:
         return out
 
     hook_ok = all(
-        contraction(values_from_vector(SymTensor, n, m, in_basis, h)).is_zero()
+        contraction(values_from_vector(SymTensor, n, m, in_basis, h, n)).is_zero()
         for h in hook
     )
 
@@ -298,6 +305,24 @@ def check_contraction_isometry(n: int, m: int, j: int) -> dict:
 # -- the n = 1 (Riemann surface) split ---------------------------------------
 
 
+def part_sub_basis(ctx: RepContext, kernel: Sequence[Cocycle], part) -> list[Cocycle]:
+    """Basis, as cocycles, of {a in span(kernel) : part(a, e_j) = 0 for all j}."""
+    n = ctx.n
+    index = ctx.basis_index()
+    # column r: the residuals part(a_r, e_j) of kernel element r over all j
+    residuals = ExactMatrix.from_rows(
+        [values_to_vector([part(a, e_vec(j, n)) for j in range(n)], index)
+         for a in kernel],
+        n * ctx.dim_w,
+    ).transpose()
+    combos = [sparse_vector(c) for c in kernel_basis(residuals)]
+    K = ExactMatrix.from_rows(
+        [cocycle_to_vector(a) for a in kernel], system_shape(ctx)[1]
+    )
+    sub = ExactMatrix.from_rows(combos, len(kernel)) * K
+    return [cocycle_from_vector(ctx, r) for r in sub.sparse_rows()]
+
+
 def riemann_split_report(ctx: RepContext) -> dict:
     """Split of the joint kernel into complex- and conjugate-linear halves.
 
@@ -307,29 +332,12 @@ def riemann_split_report(ctx: RepContext) -> dict:
     n >= 2 shows the split failing (the complex-linear half is trivial),
     which is exactly why those kernels are one-sided.
     """
-    n, m = ctx.n, ctx.m
+    m = ctx.m
     kernel = harmonic_kernel(ctx)
     kdim = len(kernel)
-    vecs = [cocycle_to_vector(a) for a in kernel]
-    index = ctx.basis_index()
 
-    def part_sub_basis(part):
-        """Basis (as cocycles) of {a in kernel : part(a) = 0}."""
-        if not kernel:
-            return []
-        # column r: the residuals part(a_r, e_j) of kernel element r over all j
-        residuals = ExactMatrix(
-            [values_to_vector([part(a, e_vec(j, n)) for j in range(n)], index)
-             for a in kernel]
-        ).transpose()
-        combine = ExactMatrix(vecs).transpose()
-        return [
-            cocycle_from_vector(ctx, combine.apply(combo))
-            for combo in kernel_basis(residuals)
-        ]
-
-    complex_sub = part_sub_basis(minus_part)  # minus part vanishes
-    conj_sub = part_sub_basis(plus_part)  # plus part vanishes
+    complex_sub = part_sub_basis(ctx, kernel, minus_part)  # minus part vanishes
+    conj_sub = part_sub_basis(ctx, kernel, plus_part)  # plus part vanishes
     complex_grade = m if ctx.dual else 0
     conj_grade = 0 if ctx.dual else m
 

@@ -16,7 +16,10 @@ Two constraint operators are imposed:
 The joint kernel is computed exactly as the nullspace of one assembled
 matrix.  Coordinate order: block p (all A blocks before all B blocks, index
 ascending), then monomial index in lex order; constraint rows: all two-form
-blocks for pairs (p, q) in lex order, then the trace block.  Everything
+blocks for pairs (p, q) in lex order, then the trace block.  A coordinate
+vector is a sparse ``linalg.Row`` (column -> nonzero entry):
+``cocycle_to_vector`` and ``values_to_vector`` write tensors as rows, and
+``cocycle_from_vector`` and ``values_from_vector`` read them back.  Everything
 downstream (classification flags, isotypic membership, the structure checks
 used by the CLI) is an exact zero test on these objects.
 
@@ -51,9 +54,6 @@ from .symrep import (
     rho_matrix,
     rho_matrix_restricted,
 )
-
-Vector = list[GaussianRational]
-
 
 @lru_cache(maxsize=None)
 def _basis_tangent(n: int, p: int) -> ExactMatrix:
@@ -214,37 +214,47 @@ def assemble_system(ctx: RepContext) -> ExactMatrix:
     return ExactMatrix.from_rows(rows, 2 * ctx.n * d)
 
 
-def values_to_vector(values: Sequence, index: dict) -> Vector:
+def values_to_vector(values: Sequence, index: dict) -> Row:
     """Coordinates of a tuple of tensors: block k holds values[k] in the
     order of ``index`` (monomial -> position)."""
-    out = []
-    for w in values:
-        out.extend(w.to_vector(index))
-    return out
+    d = len(index)
+    return {
+        k * d + index[alpha]: c
+        for k, w in enumerate(values)
+        for alpha, c in w.coeffs.items()
+    }
 
 
-def values_from_vector(cls, n: int, m: int, basis: Sequence, vec: Sequence) -> list:
-    """Inverse of ``values_to_vector``: one ``cls(n, m, ...)`` tensor per
-    block of len(basis) coordinates."""
+def values_from_vector(
+    cls, n: int, m: int, basis: Sequence, vec: Row, blocks: int
+) -> list:
+    """Inverse of ``values_to_vector``: ``blocks`` tensors ``cls(n, m, ...)``,
+    block k read from columns k * len(basis) onwards."""
     d = len(basis)
-    return [
-        cls(n, m, {basis[s]: c for s, c in sparse_vector(vec[p : p + d]).items()})
-        for p in range(0, len(vec), d)
-    ]
+    coeffs = [{} for _ in range(blocks)]
+    for j, c in vec.items():
+        k, s = divmod(j, d)
+        coeffs[k][basis[s]] = c
+    return [cls(n, m, co) for co in coeffs]
 
 
-def cocycle_to_vector(a: Cocycle) -> Vector:
+def cocycle_to_vector(a: Cocycle) -> Row:
     return values_to_vector(a.a_values + a.b_values, a.ctx.basis_index())
 
 
-def cocycle_from_vector(ctx: RepContext, vec: Sequence[GaussianRational]) -> Cocycle:
-    values = values_from_vector(ctx.value_class, ctx.n, ctx.m, ctx.basis(), vec)
+def cocycle_from_vector(ctx: RepContext, vec: Row) -> Cocycle:
+    values = values_from_vector(
+        ctx.value_class, ctx.n, ctx.m, ctx.basis(), vec, 2 * ctx.n
+    )
     return Cocycle(ctx, values[: ctx.n], values[ctx.n :])
 
 
 def harmonic_kernel(ctx: RepContext) -> list[Cocycle]:
     """Canonical exact basis of the joint kernel of (T, T*)."""
-    return [cocycle_from_vector(ctx, v) for v in kernel_basis(assemble_system(ctx))]
+    return [
+        cocycle_from_vector(ctx, sparse_vector(v))
+        for v in kernel_basis(assemble_system(ctx))
+    ]
 
 
 # -- the symmetric/hook decomposition and membership ------------------------

@@ -1,15 +1,15 @@
 """Sparse exact linear algebra over Q(i).
 
 A matrix stores one dict per row, mapping a column to its nonzero entry;
-no zero entry is ever stored.  Matrices are immutable by convention, and
-``row(i)`` gives a dense view of one row.
+no zero entry is ever stored.  Such a dict, a ``Row``, is also the one
+coordinate form of a vector: the span test takes rows, and the harmonic
+layer writes cocycles and tensor tuples as rows.  Matrices are built from
+rows (``from_rows``) and are immutable by convention.
 
-``sparse_vector`` is the one step from a dense coordinate vector to a sparse
-row, and every dense input is converted by it exactly once.  Its zero test
-``x is not ZERO and x`` skips the shared ``ZERO`` that every dense vector of
-the package is filled with (``kernel_basis``, ``_CoeffPoly.to_vector``)
-without a method call; a zero computed elsewhere still fails the value test
-and is not stored.
+``kernel_basis`` alone returns dense vectors, and ``row(i)`` gives a dense
+view of one row.  ``sparse_vector`` turns such a vector into a row; its zero
+test ``x is not ZERO and x`` skips the shared ``ZERO`` that ``kernel_basis``
+fills its vectors with, without a method call.
 
 Every rank, kernel and span comes from one elimination.  It takes the
 rows one at a time, reduces each against the pivot rows found so far (in
@@ -61,17 +61,6 @@ class ExactMatrix:
     """A rows x cols matrix of Gaussian rationals, stored by nonzero entries."""
 
     __slots__ = ("rows", "cols", "_d")
-
-    def __init__(self, data: Sequence[Sequence]):
-        d = [[_entry(x) for x in row] for row in data]
-        if not d or not d[0]:
-            raise ValueError("matrix must have at least one row and column")
-        cols = len(d[0])
-        if any(len(row) != cols for row in d):
-            raise ValueError("ragged rows")
-        self._d = [sparse_vector(row) for row in d]
-        self.rows = len(d)
-        self.cols = cols
 
     @classmethod
     def from_rows(cls, rows: Iterable[Row], cols: int) -> "ExactMatrix":
@@ -145,20 +134,6 @@ class ExactMatrix:
         return ExactMatrix.from_rows(
             [{j: s * x for j, x in r.items()} for r in self._d], self.cols
         )
-
-    def apply(self, v: Sequence[GaussianRational]) -> list[GaussianRational]:
-        """Matrix-vector product."""
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        out = []
-        for row in self._d:
-            s = ZERO
-            for j, a in row.items():
-                x = v[j]
-                if x:
-                    s = s + a * x
-            out.append(s)
-        return out
 
     def transpose(self) -> "ExactMatrix":
         out: list[Row] = [{} for _ in range(self.cols)]
@@ -238,6 +213,7 @@ def kernel_basis(M: ExactMatrix) -> list[list[GaussianRational]]:
     One vector per free column, free columns in increasing order, each
     vector with a 1 in its own free position; M @ v == 0 exactly.
     """
+    # dense on purpose: perfbench/spans.py reads the entries of the output
     pivots = _reduced_echelon(M._d)
     basis = {}
     for f in range(M.cols):
@@ -251,32 +227,23 @@ def kernel_basis(M: ExactMatrix) -> list[list[GaussianRational]]:
     return list(basis.values())
 
 
-def _sparse_rows(vectors: Iterable[Sequence[GaussianRational]], cols: int) -> list[Row]:
-    rows = []
-    for v in vectors:
-        if len(v) != cols:
-            raise ValueError(f"vector of length {len(v)} in a space of dimension {cols}")
-        rows.append(sparse_vector(v))
+def _in_range(rows: Iterable[Row], cols: int) -> list[Row]:
+    rows = list(rows)
+    for r in rows:
+        if r and (min(r) < 0 or max(r) >= cols):
+            raise ValueError(f"row with a column outside 0..{cols - 1}")
     return rows
 
 
-def rank_of_rows(vectors: Iterable[Sequence[GaussianRational]], cols: int) -> int:
-    """Rank of the span of the given coordinate vectors, each of length cols."""
-    return len(_echelon(_sparse_rows(vectors, cols)))
+def same_span(a: Iterable[Row], b: Iterable[Row], cols: int) -> bool:
+    """True when the two families of rows span the same subspace of Q(i)^cols.
 
-
-def same_span(
-    a: Iterable[Sequence[GaussianRational]],
-    b: Iterable[Sequence[GaussianRational]],
-    cols: int,
-) -> bool:
-    """True when the two families of vectors span the same subspace.
-
-    Each family is converted and eliminated once.  With equal ranks the
-    spans agree exactly when the pivot rows of ``b`` add nothing to the
-    echelon form of ``a``: rank(a) = rank(b) = rank(a + b).
+    Every column of both families is checked before any elimination.  Each
+    family is eliminated once.  With equal ranks the spans agree exactly
+    when the pivot rows of ``b`` add nothing to the echelon form of ``a``:
+    rank(a) = rank(b) = rank(a + b).
     """
-    rows_a, rows_b = _sparse_rows(a, cols), _sparse_rows(b, cols)
+    rows_a, rows_b = _in_range(a, cols), _in_range(b, cols)
     pa, pb = _echelon(rows_a), _echelon(rows_b)
     if len(pa) != len(pb):
         return False

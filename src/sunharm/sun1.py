@@ -79,12 +79,8 @@ def compact_element(block: ExactMatrix, corner) -> ExactMatrix:
     """Block-diagonal element diag(block, corner) of k, validated."""
     n = block.rows
     corner = corner if type(corner) is GaussianRational else gq(corner)
-    rows = [[ZERO] * (n + 1) for _ in range(n + 1)]
-    for i in range(n):
-        for j in range(n):
-            rows[i][j] = block.at(i, j)
-    rows[n][n] = corner
-    M = ExactMatrix(rows)
+    rows = block.sparse_rows() + [{n: corner} if corner else {}]
+    M = ExactMatrix.from_rows(rows, n + 1)
     if not in_su(M):
         raise ValueError("not an element of su(n,1)")
     return M
@@ -120,14 +116,13 @@ def k_generators(n: int) -> tuple[ExactMatrix, ...]:
     """
     out = []
     for a in range(n):
-        block = [[ZERO] * n for _ in range(n)]
-        block[a][a] = I
-        out.append(compact_element(ExactMatrix(block), -I))
+        rows = [{} for _ in range(n)]
+        rows[a] = {a: I}
+        out.append(compact_element(ExactMatrix.from_rows(rows, n), -I))
     for a in range(n - 1):
         b = a + 1
         for x, y in ((ONE, -ONE), (I, I)):
-            block = [[ZERO] * n for _ in range(n)]
-            block[a][b] = x
-            block[b][a] = y
-            out.append(compact_element(ExactMatrix(block), ZERO))
+            rows = [{} for _ in range(n)]
+            rows[a], rows[b] = {b: x}, {a: y}
+            out.append(compact_element(ExactMatrix.from_rows(rows, n), ZERO))
     return tuple(out)

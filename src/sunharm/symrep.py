@@ -162,12 +162,6 @@ class _CoeffPoly:
     def coefficient(self, alpha: Sequence[int]) -> GaussianRational:
         return self.coeffs.get(tuple(alpha), ZERO)
 
-    def to_vector(self, basis_index: dict[MultiIndex, int]) -> list[GaussianRational]:
-        v = [ZERO] * len(basis_index)
-        for a, c in self.coeffs.items():
-            v[basis_index[a]] = c
-        return v
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -245,46 +239,44 @@ def polarization(s: _CoeffPoly) -> list[_CoeffPoly]:
 # -- the Lie algebra action ------------------------------------------------
 
 
-def _nonzero_entries(M: ExactMatrix) -> list[tuple[int, int, GaussianRational]]:
-    return [(j, i, x) for j, row in enumerate(M.sparse_rows()) for i, x in row.items()]
-
-
 def rho_apply(X: ExactMatrix, w: _CoeffPoly) -> _CoeffPoly:
     """Apply the Lie algebra element X to w (derivation action; dual action
     on dual tensors).  Preserves the total degree."""
     if X.rows != w.n + 1:
         raise ValueError("matrix size does not match tensor dimension")
-    entries = _nonzero_entries(X)
+    rows = X.sparse_rows()
     out: dict[MultiIndex, GaussianRational] = {}
     if isinstance(w, DualSymTensor):
         # (rho'(X) lam)(v) = -lam(rho(X) v): negated transpose on coordinates.
         for a, c in w.coeffs.items():
-            for j, i, x in entries:
+            for j, row in enumerate(rows):
                 if not a[j]:
                     continue
-                b = list(a)
-                b[j] -= 1
-                b[i] += 1
-                b = tuple(b)
-                add = c * x * (-b[i])
-                s = out.get(b)
-                out[b] = add if s is None else s + add
+                for i, x in row.items():
+                    b = list(a)
+                    b[j] -= 1
+                    b[i] += 1
+                    b = tuple(b)
+                    add = c * x * (-b[i])
+                    s = out.get(b)
+                    out[b] = add if s is None else s + add
     else:
         for a, c in w.coeffs.items():
-            for j, i, x in entries:
-                ai = a[i]
-                if not ai:
-                    continue
-                if i == j:
-                    b = a
-                else:
-                    b = list(a)
-                    b[i] -= 1
-                    b[j] += 1
-                    b = tuple(b)
-                add = c * x * ai
-                s = out.get(b)
-                out[b] = add if s is None else s + add
+            for j, row in enumerate(rows):
+                for i, x in row.items():
+                    ai = a[i]
+                    if not ai:
+                        continue
+                    if i == j:
+                        b = a
+                    else:
+                        b = list(a)
+                        b[i] -= 1
+                        b[j] += 1
+                        b = tuple(b)
+                    add = c * x * ai
+                    s = out.get(b)
+                    out[b] = add if s is None else s + add
     return w._like(out)
 
 

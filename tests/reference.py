@@ -6,9 +6,10 @@ builds a group element, a determinant, a pairing, a spanning set of k or a
 reduced row-echelon form.  This module keeps those objects, outside the
 package, so the tests can check the algebra against the group it integrates
 to, and the identity against the elimination-based check it replaced.  It
-also keeps the dense forms the package no longer takes: the span test that
-converts and ranks each family twice, and the p-elements written into dense
-arrays.
+also keeps the dense forms the package no longer takes: matrices written as
+dense literals, the span test that converts and ranks each family twice, the
+p-elements written into dense arrays, and the n = 1 split that combines the
+kernel through dense vectors.
 
 A unitary A in U(n) embeds into the group as diag(A, det(A)^{-1}); its
 adjoint action on the holomorphic half p+ is v -> det(A) * A v.  Tensors
@@ -28,8 +29,20 @@ from typing import Sequence
 
 from sunharm import Cocycle, ExactMatrix, I, ONE, ZERO, gq, rho_apply
 from sunharm.exactfield import GaussianRational, sub_mul
-from sunharm.harmonic import cocycle_to_vector, system_shape, values_to_vector
-from sunharm.linalg import _echelon, _reduced_echelon, rank_of_rows
+from sunharm.harmonic import (
+    cocycle_from_vector,
+    cocycle_to_vector,
+    system_shape,
+    values_to_vector,
+)
+from sunharm.linalg import (
+    Row,
+    _echelon,
+    _reduced_echelon,
+    kernel_basis,
+    rank,
+    sparse_vector,
+)
 from sunharm.sun1 import _vec, compact_element, e_vec, in_su, scale_vec, xi, xi_plus
 from sunharm.symrep import (
     DualSymTensor,
@@ -43,6 +56,31 @@ Vector = list[GaussianRational]
 
 
 # -- dense views and the reduced row-echelon form ----------------------------
+
+
+def dense_matrix(rows: Sequence[Sequence]) -> ExactMatrix:
+    """A matrix from a dense literal: equal-length rows of scalars, each
+    entry coerced as the package coerces scalars."""
+    d = [[x if type(x) is GaussianRational else gq(x) for x in r] for r in rows]
+    if not d or not d[0]:
+        raise ValueError("matrix must have at least one row and column")
+    if any(len(r) != len(d[0]) for r in d):
+        raise ValueError("ragged rows")
+    return ExactMatrix.from_rows([sparse_vector(r) for r in d], len(d[0]))
+
+
+def apply(M: ExactMatrix, v: Row) -> Row:
+    """M times the column vector whose nonzero entries are ``v``."""
+    out = {}
+    for i, row in enumerate(M.sparse_rows()):
+        s = ZERO
+        for j, a in row.items():
+            x = v.get(j)
+            if x is not None:
+                s = s + a * x
+        if s:
+            out[i] = s
+    return out
 
 
 def identity(n: int) -> ExactMatrix:
@@ -101,7 +139,7 @@ def dense_p_element(v: Sequence, upper: bool, lower: bool) -> ExactMatrix:
             rows[j][n] = x
         if lower:
             rows[n][j] = x.conjugate()
-    return ExactMatrix(rows)
+    return dense_matrix(rows)
 
 
 def bracket(X: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:
@@ -152,14 +190,14 @@ def k_basis(n: int) -> list[ExactMatrix]:
     for a in range(n):
         block = [[ZERO] * n for _ in range(n)]
         block[a][a] = I
-        out.append(compact_element(ExactMatrix(block), -I))
+        out.append(compact_element(dense_matrix(block), -I))
     for a in range(n):
         for b in range(a + 1, n):
             for x, y in ((ONE, -ONE), (I, I)):
                 block = [[ZERO] * n for _ in range(n)]
                 block[a][b] = x
                 block[b][a] = y
-                out.append(compact_element(ExactMatrix(block), ZERO))
+                out.append(compact_element(dense_matrix(block), ZERO))
     return out
 
 
@@ -244,7 +282,7 @@ def embed_k(A: ExactMatrix) -> ExactMatrix:
         for j in range(n):
             rows[i][j] = A.at(i, j)
     rows[n][n] = c
-    return ExactMatrix(rows)
+    return dense_matrix(rows)
 
 
 def adjoint_on_p_plus(A: ExactMatrix, v: Sequence) -> Vector:
@@ -256,7 +294,8 @@ def adjoint_on_p_plus(A: ExactMatrix, v: Sequence) -> Vector:
     if not is_unitary(A):
         raise ValueError("matrix is not exactly unitary")
     d = det(A)
-    return [d * x for x in A.apply(_vec(v))]
+    w = apply(A, sparse_vector(_vec(v)))
+    return [d * w.get(i, ZERO) for i in range(A.rows)]
 
 
 def canonical_weight(A: ExactMatrix) -> GaussianRational:
@@ -276,7 +315,7 @@ def canonical_weight(A: ExactMatrix) -> GaussianRational:
         if not is_xi_plus_shape(M):
             raise AssertionError("conjugation left p+; structure bug")
         cols.append([M.at(i, n) for i in range(n)])
-    action = ExactMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
+    action = dense_matrix([[cols[j][i] for j in range(n)] for i in range(n)])
     weight = det(action)
     expected = det(A) ** (n + 1)
     if weight != expected:
@@ -295,8 +334,8 @@ def unitary_corpus(n: int) -> list[ExactMatrix]:
     d[0] = I
     mats.append(ExactMatrix.diagonal(d))
     if n == 1:
-        mats.append(ExactMatrix([[gq(-1)]]))
-        mats.append(ExactMatrix([[gq("3/5", "4/5")]]))
+        mats.append(dense_matrix([[gq(-1)]]))
+        mats.append(dense_matrix([[gq("3/5", "4/5")]]))
         return mats
     d = [ONE] * n
     d[0], d[1] = I, -I
@@ -307,14 +346,14 @@ def unitary_corpus(n: int) -> list[ExactMatrix]:
     perm[1][0] = -ONE
     for i in range(2, n):
         perm[i][i] = ONE
-    mats.append(ExactMatrix(perm))
+    mats.append(dense_matrix(perm))
     # i-scaled cycle on the first two coordinates
     sc = [[ZERO] * n for _ in range(n)]
     sc[0][1] = I
     sc[1][0] = I
     for i in range(2, n):
         sc[i][i] = ONE
-    mats.append(ExactMatrix(sc))
+    mats.append(dense_matrix(sc))
     # 3-4-5 rotation in the (1,2) plane
     rot = [[ZERO] * n for _ in range(n)]
     rot[0][0] = gq("3/5")
@@ -323,7 +362,7 @@ def unitary_corpus(n: int) -> list[ExactMatrix]:
     rot[1][1] = gq("3/5")
     for i in range(2, n):
         rot[i][i] = ONE
-    mats.append(ExactMatrix(rot))
+    mats.append(dense_matrix(rot))
     # complex Pythagorean rotation
     crot = [[ZERO] * n for _ in range(n)]
     crot[0][0] = gq("3/5")
@@ -332,7 +371,7 @@ def unitary_corpus(n: int) -> list[ExactMatrix]:
     crot[1][1] = gq("3/5")
     for i in range(2, n):
         crot[i][i] = ONE
-    mats.append(ExactMatrix(crot))
+    mats.append(dense_matrix(crot))
     if n >= 3:
         # 5-12-13 rotation in the (2,3) plane
         r2 = [[ZERO] * n for _ in range(n)]
@@ -343,7 +382,7 @@ def unitary_corpus(n: int) -> list[ExactMatrix]:
         r2[2][2] = gq("5/13")
         for i in range(3, n):
             r2[i][i] = ONE
-        mats.append(ExactMatrix(r2))
+        mats.append(dense_matrix(r2))
     return mats
 
 
@@ -418,8 +457,9 @@ def k_group_action(A: ExactMatrix, w):
     n, m = w.n, w.degree
     # lam(g^{-1} v) on coordinates: the transpose of g^{-1}'s matrix
     Minv = group_matrix(g.conj_transpose(), n, m)
-    image = Minv.transpose().apply(w.to_vector(monomial_index(n + 1, m)))
-    return DualSymTensor(n, m, dict(zip(monomials(n + 1, m), image)))
+    image = apply(Minv.transpose(), values_to_vector([w], monomial_index(n + 1, m)))
+    basis = monomials(n + 1, m)
+    return DualSymTensor(n, m, {basis[j]: x for j, x in image.items()})
 
 
 def transform_cocycle(A: ExactMatrix, a: Cocycle) -> Cocycle:
@@ -479,7 +519,39 @@ def rank_is_invariant(ctx, kernel: Sequence[Cocycle]) -> bool:
                 rho_apply(X, a.value(p)) - evaluate(a, shifts[p]) for p in range(2 * n)
             ]
             vecs.append(values_to_vector(moved, index))
-    return rank_of_rows(vecs, system_shape(ctx)[1]) == len(kernel)
+    return rank(ExactMatrix.from_rows(vecs, system_shape(ctx)[1])) == len(kernel)
+
+
+# -- the n = 1 split through dense vectors ------------------------------------
+
+
+def dense_part_sub_basis(ctx, kernel: Sequence[Cocycle], part) -> list[Cocycle]:
+    """Basis, as cocycles, of {a in span(kernel) : part(a, e_j) = 0 for all j}:
+    residuals and kernel written as dense matrices, each sub-basis vector a
+    dense combination of the kernel vectors."""
+    if not kernel:
+        return []
+    n = ctx.n
+    index = ctx.basis_index()
+    cols = system_shape(ctx)[1]
+
+    def dense(row: Row, length: int) -> list:
+        return [row.get(j, ZERO) for j in range(length)]
+
+    residuals = dense_matrix(
+        [dense(values_to_vector([part(a, e_vec(j, n)) for j in range(n)], index),
+               n * ctx.dim_w)
+         for a in kernel]
+    ).transpose()
+    vecs = [dense(cocycle_to_vector(a), cols) for a in kernel]
+    out = []
+    for combo in kernel_basis(residuals):
+        v = [ZERO] * cols
+        for f, u in zip(combo, vecs):
+            if f:
+                v = [x + f * y for x, y in zip(v, u)]
+        out.append(cocycle_from_vector(ctx, sparse_vector(v)))
+    return out
 
 
 # -- pairings and gradings ---------------------------------------------------------

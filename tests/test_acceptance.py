@@ -34,7 +34,7 @@ from sunharm.checks import (
     riemann_split_report,
 )
 from sunharm.harmonic import cocycle_to_vector
-from sunharm.linalg import rank_of_rows, same_span
+from sunharm.linalg import ExactMatrix, rank, same_span
 from sunharm.symrep import SymTensor
 from sunharm.verify import run_sweep
 
@@ -86,7 +86,7 @@ def _kernel_suite(dual: bool) -> bool:
         pol_vecs = [cocycle_to_vector(a) for a in pol]
         ker_vecs = [cocycle_to_vector(a) for a in kernel]
         ncols = 2 * n * ctx.dim_w
-        ok &= rank_of_rows(pol_vecs, ncols) == len(pol)
+        ok &= rank(ExactMatrix.from_rows(pol_vecs, ncols)) == len(pol)
         ok &= same_span(ker_vecs, pol_vecs, ncols)
         if not ok:
             break

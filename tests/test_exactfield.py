@@ -166,9 +166,9 @@ def test_fraction_backend_subprocess():
 
     code = (
         "from sunharm.exactfield import BACKEND_NAME\n"
-        "from sunharm import ExactMatrix, I, kernel_basis\n"
-        "(v,) = kernel_basis(ExactMatrix([[1, I]]))\n"
-        "print(BACKEND_NAME, v == [-I, ExactMatrix([[1]]).at(0,0)])\n"
+        "from sunharm import ExactMatrix, I, gq, kernel_basis\n"
+        "(v,) = kernel_basis(ExactMatrix.from_rows([{0: gq(1), 1: I}], 2))\n"
+        "print(BACKEND_NAME, v == [-I, ExactMatrix.diagonal([1]).at(0, 0)])\n"
     )
     out = run(code, "fraction")
     assert out.returncode == 0, out.stderr

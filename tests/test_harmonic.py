@@ -43,9 +43,10 @@ from sunharm.checks import (
     check_operator_grading,
     check_symmetric_forcing,
     lemma_battery,
+    part_sub_basis,
     riemann_split_report,
 )
-from sunharm.linalg import rank_of_rows, same_span
+from sunharm.linalg import ExactMatrix, rank, same_span
 from sunharm.symrep import graded_monomials, rho_matrix_restricted
 from sunharm.sun1 import k_generators, scale_vec
 
@@ -57,7 +58,9 @@ from conftest import (
     random_value,
 )
 from reference import (
+    apply,
     bracket,
+    dense_part_sub_basis,
     evaluate,
     project_grade,
     rank_is_invariant,
@@ -253,18 +256,12 @@ def test_matrix_path_matches_operator_path(dual):
     """Applying the assembled system to a coordinate vector reproduces the
     two-form blocks and the trace block computed through the operators."""
     ctx = RepContext(2, 2, dual)
-    n, d = ctx.n, ctx.dim_w
+    n = ctx.n
     a = random_cocycle(make_rng(41), ctx)
-    vec = cocycle_to_vector(a)
-    residual = assemble_system(ctx).apply(vec)
-    index = ctx.basis_index()
+    residual = apply(assemble_system(ctx), cocycle_to_vector(a))
     tf = t_op(a)
-    pos = 0
-    for p in range(2 * n):
-        for q in range(p + 1, 2 * n):
-            assert residual[pos : pos + d] == tf.value(p, q).to_vector(index)
-            pos += d
-    assert residual[pos : pos + d] == tstar_op(a).to_vector(index)
+    blocks = [tf.value(p, q) for p in range(2 * n) for q in range(p + 1, 2 * n)]
+    assert residual == values_to_vector(blocks + [tstar_op(a)], ctx.basis_index())
 
 
 def test_system_shape_counts():
@@ -306,14 +303,15 @@ def test_vector_round_trip(n, m, dual):
     for _ in range(3):
         a = random_cocycle(rng, ctx)
         vec = cocycle_to_vector(a)
-        assert len(vec) == system_shape(ctx)[1]
+        assert all(x for x in vec.values())
+        assert all(0 <= j < system_shape(ctx)[1] for j in vec)
         assert cocycle_from_vector(ctx, vec) == a
     basis = graded_monomials(n, m, 1)
     index = {alpha: i for i, alpha in enumerate(basis)}
     values = [random_value(rng, ctx, 1) for _ in range(n)]
     vec = values_to_vector(values, index)
-    assert len(vec) == n * len(basis)
-    assert values_from_vector(ctx.value_class, n, m, basis, vec) == values
+    assert all(0 <= j < n * len(basis) for j in vec)
+    assert values_from_vector(ctx.value_class, n, m, basis, vec, n) == values
 
 
 @pytest.mark.parametrize(
@@ -346,7 +344,7 @@ def test_kernel_equals_polarization_span(n, m, dual):
     kernel = [cocycle_to_vector(a) for a in harmonic_kernel(ctx)]
     pol = [cocycle_to_vector(a) for a in polarization_cocycles(ctx)]
     ncols = 2 * n * ctx.dim_w
-    assert rank_of_rows(pol, ncols) == len(pol)  # independent oracle family
+    assert rank(ExactMatrix.from_rows(pol, ncols)) == len(pol)  # independent family
     assert same_span(kernel, pol, ncols)
 
 
@@ -385,10 +383,10 @@ def corpus_is_invariant(ctx, kernel):
     """Group-level reference: every corpus unitary keeps the span's rank."""
     ncols = 2 * ctx.n * ctx.dim_w
     base = [cocycle_to_vector(a) for a in kernel]
-    r = rank_of_rows(base, ncols)
+    r = rank(ExactMatrix.from_rows(base, ncols))
     for A in unitary_corpus(ctx.n):
         moved = [cocycle_to_vector(transform_cocycle(A, a)) for a in kernel]
-        if rank_of_rows(base + moved, ncols) != r:
+        if rank(ExactMatrix.from_rows(base + moved, ncols)) != r:
             return False
     return True
 
@@ -629,3 +627,20 @@ def test_riemann_split_dual_case():
     rep = riemann_split_report(RepContext(1, 2, dual=True))
     assert rep["split"]
     assert rep["complex_linear_dim"] == rep["conjugate_linear_dim"]
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_part_sub_bases_match_dense_reference(m, dual):
+    """The sparse sub-bases of the n = 1 split are the ones the dense route
+    builds, so they span the same spaces."""
+    ctx = RepContext(1, m, dual)
+    kernel = harmonic_kernel(ctx)
+    ncols = system_shape(ctx)[1]
+    for part in (minus_part, plus_part):
+        sub = part_sub_basis(ctx, kernel, part)
+        ref = dense_part_sub_basis(ctx, kernel, part)
+        assert sub == ref
+        assert same_span(
+            [cocycle_to_vector(a) for a in sub], [cocycle_to_vector(a) for a in ref], ncols
+        )

@@ -11,7 +11,8 @@ from sunharm.verify import make_document
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 #: Names that left the package, by the module that defined them: group-level
-#: and dense references now in tests/reference.py, and deleted code.
+#: and dense references now in tests/reference.py, and deleted code, among it
+#: the dense coordinate-vector path.
 GONE = {
     "sun1": (
         "is_unitary", "embed_k", "adjoint_on_p_plus", "canonical_weight",
@@ -21,17 +22,18 @@ GONE = {
     ),
     "symrep": (
         "substitute", "_poly_mul", "group_matrix", "k_group_action", "inner",
-        "pair", "power_of_vector", "project_grade", "_matrix_of",
+        "pair", "power_of_vector", "project_grade", "_matrix_of", "_nonzero_entries",
     ),
-    "harmonic": ("transform_cocycle",),
-    "linalg": ("det", "dump_text", "rref"),
+    "harmonic": ("transform_cocycle", "Vector"),
+    "linalg": ("det", "dump_text", "rref", "rank_of_rows", "_sparse_rows"),
     "exactfield": ("dump_entry",),
 }
 
 #: Methods that left the package's classes for tests/reference.py.
 GONE_MEMBERS = {
-    sunharm.ExactMatrix: ("identity", "column", "copy_rows"),
+    sunharm.ExactMatrix: ("identity", "column", "copy_rows", "apply"),
     sunharm.Cocycle: ("evaluate",),
+    sunharm.SymTensor: ("to_vector",),
 }
 
 
@@ -62,3 +64,6 @@ def test_public_surface():
     for cls, names in GONE_MEMBERS.items():
         for name in names:
             assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+    # matrices are built from sparse rows only: no dense constructor
+    with pytest.raises(TypeError):
+        sunharm.ExactMatrix([[1]])
