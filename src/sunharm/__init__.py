@@ -10,7 +10,7 @@ the supporting graded-operator checks.  See the README for the CLI.
 
 from .exactfield import BACKEND_NAME, GaussianRational, I, ONE, ZERO, gq
 from .linalg import ExactMatrix, kernel_basis, rank
-from .sun1 import e_vec, j_form, xi, xi_minus, xi_plus
+from .sun1 import e_vec, j_form, xi_minus, xi_plus
 from .symrep import (
     DualSymTensor,
     RepContext,
@@ -83,7 +83,6 @@ __all__ = [
     "t_op",
     "tstar_op",
     "verify_case",
-    "xi",
     "xi_minus",
     "xi_plus",
 ]

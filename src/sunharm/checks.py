@@ -31,9 +31,7 @@ from .harmonic import (
     cocycle_from_vector,
     cocycle_to_vector,
     harmonic_kernel,
-    minus_part,
     pairwise_relation_rows,
-    plus_part,
     system_shape,
     values_from_vector,
     values_to_vector,
@@ -305,15 +303,17 @@ def check_contraction_isometry(n: int, m: int, j: int) -> dict:
 # -- the n = 1 (Riemann surface) split ---------------------------------------
 
 
-def part_sub_basis(ctx: RepContext, kernel: Sequence[Cocycle], part) -> list[Cocycle]:
-    """Basis, as cocycles, of {a in span(kernel) : part(a, e_j) = 0 for all j}."""
-    n = ctx.n
+def part_sub_basis(
+    ctx: RepContext, kernel: Sequence[Cocycle], plus: bool
+) -> list[Cocycle]:
+    """Basis, as cocycles, of {a in span(kernel) : a(Z_j) = 0 for all j} when
+    ``plus``, else of {a in span(kernel) : a(Zbar_j) = 0 for all j}."""
     index = ctx.basis_index()
-    # column r: the residuals part(a_r, e_j) of kernel element r over all j
+    # column r: the plus (or minus) values of kernel element r
     residuals = ExactMatrix.from_rows(
-        [values_to_vector([part(a, e_vec(j, n)) for j in range(n)], index)
+        [values_to_vector(a.plus_values if plus else a.minus_values, index)
          for a in kernel],
-        n * ctx.dim_w,
+        ctx.n * ctx.dim_w,
     ).transpose()
     combos = [sparse_vector(c) for c in kernel_basis(residuals)]
     K = ExactMatrix.from_rows(
@@ -336,8 +336,8 @@ def riemann_split_report(ctx: RepContext) -> dict:
     kernel = harmonic_kernel(ctx)
     kdim = len(kernel)
 
-    complex_sub = part_sub_basis(ctx, kernel, minus_part)  # minus part vanishes
-    conj_sub = part_sub_basis(ctx, kernel, plus_part)  # plus part vanishes
+    complex_sub = part_sub_basis(ctx, kernel, plus=False)  # minus values vanish
+    conj_sub = part_sub_basis(ctx, kernel, plus=True)  # plus values vanish
     complex_grade = m if ctx.dual else 0
     conj_grade = 0 if ctx.dual else m
 
@@ -345,7 +345,7 @@ def riemann_split_report(ctx: RepContext) -> dict:
         return all(
             w.support_grades() <= {g}
             for a in cos
-            for w in (*a.a_values, *a.b_values)
+            for w in (*a.plus_values, *a.minus_values)
         )
 
     checks = [

@@ -1,22 +1,34 @@
 """Harmonicity constraints on cocycles and their exact joint kernel.
 
 A cocycle is a real-linear map from the tangent part p of su(n,1) into the
-representation space W (a symmetric power or its dual).  It is stored by its
-values on the 2n real basis tangents
+representation space W (a symmetric power or its dual).  It extends
+complex-linearly to p (x) C and is stored by its values on the 2n complex
+tangents, the (1,0)/(0,1) split of p
 
-    Y_0..Y_{n-1}   = xi(e_1)..xi(e_n)        (the ``A_j`` values)
-    Y_n..Y_{2n-1}  = xi(i e_1)..xi(i e_n)    (the ``B_j`` values)
+    Z_0..Z_{n-1}        = xi_plus(e_1)..xi_plus(e_n)    (``plus_values``)
+    Zbar_0..Zbar_{n-1}  = xi_minus(e_1)..xi_minus(e_n)  (``minus_values``)
+
+so a is complex-linear exactly when its minus values vanish and
+conjugate-linear exactly when its plus values do.  The real tangents are
+xi(e_j) = Z_j + Zbar_j and xi(i e_j) = i (Z_j - Zbar_j).
 
 Two constraint operators are imposed:
 
-* the two-form  T a (Y_p, Y_q) = rho(Y_p) a(Y_q) - rho(Y_q) a(Y_p), whose
-  vanishing says the bilinear form (u, v) -> rho(xi_u) a(xi_v) is symmetric;
-* the trace  T* a = sum over all 2n basis directions of rho(Y_p) a(Y_p).
+* the two-form  T a (U, V) = rho(U) a(V) - rho(V) a(U) on the pairs of
+  complex tangents.  It vanishes on every complex pair exactly when it
+  vanishes on every real pair, that is when the bilinear form
+  (u, v) -> rho(xi_u) a(xi_v) is symmetric;
+* the trace  T* a = sum_j rho(Z_j) a(Zbar_j) + rho(Zbar_j) a(Z_j), which is
+  half the sum of rho(Y) a(Y) over the 2n real tangents xi(e_j), xi(i e_j),
+  so both vanish together.
 
 The joint kernel is computed exactly as the nullspace of one assembled
-matrix.  Coordinate order: block p (all A blocks before all B blocks, index
-ascending), then monomial index in lex order; constraint rows: all two-form
-blocks for pairs (p, q) in lex order, then the trace block.  A coordinate
+matrix.  Coordinate order: block p (all Z blocks before all Zbar blocks,
+index ascending), then monomial index in lex order; constraint rows: all
+two-form blocks for pairs (p, q) in lex order, then the trace block.  Each
+row has all its columns in one weight of the diagonal torus of K: column
+(Z_j, e^alpha) has weight alpha - e_j + e_{n+1}, column (Zbar_j, e^alpha)
+alpha + e_j - e_{n+1}, with alpha negated on the dual side.  A coordinate
 vector is a sparse ``linalg.Row`` (column -> nonzero entry):
 ``cocycle_to_vector`` and ``values_to_vector`` write tensors as rows, and
 ``cocycle_from_vector`` and ``values_from_vector`` read them back.  Everything
@@ -39,9 +51,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .exactfield import GaussianRational, I, ZERO, gq
+from .exactfield import GaussianRational, ZERO, gq
 from .linalg import ExactMatrix, Row, kernel_basis, same_span, sparse_vector
-from .sun1 import e_vec, k_generators, scale_vec, xi
+from .sun1 import e_vec, k_generators, xi_minus, xi_plus
 from .symrep import (
     DualSymTensor,
     RepContext,
@@ -57,26 +69,27 @@ from .symrep import (
 
 @lru_cache(maxsize=None)
 def _basis_tangent(n: int, p: int) -> ExactMatrix:
-    """The p-th real basis tangent (0 <= p < 2n)."""
+    """The p-th complex tangent (0 <= p < 2n): Z_p, then Zbar_{p-n}."""
     if p < n:
-        return xi(e_vec(p, n))
-    return xi(scale_vec(I, e_vec(p - n, n)))
+        return xi_plus(e_vec(p, n))
+    return xi_minus(e_vec(p - n, n))
 
 
 @dataclass
 class Cocycle:
-    """A real-linear map p -> W stored by its 2n basis values."""
+    """A real-linear map p -> W stored by its values on the 2n complex
+    tangents: a(Z_j) in ``plus_values``, a(Zbar_j) in ``minus_values``."""
 
     ctx: RepContext
-    a_values: list
-    b_values: list
+    plus_values: list
+    minus_values: list
 
     def __post_init__(self):
         n = self.ctx.n
-        if len(self.a_values) != n or len(self.b_values) != n:
-            raise ValueError("a cocycle needs n A-values and n B-values")
+        if len(self.plus_values) != n or len(self.minus_values) != n:
+            raise ValueError("a cocycle needs n plus values and n minus values")
         cls = self.ctx.value_class
-        for w in (*self.a_values, *self.b_values):
+        for w in (*self.plus_values, *self.minus_values):
             if not isinstance(w, cls):
                 raise TypeError("cocycle values do not match the context")
             if w.n != n or w.degree != self.ctx.m:
@@ -91,40 +104,38 @@ class Cocycle:
         )
 
     def value(self, p: int):
-        """Value on the p-th real basis tangent."""
-        return self.a_values[p] if p < self.ctx.n else self.b_values[p - self.ctx.n]
+        """Value on the p-th complex tangent."""
+        n = self.ctx.n
+        return self.plus_values[p] if p < n else self.minus_values[p - n]
 
     def is_zero(self) -> bool:
-        return all(w.is_zero() for w in self.a_values + self.b_values)
+        return all(w.is_zero() for w in self.plus_values + self.minus_values)
 
 
-def _linear_part(a: Cocycle, v: Sequence, twist: GaussianRational, conj: bool):
-    """sum_j (a(xi_{e_j}) + twist a(xi_{i e_j})) / 2 times v_j, or times
-    conj(v_j) when ``conj``: the one body of ``plus_part`` and ``minus_part``."""
+def _linear_part(a: Cocycle, values: Sequence, v: Sequence, conj: bool):
+    """sum_j v_j values[j], or conj(v_j) values[j] when ``conj``: the one
+    body of ``plus_part`` and ``minus_part``."""
     out = a.ctx.zero_value()
-    half = gq("1/2")
-    for j, x in enumerate(v):
+    for w, x in zip(values, v):
         if type(x) is not GaussianRational:
             x = gq(x)
-        if not x:
-            continue
-        part = (a.a_values[j] + a.b_values[j].scale(twist)).scale(half)
-        out = out + part.scale(x.conjugate() if conj else x)
+        if x:
+            out = out + w.scale(x.conjugate() if conj else x)
     return out
 
 
 def plus_part(a: Cocycle, v: Sequence):
-    """Complex-linear component: (a(xi_v) - i a(xi_iv)) / 2."""
-    return _linear_part(a, v, -I, conj=False)
+    """Complex-linear component of a(xi_v): sum_j v_j a(Z_j)."""
+    return _linear_part(a, a.plus_values, v, conj=False)
 
 
 def minus_part(a: Cocycle, v: Sequence):
-    """Conjugate-linear component: (a(xi_v) + i a(xi_iv)) / 2."""
-    return _linear_part(a, v, I, conj=True)
+    """Conjugate-linear component of a(xi_v): sum_j conj(v_j) a(Zbar_j)."""
+    return _linear_part(a, a.minus_values, v, conj=True)
 
 
 class TwoForm:
-    """Antisymmetric table over unordered pairs of the 2n basis tangents."""
+    """Antisymmetric table over unordered pairs of the 2n complex tangents."""
 
     def __init__(self, n: int, values: dict):
         self.n = n
@@ -155,11 +166,12 @@ def t_op(a: Cocycle) -> TwoForm:
 
 
 def tstar_op(a: Cocycle):
-    """The 2n-term trace sum rho(Y_p) a(Y_p)."""
+    """The trace: each complex tangent acting on the value of its conjugate,
+    sum_j rho(Z_j) a(Zbar_j) + rho(Zbar_j) a(Z_j)."""
     n = a.ctx.n
     out = a.ctx.zero_value()
     for p in range(2 * n):
-        out = out + rho_apply(_basis_tangent(n, p), a.value(p))
+        out = out + rho_apply(_basis_tangent(n, p), a.value((p + n) % (2 * n)))
     return out
 
 
@@ -199,19 +211,16 @@ def assemble_system(ctx: RepContext) -> ExactMatrix:
     Rows: the two-form blocks for pairs (p, q) in lex order, then the trace
     block; columns: cocycle coordinates (block p, then monomial).
     """
-    d = ctx.dim_w
-    mats = [
-        rho_matrix(_basis_tangent(ctx.n, p), ctx.n, ctx.m, ctx.dual)
-        for p in range(2 * ctx.n)
-    ]
+    n, d = ctx.n, ctx.dim_w
+    mats = [rho_matrix(_basis_tangent(n, p), n, ctx.m, ctx.dual) for p in range(2 * n)]
     rows = pairwise_relation_rows(mats)
-    # trace block: sum_p rho(Y_p) a(Y_p), row r spans every block
-    blocks = [M.sparse_rows() for M in mats]
+    # trace block: block Z_j carries rho(Zbar_j) and block Zbar_j rho(Z_j)
+    blocks = [M.sparse_rows() for M in mats[n:] + mats[:n]]
     rows.extend(
         {p * d + s: x for p, B in enumerate(blocks) for s, x in B[r].items()}
         for r in range(d)
     )
-    return ExactMatrix.from_rows(rows, 2 * ctx.n * d)
+    return ExactMatrix.from_rows(rows, 2 * n * d)
 
 
 def values_to_vector(values: Sequence, index: dict) -> Row:
@@ -239,7 +248,7 @@ def values_from_vector(
 
 
 def cocycle_to_vector(a: Cocycle) -> Row:
-    return values_to_vector(a.a_values + a.b_values, a.ctx.basis_index())
+    return values_to_vector(a.plus_values + a.minus_values, a.ctx.basis_index())
 
 
 def cocycle_from_vector(ctx: RepContext, vec: Row) -> Cocycle:
@@ -308,17 +317,17 @@ def symmetric_component_membership(values: Sequence) -> tuple[bool, GaussianRati
 def polarization_cocycles(ctx: RepContext) -> list[Cocycle]:
     """Independent explicit solutions spanning the symmetric component.
 
-    Primal: conjugate-linear cocycles built from partial derivatives of
-    degree-(m+1) polynomials in the first n variables.  Dual: complex-linear
-    cocycles built from exponent shifts of dual monomials.  Each satisfies
-    T = 0 and T* = 0; together they give the independent dimension oracle.
+    Primal: conjugate-linear cocycles, whose minus values are the partial
+    derivatives of a degree-(m+1) polynomial in the first n variables.
+    Dual: complex-linear cocycles, whose plus values are the exponent shifts
+    of a dual monomial.  Each satisfies T = 0 and T* = 0; together they give
+    the independent dimension oracle.
     """
-    # B_j = i A_j makes a cocycle complex-linear, B_j = -i A_j conjugate-linear
-    twist = I if ctx.dual else -I
     out = []
     for sigma in monomials(ctx.n, ctx.m + 1):
-        a_vals = polarization(ctx.value_class.monomial(sigma + (0,)))
-        out.append(Cocycle(ctx, a_vals, [w.scale(twist) for w in a_vals]))
+        pol = polarization(ctx.value_class.monomial(sigma + (0,)))
+        zero = [ctx.zero_value() for _ in pol]
+        out.append(Cocycle(ctx, pol, zero) if ctx.dual else Cocycle(ctx, zero, pol))
     return out
 
 
@@ -333,7 +342,7 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dic
     membership in the symmetric component, and the dimension count.
     Returns the flags and the check entries.
     """
-    n, m = ctx.n, ctx.m
+    m = ctx.m
     flags = {}
     linear_key = "complex_linear" if ctx.dual else "conjugate_linear"
 
@@ -343,10 +352,11 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dic
         check_entry("operator-recheck", op_ok, "T and T* vanish via direct evaluation")
     ]
 
-    wrong_part = minus_part if ctx.dual else plus_part
-    lin_ok = all(
-        wrong_part(a, e_vec(j, n)).is_zero() for a in kernel for j in range(n)
-    )
+    # the opposite linearity block must vanish; the other one holds the form
+    def block(a: Cocycle, opposite: bool) -> list:
+        return a.plus_values if ctx.dual != opposite else a.minus_values
+
+    lin_ok = all(w.is_zero() for a in kernel for w in block(a, True))
     flags[linear_key] = lin_ok
     checks.append(
         check_entry(
@@ -357,17 +367,17 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dic
     )
 
     top_ok = all(
-        w.support_grades() <= {m} for a in kernel for w in (*a.a_values, *a.b_values)
+        w.support_grades() <= {m}
+        for a in kernel
+        for w in (*a.plus_values, *a.minus_values)
     )
     flags["top_graded"] = top_ok
     checks.append(check_entry("top-graded", top_ok, f"values supported in grade {m} only"))
 
     sym_ok = lin_ok and top_ok
     if sym_ok:
-        good_part = plus_part if ctx.dual else minus_part
         for a in kernel:
-            vals = [good_part(a, e_vec(k, n)) for k in range(n)]
-            member, _cert = symmetric_component_membership(vals)
+            member, _cert = symmetric_component_membership(block(a, False))
             if not member:
                 sym_ok = False
                 break
@@ -409,7 +419,7 @@ def polarization_blocks(ctx: RepContext) -> list[ExactMatrix]:
 
     Column s of P is the coordinate vector of ``polarization_cocycles(ctx)[s]``,
     with s running over S^{m+1}(C^n) in lex order (last exponent 0); block p
-    holds the dim W rows of its value on Y_p.
+    holds the dim W rows of its value on the p-th complex tangent.
     """
     index = ctx.basis_index()
     pol = polarization_cocycles(ctx)
@@ -424,21 +434,19 @@ def polarization_blocks(ctx: RepContext) -> list[ExactMatrix]:
 
 
 def _bracket_mix(X: ExactMatrix) -> list[Row]:
-    """Row p holds the real coefficients R_pq of a([X, Y_p]) = sum_q R_pq a(Y_q)
-    for X = diag(B, c) in k and any real-linear cocycle a."""
+    """Row p holds the coefficients R_pq of a([X, W_p]) = sum_q R_pq a(W_q)
+    over the complex tangents W, for X = diag(B, c) in k and any cocycle a:
+    [X, Z_j] = sum_i w_ij Z_i and [X, Zbar_j] = sum_i conj(w_ij) Zbar_i,
+    with w = B - c."""
     n = X.rows - 1
     c = X.at(n, n)
     mix: list[Row] = [{} for _ in range(2 * n)]
     for j in range(n):
         for i in range(n):
-            # [X, Y_j] = xi(z) and [X, Y_{n+j}] = xi(i z) for z = (B - c) e_j,
-            # and xi(w e_i) = Re(w) Y_i + Im(w) Y_{n+i}
             w = X.at(i, j) - c if i == j else X.at(i, j)
-            for p, q, x in (
-                (j, i, w.re), (j, n + i, w.im), (n + j, i, -w.im), (n + j, n + i, w.re)
-            ):
-                if x:
-                    mix[p][q] = gq(x)
+            if w:
+                mix[j][i] = w
+                mix[n + j][n + i] = w.conjugate()
     return mix
 
 
@@ -448,8 +456,8 @@ def intertwines(
     """A_X P = P (rho(X) + chi) on S^{m+1}(C^n), an exact matrix identity.
 
     ``blocks`` is ``polarization_blocks(ctx)``.  A_X is the action of
-    X = diag(B, c) in k on cocycle coordinates, a -> rho(X) a(Y) - a([X, Y]):
-    rho(X) on each of the 2n blocks minus the real block mix of
+    X = diag(B, c) in k on cocycle coordinates, a -> rho(X) a(W) - a([X, W]):
+    rho(X) on each of the 2n blocks minus the block mix of
     ``_bracket_mix``.  On the right, rho(X) acts on the degree-(m + 1)
     monomials with last exponent 0 (or their duals), which X = diag(B, c)
     keeps among themselves, and chi is a scalar.

@@ -5,17 +5,15 @@ J = diag(1, ..., 1, -1); su(n,1) is the traceless matrices X with
 X*J + JX = 0.  The compact part k consists of the block-diagonal elements
 (a copy of u(n)); its complement p is spanned by the Hermitian matrices
 
-    xi(v) = [[0, v], [v*, 0]],   v in C^n,
+    xi(v) = [[0, v], [v*, 0]] = xi_plus(v) + xi_minus(v),   v in C^n,
 
-whose complex-linear / conjugate-linear halves in v are
-
-    xi_plus(v)  = (xi(v) - i xi(iv))/2 = [[0, v], [0, 0]],
-    xi_minus(v) = (xi(v) + i xi(iv))/2 = [[0, 0], [v*, 0]].
-
+with complex-linear half xi_plus(v) = [[0, v], [0, 0]] and conjugate-linear
+half xi_minus(v) = [[0, 0], [v*, 0]].  The certifier works in p (x) C, with
+the complex tangents Z_j = xi_plus(e_j) and Zbar_j = xi_minus(e_j) as basis.
 The central element h0 = i/(n+1) * diag(1, ..., 1, -n) of k acts by +i on
-p+ and -i on p-; the tests build it (``tests/reference.py``), since the
-certifier only needs the generators of k.  Every element is returned as its
-exact ``ExactMatrix``.
+p+ and -i on p-; the tests build xi itself and h0 (``tests/reference.py``),
+since the certifier only needs the halves and the generators of k.  Every
+element is returned as its exact ``ExactMatrix``.
 """
 
 from __future__ import annotations
@@ -40,11 +38,6 @@ def e_vec(j: int, n: int) -> Vector:
     return v
 
 
-def scale_vec(s, v: Sequence) -> Vector:
-    s = s if type(s) is GaussianRational else gq(s)
-    return [s * x for x in _vec(v)]
-
-
 def j_form(n: int) -> ExactMatrix:
     return ExactMatrix.diagonal([ONE] * n + [-ONE])
 
@@ -58,11 +51,6 @@ def _p_element(v: Sequence, upper: bool, lower: bool) -> ExactMatrix:
     rows = [{n: nz[j]} if upper and j in nz else {} for j in range(n)]
     rows.append({j: x.conjugate() for j, x in nz.items()} if lower else {})
     return ExactMatrix.from_rows(rows, n + 1)
-
-
-def xi(v: Sequence) -> ExactMatrix:
-    """The tangent element [[0, v], [v*, 0]] of p."""
-    return _p_element(v, upper=True, lower=True)
 
 
 def xi_plus(v: Sequence) -> ExactMatrix:

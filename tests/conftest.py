@@ -58,7 +58,6 @@ def random_cocycle(rng: random.Random, ctx: RepContext, grade: int | None = None
 
 
 def conjugate_linear_cocycle(rng: random.Random, ctx: RepContext, grade: int | None = None):
-    """A cocycle with vanishing complex-linear part (B_j = -i A_j)."""
-    a_vals = [random_value(rng, ctx, grade) for _ in range(ctx.n)]
-    b_vals = [w.scale(gq(0, -1)) for w in a_vals]
-    return Cocycle(ctx, a_vals, b_vals)
+    """A cocycle with vanishing complex-linear part: a(Z_j) = 0."""
+    zero = [ctx.zero_value() for _ in range(ctx.n)]
+    return Cocycle(ctx, zero, [random_value(rng, ctx, grade) for _ in range(ctx.n)])

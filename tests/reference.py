@@ -11,6 +11,13 @@ dense literals, the span test that converts and ranks each family twice, the
 p-elements written into dense arrays, and the n = 1 split that combines the
 kernel through dense vectors.
 
+The package stores a cocycle by its values on the complex tangents
+Z_j = xi_plus(e_j) and Zbar_j = xi_minus(e_j).  The references here work in
+the real coordinates A_j = a(xi(e_j)) and B_j = a(xi(i e_j)) instead, and
+reach the package's cocycles only through one conversion pair,
+``real_values`` and ``from_real_values``.  That includes the constraint
+system assembled on the real tangents, ``real_assemble_system``.
+
 A unitary A in U(n) embeds into the group as diag(A, det(A)^{-1}); its
 adjoint action on the holomorphic half p+ is v -> det(A) * A v.  Tensors
 transform under it by the substitution e_i -> g e_i, dual tensors by
@@ -30,9 +37,9 @@ from typing import Sequence
 from sunharm import Cocycle, ExactMatrix, I, ONE, ZERO, gq, rho_apply
 from sunharm.exactfield import GaussianRational, sub_mul
 from sunharm.harmonic import (
-    cocycle_from_vector,
-    cocycle_to_vector,
+    pairwise_relation_rows,
     system_shape,
+    values_from_vector,
     values_to_vector,
 )
 from sunharm.linalg import (
@@ -43,13 +50,14 @@ from sunharm.linalg import (
     rank,
     sparse_vector,
 )
-from sunharm.sun1 import _vec, compact_element, e_vec, in_su, scale_vec, xi, xi_plus
+from sunharm.sun1 import _p_element, _vec, compact_element, e_vec, in_su, xi_plus
 from sunharm.symrep import (
     DualSymTensor,
     SymTensor,
     _map_matrix,
     monomial_index,
     monomials,
+    rho_matrix,
 )
 
 Vector = list[GaussianRational]
@@ -126,6 +134,16 @@ def three_pass_same_span(a: Sequence, b: Sequence, cols: int) -> bool:
 
 
 # -- the Lie algebra -----------------------------------------------------------
+
+
+def scale_vec(s, v: Sequence) -> Vector:
+    s = s if type(s) is GaussianRational else gq(s)
+    return [s * x for x in _vec(v)]
+
+
+def xi(v: Sequence) -> ExactMatrix:
+    """The tangent element [[0, v], [v*, 0]] of p."""
+    return _p_element(v, upper=True, lower=True)
 
 
 def dense_p_element(v: Sequence, upper: bool, lower: bool) -> ExactMatrix:
@@ -478,7 +496,61 @@ def transform_cocycle(A: ExactMatrix, a: Cocycle) -> Cocycle:
         u = [dinv * x for x in column(Ainv, j)]
         new_a.append(k_group_action(A, evaluate(a, u)))
         new_b.append(k_group_action(A, evaluate(a, scale_vec(I, u))))
-    return Cocycle(a.ctx, new_a, new_b)
+    return from_real_values(a.ctx, new_a, new_b)
+
+
+# -- real coordinates of cocycles ------------------------------------------------
+
+
+def real_values(a: Cocycle) -> tuple[list, list]:
+    """(A, B), the values on the real tangents:
+    A_j = a(xi(e_j)) = a(Z_j) + a(Zbar_j) and
+    B_j = a(xi(i e_j)) = i (a(Z_j) - a(Zbar_j))."""
+    pairs = list(zip(a.plus_values, a.minus_values))
+    return [z + w for z, w in pairs], [(z - w).scale(I) for z, w in pairs]
+
+
+def from_real_values(ctx, A: Sequence, B: Sequence) -> Cocycle:
+    """Inverse of ``real_values``: a(Z_j) = (A_j - i B_j) / 2 and
+    a(Zbar_j) = (A_j + i B_j) / 2."""
+    half = gq("1/2")
+    return Cocycle(
+        ctx,
+        [(x - y.scale(I)).scale(half) for x, y in zip(A, B)],
+        [(x + y.scale(I)).scale(half) for x, y in zip(A, B)],
+    )
+
+
+def real_vector(a: Cocycle) -> Row:
+    """Coordinates of a in the real basis: the A blocks, then the B blocks."""
+    A, B = real_values(a)
+    return values_to_vector(A + B, a.ctx.basis_index())
+
+
+def from_real_vector(ctx, vec: Row) -> Cocycle:
+    """Inverse of ``real_vector``."""
+    n = ctx.n
+    vals = values_from_vector(ctx.value_class, n, ctx.m, ctx.basis(), vec, 2 * n)
+    return from_real_values(ctx, vals[:n], vals[n:])
+
+
+def real_assemble_system(ctx) -> ExactMatrix:
+    """The constraint system on the real tangents xi(e_j), xi(i e_j).
+
+    Columns: the real coordinates of ``real_vector``.  Rows: the two-form
+    blocks for the pairs of real tangents in lex order, then the trace
+    block sum_p rho(Y_p) a(Y_p).  Its kernel is the real form of the
+    package's kernel.
+    """
+    d = ctx.dim_w
+    mats = [rho_matrix(Y, ctx.n, ctx.m, ctx.dual) for Y in p_basis(ctx.n)]
+    rows = pairwise_relation_rows(mats)
+    blocks = [M.sparse_rows() for M in mats]
+    rows.extend(
+        {p * d + s: x for p, B in enumerate(blocks) for s, x in B[r].items()}
+        for r in range(d)
+    )
+    return ExactMatrix.from_rows(rows, 2 * ctx.n * d)
 
 
 # -- cocycles and the elimination-based invariance check ------------------------
@@ -486,12 +558,13 @@ def transform_cocycle(A: ExactMatrix, a: Cocycle) -> Cocycle:
 
 def evaluate(a: Cocycle, v: Sequence):
     """Value of the cocycle a on xi(v) for any complex tangent vector v."""
+    A, B = real_values(a)
     out = a.ctx.zero_value()
     for j, x in enumerate(_vec(v)):
         if x.re:
-            out = out + a.a_values[j].scale(gq(x.re))
+            out = out + A[j].scale(gq(x.re))
         if x.im:
-            out = out + a.b_values[j].scale(gq(x.im))
+            out = out + B[j].scale(gq(x.im))
     return out
 
 
@@ -505,7 +578,8 @@ def rank_is_invariant(ctx, kernel: Sequence[Cocycle]) -> bool:
     """
     n = ctx.n
     index = ctx.basis_index()
-    vecs = [cocycle_to_vector(a) for a in kernel]
+    reals = [real_values(a) for a in kernel]
+    vecs = [values_to_vector(A + B, index) for A, B in reals]
     for X in k_basis(n):
         c = X.at(n, n)
         # column j of B - c: the bracket [X, xi(e_j)] = xi((B - c) e_j)
@@ -514,9 +588,9 @@ def rank_is_invariant(ctx, kernel: Sequence[Cocycle]) -> bool:
             for j in range(n)
         ]
         shifts = cols + [scale_vec(I, v) for v in cols]
-        for a in kernel:
+        for a, (A, B) in zip(kernel, reals):
             moved = [
-                rho_apply(X, a.value(p)) - evaluate(a, shifts[p]) for p in range(2 * n)
+                rho_apply(X, w) - evaluate(a, v) for w, v in zip(A + B, shifts)
             ]
             vecs.append(values_to_vector(moved, index))
     return rank(ExactMatrix.from_rows(vecs, system_shape(ctx)[1])) == len(kernel)
@@ -525,32 +599,39 @@ def rank_is_invariant(ctx, kernel: Sequence[Cocycle]) -> bool:
 # -- the n = 1 split through dense vectors ------------------------------------
 
 
-def dense_part_sub_basis(ctx, kernel: Sequence[Cocycle], part) -> list[Cocycle]:
-    """Basis, as cocycles, of {a in span(kernel) : part(a, e_j) = 0 for all j}:
-    residuals and kernel written as dense matrices, each sub-basis vector a
-    dense combination of the kernel vectors."""
+def dense_part_sub_basis(ctx, kernel: Sequence[Cocycle], plus: bool) -> list[Cocycle]:
+    """Basis, as cocycles, of the a in span(kernel) whose complex-linear part
+    (``plus``) or conjugate-linear part vanishes: residuals and kernel
+    written as dense matrices in real coordinates, each sub-basis vector a
+    dense combination of the kernel vectors.  The complex-linear part of a
+    on xi(e_j) is (A_j - i B_j) / 2, the conjugate-linear part
+    (A_j + i B_j) / 2."""
     if not kernel:
         return []
     n = ctx.n
     index = ctx.basis_index()
     cols = system_shape(ctx)[1]
+    twist = -I if plus else I
+    half = gq("1/2")
 
     def dense(row: Row, length: int) -> list:
         return [row.get(j, ZERO) for j in range(length)]
 
+    reals = [real_values(a) for a in kernel]
     residuals = dense_matrix(
-        [dense(values_to_vector([part(a, e_vec(j, n)) for j in range(n)], index),
+        [dense(values_to_vector([(x + y.scale(twist)).scale(half)
+                                 for x, y in zip(A, B)], index),
                n * ctx.dim_w)
-         for a in kernel]
+         for A, B in reals]
     ).transpose()
-    vecs = [dense(cocycle_to_vector(a), cols) for a in kernel]
+    vecs = [dense(values_to_vector(A + B, index), cols) for A, B in reals]
     out = []
     for combo in kernel_basis(residuals):
         v = [ZERO] * cols
         for f, u in zip(combo, vecs):
             if f:
                 v = [x + f * y for x, y in zip(v, u)]
-        out.append(cocycle_from_vector(ctx, sparse_vector(v)))
+        out.append(from_real_vector(ctx, sparse_vector(v)))
     return out
 
 

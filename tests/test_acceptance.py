@@ -22,7 +22,6 @@ from sunharm import (
     rho_apply,
     t_op,
     tstar_op,
-    xi,
     xi_minus,
     xi_plus,
 )
@@ -54,6 +53,7 @@ from reference import (
     p_basis,
     tangent_samples,
     unitary_corpus,
+    xi,
 )
 
 GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2)]

@@ -21,7 +21,6 @@ from sunharm import (
     symmetric_component_membership,
     t_op,
     tstar_op,
-    xi,
     xi_minus,
     xi_plus,
 )
@@ -46,9 +45,9 @@ from sunharm.checks import (
     part_sub_basis,
     riemann_split_report,
 )
-from sunharm.linalg import ExactMatrix, rank, same_span
+from sunharm.linalg import ExactMatrix, kernel_basis, rank, same_span, sparse_vector
 from sunharm.symrep import graded_monomials, rho_matrix_restricted
-from sunharm.sun1 import k_generators, scale_vec
+from sunharm.sun1 import k_generators
 
 from conftest import (
     all_passed,
@@ -62,19 +61,26 @@ from reference import (
     bracket,
     dense_part_sub_basis,
     evaluate,
+    from_real_values,
+    p_basis,
     project_grade,
     rank_is_invariant,
+    real_assemble_system,
+    real_values,
+    real_vector,
+    scale_vec,
     tangent_samples,
     transform_cocycle,
     unitary_corpus,
+    xi,
 )
 
 
-def single_entry_cocycle(ctx, j, value, part="a"):
-    a_vals = [ctx.zero_value() for _ in range(ctx.n)]
-    b_vals = [ctx.zero_value() for _ in range(ctx.n)]
-    (a_vals if part == "a" else b_vals)[j] = value
-    return Cocycle(ctx, a_vals, b_vals)
+def single_entry_cocycle(ctx, j, value, part="plus"):
+    plus = [ctx.zero_value() for _ in range(ctx.n)]
+    minus = [ctx.zero_value() for _ in range(ctx.n)]
+    (plus if part == "plus" else minus)[j] = value
+    return Cocycle(ctx, plus, minus)
 
 
 # -- plus / minus parts -------------------------------------------------------
@@ -85,17 +91,20 @@ def test_conjugate_linear_has_no_plus_part():
     a = conjugate_linear_cocycle(make_rng(1), ctx)
     for j in range(ctx.n):
         assert plus_part(a, e_vec(j, ctx.n)).is_zero()
-        assert minus_part(a, e_vec(j, ctx.n)) == a.a_values[j]
+        assert minus_part(a, e_vec(j, ctx.n)) == a.minus_values[j]
+        # in real coordinates: B_j = -i A_j
+        A, B = real_values(a)
+        assert B[j] == A[j].scale(-I)
 
 
 def test_complex_linear_has_no_minus_part():
     ctx = RepContext(2, 2)
     rng = make_rng(2)
-    a_vals = [random_value(rng, ctx) for _ in range(2)]
-    b_vals = [w.scale(I) for w in a_vals]
-    a = Cocycle(ctx, a_vals, b_vals)
+    A = [random_value(rng, ctx) for _ in range(2)]
+    a = from_real_values(ctx, A, [w.scale(I) for w in A])
     for j in range(ctx.n):
         assert minus_part(a, e_vec(j, ctx.n)).is_zero()
+        assert plus_part(a, e_vec(j, ctx.n)) == A[j]
 
 
 def test_plus_part_complex_linear_in_direction():
@@ -109,17 +118,22 @@ def test_plus_part_complex_linear_in_direction():
 def test_parts_sum_to_value():
     ctx = RepContext(2, 3)
     a = random_cocycle(make_rng(4), ctx)
+    A, _B = real_values(a)
     for j in range(ctx.n):
         v = e_vec(j, ctx.n)
-        assert plus_part(a, v) + minus_part(a, v) == a.a_values[j]
+        assert plus_part(a, v) + minus_part(a, v) == A[j]
+    for v in tangent_samples(ctx.n):
+        assert plus_part(a, v) + minus_part(a, v) == evaluate(a, v)
 
 
 def test_evaluate_consistency():
     ctx = RepContext(3, 2)
     a = random_cocycle(make_rng(6), ctx)
+    A, B = real_values(a)
+    assert from_real_values(ctx, A, B) == a
     for j in range(ctx.n):
-        assert evaluate(a, e_vec(j, ctx.n)) == a.a_values[j]
-        assert evaluate(a, scale_vec(I, e_vec(j, ctx.n))) == a.b_values[j]
+        assert evaluate(a, e_vec(j, ctx.n)) == A[j]
+        assert evaluate(a, scale_vec(I, e_vec(j, ctx.n))) == B[j]
     u = [gq("1/2", 1), gq(-2), gq(0, "2/3")]
     v = [gq(1), gq(0, -1), gq("1/3", "1/4")]
     total = [x + y for x, y in zip(u, v)]
@@ -151,7 +165,7 @@ def test_t_of_zero_cocycle():
 
 
 def test_t_single_entry_example():
-    # n=2, m=1: a(xi_e1) = e3, everything else zero.
+    # n=2, m=1: a(Z_1) = e3, everything else zero.
     ctx = RepContext(2, 1)
     a = single_entry_cocycle(ctx, 0, SymTensor.monomial((0, 0, 1)))
     tf = t_op(a)
@@ -161,8 +175,15 @@ def test_t_single_entry_example():
 
 def test_tstar_single_entry_example():
     ctx = RepContext(2, 1)
+    # a(Z_1) = e1: the trace term rho(Zbar_1) a(Z_1) = e3
     a = single_entry_cocycle(ctx, 0, SymTensor.monomial((1, 0, 0)))
     assert tstar_op(a) == SymTensor.monomial((0, 0, 1))
+    # the trace on the real tangents is twice this one
+    A, B = real_values(a)
+    real = sum(
+        (rho_apply(Y, w) for Y, w in zip(p_basis(ctx.n), A + B)), ctx.zero_value()
+    )
+    assert real == tstar_op(a).scale(2)
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2)])
@@ -216,7 +237,9 @@ def test_two_form_matches_direct_symmetry_residual(n, m):
     [(2, 1), (2, 2), (3, 1)],
 )
 def test_grade_decomposition_of_two_form(n, m):
-    """Grade k of T a(Y_p, Y_q) equals the sum of its four bidegree pieces."""
+    """Grade k of T a(Y_p, Y_q) on a pair of real tangents equals the sum of
+    its four bidegree pieces, and T a on the complex tangents expands to it
+    bilinearly."""
     ctx = RepContext(n, m)
     a = random_cocycle(make_rng(31), ctx)
 
@@ -229,9 +252,19 @@ def test_grade_decomposition_of_two_form(n, m):
     dirs = [e_vec(j, n) for j in range(n)] + [
         scale_vec(I, e_vec(j, n)) for j in range(n)
     ]
+    # xi(e_j) = Z_j + Zbar_j and xi(i e_j) = i Z_j - i Zbar_j
+    coords = [{j: gq(1), n + j: gq(1)} for j in range(n)]
+    coords += [{j: I, n + j: -I} for j in range(n)]
     for p in range(2 * n):
         for q in range(p + 1, 2 * n):
             u, v = dirs[p], dirs[q]
+            real = rho_apply(xi(u), evaluate(a, v)) - rho_apply(xi(v), evaluate(a, u))
+            expanded = ctx.zero_value()
+            for r, x in coords[p].items():
+                for t, y in coords[q].items():
+                    if r != t:
+                        expanded = expanded + tf.value(r, t).scale(x * y)
+            assert expanded == real
             for k in range(m + 1):
                 d1 = rho_apply(xi_plus(u), pk(plus_part(a, v), k - 1)) - rho_apply(
                     xi_plus(v), pk(plus_part(a, u), k - 1)
@@ -245,7 +278,7 @@ def test_grade_decomposition_of_two_form(n, m):
                 d4 = rho_apply(xi_minus(u), pk(plus_part(a, v), k + 1)) - rho_apply(
                     xi_plus(v), pk(minus_part(a, u), k - 1)
                 )
-                assert pk(tf.value(p, q), k) == d1 + d2 + d3 + d4
+                assert pk(real, k) == d1 + d2 + d3 + d4
 
 
 # -- the assembled system and its kernel -------------------------------------
@@ -289,6 +322,52 @@ def test_constraint_systems_store_no_zero_entries(n, dual):
     ops = [rho_matrix_restricted(xi_plus(e_vec(a, n)), mid, up) for a in range(n)]
     rows = M.sparse_rows() + pairwise_relation_rows(ops)
     assert all(x for r in rows for x in r.values())
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in range(1, 5)])
+def test_kernel_matches_real_basis_reference(n, m, dual):
+    """The kernel, converted to real coordinates, spans the kernel of the
+    system assembled on the real tangents."""
+    ctx = RepContext(n, m, dual)
+    kernel = [real_vector(a) for a in harmonic_kernel(ctx)]
+    ref = [sparse_vector(v) for v in kernel_basis(real_assemble_system(ctx))]
+    assert len(kernel) == len(ref)
+    assert same_span(kernel, ref, system_shape(ctx)[1])
+
+
+def column_weights(ctx):
+    """Torus weight of each column: alpha - e_j + e_{n+1} for (Z_j, e^alpha),
+    alpha + e_j - e_{n+1} for (Zbar_j, e^alpha), alpha negated when dual."""
+    n = ctx.n
+    sign = -1 if ctx.dual else 1
+    out = []
+    for p in range(2 * n):
+        j, shift = p % n, (1 if p >= n else -1)
+        for alpha in ctx.basis():
+            w = [sign * x for x in alpha]
+            w[j] += shift
+            w[n] -= shift
+            out.append(tuple(w))
+    return out
+
+
+def rows_in_one_weight(M, ctx) -> bool:
+    weights = column_weights(ctx)
+    return all(len({weights[c] for c in row}) <= 1 for row in M.sparse_rows())
+
+
+@pytest.mark.parametrize(
+    "n,m,dual",
+    [(1, 2, False), (1, 3, True), (2, 2, False), (2, 2, True), (3, 2, False),
+     (3, 3, True), (4, 2, True), (2, 4, False)],
+)
+def test_constraint_rows_lie_in_one_torus_weight(n, m, dual):
+    """Every row of the assembled system has all its columns in one weight
+    of the diagonal torus; the system on the real tangents mixes weights."""
+    ctx = RepContext(n, m, dual)
+    assert rows_in_one_weight(assemble_system(ctx), ctx)
+    assert not rows_in_one_weight(real_assemble_system(ctx), ctx)
 
 
 @pytest.mark.parametrize(
@@ -637,9 +716,9 @@ def test_part_sub_bases_match_dense_reference(m, dual):
     ctx = RepContext(1, m, dual)
     kernel = harmonic_kernel(ctx)
     ncols = system_shape(ctx)[1]
-    for part in (minus_part, plus_part):
-        sub = part_sub_basis(ctx, kernel, part)
-        ref = dense_part_sub_basis(ctx, kernel, part)
+    for plus in (False, True):
+        sub = part_sub_basis(ctx, kernel, plus)
+        ref = dense_part_sub_basis(ctx, kernel, plus)
         assert sub == ref
         assert same_span(
             [cocycle_to_vector(a) for a in sub], [cocycle_to_vector(a) for a in ref], ncols

@@ -18,7 +18,7 @@ GONE = {
         "is_unitary", "embed_k", "adjoint_on_p_plus", "canonical_weight",
         "unitary_corpus", "tangent_samples", "p_basis", "bracket", "is_compact",
         "is_xi_shape", "is_xi_plus_shape", "LieElement", "classify_kind",
-        "is_xi_minus_shape", "group_inverse", "k_basis", "h0",
+        "is_xi_minus_shape", "group_inverse", "k_basis", "h0", "xi", "scale_vec",
     ),
     "symrep": (
         "substitute", "_poly_mul", "group_matrix", "k_group_action", "inner",

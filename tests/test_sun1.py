@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from sunharm import ExactMatrix, I, ONE, ZERO, e_vec, gq, j_form, xi, xi_minus, xi_plus
-from sunharm.sun1 import in_su, k_generators, scale_vec
+from sunharm import ExactMatrix, I, ONE, ZERO, e_vec, gq, j_form, xi_minus, xi_plus
+from sunharm.sun1 import in_su, k_generators
 
 from reference import (
     adjoint_on_p_plus,
@@ -22,8 +22,10 @@ from reference import (
     is_xi_shape,
     k_basis,
     p_basis,
+    scale_vec,
     tangent_samples,
     unitary_corpus,
+    xi,
 )
 
 

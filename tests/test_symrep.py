@@ -14,7 +14,6 @@ from sunharm import (
     gq,
     rho_apply,
     rho_matrix,
-    xi,
     xi_minus,
     xi_plus,
 )
@@ -34,6 +33,7 @@ from reference import (
     project_grade,
     tangent_samples,
     unitary_corpus,
+    xi,
 )
 
 
