@@ -140,6 +140,8 @@ class GaussianRational:
         n = self.re * self.re + self.im * self.im
         if not n:
             raise ZeroDivisionError("division by zero in Q(i)")
+        if n == 1:  # a unit: its inverse is its conjugate
+            return _raw(self.re, -self.im)
         # through the backend rational: int / int would give a float
         n = Rational(n)
         return _make(self.re / n, -self.im / n)

@@ -14,9 +14,11 @@ fills its vectors with, without a method call.
 Every rank, kernel and span comes from one elimination.  It takes the
 rows one at a time, reduces each against the pivot rows found so far (in
 increasing pivot column), makes the first nonzero column of what is left a
-new pivot, and back-substitutes the pivot rows at the end.  The reduced
-row-echelon form is unique, so ranks and kernels do not depend on the order
-of the rows and are reproducible bit for bit.
+new pivot, and back-substitutes the pivot rows at the end.  A new pivot row
+whose leading entry is already 1 (about half of them in the lemma battery)
+is stored as it is; any other is divided through by its leading entry.  The
+reduced row-echelon form is unique, so ranks and kernels do not depend on
+the order of the rows and are reproducible bit for bit.
 Kernel bases are canonical: free columns are taken in increasing order and
 each basis vector carries a 1 in its free position.
 """
@@ -186,8 +188,12 @@ def _echelon(rows: Iterable[Row], pivots: dict[int, Row] | None = None) -> dict[
                         heappush(todo, j)
         if r:
             p = min(r)
-            inv = r.pop(p).inverse()
-            pivots[p] = {j: x * inv for j, x in r.items()}
+            lead = r.pop(p)
+            if lead.re == 1 and not lead.im:
+                pivots[p] = r  # monic: r is already a fresh dict
+            else:
+                inv = lead.inverse()
+                pivots[p] = {j: x * inv for j, x in r.items()}
     return pivots
 
 

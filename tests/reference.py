@@ -8,8 +8,10 @@ package, so the tests can check the algebra against the group it integrates
 to, and the identity against the elimination-based check it replaced.  It
 also keeps the dense forms the package no longer takes: matrices written as
 dense literals, the span test that converts and ranks each family twice, the
-p-elements written into dense arrays, and the n = 1 split that combines the
-kernel through dense vectors.
+p-elements written into dense arrays, the n = 1 split that combines the
+kernel through dense vectors, and the lemma checks that solve for a relation
+subspace or a hook component and compare or apply to its basis, where the
+package decides the same claims by rank and annihilation.
 
 The package stores a cocycle by its values on the complex tangents
 Z_j = xi_plus(e_j) and Zbar_j = xi_minus(e_j).  The references here work in
@@ -48,6 +50,7 @@ from sunharm.linalg import (
     _reduced_echelon,
     kernel_basis,
     rank,
+    same_span,
     sparse_vector,
 )
 from sunharm.sun1 import _p_element, _vec, compact_element, e_vec, in_su, xi_plus
@@ -55,9 +58,13 @@ from sunharm.symrep import (
     DualSymTensor,
     SymTensor,
     _map_matrix,
+    graded_monomials,
     monomial_index,
     monomials,
+    multiply_var,
+    polarization,
     rho_matrix,
+    rho_matrix_restricted,
 )
 
 Vector = list[GaussianRational]
@@ -633,6 +640,67 @@ def dense_part_sub_basis(ctx, kernel: Sequence[Cocycle], plus: bool) -> list[Coc
                 v = [x + f * y for x, y in zip(v, u)]
         out.append(from_real_vector(ctx, sparse_vector(v)))
     return out
+
+
+# -- the lemma checks by elimination -----------------------------------------------
+
+
+def elimination_relation_subspace(
+    n: int, m: int, g: int, half, dual: bool
+) -> tuple[int, str]:
+    """Dimension and status of a relation-subspace check, by elimination:
+    a kernel basis of the relation matrix, compared by ``same_span`` with the
+    polarizations of the degree-(g+1) monomials in the first n variables."""
+    cls = DualSymTensor if dual else SymTensor
+    in_basis = graded_monomials(n, m, g)
+    out_basis = graded_monomials(n, m, g - 1)
+    ops = [
+        rho_matrix_restricted(half(e_vec(a, n)), in_basis, out_basis, dual)
+        for a in range(n)
+    ]
+    cols = n * len(in_basis)
+    ker = [
+        sparse_vector(v)
+        for v in kernel_basis(ExactMatrix.from_rows(pairwise_relation_rows(ops), cols))
+    ]
+    in_index = {a: i for i, a in enumerate(in_basis)}
+    span = [
+        values_to_vector(polarization(cls.monomial(sigma + (m - g,))), in_index)
+        for sigma in monomials(n, g + 1)
+    ]
+    ok = len(ker) == math.comb(n + g, g + 1) and same_span(ker, span, cols)
+    return len(ker), "pass" if ok else "fail"
+
+
+def elimination_contraction_hook(n: int, m: int, j: int) -> tuple[int, bool]:
+    """Dimension of the hook component of grade-j forms, the kernel of the
+    multiplication map into degree j+1, and whether the contraction
+    beta -> sum_k rho(xi+_k) beta_k vanishes on each vector of a kernel
+    basis of that map, each vector turned back into tensors."""
+    in_basis = graded_monomials(n, m, j)
+    d_in = len(in_basis)
+    prod_index = {mu + (m - j,): i for i, mu in enumerate(monomials(n, j + 1))}
+    rows = [{} for _ in prod_index]
+    for k in range(n):
+        for cidx, alpha in enumerate(in_basis):
+            (beta, c), = multiply_var(SymTensor.monomial(alpha), k).coeffs.items()
+            rows[prod_index[beta]][k * d_in + cidx] = c
+    hook = kernel_basis(ExactMatrix.from_rows(rows, n * d_in))
+    plus_ops = [xi_plus(e_vec(k, n)) for k in range(n)]
+
+    def contraction(values):
+        out = rho_apply(plus_ops[0], values[0])
+        for k in range(1, n):
+            out = out + rho_apply(plus_ops[k], values[k])
+        return out
+
+    killed = all(
+        contraction(
+            values_from_vector(SymTensor, n, m, in_basis, sparse_vector(h), n)
+        ).is_zero()
+        for h in hook
+    )
+    return len(hook), killed
 
 
 # -- pairings and gradings ---------------------------------------------------------

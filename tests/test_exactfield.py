@@ -179,3 +179,23 @@ def test_fraction_backend_subprocess():
     bad = run("import sunharm.exactfield\n", "no-such-backend")
     assert bad.returncode != 0
     assert "SUNHARM_RATIONAL" in bad.stderr
+
+
+@pytest.mark.parametrize(
+    "z",
+    [
+        ONE,
+        -ONE,
+        I,
+        -I,
+        gq("3/5", "4/5"),
+        gq(Fraction(5, 13), Fraction(-12, 13)),
+        gq(Fraction(1), Fraction(0)),
+    ],
+)
+def test_inverse_of_a_unit_is_its_conjugate(z):
+    inv = z.inverse()
+    assert inv == z.conjugate()
+    assert z * inv == ONE
+    _assert_canonical(inv.re)
+    _assert_canonical(inv.im)

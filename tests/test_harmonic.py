@@ -37,6 +37,7 @@ from sunharm.harmonic import (
     values_to_vector,
 )
 from sunharm.checks import (
+    _relation_subspace_entry,
     check_contraction_isometry,
     check_dual_symmetry,
     check_operator_grading,
@@ -60,6 +61,8 @@ from reference import (
     apply,
     bracket,
     dense_part_sub_basis,
+    elimination_contraction_hook,
+    elimination_relation_subspace,
     evaluate,
     from_real_values,
     p_basis,
@@ -670,6 +673,159 @@ def test_contraction_pinned_value(m, j):
     beta_val = SymTensor.monomial((j, 0, m - j))
     out = rho_apply(xi_plus(e_vec(0, n)), beta_val)
     assert out == SymTensor.monomial((j + 1, 0, m - j - 1), m - j)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_relation_certificate_matches_elimination_reference(n):
+    """Rank and annihilation give the dimension and verdict that solving for
+    the relation subspace and comparing spans gives, on both halves."""
+    for m in range(1, 6):
+        for g in range(1, m + 1):
+            for half, dual in ((xi_minus, False), (xi_plus, True)):
+                entry = _relation_subspace_entry("relation", n, m, g, half, dual, g)
+                got = (entry["dimension"], entry["status"])
+                assert got == elimination_relation_subspace(n, m, g, half, dual), (m, g, dual)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hook_certificate_matches_elimination_reference(n):
+    """rank([mult; contraction]) = rank(mult) gives the hook dimension and
+    verdict that applying the contraction to a hook kernel basis gives."""
+    for m in range(2, 6):
+        for j in range(1, m):
+            entry = check_contraction_isometry(n, m, j)
+            hook_dim, killed = elimination_contraction_hook(n, m, j)
+            assert entry["hook_dim"] == hook_dim, (m, j)
+            assert f"annihilated: {killed};" in entry["details"], (m, j)
+            assert entry["status"] == ("pass" if killed else "fail"), (m, j)
+
+
+def test_lemma_certificates_solve_for_no_kernel(monkeypatch):
+    import sunharm.checks as checks
+
+    def no_kernel(M):
+        raise AssertionError("a lemma certificate solved for a kernel")
+
+    monkeypatch.setattr(checks, "kernel_basis", no_kernel)
+    assert not hasattr(checks, "same_span")
+    entries = [
+        *check_symmetric_forcing(3, 3, 2),
+        check_dual_symmetry(3, 2),
+        check_contraction_isometry(3, 3, 2),
+    ]
+    assert all(e["status"] == "pass" for e in entries)
+
+
+RELATION_CHECKS = {
+    "symmetric-forcing": lambda: check_symmetric_forcing(3, 3, 2)[0],
+    "dual-symmetry": lambda: check_dual_symmetry(3, 2),
+}
+
+
+def _spy_relation_rows(monkeypatch, checks, change=lambda rows: rows):
+    """Route checks.pairwise_relation_rows through ``change``; the list it
+    returns holds the rows the check received."""
+    real = checks.pairwise_relation_rows
+    seen = []
+
+    def spy(ops):
+        rows = change(real(ops))
+        seen.append(rows)
+        return rows
+
+    monkeypatch.setattr(checks, "pairwise_relation_rows", spy)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(RELATION_CHECKS))
+def test_relation_certificate_fails_on_a_vector_off_the_subspace(monkeypatch, name):
+    # move the first polarization by a unit vector on a column some relation
+    # row reads: the relation matrix no longer annihilates the family, while
+    # the family keeps its rank and the nullity is right
+    import sunharm.checks as checks
+
+    seen = _spy_relation_rows(monkeypatch, checks)
+    real = checks.values_to_vector
+    calls = []
+
+    def moved(values, index):
+        v = real(values, index)
+        calls.append(v)
+        if len(calls) == 1:
+            c = min(next(r for r in seen[-1] if r))
+            v = dict(v)
+            v[c] = v.get(c, ZERO) + 1
+            if not v[c]:
+                del v[c]
+        return v
+
+    monkeypatch.setattr(checks, "values_to_vector", moved)
+    entry = RELATION_CHECKS[name]()
+    assert entry["dimension"] == entry["expected"]
+    assert entry["status"] == "fail"
+    assert entry["details"].endswith("span equality False")
+
+
+@pytest.mark.parametrize("name", sorted(RELATION_CHECKS))
+def test_relation_certificate_fails_on_a_dependent_family(monkeypatch, name):
+    # repeat the first polarization in place of the second: same length, all
+    # of it in the relation subspace, but of rank one less
+    import sunharm.checks as checks
+
+    real = checks.values_to_vector
+    calls = []
+
+    def repeated(values, index):
+        calls.append(real(values, index))
+        return dict(calls[0])
+
+    monkeypatch.setattr(checks, "values_to_vector", repeated)
+    entry = RELATION_CHECKS[name]()
+    assert len(calls) == entry["expected"]
+    assert entry["dimension"] == entry["expected"]
+    assert entry["status"] == "fail"
+
+
+@pytest.mark.parametrize("name", sorted(RELATION_CHECKS))
+def test_relation_certificate_fails_on_a_dropped_relation_row(monkeypatch, name):
+    # drop the first relation row whose loss lowers the rank: the family is
+    # still annihilated and independent, but the nullity is one too large
+    import sunharm.checks as checks
+
+    def drop_one(rows):
+        cols = 1 + max(max(r) for r in rows if r)
+        full = rank(ExactMatrix.from_rows(rows, cols))
+        for i in range(len(rows)):
+            rest = rows[:i] + rows[i + 1 :]
+            if rank(ExactMatrix.from_rows(rest, cols)) < full:
+                return rest
+        raise AssertionError("no row of the relation matrix is essential")
+
+    _spy_relation_rows(monkeypatch, checks, drop_one)
+    entry = RELATION_CHECKS[name]()
+    assert entry["dimension"] == entry["expected"] + 1
+    assert entry["status"] == "fail"
+
+
+def test_hook_certificate_fails_off_the_multiplication_row_space(monkeypatch):
+    # double the block of xi+(e_2) in the contraction's matrix: its rows leave
+    # the row space of the multiplication map, so it no longer kills the hook
+    import sunharm.checks as checks
+
+    real = checks.rho_matrix_restricted
+    second = xi_plus(e_vec(1, 2))
+
+    def doubled(X, in_basis, out_basis, dual=False):
+        M = real(X, in_basis, out_basis, dual)
+        return M.scale(2) if X == second else M
+
+    monkeypatch.setattr(checks, "rho_matrix_restricted", doubled)
+    for m, j in [(2, 1), (3, 1), (3, 2)]:
+        entry = check_contraction_isometry(2, m, j)
+        assert entry["hook_dim"] == elimination_contraction_hook(2, m, j)[0]
+        assert entry["status"] == "fail"
+        assert "annihilated: False;" in entry["details"]
+        assert entry["details"].endswith("pinned value: True")
 
 
 def test_lemma_battery_vacuous_for_m_one():

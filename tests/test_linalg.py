@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sunharm import ExactMatrix, I, ONE, ZERO, gq, kernel_basis, rank
-from sunharm.linalg import same_span, sparse_vector
+from sunharm.linalg import _echelon, _reduced_echelon, same_span, sparse_vector
 
 from reference import (
     apply,
@@ -229,3 +229,36 @@ def test_dense_construction_stores_only_nonzeros(M):
 def test_rejects_ragged():
     with pytest.raises(ValueError):
         dense_matrix([[1, 2], [1]])
+
+
+def _monic_rows():
+    # every pivot of this matrix has leading entry 1, the second one after a
+    # reduction step, so the elimination keeps its working rows as pivot rows
+    return [
+        {0: ONE, 1: gq(2), 3: I},
+        {0: ONE, 1: gq(3), 2: gq(5)},
+        {2: ONE, 3: gq(3)},
+        {0: gq(2), 1: gq(4), 3: 2 * I},
+    ]
+
+
+def test_rank_and_kernel_leave_monic_input_rows_unmodified():
+    rows = _monic_rows()
+    before = [dict(r) for r in rows]
+    M = ExactMatrix.from_rows(rows, 4)
+    assert rank(M) == 3
+    (v,) = kernel_basis(M)
+    assert apply(M, sparse_vector(v)) == {}
+    assert rows == before
+    assert M.sparse_rows() == before
+
+
+def test_echelon_pivot_tails_are_fresh_dicts():
+    rows = _monic_rows()
+    before = [dict(r) for r in rows]
+    for pivots in (_echelon(rows), _reduced_echelon(rows)):
+        assert len(pivots) == 3
+        for tail in pivots.values():
+            assert all(tail is not r for r in rows)
+            tail[99] = ONE  # writing to a returned tail touches no input row
+    assert rows == before
