@@ -1,12 +1,16 @@
 """Exact verifiers for the graded-operator structure of the representation.
 
 Each check here is an independent computation: spanning sets are written
-down explicitly, and every comparison is an exact rank or zero test.  No
-subspace is solved for.  A relation subspace equals the span of its
-explicit spanning set when the relation matrix annihilates the set, the set
-is independent and its size is the nullity of the matrix.  A map kills the
-kernel of another when stacking its matrix under the other's leaves the
-rank unchanged.  The entries returned are plain dicts
+down explicitly.  The battery builds its grade-restricted operators once per
+(n, m) (``graded_operators``), every verdict on them is a rank test or an
+exact matrix identity, and no subspace is solved for.  A relation subspace
+is the span of an explicit set when the relation matrix annihilates the
+set, the set is independent and its size is the nullity of the matrix.  A
+map kills the kernel of another when stacking its matrix under the other's
+leaves the rank unchanged.  The contraction is a proportional isometry on
+the symmetric part when S C^T L^T is a positive multiple of the
+polarization rows S.  Only the n = 1 split solves a (small) system:
+``part_sub_basis`` takes a kernel.  The entries returned are plain dicts
 ``{"name", "j", "status", "details"}`` built by ``symrep.check_entry``,
 with status ``pass``, ``fail`` or ``vacuous`` (empty parameter range).
 """
@@ -14,9 +18,10 @@ with status ``pass``, ``fail`` or ``vacuous`` (empty parameter range).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Sequence
 
-from .linalg import ExactMatrix, kernel_basis, rank, sparse_vector
+from .linalg import ExactMatrix, Row, kernel_basis, rank, sparse_vector
 from .sun1 import e_vec, xi_minus, xi_plus
 from .symrep import (
     DualSymTensor,
@@ -39,6 +44,31 @@ from .harmonic import (
     system_shape,
     values_to_vector,
 )
+
+
+# -- the table of graded operators ------------------------------------------
+
+
+@lru_cache(maxsize=1)
+def graded_operators(n: int, m: int) -> tuple[dict, dict]:
+    """``(raising, lowering)``: ``raising[k]`` holds rho(xi+(e_a)) from grade
+    k to grade k+1 for 1 <= k < m, ``lowering[k]`` holds rho(xi-(e_a)) from
+    grade k to grade k-1 for 1 <= k <= m, each a tuple over a < n.
+
+    The battery runs its checks back to back on one (n, m), so this one
+    cached table serves all of them.  Raises ``ValueError`` if an image
+    leaves the adjacent grade.
+    """
+
+    def restricted(half, k, step):
+        src, dst = graded_monomials(n, m, k), graded_monomials(n, m, k + step)
+        ops = (half(e_vec(a, n)) for a in range(n))
+        return tuple(rho_matrix_restricted(X, src, dst) for X in ops)
+
+    return (
+        {k: restricted(xi_plus, k, 1) for k in range(1, m)},
+        {k: restricted(xi_minus, k, -1) for k in range(1, m + 1)},
+    )
 
 
 def _stack_vertically(mats: Sequence[ExactMatrix]) -> ExactMatrix:
@@ -76,25 +106,19 @@ def check_operator_grading(n: int, m: int) -> list[dict]:
     since its two halves land in different grades.
     """
     entries = []
-    plus_ops = [xi_plus(e_vec(a, n)) for a in range(n)]
-    minus_ops = [xi_minus(e_vec(a, n)) for a in range(n)]
+    try:
+        raising, lowering = graded_operators(n, m)
+    except ValueError:
+        raising = None
     for k in range(1, m):
-        mid = graded_monomials(n, m, k)
-        up = graded_monomials(n, m, k + 1)
-        down = graded_monomials(n, m, k - 1)
         ok = False
-        try:
-            plus = [rho_matrix_restricted(X, mid, up) for X in plus_ops]
-            minus = [rho_matrix_restricted(X, mid, down) for X in minus_ops]
-        except ValueError:
+        if raising is None:
             detail = "image escaped the adjacent grades"
         else:
-            if not (_independent(plus) and _independent(minus)):
+            halves = (raising[k], lowering[k])
+            if not all(map(_independent, halves)):
                 detail = "restriction vanished for a nonzero direction"
-            elif not (
-                rank(_stack_vertically(plus)) == len(mid)
-                and rank(_stack_vertically(minus)) == len(mid)
-            ):
+            elif any(rank(_stack_vertically(ops)) < ops[0].cols for ops in halves):
                 detail = "stacked raising/lowering map has a kernel"
             else:
                 ok = True
@@ -103,6 +127,8 @@ def check_operator_grading(n: int, m: int) -> list[dict]:
                     " injectivity verified"
                 )
         entries.append(check_entry("operator-grading", ok, detail, j=k))
+    plus_ops = [xi_plus(e_vec(a, n)) for a in range(n)]
+    minus_ops = [xi_minus(e_vec(a, n)) for a in range(n)]
     top = graded_monomials(n, m, m)
     bottom = graded_monomials(n, m, 0)
     extreme_ok = not any(
@@ -125,36 +151,35 @@ def check_operator_grading(n: int, m: int) -> list[dict]:
 # -- relation subspaces ------------------------------------------------------
 
 
+def _polarization_family(n: int, m: int, g: int, dual: bool) -> list[Row]:
+    """The polarizations of the degree-(g+1) monomials in the first n
+    variables, as rows over n copies of grade g."""
+    cls = DualSymTensor if dual else SymTensor
+    in_index = {a: i for i, a in enumerate(graded_monomials(n, m, g))}
+    return [
+        values_to_vector(polarization(cls.monomial(sigma + (m - g,))), in_index)
+        for sigma in monomials(n, g + 1)
+    ]
+
+
 def _relation_subspace_entry(
-    name: str, n: int, m: int, g: int, half, dual: bool, j: int | None
+    name: str, n: int, m: int, g: int, ops: Sequence[ExactMatrix], dual: bool,
+    j: int | None,
 ) -> dict:
     """Compare the relation subspace with its explicit symmetric spanning set.
 
-    The subspace {x : rho(half(e_a)) x_b = rho(half(e_b)) x_a for all a < b}
-    inside n copies of grade g is the kernel of the relation matrix R, and S
-    is the family of polarizations of the degree-(g+1) monomials in the first
-    n variables.  Three exact facts prove span(S) = ker R with dimension
-    C(n+g, g+1): cols - rank(R) is C(n+g, g+1), R S^T is zero (S lies in
-    ker R) and rank(S) is C(n+g, g+1) (S spans a subspace of full dimension).
-    The reported dimension is cols - rank(R).
+    ``ops`` are the n operators rho(half(e_a)) from grade g to grade g-1.
+    The subspace {x : ops[a] x_b = ops[b] x_a for all a < b} inside n copies
+    of grade g is the kernel of the relation matrix R, and S is the family
+    of polarizations of the degree-(g+1) monomials in the first n variables.
+    Three exact facts prove span(S) = ker R with dimension C(n+g, g+1):
+    cols - rank(R) is C(n+g, g+1), R S^T is zero (S lies in ker R) and
+    rank(S) is C(n+g, g+1) (S spans a subspace of full dimension).  The
+    reported dimension is cols - rank(R).
     """
-    cls = DualSymTensor if dual else SymTensor
-    in_basis = graded_monomials(n, m, g)
-    out_basis = graded_monomials(n, m, g - 1)
-    ops = [
-        rho_matrix_restricted(half(e_vec(a, n)), in_basis, out_basis, dual)
-        for a in range(n)
-    ]
-    cols = n * len(in_basis)
+    cols = n * len(graded_monomials(n, m, g))
     R = ExactMatrix.from_rows(pairwise_relation_rows(ops), cols)
-    in_index = {a: i for i, a in enumerate(in_basis)}
-    S = ExactMatrix.from_rows(
-        [
-            values_to_vector(polarization(cls.monomial(sigma + (m - g,))), in_index)
-            for sigma in monomials(n, g + 1)
-        ],
-        cols,
-    )
+    S = ExactMatrix.from_rows(_polarization_family(n, m, g, dual), cols)
     expected = math.comb(n + g, g + 1)
     dimension = cols - rank(R)
     ok = dimension == expected and (R * S.transpose()).is_zero() and rank(S) == expected
@@ -179,9 +204,12 @@ def check_dual_symmetry(n: int, m: int) -> dict:
     """
     if n < 2:
         return check_entry("dual-symmetry", None, "needs n >= 2", j=None)
-    return _relation_subspace_entry(
-        "dual-symmetry", n, m, g=m, half=xi_plus, dual=True, j=None
-    )
+    top, below = graded_monomials(n, m, m), graded_monomials(n, m, m - 1)
+    ops = [
+        rho_matrix_restricted(xi_plus(e_vec(a, n)), top, below, dual=True)
+        for a in range(n)
+    ]
+    return _relation_subspace_entry("dual-symmetry", n, m, m, ops, True, None)
 
 
 def check_symmetric_forcing(n: int, m: int, j: int) -> list[dict]:
@@ -197,11 +225,8 @@ def check_symmetric_forcing(n: int, m: int, j: int) -> list[dict]:
     """
     if not 1 <= j <= m:
         raise ValueError("j out of range")
-    entries = [
-        _relation_subspace_entry(
-            "symmetric-forcing", n, m, g=j, half=xi_minus, dual=False, j=j
-        )
-    ]
+    ops = graded_operators(n, m)[1][j]
+    entries = [_relation_subspace_entry("symmetric-forcing", n, m, j, ops, False, j)]
 
     if n < 2:
         entries.append(check_entry("hook-counterexample", None, "needs n >= 2", j=j))
@@ -230,21 +255,23 @@ def check_contraction_isometry(n: int, m: int, j: int) -> dict:
     forms into grade j+1 kills the hook component and is a proportional
     isometry on the symmetric component.
 
-    Verified as: (a) the contraction vanishes on the hook component, the
-    kernel of the multiplication map M into degree j+1: with C the matrix of
-    the contraction (block k is rho(xi+_k) from grade j to grade j+1), the
-    rows of C lie in the row space of M, so rank([M; C]) = rank(M), and the
-    hook has dimension n * d_in - rank(M); (b) composing with the exact
-    adjoint gives one positive rational multiple of the identity on the
-    polarization basis; (c) the pinned witness value
-    contraction(eps_1 (x) e1^j r) = (m-j) e1^(j+1) r' holds exactly.
+    Let C be the matrix of the contraction (block k is rho(xi+_k) from
+    grade j to grade j+1), L the blocks rho(xi-_k) from grade j+1 to grade j
+    stacked, and S the polarizations of grade j, one per row.  Verified as:
+    (a) the contraction vanishes on the hook component, the kernel of the
+    multiplication map M into degree j+1: the rows of C lie in the row space
+    of M, so rank([M; C]) = rank(M), and the hook has dimension
+    n * d_in - rank(M); (b) composing with the exact adjoint is one positive
+    rational multiple of the identity on the polarization basis,
+    S C^T L^T = scalar S, the scalar read off the first entry of S; (c) the
+    pinned witness value contraction(eps_1 (x) e1^j r) = (m-j) e1^(j+1) r'
+    holds exactly.
     """
     if not 1 <= j < m:
         raise ValueError("j out of range")
+    raising, lowering = graded_operators(n, m)
     in_basis = graded_monomials(n, m, j)
     d_in = len(in_basis)
-    plus_ops = [xi_plus(e_vec(k, n)) for k in range(n)]
-    minus_ops = [xi_minus(e_vec(k, n)) for k in range(n)]
 
     # hook component: kernel of the multiplication map into degree j+1
     prod_basis = tuple(mu + (m - j,) for mu in monomials(n, j + 1))
@@ -256,47 +283,21 @@ def check_contraction_isometry(n: int, m: int, j: int) -> dict:
             (beta, c), = image.coeffs.items()
             rows[prod_index[beta]][k * d_in + cidx] = c
     # the contraction kills it when its rows lie in the row space of the map
-    up_basis = graded_monomials(n, m, j + 1)
-    contraction_rows = [{} for _ in up_basis]
-    for k, X in enumerate(plus_ops):
-        block = rho_matrix_restricted(X, in_basis, up_basis).sparse_rows()
-        for out, row in zip(contraction_rows, block):
-            out.update({k * d_in + c: x for c, x in row.items()})
-    mult_rank = rank(ExactMatrix.from_rows(rows, n * d_in))
+    M = ExactMatrix.from_rows(rows, n * d_in)
+    Ct = _stack_vertically([X.transpose() for X in raising[j]])  # C^T
+    mult_rank = rank(M)
     hook_dim = n * d_in - mult_rank
-    hook_ok = rank(ExactMatrix.from_rows(rows + contraction_rows, n * d_in)) == mult_rank
-
-    def contraction(values):
-        out = None
-        for k in range(n):
-            t = rho_apply(plus_ops[k], values[k])
-            out = t if out is None else out + t
-        return out
+    hook_ok = rank(_stack_vertically([M, Ct.transpose()])) == mult_rank
 
     # adjoint composition on the symmetric (polarization) basis
-    scalar = None
-    iso_ok = True
-    for sigma in monomials(n, j + 1):
-        values = polarization(SymTensor.monomial(sigma + (m - j,)))
-        image = contraction(values)
-        back = [rho_apply(X, image) for X in minus_ops]
-        for k in range(n):
-            w = values[k]
-            u = back[k]
-            if w.is_zero():
-                if not u.is_zero():
-                    iso_ok = False
-                continue
-            alpha = next(iter(w.coeffs))
-            c = u.coefficient(alpha) / w.coefficient(alpha)
-            if scalar is None:
-                scalar = c
-            if c != scalar or u != w.scale(scalar):
-                iso_ok = False
-    iso_ok = iso_ok and scalar is not None and scalar.is_real() and scalar.re > 0
+    S = ExactMatrix.from_rows(_polarization_family(n, m, j, False), n * d_in)
+    back = S * Ct * _stack_vertically(lowering[j + 1]).transpose()
+    col, first = next(iter(S.sparse_rows()[0].items()))
+    scalar = back.at(0, col) / first
+    iso_ok = scalar.is_real() and scalar.re > 0 and back == S.scale(scalar)
 
     pin_in = SymTensor.monomial((j,) + (0,) * (n - 1) + (m - j,))
-    pinned = rho_apply(plus_ops[0], pin_in)
+    pinned = rho_apply(xi_plus(e_vec(0, n)), pin_in)
     pin_expected = SymTensor.monomial((j + 1,) + (0,) * (n - 1) + (m - j - 1,), m - j)
     pin_ok = pinned == pin_expected
 

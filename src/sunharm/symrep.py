@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-from .exactfield import GaussianRational, ZERO, gq
+from .exactfield import GaussianRational, gq
 from .linalg import ExactMatrix
 
 MultiIndex = tuple[int, ...]
@@ -158,9 +158,6 @@ class _CoeffPoly:
 
     def support_grades(self) -> set[int]:
         return {grade_of(a, self.degree) for a in self.coeffs}
-
-    def coefficient(self, alpha: Sequence[int]) -> GaussianRational:
-        return self.coeffs.get(tuple(alpha), ZERO)
 
     def __repr__(self):
         if not self.coeffs:

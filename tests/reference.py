@@ -9,9 +9,11 @@ to, and the identity against the elimination-based check it replaced.  It
 also keeps the dense forms the package no longer takes: matrices written as
 dense literals, the span test that converts and ranks each family twice, the
 p-elements written into dense arrays, the n = 1 split that combines the
-kernel through dense vectors, and the lemma checks that solve for a relation
+kernel through dense vectors, the lemma checks that solve for a relation
 subspace or a hook component and compare or apply to its basis, where the
-package decides the same claims by rank and annihilation.
+package decides the same claims by rank and annihilation, and the
+contraction isometry applied tensor by tensor, where the package checks one
+matrix identity.
 
 The package stores a cocycle by its values on the complex tangents
 Z_j = xi_plus(e_j) and Zbar_j = xi_minus(e_j).  The references here work in
@@ -53,7 +55,15 @@ from sunharm.linalg import (
     same_span,
     sparse_vector,
 )
-from sunharm.sun1 import _p_element, _vec, compact_element, e_vec, in_su, xi_plus
+from sunharm.sun1 import (
+    _p_element,
+    _vec,
+    compact_element,
+    e_vec,
+    in_su,
+    xi_minus,
+    xi_plus,
+)
 from sunharm.symrep import (
     DualSymTensor,
     SymTensor,
@@ -701,6 +711,41 @@ def elimination_contraction_hook(n: int, m: int, j: int) -> tuple[int, bool]:
         for h in hook
     )
     return len(hook), killed
+
+
+def tensor_contraction_isometry(n: int, m: int, j: int) -> tuple:
+    """The adjoint-composition part of the contraction check, tensor by
+    tensor: the contraction beta -> sum_k rho(xi+_k) beta_k applied to each
+    polarization of grade j, then each rho(xi-_k) applied to the image.
+    Returns the scalar read off the first nonzero value, and whether every
+    value came back as that one real positive multiple of itself."""
+    plus_ops = [xi_plus(e_vec(k, n)) for k in range(n)]
+    minus_ops = [xi_minus(e_vec(k, n)) for k in range(n)]
+
+    def contraction(values):
+        out = rho_apply(plus_ops[0], values[0])
+        for k in range(1, n):
+            out = out + rho_apply(plus_ops[k], values[k])
+        return out
+
+    scalar = None
+    ok = True
+    for sigma in monomials(n, j + 1):
+        values = polarization(SymTensor.monomial(sigma + (m - j,)))
+        image = contraction(values)
+        for w, X in zip(values, minus_ops):
+            u = rho_apply(X, image)
+            if w.is_zero():
+                ok = ok and u.is_zero()
+                continue
+            alpha = next(iter(w.coeffs))
+            c = u.coeffs.get(alpha, ZERO) / w.coeffs[alpha]
+            if scalar is None:
+                scalar = c
+            if c != scalar or u != w.scale(scalar):
+                ok = False
+    ok = ok and scalar is not None and scalar.is_real() and scalar.re > 0
+    return scalar, ok
 
 
 # -- pairings and gradings ---------------------------------------------------------

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +75,7 @@ from reference import (
     real_vector,
     scale_vec,
     tangent_samples,
+    tensor_contraction_isometry,
     transform_cocycle,
     unitary_corpus,
     xi,
@@ -598,19 +601,31 @@ def test_operator_grading_flags_dependent_restrictions(monkeypatch):
     # dependent, so rho(xi+(v))|_1 vanishes for v = (2, -1)
     import sunharm.checks as checks
 
-    real = checks.rho_matrix_restricted
-    first = xi_plus(e_vec(0, 2))
-    second = xi_plus(e_vec(1, 2))
+    real = checks.graded_operators
 
-    def doubled(X, in_basis, out_basis, dual=False):
-        if X == second:
-            return real(first, in_basis, out_basis, dual).scale(2)
-        return real(X, in_basis, out_basis, dual)
+    def doubled(n, m):
+        raising, lowering = real(n, m)
+        first = raising[1][0]
+        return {**raising, 1: (first, first.scale(2))}, lowering
 
-    monkeypatch.setattr(checks, "rho_matrix_restricted", doubled)
+    monkeypatch.setattr(checks, "graded_operators", doubled)
     entry = check_operator_grading(2, 2)[0]
     assert (entry["name"], entry["j"], entry["status"]) == ("operator-grading", 1, "fail")
     assert entry["details"] == "restriction vanished for a nonzero direction"
+
+
+def test_operator_grading_reports_an_escaped_image(monkeypatch):
+    import sunharm.checks as checks
+
+    def escaped(n, m):
+        raise ValueError("image monomial outside the target basis")
+
+    monkeypatch.setattr(checks, "graded_operators", escaped)
+    entries = [e for e in check_operator_grading(3, 4) if e["name"] == "operator-grading"]
+    assert [e["j"] for e in entries] == [1, 2, 3]
+    for e in entries:
+        assert e["status"] == "fail"
+        assert e["details"] == "image escaped the adjacent grades"
 
 
 def test_raising_annihilates_top_grade():
@@ -682,7 +697,12 @@ def test_relation_certificate_matches_elimination_reference(n):
     for m in range(1, 6):
         for g in range(1, m + 1):
             for half, dual in ((xi_minus, False), (xi_plus, True)):
-                entry = _relation_subspace_entry("relation", n, m, g, half, dual, g)
+                src, dst = graded_monomials(n, m, g), graded_monomials(n, m, g - 1)
+                ops = [
+                    rho_matrix_restricted(half(e_vec(a, n)), src, dst, dual)
+                    for a in range(n)
+                ]
+                entry = _relation_subspace_entry("relation", n, m, g, ops, dual, g)
                 got = (entry["dimension"], entry["status"])
                 assert got == elimination_relation_subspace(n, m, g, half, dual), (m, g, dual)
 
@@ -698,6 +718,18 @@ def test_hook_certificate_matches_elimination_reference(n):
             assert entry["hook_dim"] == hook_dim, (m, j)
             assert f"annihilated: {killed};" in entry["details"], (m, j)
             assert entry["status"] == ("pass" if killed else "fail"), (m, j)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_isometry_identity_matches_tensor_reference(n):
+    """S C^T L^T = scalar S gives the scalar and verdict that applying the
+    contraction and its adjoint to each polarization gives."""
+    for m in range(2, 6):
+        for j in range(1, m):
+            entry = check_contraction_isometry(n, m, j)
+            scalar, ok = tensor_contraction_isometry(n, m, j)
+            assert entry["scalar"] == str(scalar), (m, j)
+            assert f"adjoint composition scalar {scalar}: {ok};" in entry["details"], (m, j)
 
 
 def test_lemma_certificates_solve_for_no_kernel(monkeypatch):
@@ -807,25 +839,88 @@ def test_relation_certificate_fails_on_a_dropped_relation_row(monkeypatch, name)
     assert entry["status"] == "fail"
 
 
+def _double_block(monkeypatch, which: int):
+    """Route checks.graded_operators through a table in which block 1 of
+    every raising (which 0) or lowering (which 1) entry is doubled."""
+    import sunharm.checks as checks
+
+    real = checks.graded_operators
+
+    def doubled(n, m):
+        table = list(real(n, m))
+        table[which] = {
+            k: (ops[0], ops[1].scale(2), *ops[2:]) for k, ops in table[which].items()
+        }
+        return tuple(table)
+
+    monkeypatch.setattr(checks, "graded_operators", doubled)
+
+
 def test_hook_certificate_fails_off_the_multiplication_row_space(monkeypatch):
     # double the block of xi+(e_2) in the contraction's matrix: its rows leave
     # the row space of the multiplication map, so it no longer kills the hook
-    import sunharm.checks as checks
-
-    real = checks.rho_matrix_restricted
-    second = xi_plus(e_vec(1, 2))
-
-    def doubled(X, in_basis, out_basis, dual=False):
-        M = real(X, in_basis, out_basis, dual)
-        return M.scale(2) if X == second else M
-
-    monkeypatch.setattr(checks, "rho_matrix_restricted", doubled)
+    _double_block(monkeypatch, 0)
     for m, j in [(2, 1), (3, 1), (3, 2)]:
         entry = check_contraction_isometry(2, m, j)
         assert entry["hook_dim"] == elimination_contraction_hook(2, m, j)[0]
         assert entry["status"] == "fail"
         assert "annihilated: False;" in entry["details"]
         assert entry["details"].endswith("pinned value: True")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_isometry_fails_on_a_doubled_lowering_block(monkeypatch, n):
+    # double rho(xi-(e_2)) from grade j+1: the adjoint composition sends the
+    # polarizations to no single multiple of themselves, while the hook part
+    # and the pinned value, which do not read the lowering, still hold
+    _double_block(monkeypatch, 1)
+    for m, j in [(2, 1), (3, 1), (3, 2)]:
+        entry = check_contraction_isometry(n, m, j)
+        assert entry["status"] == "fail"
+        assert "annihilated: True;" in entry["details"]
+        assert ": False; pinned value: True" in entry["details"]
+
+
+def test_battery_builds_each_graded_operator_once(monkeypatch):
+    # one table of 2nm restricted operators per (n, m): n(m-1) raising and
+    # nm lowering ones, plus the n dual ones of the dual-symmetry check
+    import sunharm.checks as checks
+
+    real = checks.rho_matrix_restricted
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    checks.graded_operators.cache_clear()
+    monkeypatch.setattr(checks, "rho_matrix_restricted", spy)
+    entries = lemma_battery(3, 4)
+    assert all(e["status"] == "pass" for e in entries)
+    assert len(calls) == 2 * 3 * 4
+
+
+def test_isometry_applies_rho_only_to_the_pinned_witness(monkeypatch):
+    # the adjoint composition is one matrix identity: the check's only
+    # tensor-level application is the pinned value
+    import sunharm.checks as checks
+
+    real = checks.rho_apply
+    calls = []
+
+    def spy(X, w):
+        calls.append(w)
+        return real(X, w)
+
+    monkeypatch.setattr(checks, "rho_apply", spy)
+    assert check_contraction_isometry(3, 4, 2)["status"] == "pass"
+    assert len(calls) == 1
+
+
+def test_lemma_battery_matches_golden():
+    # contraction scalars, hook dimensions and relation dimensions, as text
+    doc = json.dumps(lemma_battery(3, 4), indent=2) + "\n"
+    assert doc == Path(__file__).with_name("golden_lemmas_3_4.json").read_text()
 
 
 def test_lemma_battery_vacuous_for_m_one():
