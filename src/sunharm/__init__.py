@@ -4,8 +4,8 @@ symmetric powers of su(n,1).
 The package computes, entirely over Gaussian rationals, the joint kernel of
 the symmetry and trace constraints on real-linear cocycles valued in a
 symmetric power of C^{n+1} (or its dual), certifies its structure
-(linearity type, grading support, isotypic membership, dimension), and runs
-the supporting graded-operator checks.  See the README for the CLI.
+(linearity type, grading support, symmetric-component membership,
+dimension), and runs the supporting graded-operator checks.  See the README for the CLI.
 """
 
 from .exactfield import BACKEND_NAME, GaussianRational, I, ONE, ZERO, gq
@@ -26,10 +26,7 @@ from .harmonic import (
     classify,
     harmonic_kernel,
     kernel_is_invariant,
-    minus_part,
-    plus_part,
     polarization_cocycles,
-    symmetric_component_membership,
     t_op,
     tstar_op,
 )
@@ -70,16 +67,13 @@ __all__ = [
     "kernel_is_invariant",
     "lemma_battery",
     "lemmas_case",
-    "minus_part",
     "monomials",
-    "plus_part",
     "polarization_cocycles",
     "rank",
     "rho_apply",
     "rho_matrix",
     "riemann_split_report",
     "run_sweep",
-    "symmetric_component_membership",
     "t_op",
     "tstar_op",
     "verify_case",

@@ -9,8 +9,10 @@ set, the set is independent and its size is the nullity of the matrix.  A
 map kills the kernel of another when stacking its matrix under the other's
 leaves the rank unchanged.  The contraction is a proportional isometry on
 the symmetric part when S C^T L^T is a positive multiple of the
-polarization rows S.  Only the n = 1 split solves a (small) system:
-``part_sub_basis`` takes a kernel.  The entries returned are plain dicts
+polarization rows S.  Only the n = 1 split solves a (small) system: its
+halves are the kernels of the constraint matrix restricted to the Z and to
+the Zbar columns, and the kernel dimension is the nullity of the whole
+matrix.  The entries returned are plain dicts
 ``{"name", "j", "status", "details"}`` built by ``symrep.check_entry``,
 with status ``pass``, ``fail`` or ``vacuous`` (empty parameter range).
 """
@@ -37,11 +39,9 @@ from .symrep import (
 )
 from .harmonic import (
     Cocycle,
+    assemble_system,
     cocycle_from_vector,
-    cocycle_to_vector,
-    harmonic_kernel,
     pairwise_relation_rows,
-    system_shape,
     values_to_vector,
 )
 
@@ -316,24 +316,28 @@ def check_contraction_isometry(n: int, m: int, j: int) -> dict:
 # -- the n = 1 (Riemann surface) split ---------------------------------------
 
 
-def part_sub_basis(
-    ctx: RepContext, kernel: Sequence[Cocycle], plus: bool
-) -> list[Cocycle]:
-    """Basis, as cocycles, of {a in span(kernel) : a(Z_j) = 0 for all j} when
-    ``plus``, else of {a in span(kernel) : a(Zbar_j) = 0 for all j}."""
-    index = ctx.basis_index()
-    # column r: the plus (or minus) values of kernel element r
-    residuals = ExactMatrix.from_rows(
-        [values_to_vector(a.plus_values if plus else a.minus_values, index)
-         for a in kernel],
-        ctx.n * ctx.dim_w,
-    ).transpose()
-    combos = [sparse_vector(c) for c in kernel_basis(residuals)]
-    K = ExactMatrix.from_rows(
-        [cocycle_to_vector(a) for a in kernel], system_shape(ctx)[1]
-    )
-    sub = ExactMatrix.from_rows(combos, len(kernel)) * K
-    return [cocycle_from_vector(ctx, r) for r in sub.sparse_rows()]
+def split_halves(
+    ctx: RepContext, A: ExactMatrix
+) -> tuple[list[Cocycle], list[Cocycle]]:
+    """The complex-linear and conjugate-linear halves of ker A, as cocycles.
+
+    ``A`` is ``assemble_system(ctx)``.  A cocycle is complex-linear when
+    its Zbar values vanish, so that half is ker A restricted to the Z
+    columns, and the conjugate-linear half is ker A restricted to the Zbar
+    columns; each basis is the canonical kernel basis of that column block.
+    """
+    h = ctx.n * ctx.dim_w
+    halves = []
+    for lo in (0, h):
+        block = [
+            {j - lo: x for j, x in r.items() if lo <= j < lo + h}
+            for r in A.sparse_rows()
+        ]
+        halves.append([
+            cocycle_from_vector(ctx, {lo + j: x for j, x in sparse_vector(v).items()})
+            for v in kernel_basis(ExactMatrix.from_rows(block, h))
+        ])
+    return halves[0], halves[1]
 
 
 def riemann_split_report(ctx: RepContext) -> dict:
@@ -346,11 +350,9 @@ def riemann_split_report(ctx: RepContext) -> dict:
     which is exactly why those kernels are one-sided.
     """
     m = ctx.m
-    kernel = harmonic_kernel(ctx)
-    kdim = len(kernel)
-
-    complex_sub = part_sub_basis(ctx, kernel, plus=False)  # minus values vanish
-    conj_sub = part_sub_basis(ctx, kernel, plus=True)  # plus values vanish
+    A = assemble_system(ctx)
+    kdim = A.cols - rank(A)
+    complex_sub, conj_sub = split_halves(ctx, A)
     complex_grade = m if ctx.dual else 0
     conj_grade = 0 if ctx.dual else m
 

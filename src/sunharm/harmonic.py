@@ -31,9 +31,11 @@ row has all its columns in one weight of the diagonal torus of K: column
 alpha + e_j - e_{n+1}, with alpha negated on the dual side.  A coordinate
 vector is a sparse ``linalg.Row`` (column -> nonzero entry):
 ``cocycle_to_vector`` and ``values_to_vector`` write tensors as rows, and
-``cocycle_from_vector`` and ``values_from_vector`` read them back.  Everything
-downstream (classification flags, isotypic membership, the structure checks
-used by the CLI) is an exact zero test on these objects.
+``cocycle_from_vector`` and ``values_from_vector`` read them back.  Every
+classification flag is an exact zero test or a rank comparison on these
+objects: a one-sided, top-graded kernel lies in the symmetric component
+exactly when stacking its rows under ``polarization_rows`` (the columns of
+the polarization map P below, written as rows) leaves the rank unchanged.
 
 Compact invariance needs no kernel basis.  ``classify`` certifies that the
 kernel is the image of the polarization map P, whose columns are the
@@ -51,17 +53,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .exactfield import GaussianRational, ZERO, gq
-from .linalg import ExactMatrix, Row, kernel_basis, same_span, sparse_vector
+from .linalg import ExactMatrix, Row, kernel_basis, rank, same_span, sparse_vector
 from .sun1 import e_vec, k_generators, xi_minus, xi_plus
 from .symrep import (
-    DualSymTensor,
     RepContext,
     check_entry,
     monomials,
-    multiply_var,
     polarization,
-    raise_weighted,
     rho_apply,
     rho_matrix,
     rho_matrix_restricted,
@@ -110,28 +108,6 @@ class Cocycle:
 
     def is_zero(self) -> bool:
         return all(w.is_zero() for w in self.plus_values + self.minus_values)
-
-
-def _linear_part(a: Cocycle, values: Sequence, v: Sequence, conj: bool):
-    """sum_j v_j values[j], or conj(v_j) values[j] when ``conj``: the one
-    body of ``plus_part`` and ``minus_part``."""
-    out = a.ctx.zero_value()
-    for w, x in zip(values, v):
-        if type(x) is not GaussianRational:
-            x = gq(x)
-        if x:
-            out = out + w.scale(x.conjugate() if conj else x)
-    return out
-
-
-def plus_part(a: Cocycle, v: Sequence):
-    """Complex-linear component of a(xi_v): sum_j v_j a(Z_j)."""
-    return _linear_part(a, a.plus_values, v, conj=False)
-
-
-def minus_part(a: Cocycle, v: Sequence):
-    """Conjugate-linear component of a(xi_v): sum_j conj(v_j) a(Zbar_j)."""
-    return _linear_part(a, a.minus_values, v, conj=True)
 
 
 class TwoForm:
@@ -266,52 +242,7 @@ def harmonic_kernel(ctx: RepContext) -> list[Cocycle]:
     ]
 
 
-# -- the symmetric/hook decomposition and membership ------------------------
-
-
-def _uniform_grade(values: Sequence) -> int | None:
-    grades = set()
-    for w in values:
-        grades |= w.support_grades()
-    if not grades:
-        return None
-    if len(grades) > 1:
-        raise ValueError("grading mismatch: values span several grades")
-    return grades.pop()
-
-
-def symmetric_component_membership(values: Sequence) -> tuple[bool, GaussianRational]:
-    """Whether a graded form lies in the leading (symmetric) component.
-
-    ``values`` are the n values of the form on the basis directions, all
-    supported in a single grade g.  The leading component of
-    C^n (x) S^g(C^n) is realized as the image of the polarization section of
-    the multiplication map; the hook component is that map's kernel.  Returns
-    the membership verdict together with the exact squared norm of the hook
-    projection (zero iff member).
-    """
-    values = list(values)
-    n = len(values)
-    g = _uniform_grade(values)
-    cert = ZERO
-    if g is None:
-        return True, cert
-    # multiply the values up into one tensor of degree g + 1; dual values
-    # use raise_weighted, the transpose of derivative
-    lift = raise_weighted if isinstance(values[0], DualSymTensor) else multiply_var
-    s = values[0]._like({}, degree=values[0].degree + 1)
-    for k in range(n):
-        s = s + lift(values[k], k)
-    section = polarization(s)
-    inv = gq(1) / (g + 1)
-    member = True
-    for k in range(n):
-        hook = values[k] - section[k].scale(inv)
-        for c in hook.coeffs.values():
-            cert = cert + c.norm_sq()
-        if hook.coeffs:
-            member = False
-    return member, cert
+# -- the symmetric component ----------------------------------------------
 
 
 def polarization_cocycles(ctx: RepContext) -> list[Cocycle]:
@@ -329,6 +260,11 @@ def polarization_cocycles(ctx: RepContext) -> list[Cocycle]:
         zero = [ctx.zero_value() for _ in pol]
         out.append(Cocycle(ctx, pol, zero) if ctx.dual else Cocycle(ctx, zero, pol))
     return out
+
+
+def polarization_rows(ctx: RepContext) -> list[Row]:
+    """The rows of P: the coordinate vectors of ``polarization_cocycles``."""
+    return [cocycle_to_vector(a) for a in polarization_cocycles(ctx)]
 
 
 # -- classification ---------------------------------------------------------
@@ -352,11 +288,12 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dic
         check_entry("operator-recheck", op_ok, "T and T* vanish via direct evaluation")
     ]
 
-    # the opposite linearity block must vanish; the other one holds the form
-    def block(a: Cocycle, opposite: bool) -> list:
-        return a.plus_values if ctx.dual != opposite else a.minus_values
-
-    lin_ok = all(w.is_zero() for a in kernel for w in block(a, True))
+    # the opposite linearity block must vanish
+    lin_ok = all(
+        w.is_zero()
+        for a in kernel
+        for w in (a.minus_values if ctx.dual else a.plus_values)
+    )
     flags[linear_key] = lin_ok
     checks.append(
         check_entry(
@@ -374,13 +311,19 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dic
     flags["top_graded"] = top_ok
     checks.append(check_entry("top-graded", top_ok, f"values supported in grade {m} only"))
 
-    sym_ok = lin_ok and top_ok
-    if sym_ok:
-        for a in kernel:
-            member, _cert = symmetric_component_membership(block(a, False))
-            if not member:
-                sym_ok = False
-                break
+    # Once the forms are one-sided and top-graded, their coordinate rows are
+    # the forms themselves, and the symmetric component is the span of the
+    # polarization rows: each form lies in it exactly when stacking the
+    # kernel rows under them keeps the rank.
+    cols = system_shape(ctx)[1]
+    pol = polarization_rows(ctx)
+    ker_vecs = [cocycle_to_vector(a) for a in kernel]
+    sym_ok = (
+        lin_ok
+        and top_ok
+        and rank(ExactMatrix.from_rows(pol + ker_vecs, cols))
+        == rank(ExactMatrix.from_rows(pol, cols))
+    )
     flags["symmetric_component"] = sym_ok
     checks.append(
         check_entry(
@@ -401,9 +344,7 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dic
     )
 
     # Independent oracle: the explicit symmetric solutions span the kernel.
-    pol = [cocycle_to_vector(a) for a in polarization_cocycles(ctx)]
-    ker_vecs = [cocycle_to_vector(a) for a in kernel]
-    span_ok = same_span(ker_vecs, pol, system_shape(ctx)[1])
+    span_ok = same_span(ker_vecs, pol, cols)
     checks.append(
         check_entry(
             "polarization-span",
@@ -417,20 +358,17 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dic
 def polarization_blocks(ctx: RepContext) -> list[ExactMatrix]:
     """The polarization map P as a sparse matrix, split by tangent.
 
-    Column s of P is the coordinate vector of ``polarization_cocycles(ctx)[s]``,
-    with s running over S^{m+1}(C^n) in lex order (last exponent 0); block p
-    holds the dim W rows of its value on the p-th complex tangent.
+    Column s of P is row s of ``polarization_rows(ctx)``, with s running
+    over S^{m+1}(C^n) in lex order (last exponent 0); block p, the p-th
+    slice of dim W rows of P, holds the values on the p-th complex tangent.
     """
-    index = ctx.basis_index()
-    pol = polarization_cocycles(ctx)
-    blocks = []
-    for p in range(2 * ctx.n):
-        rows: list[Row] = [{} for _ in range(ctx.dim_w)]
-        for s, a in enumerate(pol):
-            for alpha, x in a.value(p).coeffs.items():
-                rows[index[alpha]][s] = x
-        blocks.append(ExactMatrix.from_rows(rows, len(pol)))
-    return blocks
+    d = ctx.dim_w
+    P = ExactMatrix.from_rows(polarization_rows(ctx), 2 * ctx.n * d).transpose()
+    rows = P.sparse_rows()
+    return [
+        ExactMatrix.from_rows(rows[p * d : (p + 1) * d], P.cols)
+        for p in range(2 * ctx.n)
+    ]
 
 
 def _bracket_mix(X: ExactMatrix) -> list[Row]:

@@ -216,16 +216,6 @@ def shift_down(w: _CoeffPoly, var: int) -> _CoeffPoly:
     return w._like(out, degree=w.degree - 1)
 
 
-def raise_weighted(w: _CoeffPoly, var: int) -> _CoeffPoly:
-    """The transpose of ``derivative``: alpha -> alpha + d_var weighted by
-    the new exponent."""
-    out = {}
-    for a, c in w.coeffs.items():
-        b = a[:var] + (a[var] + 1,) + a[var + 1 :]
-        out[b] = c * b[var]
-    return w._like(out, degree=w.degree + 1)
-
-
 def polarization(s: _CoeffPoly) -> list[_CoeffPoly]:
     """The polarization section s -> (d_k s)_k over the first n variables:
     partial derivatives of a primal tensor, exponent shifts of a dual one."""

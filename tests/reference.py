@@ -9,7 +9,10 @@ to, and the identity against the elimination-based check it replaced.  It
 also keeps the dense forms the package no longer takes: matrices written as
 dense literals, the span test that converts and ranks each family twice, the
 p-elements written into dense arrays, the n = 1 split that combines the
-kernel through dense vectors, the lemma checks that solve for a relation
+kernel through dense vectors, the complex- and conjugate-linear parts of a
+cocycle on any tangent, symmetric-component membership by the hook
+projection of each form, where the package compares one rank against the
+polarization rows, the lemma checks that solve for a relation
 subspace or a hook component and compare or apply to its basis, where the
 package decides the same claims by rank and annihilation, and the
 contraction isometry applied tensor by tensor, where the package checks one
@@ -585,6 +588,28 @@ def evaluate(a: Cocycle, v: Sequence):
     return out
 
 
+def _linear_part(a: Cocycle, values: Sequence, v: Sequence, conj: bool):
+    """sum_j v_j values[j], or conj(v_j) values[j] when ``conj``: the one
+    body of ``plus_part`` and ``minus_part``."""
+    out = a.ctx.zero_value()
+    for w, x in zip(values, v):
+        if type(x) is not GaussianRational:
+            x = gq(x)
+        if x:
+            out = out + w.scale(x.conjugate() if conj else x)
+    return out
+
+
+def plus_part(a: Cocycle, v: Sequence):
+    """Complex-linear component of a(xi_v): sum_j v_j a(Z_j)."""
+    return _linear_part(a, a.plus_values, v, conj=False)
+
+
+def minus_part(a: Cocycle, v: Sequence):
+    """Conjugate-linear component of a(xi_v): sum_j conj(v_j) a(Zbar_j)."""
+    return _linear_part(a, a.minus_values, v, conj=True)
+
+
 def rank_is_invariant(ctx, kernel: Sequence[Cocycle]) -> bool:
     """k maps the span of ``kernel`` into itself, by elimination.
 
@@ -650,6 +675,64 @@ def dense_part_sub_basis(ctx, kernel: Sequence[Cocycle], plus: bool) -> list[Coc
                 v = [x + f * y for x, y in zip(v, u)]
         out.append(from_real_vector(ctx, sparse_vector(v)))
     return out
+
+
+# -- symmetric-component membership by the hook projection ---------------------
+
+
+def raise_weighted(w, var: int):
+    """The transpose of ``derivative``: alpha -> alpha + d_var weighted by
+    the new exponent."""
+    out = {}
+    for a, c in w.coeffs.items():
+        b = a[:var] + (a[var] + 1,) + a[var + 1 :]
+        out[b] = c * b[var]
+    return w._like(out, degree=w.degree + 1)
+
+
+def _uniform_grade(values: Sequence) -> int | None:
+    grades = set()
+    for w in values:
+        grades |= w.support_grades()
+    if not grades:
+        return None
+    if len(grades) > 1:
+        raise ValueError("grading mismatch: values span several grades")
+    return grades.pop()
+
+
+def symmetric_component_membership(values: Sequence) -> tuple[bool, GaussianRational]:
+    """Whether a graded form lies in the leading (symmetric) component.
+
+    ``values`` are the n values of the form on the basis directions, all
+    supported in a single grade g.  The leading component of
+    C^n (x) S^g(C^n) is realized as the image of the polarization section of
+    the multiplication map; the hook component is that map's kernel.  Returns
+    the membership verdict together with the exact squared norm of the hook
+    projection (zero iff member).
+    """
+    values = list(values)
+    n = len(values)
+    g = _uniform_grade(values)
+    cert = ZERO
+    if g is None:
+        return True, cert
+    # multiply the values up into one tensor of degree g + 1; dual values
+    # use raise_weighted, the transpose of derivative
+    lift = raise_weighted if isinstance(values[0], DualSymTensor) else multiply_var
+    s = values[0]._like({}, degree=values[0].degree + 1)
+    for k in range(n):
+        s = s + lift(values[k], k)
+    section = polarization(s)
+    inv = gq(1) / (g + 1)
+    member = True
+    for k in range(n):
+        hook = values[k] - section[k].scale(inv)
+        for c in hook.coeffs.values():
+            cert = cert + c.norm_sq()
+        if hook.coeffs:
+            member = False
+    return member, cert
 
 
 # -- the lemma checks by elimination -----------------------------------------------

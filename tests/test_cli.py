@@ -19,6 +19,7 @@ from sunharm.verify import (
 from conftest import TIMING_KEYS, scrub
 
 GOLDEN = Path(__file__).with_name("golden_sweep_2_2.json")
+GOLDEN_VERIFY = Path(__file__).with_name("golden_verify.json")
 
 
 def test_verify_passes(capsys, tmp_path):
@@ -106,6 +107,14 @@ def test_sweep_report_matches_golden():
     # lemma-battery; the indented text pins key order as well as content
     doc = scrub(run_sweep(2, 2), TIMING_KEYS + ("backend",))
     assert json.dumps(doc, indent=2) + "\n" == GOLDEN.read_text()
+
+
+def test_verify_reports_match_golden():
+    # verify entries the golden sweep leaves out: (3, 3) on both sides, and
+    # the n = 1 split on the dual side and at an odd power
+    cases = [(3, 3, False), (3, 3, True), (1, 3, True), (1, 5, False)]
+    doc = [scrub(verify_case(n, m, dual)) for n, m, dual in cases]
+    assert json.dumps(doc, indent=2) + "\n" == GOLDEN_VERIFY.read_text()
 
 
 def test_verify_riemann_route(tmp_path):

@@ -16,11 +16,8 @@ from sunharm import (
     gq,
     harmonic_kernel,
     kernel_is_invariant,
-    minus_part,
-    plus_part,
     polarization_cocycles,
     rho_apply,
-    symmetric_component_membership,
     t_op,
     tstar_op,
     xi_minus,
@@ -34,6 +31,7 @@ from sunharm.harmonic import (
     intertwines,
     pairwise_relation_rows,
     polarization_blocks,
+    polarization_rows,
     system_shape,
     values_from_vector,
     values_to_vector,
@@ -45,8 +43,8 @@ from sunharm.checks import (
     check_operator_grading,
     check_symmetric_forcing,
     lemma_battery,
-    part_sub_basis,
     riemann_split_report,
+    split_halves,
 )
 from sunharm.linalg import ExactMatrix, kernel_basis, rank, same_span, sparse_vector
 from sunharm.symrep import graded_monomials, rho_matrix_restricted
@@ -57,6 +55,7 @@ from conftest import (
     conjugate_linear_cocycle,
     make_rng,
     random_cocycle,
+    random_scalar,
     random_value,
 )
 from reference import (
@@ -67,13 +66,16 @@ from reference import (
     elimination_relation_subspace,
     evaluate,
     from_real_values,
+    minus_part,
     p_basis,
+    plus_part,
     project_grade,
     rank_is_invariant,
     real_assemble_system,
     real_values,
     real_vector,
     scale_vec,
+    symmetric_component_membership,
     tangent_samples,
     tensor_contraction_isometry,
     transform_cocycle,
@@ -585,6 +587,83 @@ def test_classify_fails_on_riemann_case():
     assert not all_passed(checks)
 
 
+def hook_cocycle(ctx):
+    """The hook witness of ``check_symmetric_forcing`` at j = m,
+    eps_2 (x) e1^m - eps_1 (x) e1^(m-1) e2, as a one-sided, top-graded
+    cocycle: its minus values on the primal side, plus values on the dual."""
+    n, m = ctx.n, ctx.m
+    form = [ctx.zero_value() for _ in range(n)]
+    form[0] = -ctx.value_class.monomial((m - 1, 1) + (0,) * (n - 1))
+    form[1] = ctx.value_class.monomial((m,) + (0,) * n)
+    zero = [ctx.zero_value() for _ in range(n)]
+    return Cocycle(ctx, form, zero) if ctx.dual else Cocycle(ctx, zero, form)
+
+
+def combine(ctx, coeffs, cocycles):
+    """sum_k coeffs[k] cocycles[k]."""
+    out = Cocycle.zero(ctx)
+    for c, a in zip(coeffs, cocycles):
+        out = Cocycle(
+            ctx,
+            [x + y.scale(c) for x, y in zip(out.plus_values, a.plus_values)],
+            [x + y.scale(c) for x, y in zip(out.minus_values, a.minus_values)],
+        )
+    return out
+
+
+@pytest.mark.parametrize("n,m,dual", [(2, 2, False), (3, 2, False), (2, 3, True)])
+def test_symmetric_component_rejects_an_appended_hook_form(n, m, dual):
+    ctx = RepContext(n, m, dual)
+    kernel = harmonic_kernel(ctx)
+    assert classify(ctx, kernel)[0]["symmetric_component"]
+    flags, checks = classify(ctx, kernel + [hook_cocycle(ctx)])
+    assert flags["complex_linear" if dual else "conjugate_linear"]
+    assert flags["top_graded"]
+    assert not flags["symmetric_component"]
+    assert _statuses({"checks": checks})["symmetric-component"] == "fail"
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("n,m", [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)])
+def test_symmetric_component_matches_hook_projection_reference(n, m, dual):
+    """The rank verdict against P agrees with the reference hook projection
+    of each form, on polarizations, hook witnesses and their mixtures."""
+    ctx = RepContext(n, m, dual)
+    rng = make_rng(100 * n + 10 * m + dual)
+    pol = polarization_cocycles(ctx)
+    families = [[], pol, [combine(ctx, [random_scalar(rng) for _ in pol], pol)]]
+    if n >= 2:
+        hook = hook_cocycle(ctx)
+        mixed = combine(ctx, [random_scalar(rng) for _ in pol] + [gq(1, 2)], pol + [hook])
+        families += [[hook], pol[:1] + [hook], [mixed]]
+    verdicts = []
+    for family in families:
+        expected = all(
+            symmetric_component_membership(a.plus_values if dual else a.minus_values)[0]
+            for a in family
+        )
+        assert classify(ctx, family)[0]["symmetric_component"] is expected
+        verdicts.append(expected)
+    assert verdicts[:3] == [True] * 3 and verdicts[3:] == [False] * (len(verdicts) - 3)
+
+
+@pytest.mark.parametrize("n,m,dual", [(1, 3, False), (2, 2, True), (3, 2, False)])
+def test_polarization_blocks_are_the_tangent_values_of_p(n, m, dual):
+    ctx = RepContext(n, m, dual)
+    index = ctx.basis_index()
+    pol = polarization_cocycles(ctx)
+    blocks = polarization_blocks(ctx)
+    assert len(blocks) == 2 * n
+    assert polarization_rows(ctx) == [cocycle_to_vector(a) for a in pol]
+    for p, block in enumerate(blocks):
+        assert (block.rows, block.cols) == (ctx.dim_w, len(pol))
+        expected = [{} for _ in range(ctx.dim_w)]
+        for s, a in enumerate(pol):
+            for alpha, x in a.value(p).coeffs.items():
+                expected[index[alpha]][s] = x
+        assert block.sparse_rows() == expected
+
+
 # -- structure batteries ------------------------------------------------------
 
 
@@ -962,15 +1041,29 @@ def test_riemann_split_dual_case():
 @pytest.mark.parametrize("dual", [False, True])
 @pytest.mark.parametrize("m", range(1, 9))
 def test_part_sub_bases_match_dense_reference(m, dual):
-    """The sparse sub-bases of the n = 1 split are the ones the dense route
-    builds, so they span the same spaces."""
+    """The column-block half kernels of the n = 1 split are the sub-bases
+    the dense route combines out of the kernel, so they span the same
+    spaces, and the nullity of the system is the kernel's dimension."""
     ctx = RepContext(1, m, dual)
     kernel = harmonic_kernel(ctx)
     ncols = system_shape(ctx)[1]
-    for plus in (False, True):
-        sub = part_sub_basis(ctx, kernel, plus)
+    halves = split_halves(ctx, assemble_system(ctx))
+    # the complex-linear half has vanishing minus values (plus=False)
+    for sub, plus in zip(halves, (False, True)):
         ref = dense_part_sub_basis(ctx, kernel, plus)
         assert sub == ref
         assert same_span(
             [cocycle_to_vector(a) for a in sub], [cocycle_to_vector(a) for a in ref], ncols
         )
+    assert riemann_split_report(ctx)["kernel_dim"] == len(kernel)
+
+
+@pytest.mark.parametrize("n,m,dual", [(2, 2, False), (3, 2, True)])
+def test_split_halves_match_dense_reference_for_higher_rank(n, m, dual):
+    # one half is trivial and the other is the whole kernel
+    ctx = RepContext(n, m, dual)
+    kernel = harmonic_kernel(ctx)
+    halves = split_halves(ctx, assemble_system(ctx))
+    assert sorted(map(len, halves)) == [0, len(kernel)]
+    for sub, plus in zip(halves, (False, True)):
+        assert sub == dense_part_sub_basis(ctx, kernel, plus)

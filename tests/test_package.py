@@ -11,8 +11,10 @@ from sunharm.verify import make_document
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 #: Names that left the package, by the module that defined them: group-level
-#: and dense references now in tests/reference.py, and deleted code, among it
-#: the dense coordinate-vector path.
+#: and dense references now in tests/reference.py, among them the hook
+#: projection and the parts of a cocycle on any tangent, and deleted code,
+#: among it the dense coordinate-vector path and the n = 1 sub-basis
+#: combination.
 GONE = {
     "sun1": (
         "is_unitary", "embed_k", "adjoint_on_p_plus", "canonical_weight",
@@ -23,8 +25,13 @@ GONE = {
     "symrep": (
         "substitute", "_poly_mul", "group_matrix", "k_group_action", "inner",
         "pair", "power_of_vector", "project_grade", "_matrix_of", "_nonzero_entries",
+        "raise_weighted",
     ),
-    "harmonic": ("transform_cocycle", "Vector"),
+    "harmonic": (
+        "transform_cocycle", "Vector", "symmetric_component_membership",
+        "_uniform_grade", "plus_part", "minus_part", "_linear_part",
+    ),
+    "checks": ("part_sub_basis",),
     "linalg": ("det", "dump_text", "rref", "rank_of_rows", "_sparse_rows"),
     "exactfield": ("dump_entry",),
 }
