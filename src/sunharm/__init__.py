@@ -10,7 +10,7 @@ dimension), and runs the supporting graded-operator checks.  See the README for 
 
 from .exactfield import BACKEND_NAME, GaussianRational, I, ONE, ZERO, gq
 from .linalg import ExactMatrix, kernel_basis, rank
-from .sun1 import e_vec, j_form, xi_minus, xi_plus
+from .sun1 import e_vec, xi_minus, xi_plus
 from .symrep import (
     DualSymTensor,
     RepContext,
@@ -62,7 +62,6 @@ __all__ = [
     "e_vec",
     "gq",
     "harmonic_kernel",
-    "j_form",
     "kernel_basis",
     "kernel_is_invariant",
     "lemma_battery",

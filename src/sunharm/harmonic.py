@@ -41,9 +41,14 @@ Compact invariance needs no kernel basis.  ``classify`` certifies that the
 kernel is the image of the polarization map P, whose columns are the
 explicit ``polarization_cocycles``; ``kernel_is_invariant`` then checks,
 as an exact identity of sparse matrices, that P intertwines the action of
-each element of ``k_generators(n)``.  With the dimension count, which
-makes P injective, they make the kernel a K-module isomorphic to
-S^{m+1}(C^n) (its dual on the dual side) twisted by a character of K.
+each element of ``k_generators(n)``.  Those generate the complexified
+algebra k_C = gl(n), not k itself: the identity is complex-linear in the
+acting element, so it holds on k exactly when it holds on k_C, and the
+complex generators are fewer and sparser than real ones.  P is built once
+per case (``polarization_rows`` keeps the last case's rows).  With the
+dimension count, which makes P injective, the checks make the kernel a
+K-module isomorphic to S^{m+1}(C^n) (its dual on the dual side) twisted by
+a character of K.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .linalg import ExactMatrix, Row, kernel_basis, rank, same_span, sparse_vector
+from .linalg import ExactMatrix, Row, kernel_basis, rank, sparse_vector
 from .sun1 import e_vec, k_generators, xi_minus, xi_plus
 from .symrep import (
     RepContext,
@@ -262,9 +267,13 @@ def polarization_cocycles(ctx: RepContext) -> list[Cocycle]:
     return out
 
 
-def polarization_rows(ctx: RepContext) -> list[Row]:
-    """The rows of P: the coordinate vectors of ``polarization_cocycles``."""
-    return [cocycle_to_vector(a) for a in polarization_cocycles(ctx)]
+@lru_cache(maxsize=1)
+def polarization_rows(ctx: RepContext) -> tuple[Row, ...]:
+    """The rows of P: the coordinate vectors of ``polarization_cocycles``.
+
+    Cached for the last case, so ``classify`` and ``kernel_is_invariant``
+    share one build; the rows are read only."""
+    return tuple(cocycle_to_vector(a) for a in polarization_cocycles(ctx))
 
 
 # -- classification ---------------------------------------------------------
@@ -314,16 +323,15 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dic
     # Once the forms are one-sided and top-graded, their coordinate rows are
     # the forms themselves, and the symmetric component is the span of the
     # polarization rows: each form lies in it exactly when stacking the
-    # kernel rows under them keeps the rank.
+    # kernel rows under them keeps the rank.  The same three ranks decide
+    # the polarization span below.
     cols = system_shape(ctx)[1]
     pol = polarization_rows(ctx)
     ker_vecs = [cocycle_to_vector(a) for a in kernel]
-    sym_ok = (
-        lin_ok
-        and top_ok
-        and rank(ExactMatrix.from_rows(pol + ker_vecs, cols))
-        == rank(ExactMatrix.from_rows(pol, cols))
-    )
+    r_pol = rank(ExactMatrix.from_rows(pol, cols))
+    r_ker = rank(ExactMatrix.from_rows(ker_vecs, cols))
+    r_both = rank(ExactMatrix.from_rows([*pol, *ker_vecs], cols))
+    sym_ok = lin_ok and top_ok and r_both == r_pol
     flags["symmetric_component"] = sym_ok
     checks.append(
         check_entry(
@@ -344,7 +352,7 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dic
     )
 
     # Independent oracle: the explicit symmetric solutions span the kernel.
-    span_ok = same_span(ker_vecs, pol, cols)
+    span_ok = r_ker == r_pol == r_both
     checks.append(
         check_entry(
             "polarization-span",
@@ -373,9 +381,9 @@ def polarization_blocks(ctx: RepContext) -> list[ExactMatrix]:
 
 def _bracket_mix(X: ExactMatrix) -> list[Row]:
     """Row p holds the coefficients R_pq of a([X, W_p]) = sum_q R_pq a(W_q)
-    over the complex tangents W, for X = diag(B, c) in k and any cocycle a:
-    [X, Z_j] = sum_i w_ij Z_i and [X, Zbar_j] = sum_i conj(w_ij) Zbar_i,
-    with w = B - c."""
+    over the complex tangents W, for X = diag(B, c) in k_C and any cocycle
+    a.  Both halves are matrix brackets: [X, Z_j] = sum_i w_ij Z_i and
+    [X, Zbar_i] = -sum_j w_ij Zbar_j, with w = B - c."""
     n = X.rows - 1
     c = X.at(n, n)
     mix: list[Row] = [{} for _ in range(2 * n)]
@@ -384,7 +392,7 @@ def _bracket_mix(X: ExactMatrix) -> list[Row]:
             w = X.at(i, j) - c if i == j else X.at(i, j)
             if w:
                 mix[j][i] = w
-                mix[n + j][n + i] = w.conjugate()
+                mix[n + i][n + j] = -w
     return mix
 
 
@@ -394,7 +402,7 @@ def intertwines(
     """A_X P = P (rho(X) + chi) on S^{m+1}(C^n), an exact matrix identity.
 
     ``blocks`` is ``polarization_blocks(ctx)``.  A_X is the action of
-    X = diag(B, c) in k on cocycle coordinates, a -> rho(X) a(W) - a([X, W]):
+    X = diag(B, c) in k_C on cocycle coordinates, a -> rho(X) a(W) - a([X, W]):
     rho(X) on each of the 2n blocks minus the block mix of
     ``_bracket_mix``.  On the right, rho(X) acts on the degree-(m + 1)
     monomials with last exponent 0 (or their duals), which X = diag(B, c)
@@ -421,15 +429,18 @@ def kernel_is_invariant(ctx: RepContext, spans_kernel: bool) -> bool:
     ``spans_kernel`` is the verdict of the ``polarization-span`` check of
     ``classify``: the kernel is the image of the polarization map P.  Then
     the kernel is K-invariant when P intertwines the action of k: for every
-    X = diag(B, c) in ``k_generators(n)``,
+    X = diag(B, c) in k,
 
         X.P(s) = P(rho(X) s + chi(X) s),   chi(X) = -c (primal), +c (dual),
 
-    checked as the sparse matrix identity of ``intertwines``.  A subspace
-    invariant under X and Y is invariant under [X, Y], so generators of k
-    suffice, and K = U(n) is connected, so k-invariance is K-invariance.
-    No elimination runs; the verdict covers all of K.  On K, chi is the
-    differential of det on the primal side and of det^-1 on the dual side.
+    checked as the sparse matrix identity of ``intertwines``.  Both sides
+    are complex-linear in X, so the identity holds on k exactly when it
+    holds on k_C = k + ik, and it is checked on the 2n - 1 generators
+    ``k_generators(n)`` of k_C.  A subspace invariant under X and Y is
+    invariant under [X, Y], so generators suffice, and K = U(n) is
+    connected, so k-invariance is K-invariance.  No elimination runs; the
+    verdict covers all of K.  On K, chi is the differential of det on the
+    primal side and of det^-1 on the dual side.
     """
     if not spans_kernel:
         return False

@@ -1,19 +1,25 @@
-"""Matrix realization of su(n,1) and its Cartan decomposition.
+"""Matrix realization of su(n,1), its complexification and its Cartan
+decomposition.
 
 Conventions.  V = C^{n+1} carries the signature-(n,1) Hermitian form given by
 J = diag(1, ..., 1, -1); su(n,1) is the traceless matrices X with
-X*J + JX = 0.  The compact part k consists of the block-diagonal elements
-(a copy of u(n)); its complement p is spanned by the Hermitian matrices
+X*J + JX = 0, and its complexification is sl(n+1, C).  The compact part k
+consists of the block-diagonal elements (a copy of u(n)), and its
+complexification k_C of the traceless block-diagonal matrices diag(B, c)
+(a copy of gl(n)).  The complement p is spanned by the Hermitian matrices
 
     xi(v) = [[0, v], [v*, 0]] = xi_plus(v) + xi_minus(v),   v in C^n,
 
 with complex-linear half xi_plus(v) = [[0, v], [0, 0]] and conjugate-linear
 half xi_minus(v) = [[0, 0], [v*, 0]].  The certifier works in p (x) C, with
-the complex tangents Z_j = xi_plus(e_j) and Zbar_j = xi_minus(e_j) as basis.
-The central element h0 = i/(n+1) * diag(1, ..., 1, -n) of k acts by +i on
-p+ and -i on p-; the tests build xi itself and h0 (``tests/reference.py``),
-since the certifier only needs the halves and the generators of k.  Every
-element is returned as its exact ``ExactMatrix``.
+the complex tangents Z_j = xi_plus(e_j) and Zbar_j = xi_minus(e_j) as basis,
+and acts on them by generators of k_C: every identity it checks is
+complex-linear in the acting element, so k_C-invariance of a complex
+subspace is k-invariance.  The central element h0 = i/(n+1) *
+diag(1, ..., 1, -n) of k acts by +i on p+ and -i on p-; the tests build xi
+itself, h0, the form J and a real generating set of k
+(``tests/reference.py``).  Every element is returned as its exact
+``ExactMatrix``.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .exactfield import GaussianRational, I, ONE, ZERO, gq
+from .exactfield import GaussianRational, ONE, ZERO, gq
 from .linalg import ExactMatrix, sparse_vector
 
 Vector = list[GaussianRational]
@@ -36,10 +42,6 @@ def e_vec(j: int, n: int) -> Vector:
     v = [ZERO] * n
     v[j] = ONE
     return v
-
-
-def j_form(n: int) -> ExactMatrix:
-    return ExactMatrix.diagonal([ONE] * n + [-ONE])
 
 
 def _p_element(v: Sequence, upper: bool, lower: bool) -> ExactMatrix:
@@ -63,54 +65,22 @@ def xi_minus(v: Sequence) -> ExactMatrix:
     return _p_element(v, upper=False, lower=True)
 
 
-def compact_element(block: ExactMatrix, corner) -> ExactMatrix:
-    """Block-diagonal element diag(block, corner) of k, validated."""
-    n = block.rows
-    corner = corner if type(corner) is GaussianRational else gq(corner)
-    rows = block.sparse_rows() + [{n: corner} if corner else {}]
-    M = ExactMatrix.from_rows(rows, n + 1)
-    if not in_su(M):
-        raise ValueError("not an element of su(n,1)")
-    return M
-
-
-# -- membership (exact) ---------------------------------------------------
-
-
-def in_su(M: ExactMatrix) -> bool:
-    """X*J + JX = 0 and trace zero."""
-    n = M.rows - 1
-    Jm = j_form(n)
-    if not (M.conj_transpose() * Jm + Jm * M).is_zero():
-        return False
-    tr = ZERO
-    for i in range(M.rows):
-        tr = tr + M.at(i, i)
-    return not tr
-
-
 @lru_cache(maxsize=None)
 def k_generators(n: int) -> tuple[ExactMatrix, ...]:
-    """A Lie-algebra generating set of the compact subalgebra k = u(n).
+    """A Lie-algebra generating set of k_C = gl(n), the complexified k.
 
-    The n elements diag(i E_aa, -i), then, for each adjacent pair
-    (a, a + 1), the two real root elements diag(E_ab - E_ba, 0) and
-    diag(i (E_ab + E_ba), 0) with b = a + 1: 3n - 2 elements, every entry
-    a Gaussian integer.  The diagonal ones span the Cartan subalgebra and
-    the root elements generate every root space (J. E. Humphreys,
-    *Introduction to Lie Algebras and Representation Theory*, section 18),
-    so iterated brackets span all of k.  Built and validated once per n;
-    the tuple keeps the cached set immutable.
+    The central element diag(I_n, -n), then, for each adjacent pair
+    (a, a + 1), the elementary matrices E_{a,a+1} and E_{a+1,a}: 2n - 1
+    elements, each diagonal or with a single nonzero entry.  The E's
+    generate sl(n) (J. E. Humphreys, *Introduction to Lie Algebras and
+    Representation Theory*, section 18), and the central element completes
+    it to all of k_C.  Built once per n; the tuple keeps the cached set
+    immutable.
     """
-    out = []
-    for a in range(n):
-        rows = [{} for _ in range(n)]
-        rows[a] = {a: I}
-        out.append(compact_element(ExactMatrix.from_rows(rows, n), -I))
+    out = [ExactMatrix.diagonal([ONE] * n + [gq(-n)])]
     for a in range(n - 1):
-        b = a + 1
-        for x, y in ((ONE, -ONE), (I, I)):
-            rows = [{} for _ in range(n)]
-            rows[a], rows[b] = {b: x}, {a: y}
-            out.append(compact_element(ExactMatrix.from_rows(rows, n), ZERO))
+        for i, j in ((a, a + 1), (a + 1, a)):
+            rows = [{} for _ in range(n + 1)]
+            rows[i] = {j: ONE}
+            out.append(ExactMatrix.from_rows(rows, n + 1))
     return tuple(out)

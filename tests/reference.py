@@ -1,11 +1,13 @@
 """Group-level and dense reference implementations the tests compare against.
 
 The certifier in ``sunharm`` works in the Lie algebra: it checks compact
-invariance as an identity of sparse matrices on generators of k, and never
-builds a group element, a determinant, a pairing, a spanning set of k or a
-reduced row-echelon form.  This module keeps those objects, outside the
-package, so the tests can check the algebra against the group it integrates
-to, and the identity against the elimination-based check it replaced.  It
+invariance as an identity of sparse matrices on complex generators of k_C,
+and never builds a group element, a determinant, a pairing, the form J, a
+spanning set or a real generating set of k, or a reduced row-echelon form.
+This module keeps those objects, outside the package, so the tests can
+check the algebra against the group it integrates to, the complex
+generators against the real ones they replaced, and the identity against
+the elimination-based check it replaced.  It
 also keeps the dense forms the package no longer takes: matrices written as
 dense literals, the span test that converts and ranks each family twice, the
 p-elements written into dense arrays, the n = 1 split that combines the
@@ -58,15 +60,7 @@ from sunharm.linalg import (
     same_span,
     sparse_vector,
 )
-from sunharm.sun1 import (
-    _p_element,
-    _vec,
-    compact_element,
-    e_vec,
-    in_su,
-    xi_minus,
-    xi_plus,
-)
+from sunharm.sun1 import _p_element, _vec, e_vec, xi_minus, xi_plus
 from sunharm.symrep import (
     DualSymTensor,
     SymTensor,
@@ -178,6 +172,57 @@ def dense_p_element(v: Sequence, upper: bool, lower: bool) -> ExactMatrix:
         if lower:
             rows[n][j] = x.conjugate()
     return dense_matrix(rows)
+
+
+def j_form(n: int) -> ExactMatrix:
+    """The Hermitian form J = diag(1, ..., 1, -1) of signature (n, 1)."""
+    return ExactMatrix.diagonal([ONE] * n + [-ONE])
+
+
+def in_su(M: ExactMatrix) -> bool:
+    """X*J + JX = 0 and trace zero."""
+    n = M.rows - 1
+    Jm = j_form(n)
+    if not (M.conj_transpose() * Jm + Jm * M).is_zero():
+        return False
+    tr = ZERO
+    for i in range(M.rows):
+        tr = tr + M.at(i, i)
+    return not tr
+
+
+def compact_element(block: ExactMatrix, corner) -> ExactMatrix:
+    """Block-diagonal element diag(block, corner) of k, validated."""
+    n = block.rows
+    corner = corner if type(corner) is GaussianRational else gq(corner)
+    rows = block.sparse_rows() + [{n: corner} if corner else {}]
+    M = ExactMatrix.from_rows(rows, n + 1)
+    if not in_su(M):
+        raise ValueError("not an element of su(n,1)")
+    return M
+
+
+def real_k_generators(n: int) -> list[ExactMatrix]:
+    """A real Lie-algebra generating set of k = u(n), the set the package's
+    complex generators of k_C replaced.
+
+    The n elements diag(i E_aa, -i), then, for each adjacent pair
+    (a, a + 1), the two real root elements diag(E_ab - E_ba, 0) and
+    diag(i (E_ab + E_ba), 0) with b = a + 1: 3n - 2 elements of k, each
+    validated, every entry a Gaussian integer.
+    """
+    out = []
+    for a in range(n):
+        rows = [{} for _ in range(n)]
+        rows[a] = {a: I}
+        out.append(compact_element(ExactMatrix.from_rows(rows, n), -I))
+    for a in range(n - 1):
+        b = a + 1
+        for x, y in ((ONE, -ONE), (I, I)):
+            rows = [{} for _ in range(n)]
+            rows[a], rows[b] = {b: x}, {a: y}
+            out.append(compact_element(ExactMatrix.from_rows(rows, n), ZERO))
+    return out
 
 
 def bracket(X: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:
@@ -636,6 +681,37 @@ def rank_is_invariant(ctx, kernel: Sequence[Cocycle]) -> bool:
             ]
             vecs.append(values_to_vector(moved, index))
     return rank(ExactMatrix.from_rows(vecs, system_shape(ctx)[1])) == len(kernel)
+
+
+def real_generators_intertwine(ctx, blocks: Sequence[ExactMatrix]) -> bool:
+    """P intertwines k, checked on ``real_k_generators(n)``: the identity
+    A_X P = P (rho(X) + chi(X)) of ``harmonic.intertwines``, with the
+    bracket on the Zbar half taken in the conjugated form that holds for X
+    in k only, [X, Zbar_j] = sum_i conj(w_ij) Zbar_i with w = B - c.
+    ``blocks`` is P split by tangent, as ``harmonic.polarization_blocks``
+    gives it."""
+    n, m = ctx.n, ctx.m
+    top = [s + (0,) for s in monomials(n, m + 1)]
+    for X in real_k_generators(n):
+        c = X.at(n, n)
+        mix = [{} for _ in range(2 * n)]
+        for j in range(n):
+            for i in range(n):
+                w = X.at(i, j) - c if i == j else X.at(i, j)
+                if w:
+                    mix[j][i] = w
+                    mix[n + j][n + i] = w.conjugate()
+        rho = rho_matrix(X, n, m, ctx.dual)
+        target = rho_matrix_restricted(X, top, top, ctx.dual) + ExactMatrix.diagonal(
+            [c if ctx.dual else -c] * len(top)
+        )
+        for block, row in zip(blocks, mix):
+            moved = rho * block
+            for q, r in row.items():
+                moved = moved - blocks[q].scale(r)
+            if moved != block * target:
+                return False
+    return True
 
 
 # -- the n = 1 split through dense vectors ------------------------------------

@@ -17,7 +17,6 @@ from sunharm import (
     classify,
     e_vec,
     harmonic_kernel,
-    j_form,
     polarization_cocycles,
     rho_apply,
     t_op,
@@ -48,6 +47,7 @@ from reference import (
     inner,
     is_compact,
     is_xi_shape,
+    j_form,
     k_basis,
     k_group_action,
     p_basis,

@@ -72,6 +72,7 @@ from reference import (
     project_grade,
     rank_is_invariant,
     real_assemble_system,
+    real_generators_intertwine,
     real_values,
     real_vector,
     scale_vec,
@@ -461,9 +462,34 @@ def test_polarization_intertwines_generators(n, m, dual):
         c = X.at(n, n)
         chi = c if dual else -c
         assert intertwines(ctx, blocks, X, chi)
-        # the flipped character fails wherever it differs: on every
-        # generator with c != 0, the n diagonal ones
+        # the flipped character fails wherever it differs: on the central
+        # generator diag(I_n, -n), the only one with c != 0
         assert intertwines(ctx, blocks, X, -chi) is (not c)
+    central = k_generators(n)[0]
+    assert central.at(n, n) == -n
+    assert not intertwines(ctx, blocks, central, n if dual else -n)
+
+
+@pytest.mark.parametrize(
+    "n,m,dual", [(2, 2, False), (4, 3, False), (3, 2, True), (3, 3, True), (2, 1, True)]
+)
+def test_complex_generators_agree_with_real_generators(monkeypatch, n, m, dual):
+    # the 2n - 1 generators of k_C give the verdict of the 3n - 2 real
+    # generators of k, on P and on P with one nonzero tangent block doubled
+    import sunharm.harmonic as harmonic
+
+    ctx = RepContext(n, m, dual)
+    blocks = polarization_blocks(ctx)
+    assert kernel_is_invariant(ctx, True) is real_generators_intertwine(ctx, blocks) is True
+    nonzero = [p for p, block in enumerate(blocks) if not block.is_zero()]
+    # the values of P sit on one half: Z blocks on the dual side, Zbar primal
+    assert nonzero == list(range(n) if dual else range(n, 2 * n))
+    for p in nonzero:
+        doubled = list(blocks)
+        doubled[p] = blocks[p].scale(2)
+        monkeypatch.setattr(harmonic, "polarization_blocks", lambda ctx: doubled)
+        assert kernel_is_invariant(ctx, True) is False
+        assert real_generators_intertwine(ctx, doubled) is False
 
 
 def corpus_is_invariant(ctx, kernel):
@@ -654,7 +680,7 @@ def test_polarization_blocks_are_the_tangent_values_of_p(n, m, dual):
     pol = polarization_cocycles(ctx)
     blocks = polarization_blocks(ctx)
     assert len(blocks) == 2 * n
-    assert polarization_rows(ctx) == [cocycle_to_vector(a) for a in pol]
+    assert polarization_rows(ctx) == tuple(cocycle_to_vector(a) for a in pol)
     for p, block in enumerate(blocks):
         assert (block.rows, block.cols) == (ctx.dim_w, len(pol))
         expected = [{} for _ in range(ctx.dim_w)]
@@ -958,6 +984,25 @@ def test_isometry_fails_on_a_doubled_lowering_block(monkeypatch, n):
         assert entry["status"] == "fail"
         assert "annihilated: True;" in entry["details"]
         assert ": False; pinned value: True" in entry["details"]
+
+
+def test_verify_builds_p_once_per_case(monkeypatch):
+    # classify and the invariance check share one build of the
+    # polarization rows
+    import sunharm.harmonic as harmonic
+
+    real = harmonic.polarization_cocycles
+    calls = []
+
+    def spy(ctx):
+        calls.append(ctx)
+        return real(ctx)
+
+    harmonic.polarization_rows.cache_clear()
+    monkeypatch.setattr(harmonic, "polarization_cocycles", spy)
+    entry = verify.verify_case(3, 2)
+    assert all_passed(entry["checks"])
+    assert calls == [RepContext(3, 2)]
 
 
 def test_battery_builds_each_graded_operator_once(monkeypatch):

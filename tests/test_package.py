@@ -21,6 +21,7 @@ GONE = {
         "unitary_corpus", "tangent_samples", "p_basis", "bracket", "is_compact",
         "is_xi_shape", "is_xi_plus_shape", "LieElement", "classify_kind",
         "is_xi_minus_shape", "group_inverse", "k_basis", "h0", "xi", "scale_vec",
+        "in_su", "compact_element", "j_form",
     ),
     "symrep": (
         "substitute", "_poly_mul", "group_matrix", "k_group_action", "inner",

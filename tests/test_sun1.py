@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from sunharm import ExactMatrix, I, ONE, ZERO, e_vec, gq, j_form, xi_minus, xi_plus
-from sunharm.sun1 import in_su, k_generators
+from sunharm import ExactMatrix, I, ONE, ZERO, e_vec, gq, xi_minus, xi_plus
+from sunharm.linalg import rank
+from sunharm.sun1 import k_generators
 
 from reference import (
     adjoint_on_p_plus,
@@ -17,11 +18,14 @@ from reference import (
     embed_k,
     h0,
     identity,
+    in_su,
     is_compact,
     is_unitary,
     is_xi_shape,
+    j_form,
     k_basis,
     p_basis,
+    real_k_generators,
     scale_vec,
     tangent_samples,
     unitary_corpus,
@@ -179,7 +183,7 @@ def test_k_basis_spans_k(n):
 def test_k_generators_generate_k(n):
     # brackets with the generators, iterated until the real span stops
     # growing, stay in k and span a space of real dimension n^2 = dim u(n)
-    gens = k_generators(n)
+    gens = real_k_generators(n)
     assert len(gens) == 3 * n - 2
     cols = 2 * (n + 1) ** 2
     span = [_real_coordinates(X) for X in gens]
@@ -201,9 +205,53 @@ def test_k_generators_generate_k(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_k_generators_are_gaussian_integral(n):
-    for X in k_generators(n):
+    for X in real_k_generators(n):
         assert is_compact(X)
         assert all(Fraction(z.re).denominator == 1 for z in _real_coordinates(X))
+
+
+def _in_k_c(X):
+    # block-diagonal diag(B, c) with zero trace: an element of k (x) C
+    n = X.rows - 1
+    corners = any(X.at(i, n) or X.at(n, i) for i in range(n))
+    trace = sum((X.at(i, i) for i in range(n + 1)), ZERO)
+    return not corners and not trace
+
+
+def _entries(X):
+    # the entries of X as one sparse coordinate row over C
+    w = X.cols
+    return {i * w + j: x for i, row in enumerate(X.sparse_rows()) for j, x in row.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_complex_k_generators_generate_k_c(n):
+    # 2n - 1 sparse elements of k_C; brackets with them, iterated until the
+    # complex span stops growing, stay in k_C and span a space of complex
+    # dimension n^2 = dim gl(n)
+    gens = k_generators(n)
+    assert len(gens) == 2 * n - 1
+    for X in gens:
+        assert _in_k_c(X)
+        # a single-entry matrix or a diagonal one
+        rows = X.sparse_rows()
+        assert len(_entries(X)) == 1 or all(set(r) <= {i} for i, r in enumerate(rows))
+    cols = (n + 1) ** 2
+    span = [_entries(X) for X in gens]
+    dim = rank(ExactMatrix.from_rows(span, cols))
+    frontier = list(gens)
+    while frontier:
+        new = []
+        for X in frontier:
+            for Y in gens:
+                Z = bracket(X, Y)
+                assert _in_k_c(Z)
+                if rank(ExactMatrix.from_rows(span + [_entries(Z)], cols)) > dim:
+                    span.append(_entries(Z))
+                    dim += 1
+                    new.append(Z)
+        frontier = new
+    assert dim == n * n
 
 
 def test_adjoint_identity():
