@@ -9,12 +9,13 @@ set, the set is independent and its size is the nullity of the matrix.  A
 map kills the kernel of another when stacking its matrix under the other's
 leaves the rank unchanged.  The contraction is a proportional isometry on
 the symmetric part when S C^T L^T is a positive multiple of the
-polarization rows S.  Only the n = 1 split solves a (small) system: its
-halves are the kernels of the constraint matrix restricted to the Z and to
-the Zbar columns, and the kernel dimension is the nullity of the whole
-matrix.  The entries returned are plain dicts
-``{"name", "j", "status", "details"}`` built by ``symrep.check_entry``,
-with status ``pass``, ``fail`` or ``vacuous`` (empty parameter range).
+polarization rows S.  The n = 1 split solves for no kernel either: the
+dimension of each half, and of its part in its extreme grade, is the
+nullity of the constraint matrix restricted to the columns that part may
+occupy, and the kernel dimension is the nullity of the whole matrix.  The
+entries returned are plain dicts ``{"name", "j", "status", "details"}``
+built by ``symrep.check_entry``, with status ``pass``, ``fail`` or
+``vacuous`` (empty parameter range).
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ import math
 from functools import lru_cache
 from typing import Sequence
 
-from .linalg import ExactMatrix, Row, kernel_basis, rank, sparse_vector
+from .linalg import ExactMatrix, Row, rank
 from .sun1 import e_vec, xi_minus, xi_plus
 from .symrep import (
     DualSymTensor,
     RepContext,
     SymTensor,
     check_entry,
+    grade_of,
     graded_monomials,
     monomials,
     multiply_var,
@@ -37,13 +39,7 @@ from .symrep import (
     rho_apply,
     rho_matrix_restricted,
 )
-from .harmonic import (
-    Cocycle,
-    assemble_system,
-    cocycle_from_vector,
-    pairwise_relation_rows,
-    values_to_vector,
-)
+from .harmonic import assemble_system, pairwise_relation_rows, values_to_vector
 
 
 # -- the table of graded operators ------------------------------------------
@@ -316,28 +312,11 @@ def check_contraction_isometry(n: int, m: int, j: int) -> dict:
 # -- the n = 1 (Riemann surface) split ---------------------------------------
 
 
-def split_halves(
-    ctx: RepContext, A: ExactMatrix
-) -> tuple[list[Cocycle], list[Cocycle]]:
-    """The complex-linear and conjugate-linear halves of ker A, as cocycles.
-
-    ``A`` is ``assemble_system(ctx)``.  A cocycle is complex-linear when
-    its Zbar values vanish, so that half is ker A restricted to the Z
-    columns, and the conjugate-linear half is ker A restricted to the Zbar
-    columns; each basis is the canonical kernel basis of that column block.
-    """
-    h = ctx.n * ctx.dim_w
-    halves = []
-    for lo in (0, h):
-        block = [
-            {j - lo: x for j, x in r.items() if lo <= j < lo + h}
-            for r in A.sparse_rows()
-        ]
-        halves.append([
-            cocycle_from_vector(ctx, {lo + j: x for j, x in sparse_vector(v).items()})
-            for v in kernel_basis(ExactMatrix.from_rows(block, h))
-        ])
-    return halves[0], halves[1]
+def _nullity(rows: Sequence[Row], cols: Sequence[int]) -> int:
+    """The nullity of the block of ``rows`` on the columns ``cols``."""
+    index = {c: i for i, c in enumerate(cols)}
+    block = [{index[j]: x for j, x in r.items() if j in index} for r in rows]
+    return len(cols) - rank(ExactMatrix.from_rows(block, len(cols)))
 
 
 def riemann_split_report(ctx: RepContext) -> dict:
@@ -348,47 +327,60 @@ def riemann_split_report(ctx: RepContext) -> dict:
     extreme grade its linearity type can reach.  Running the same report on
     n >= 2 shows the split failing (the complex-linear half is trivial),
     which is exactly why those kernels are one-sided.
+
+    Every verdict is a nullity of the assembled system A; no kernel is
+    solved for.  A vector of the kernel of A restricted to a column set S,
+    padded with zeros, is in ker A, so that nullity is the dimension of the
+    part of ker A supported in S.  A cocycle is complex-linear when its
+    Zbar values vanish, so the complex-linear half has the dimension of the
+    nullity on the Z columns, and the conjugate-linear half that on the
+    Zbar columns.  A half lies in grade g exactly when its nullity on its
+    grade-g columns equals its own.  The two halves have disjoint supports,
+    so they form a direct sum of ker A exactly when their dimensions add up
+    to cols - rank(A).
     """
     m = ctx.m
     A = assemble_system(ctx)
+    rows = A.sparse_rows()
     kdim = A.cols - rank(A)
-    complex_sub, conj_sub = split_halves(ctx, A)
+    grades = [grade_of(a, m) for a in ctx.basis()] * ctx.n
+    h = len(grades)
+
+    def half(lo: int, g: int) -> tuple[int, bool]:
+        dim = _nullity(rows, range(lo, lo + h))
+        graded = [lo + j for j, k in enumerate(grades) if k == g]
+        return dim, _nullity(rows, graded) == dim
+
     complex_grade = m if ctx.dual else 0
     conj_grade = 0 if ctx.dual else m
-
-    def supported_in(cos, g):
-        return all(
-            w.support_grades() <= {g}
-            for a in cos
-            for w in (*a.plus_values, *a.minus_values)
-        )
-
+    complex_dim, complex_ok = half(0, complex_grade)
+    conj_dim, conj_ok = half(h, conj_grade)
     checks = [
         check_entry(
             "equal-dimensions",
-            len(complex_sub) == len(conj_sub),
-            f"complex-linear {len(complex_sub)}, conjugate-linear {len(conj_sub)}",
+            complex_dim == conj_dim,
+            f"complex-linear {complex_dim}, conjugate-linear {conj_dim}",
         ),
         check_entry(
             "direct-sum",
-            len(complex_sub) + len(conj_sub) == kdim,
-            f"parts sum to {len(complex_sub) + len(conj_sub)} of {kdim}",
+            complex_dim + conj_dim == kdim,
+            f"parts sum to {complex_dim + conj_dim} of {kdim}",
         ),
         check_entry(
             "complex-part-extreme-grade",
-            supported_in(complex_sub, complex_grade),
+            complex_ok,
             f"complex-linear part supported in grade {complex_grade}",
         ),
         check_entry(
             "conjugate-part-extreme-grade",
-            supported_in(conj_sub, conj_grade),
+            conj_ok,
             f"conjugate-linear part supported in grade {conj_grade}",
         ),
     ]
     return {
         "kernel_dim": kdim,
-        "complex_linear_dim": len(complex_sub),
-        "conjugate_linear_dim": len(conj_sub),
+        "complex_linear_dim": complex_dim,
+        "conjugate_linear_dim": conj_dim,
         "split": all(c["status"] == "pass" for c in checks),
         "checks": checks,
     }

@@ -282,9 +282,11 @@ def polarization_rows(ctx: RepContext) -> tuple[Row, ...]:
 def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dict]]:
     """Run the structural verdicts on a computed kernel basis.
 
-    Flags (each an exact zero test): linearity (conjugate-linear for the
-    primal side, complex-linear for the dual), support in the top grade,
-    membership in the symmetric component, and the dimension count.
+    Flags (each an exact zero test or a rank comparison): linearity
+    (conjugate-linear for the primal side, complex-linear for the dual),
+    support in the top grade, membership in the symmetric component
+    (rank([P; K]) = rank(P) on the polarization rows P and the kernel rows
+    K), and the dimension count.
     Returns the flags and the check entries.
     """
     m = ctx.m
@@ -337,7 +339,8 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dic
         check_entry(
             "symmetric-component",
             sym_ok,
-            "hook projection of each basis element is exactly zero",
+            "each form is one-sided, top-graded and in the span of the"
+            " polarization rows: rank([P; K]) = rank(P)",
         )
     )
 

@@ -74,8 +74,8 @@ def verify_case(n: int, m: int, dual: bool = False, with_lemmas: bool = False) -
                 "compact-invariance",
                 invariant,
                 "the polarization map P spans the kernel and intertwines each"
-                " generator of k, so k maps the kernel into itself: K-invariance,"
-                " since U(n) is connected",
+                " of the 2n - 1 generators of k_C = gl(n), so k maps the kernel"
+                " into itself: K-invariance, since U(n) is connected",
             )
         )
         sym = f"S^{m + 1}(C^{n})"

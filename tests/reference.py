@@ -11,14 +11,15 @@ the elimination-based check it replaced.  It
 also keeps the dense forms the package no longer takes: matrices written as
 dense literals, the span test that converts and ranks each family twice, the
 p-elements written into dense arrays, the n = 1 split that combines the
-kernel through dense vectors, the complex- and conjugate-linear parts of a
-cocycle on any tangent, symmetric-component membership by the hook
-projection of each form, where the package compares one rank against the
-polarization rows, the lemma checks that solve for a relation
-subspace or a hook component and compare or apply to its basis, where the
-package decides the same claims by rank and annihilation, and the
-contraction isometry applied tensor by tensor, where the package checks one
-matrix identity.
+kernel through dense vectors, the n = 1 split that solves for the kernels
+of the Z and Zbar column blocks, where the package takes their nullities,
+the complex- and conjugate-linear parts of a cocycle on any tangent,
+symmetric-component membership by the hook projection of each form, where
+the package compares one rank against the polarization rows, the lemma
+checks that solve for a relation subspace or a hook component and compare
+or apply to its basis, where the package decides the same claims by rank
+and annihilation, and the contraction isometry applied tensor by tensor,
+where the package checks one matrix identity.
 
 The package stores a cocycle by its values on the complex tangents
 Z_j = xi_plus(e_j) and Zbar_j = xi_minus(e_j).  The references here work in
@@ -43,9 +44,10 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from sunharm import Cocycle, ExactMatrix, I, ONE, ZERO, gq, rho_apply
+from sunharm import Cocycle, ExactMatrix, I, ONE, RepContext, ZERO, gq, rho_apply
 from sunharm.exactfield import GaussianRational, sub_mul
 from sunharm.harmonic import (
+    cocycle_from_vector,
     pairwise_relation_rows,
     system_shape,
     values_from_vector,
@@ -714,7 +716,7 @@ def real_generators_intertwine(ctx, blocks: Sequence[ExactMatrix]) -> bool:
     return True
 
 
-# -- the n = 1 split through dense vectors ------------------------------------
+# -- the n = 1 split by kernel solves ------------------------------------------
 
 
 def dense_part_sub_basis(ctx, kernel: Sequence[Cocycle], plus: bool) -> list[Cocycle]:
@@ -751,6 +753,30 @@ def dense_part_sub_basis(ctx, kernel: Sequence[Cocycle], plus: bool) -> list[Coc
                 v = [x + f * y for x, y in zip(v, u)]
         out.append(from_real_vector(ctx, sparse_vector(v)))
     return out
+
+
+def split_halves(
+    ctx: RepContext, A: ExactMatrix
+) -> tuple[list[Cocycle], list[Cocycle]]:
+    """The complex-linear and conjugate-linear halves of ker A, as cocycles.
+
+    ``A`` is ``assemble_system(ctx)``.  A cocycle is complex-linear when
+    its Zbar values vanish, so that half is ker A restricted to the Z
+    columns, and the conjugate-linear half is ker A restricted to the Zbar
+    columns; each basis is the canonical kernel basis of that column block.
+    """
+    h = ctx.n * ctx.dim_w
+    halves = []
+    for lo in (0, h):
+        block = [
+            {j - lo: x for j, x in r.items() if lo <= j < lo + h}
+            for r in A.sparse_rows()
+        ]
+        halves.append([
+            cocycle_from_vector(ctx, {lo + j: x for j, x in sparse_vector(v).items()})
+            for v in kernel_basis(ExactMatrix.from_rows(block, h))
+        ])
+    return halves[0], halves[1]
 
 
 # -- symmetric-component membership by the hook projection ---------------------

@@ -44,7 +44,6 @@ from sunharm.checks import (
     check_symmetric_forcing,
     lemma_battery,
     riemann_split_report,
-    split_halves,
 )
 from sunharm.linalg import ExactMatrix, kernel_basis, rank, same_span, sparse_vector
 from sunharm.symrep import graded_monomials, rho_matrix_restricted
@@ -76,6 +75,7 @@ from reference import (
     real_values,
     real_vector,
     scale_vec,
+    split_halves,
     symmetric_component_membership,
     tangent_samples,
     tensor_contraction_isometry,
@@ -837,13 +837,11 @@ def test_isometry_identity_matches_tensor_reference(n):
             assert f"adjoint composition scalar {scalar}: {ok};" in entry["details"], (m, j)
 
 
-def test_lemma_certificates_solve_for_no_kernel(monkeypatch):
+def test_lemma_certificates_solve_for_no_kernel():
+    # the battery and the n = 1 split decide by rank: checks cannot solve
     import sunharm.checks as checks
 
-    def no_kernel(M):
-        raise AssertionError("a lemma certificate solved for a kernel")
-
-    monkeypatch.setattr(checks, "kernel_basis", no_kernel)
+    assert not hasattr(checks, "kernel_basis")
     assert not hasattr(checks, "same_span")
     entries = [
         *check_symmetric_forcing(3, 3, 2),
@@ -851,6 +849,8 @@ def test_lemma_certificates_solve_for_no_kernel(monkeypatch):
         check_contraction_isometry(3, 3, 2),
     ]
     assert all(e["status"] == "pass" for e in entries)
+    for ctx in (RepContext(1, 4), RepContext(1, 3, dual=True)):
+        assert riemann_split_report(ctx)["split"], ctx
 
 
 RELATION_CHECKS = {
@@ -1112,3 +1112,83 @@ def test_split_halves_match_dense_reference_for_higher_rank(n, m, dual):
     assert sorted(map(len, halves)) == [0, len(kernel)]
     for sub, plus in zip(halves, (False, True)):
         assert sub == dense_part_sub_basis(ctx, kernel, plus)
+
+
+def _split_verdicts(rep: dict) -> dict:
+    """The report's two half dimensions, its grade verdicts and direct sum."""
+    status = {c["name"]: c["status"] == "pass" for c in rep["checks"]}
+    return {
+        "complex": rep["complex_linear_dim"],
+        "conjugate": rep["conjugate_linear_dim"],
+        "complex_graded": status["complex-part-extreme-grade"],
+        "conjugate_graded": status["conjugate-part-extreme-grade"],
+        "direct_sum": status["direct-sum"],
+    }
+
+
+def _reference_split_verdicts(ctx: RepContext, A: ExactMatrix) -> dict:
+    """The same verdicts read off the solved halves of ``A``."""
+    complex_sub, conj_sub = split_halves(ctx, A)
+
+    def supported_in(cos, g):
+        return all(
+            w.support_grades() <= {g}
+            for a in cos
+            for w in (*a.plus_values, *a.minus_values)
+        )
+
+    return {
+        "complex": len(complex_sub),
+        "conjugate": len(conj_sub),
+        "complex_graded": supported_in(complex_sub, ctx.m if ctx.dual else 0),
+        "conjugate_graded": supported_in(conj_sub, 0 if ctx.dual else ctx.m),
+        "direct_sum": len(complex_sub) + len(conj_sub) == len(kernel_basis(A)),
+    }
+
+
+SPLIT_GRID = [
+    *((1, m, dual) for m in range(1, 13) for dual in (False, True)),
+    (2, 2, False),
+    (3, 2, True),
+]
+
+
+@pytest.mark.parametrize("n,m,dual", SPLIT_GRID)
+def test_split_nullities_match_solved_halves(n, m, dual):
+    """Each nullity the report takes is the size of a solved half, and each
+    grade verdict is the support of that half's values."""
+    ctx = RepContext(n, m, dual)
+    rep = riemann_split_report(ctx)
+    assert _split_verdicts(rep) == _reference_split_verdicts(ctx, assemble_system(ctx))
+    assert rep["split"] == (n == 1)
+
+
+def _doctored_split(monkeypatch, ctx: RepContext, A: ExactMatrix) -> tuple[dict, dict]:
+    import sunharm.checks as checks
+
+    monkeypatch.setattr(checks, "assemble_system", lambda c: A)
+    return _split_verdicts(riemann_split_report(ctx)), _reference_split_verdicts(ctx, A)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("n,m", [(1, 2), (1, 3), (2, 2)])
+def test_split_rejects_an_empty_system(monkeypatch, n, m, dual):
+    # every cocycle solves no equation: each half fills all its grades
+    ctx = RepContext(n, m, dual)
+    got, ref = _doctored_split(
+        monkeypatch, ctx, ExactMatrix.from_rows([], system_shape(ctx)[1])
+    )
+    assert got == ref
+    assert not got["complex_graded"] and not got["conjugate_graded"]
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_split_rejects_a_system_without_its_trace_block(monkeypatch, m, dual):
+    # without T* the kernel holds mixed forms that neither half contains
+    ctx = RepContext(1, m, dual)
+    A = assemble_system(ctx)
+    rows = A.sparse_rows()[: A.rows - ctx.dim_w]
+    got, ref = _doctored_split(monkeypatch, ctx, ExactMatrix.from_rows(rows, A.cols))
+    assert got == ref
+    assert not got["direct_sum"]

@@ -1,4 +1,5 @@
 import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -12,9 +13,9 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 #: Names that left the package, by the module that defined them: group-level
 #: and dense references now in tests/reference.py, among them the hook
-#: projection and the parts of a cocycle on any tangent, and deleted code,
-#: among it the dense coordinate-vector path and the n = 1 sub-basis
-#: combination.
+#: projection, the parts of a cocycle on any tangent and the n = 1 split by
+#: kernel solves, and deleted code, among it the dense coordinate-vector path
+#: and the n = 1 sub-basis combination.
 GONE = {
     "sun1": (
         "is_unitary", "embed_k", "adjoint_on_p_plus", "canonical_weight",
@@ -32,7 +33,7 @@ GONE = {
         "transform_cocycle", "Vector", "symmetric_component_membership",
         "_uniform_grade", "plus_part", "minus_part", "_linear_part",
     ),
-    "checks": ("part_sub_basis",),
+    "checks": ("part_sub_basis", "split_halves"),
     "linalg": ("det", "dump_text", "rref", "rank_of_rows", "_sparse_rows"),
     "exactfield": ("dump_entry",),
 }
@@ -75,3 +76,15 @@ def test_public_surface():
     # matrices are built from sparse rows only: no dense constructor
     with pytest.raises(TypeError):
         sunharm.ExactMatrix([[1]])
+
+
+def test_only_the_harmonic_kernel_solves():
+    """``harmonic_kernel`` is the one kernel solve: besides ``linalg``, which
+    defines ``kernel_basis``, and the package root, which exports it, only
+    ``harmonic`` binds the name."""
+    binders = {"__init__"} if hasattr(sunharm, "kernel_basis") else set()
+    for info in pkgutil.iter_modules(sunharm.__path__):
+        mod = importlib.import_module(f"sunharm.{info.name}")
+        if hasattr(mod, "kernel_basis"):
+            binders.add(info.name)
+    assert binders == {"__init__", "linalg", "harmonic"}
