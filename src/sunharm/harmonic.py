@@ -37,6 +37,13 @@ objects: a one-sided, top-graded kernel lies in the symmetric component
 exactly when stacking its rows under ``polarization_rows`` (the columns of
 the polarization map P below, written as rows) leaves the rank unchanged.
 
+The ``operator-recheck`` verdict of ``classify`` evaluates T and T* on each
+kernel element through ``rho_apply``, independently of the assembled
+matrix.  It applies rho(W) only to the nonzero values, since rho(W) 0 = 0,
+and compares the two terms of each pair of T instead of forming the
+two-form (``_operators_vanish``); ``t_op`` and ``tstar_op`` build the
+operators' values in full.
+
 Compact invariance needs no kernel basis.  ``classify`` certifies that the
 kernel is the image of the polarization map P, whose columns are the
 explicit ``polarization_cocycles``; ``kernel_is_invariant`` then checks,
@@ -154,6 +161,35 @@ def tstar_op(a: Cocycle):
     for p in range(2 * n):
         out = out + rho_apply(_basis_tangent(n, p), a.value((p + n) % (2 * n)))
     return out
+
+
+def _operators_vanish(a: Cocycle) -> bool:
+    """T a = 0 and T* a = 0, decided by ``rho_apply`` on the nonzero values
+    of a only, since rho(W) 0 = 0.
+
+    ``images[p, q]`` is rho(W_p) a(W_q) for a nonzero a(W_q) and p != q.
+    T a vanishes exactly when images[p, q] = images[q, p] on every pair, a
+    missing image counting as zero; pairs of two zero values are skipped.
+    T* a is the sum of the images[p, p + n mod 2n].  No ``TwoForm`` is
+    built.
+    """
+    n = a.ctx.n
+    nb = 2 * n
+    images = {}
+    for q in range(nb):
+        w = a.value(q)
+        if w:
+            for p in range(nb):
+                if p != q:
+                    images[p, q] = rho_apply(_basis_tangent(n, p), w).coeffs
+    if any(img != images.get((q, p), {}) for (p, q), img in images.items()):
+        return False
+    trace = {}
+    for p in range(nb):
+        for b, c in images.get((p, (p + n) % nb), {}).items():
+            s = trace.get(b)
+            trace[b] = c if s is None else s + c
+    return not any(trace.values())
 
 
 # -- the constraint-system layer --------------------------------------------
@@ -282,9 +318,11 @@ def polarization_rows(ctx: RepContext) -> tuple[Row, ...]:
 def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dict]]:
     """Run the structural verdicts on a computed kernel basis.
 
-    Flags (each an exact zero test or a rank comparison): linearity
-    (conjugate-linear for the primal side, complex-linear for the dual),
-    support in the top grade, membership in the symmetric component
+    The ``operator-recheck`` check re-evaluates T and T* on each kernel
+    element with ``_operators_vanish``, which applies rho only to nonzero
+    values.  Flags (each an exact zero test or a rank comparison):
+    linearity (conjugate-linear for the primal side, complex-linear for the
+    dual), support in the top grade, membership in the symmetric component
     (rank([P; K]) = rank(P) on the polarization rows P and the kernel rows
     K), and the dimension count.
     Returns the flags and the check entries.
@@ -294,7 +332,7 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dic
     linear_key = "complex_linear" if ctx.dual else "conjugate_linear"
 
     # Every kernel element must re-verify through the operator path.
-    op_ok = all(t_op(a).is_zero() and tstar_op(a).is_zero() for a in kernel)
+    op_ok = all(map(_operators_vanish, kernel))
     checks = [
         check_entry("operator-recheck", op_ok, "T and T* vanish via direct evaluation")
     ]

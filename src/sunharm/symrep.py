@@ -11,6 +11,10 @@ Conventions used throughout the package:
 
 * The Lie algebra acts by derivation:
   ``rho(X) e^alpha = sum_i alpha_i sum_j X[j][i] e^(alpha - d_i + d_j)``.
+  The action has one implementation, the monomial action ``_action``,
+  which sends a multi-index to its image {multi-index: nonzero coefficient}
+  from the nonzero entries of X.  ``rho_apply`` extends it linearly to
+  tensors, and ``rho_matrix_restricted`` writes it as a sparse matrix.
 
 * Dual elements live on the dual monomial basis ``eps^alpha`` normalized by
   ``eps^alpha(e^beta) = delta``; the dual action is
@@ -226,54 +230,73 @@ def polarization(s: _CoeffPoly) -> list[_CoeffPoly]:
 # -- the Lie algebra action ------------------------------------------------
 
 
+def _action(X: ExactMatrix, dual: bool):
+    """The monomial action of X, the one implementation of rho.
+
+    Returns the map sending a multi-index alpha to the image of e^alpha
+    under rho(X) (of eps^alpha under the dual action when ``dual``) as
+    {multi-index: nonzero coefficient}.  It reads only the nonzero entries
+    X[j][i] and builds no tensor.
+    """
+    entries = [
+        (j, i, x) for j, row in enumerate(X.sparse_rows()) for i, x in row.items()
+    ]
+
+    def image(a: MultiIndex) -> dict[MultiIndex, GaussianRational]:
+        out: dict[MultiIndex, GaussianRational] = {}
+        for j, i, x in entries:
+            if dual:
+                # (rho'(X) lam)(v) = -lam(rho(X) v), the negated transpose:
+                # eps^alpha takes -X[j][i] b_i at b = alpha - d_j + d_i
+                if not a[j]:
+                    continue
+                b = list(a)
+                b[j] -= 1
+                b[i] += 1
+                b = tuple(b)
+                add = x * -b[i]
+            else:
+                ai = a[i]
+                if not ai:
+                    continue
+                if i == j:
+                    b = a
+                else:
+                    b = list(a)
+                    b[i] -= 1
+                    b[j] += 1
+                    b = tuple(b)
+                add = x * ai
+            s = out.get(b)
+            out[b] = add if s is None else s + add
+        return {b: c for b, c in out.items() if c}
+
+    return image
+
+
 def rho_apply(X: ExactMatrix, w: _CoeffPoly) -> _CoeffPoly:
     """Apply the Lie algebra element X to w (derivation action; dual action
     on dual tensors).  Preserves the total degree."""
     if X.rows != w.n + 1:
         raise ValueError("matrix size does not match tensor dimension")
-    rows = X.sparse_rows()
+    image = _action(X, isinstance(w, DualSymTensor))
     out: dict[MultiIndex, GaussianRational] = {}
-    if isinstance(w, DualSymTensor):
-        # (rho'(X) lam)(v) = -lam(rho(X) v): negated transpose on coordinates.
-        for a, c in w.coeffs.items():
-            for j, row in enumerate(rows):
-                if not a[j]:
-                    continue
-                for i, x in row.items():
-                    b = list(a)
-                    b[j] -= 1
-                    b[i] += 1
-                    b = tuple(b)
-                    add = c * x * (-b[i])
-                    s = out.get(b)
-                    out[b] = add if s is None else s + add
-    else:
-        for a, c in w.coeffs.items():
-            for j, row in enumerate(rows):
-                for i, x in row.items():
-                    ai = a[i]
-                    if not ai:
-                        continue
-                    if i == j:
-                        b = a
-                    else:
-                        b = list(a)
-                        b[i] -= 1
-                        b[j] += 1
-                        b = tuple(b)
-                    add = c * x * ai
-                    s = out.get(b)
-                    out[b] = add if s is None else s + add
+    for a, c in w.coeffs.items():
+        for b, x in image(a).items():
+            add = c * x
+            s = out.get(b)
+            out[b] = add if s is None else s + add
     return w._like(out)
 
 
 def _map_matrix(image, in_basis, out_basis) -> ExactMatrix:
     """Sparse matrix of the linear map sending each monomial of in_basis to
-    ``image(monomial)``; raises if an image leaves span(out_basis)."""
+    ``image(monomial)``, a {multi-index: nonzero coefficient} dict; raises
+    if an image leaves span(out_basis)."""
     out_index = {a: i for i, a in enumerate(out_basis)}
     rows = [{} for _ in out_basis]
     for cidx, alpha in enumerate(in_basis):
-        for a, c in image(alpha).coeffs.items():
+        for a, c in image(alpha).items():
             if a not in out_index:
                 raise ValueError(f"image monomial {a} outside the target basis")
             rows[out_index[a]][cidx] = c
@@ -294,10 +317,12 @@ def rho_matrix_restricted(
 ) -> ExactMatrix:
     """Matrix of the action from span(in_basis) into span(out_basis).
 
-    Raises if some image falls outside the target span (a grading bug).
+    Raises if X's size does not match the monomials, or if some image falls
+    outside the target span (a grading bug).
     """
-    cls = DualSymTensor if dual else SymTensor
-    return _map_matrix(lambda a: rho_apply(X, cls.monomial(a)), in_basis, out_basis)
+    if any(len(a) != X.rows for a in in_basis):
+        raise ValueError("matrix size does not match the monomials")
+    return _map_matrix(_action(X, dual), in_basis, out_basis)
 
 
 @dataclass(frozen=True)

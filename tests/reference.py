@@ -2,24 +2,28 @@
 
 The certifier in ``sunharm`` works in the Lie algebra: it checks compact
 invariance as an identity of sparse matrices on complex generators of k_C,
-and never builds a group element, a determinant, a pairing, the form J, a
-spanning set or a real generating set of k, or a reduced row-echelon form.
-This module keeps those objects, outside the package, so the tests can
-check the algebra against the group it integrates to, the complex
-generators against the real ones they replaced, and the identity against
-the elimination-based check it replaced.  It
-also keeps the dense forms the package no longer takes: matrices written as
-dense literals, the span test that converts and ranks each family twice, the
-p-elements written into dense arrays, the n = 1 split that combines the
-kernel through dense vectors, the n = 1 split that solves for the kernels
-of the Z and Zbar column blocks, where the package takes their nullities,
-the complex- and conjugate-linear parts of a cocycle on any tangent,
-symmetric-component membership by the hook projection of each form, where
-the package compares one rank against the polarization rows, the lemma
-checks that solve for a relation subspace or a hook component and compare
-or apply to its basis, where the package decides the same claims by rank
-and annihilation, and the contraction isometry applied tensor by tensor,
-where the package checks one matrix identity.
+and never builds a group element, a determinant, a pairing, the form J, or
+a spanning set or a real generating set of k.  This module keeps those
+objects, outside the package, so the tests can check the algebra against
+the group it integrates to, the complex generators against the real ones
+they replaced, and the identity against the elimination-based check it
+replaced.  The package's only reduced row-echelon form is the pivot table
+that ``linalg.kernel_basis`` takes from ``_reduced_echelon``; ``rref`` here
+returns that table as a matrix with its pivot columns.  The matrix of
+rho(X) is built here a second way, as a sum of derivations
+(``derivation_matrix``), apart from the package's monomial action.  The
+module also keeps the dense forms the package no longer takes: matrices
+written as dense literals, the span test that converts and ranks each
+family twice, the p-elements written into dense arrays, the n = 1 split
+that combines the kernel through dense vectors, the n = 1 split that solves
+for the kernels of the Z and Zbar column blocks, where the package takes
+their nullities, the complex- and conjugate-linear parts of a cocycle on
+any tangent, symmetric-component membership by the hook projection of each
+form, where the package compares one rank against the polarization rows,
+the lemma checks that solve for a relation subspace or a hook component and
+compare or apply to its basis, where the package decides the same claims by
+rank and annihilation, and the contraction isometry applied tensor by
+tensor, where the package checks one matrix identity.
 
 The package stores a cocycle by its values on the complex tangents
 Z_j = xi_plus(e_j) and Zbar_j = xi_minus(e_j).  The references here work in
@@ -67,6 +71,7 @@ from sunharm.symrep import (
     DualSymTensor,
     SymTensor,
     _map_matrix,
+    derivative,
     graded_monomials,
     monomial_index,
     monomials,
@@ -527,7 +532,30 @@ def substitute(g: ExactMatrix, w: SymTensor) -> SymTensor:
 def group_matrix(g: ExactMatrix, n: int, m: int) -> ExactMatrix:
     """Matrix of the substitution action of g on S^m(C^{n+1})."""
     basis = monomials(n + 1, m)
-    return _map_matrix(lambda a: substitute(g, SymTensor.monomial(a)), basis, basis)
+    return _map_matrix(
+        lambda a: substitute(g, SymTensor.monomial(a)).coeffs, basis, basis
+    )
+
+
+def derivation_matrix(X: ExactMatrix, n: int, m: int) -> ExactMatrix:
+    """Matrix of rho(X) on S^m(C^{n+1}) as the derivation
+    sum_{i,j} X[j][i] (multiply by e_j) o d/de_i, built tensor by tensor
+    from ``derivative`` and ``multiply_var``; only nonzero entries are
+    stored."""
+    basis = monomials(n + 1, m)
+    index = monomial_index(n + 1, m)
+    rows = [{} for _ in basis]
+    for col, alpha in enumerate(basis):
+        w = SymTensor.monomial(alpha)
+        image = SymTensor.zero(n, m)
+        for j in range(n + 1):
+            for i in range(n + 1):
+                x = X.at(j, i)
+                if x:
+                    image = image + multiply_var(derivative(w, i), j).scale(x)
+        for beta, c in image.coeffs.items():
+            rows[index[beta]][col] = c
+    return ExactMatrix.from_rows(rows, len(basis))
 
 
 def k_group_action(A: ExactMatrix, w):

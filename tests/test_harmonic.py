@@ -26,6 +26,7 @@ from sunharm import (
 from sunharm import verify
 from sunharm.harmonic import (
     _basis_tangent,
+    _operators_vanish,
     cocycle_from_vector,
     cocycle_to_vector,
     intertwines,
@@ -424,6 +425,103 @@ def test_kernel_elements_satisfy_operators(dual):
     for a in harmonic_kernel(ctx):
         assert t_op(a).is_zero()
         assert tstar_op(a).is_zero()
+
+
+# -- the operator recheck -------------------------------------------------------
+
+DEFAULT_VERIFY_CASES = [
+    (n, m, kind == "verify-dual")
+    for kind, n, m in verify.sweep_specs(None, None)
+    if kind != "lemmas" and n >= 2
+]
+
+
+def operators_vanish_reference(a) -> bool:
+    return t_op(a).is_zero() and tstar_op(a).is_zero()
+
+
+def doctored(a, existing=False):
+    """a with 1 added to one coefficient of its first nonzero value: that of
+    its first monomial when ``existing``, else that of the grade-0 monomial
+    e_{n+1}^m.  Kernel elements are top-graded, so the second leaves the
+    kernel."""
+    n, m = a.ctx.n, a.ctx.m
+    values = [a.value(p) for p in range(2 * n)]
+    q = next(p for p, w in enumerate(values) if w)
+    alpha = next(iter(values[q].coeffs)) if existing else (0,) * n + (m,)
+    values[q] = values[q] + a.ctx.value_class.monomial(alpha)
+    return Cocycle(a.ctx, values[:n], values[n:])
+
+
+@pytest.mark.parametrize("n,m,dual", DEFAULT_VERIFY_CASES)
+def test_operators_vanish_agrees_with_operators(n, m, dual):
+    """The recheck predicate equals "T a = 0 and T* a = 0" on every kernel
+    element of the default grid, on random cocycles and on kernel elements
+    with one coefficient perturbed."""
+    ctx = RepContext(n, m, dual)
+    kernel = harmonic_kernel(ctx)
+    rng = make_rng(n * 10 + m + (5 if dual else 0))
+    samples = [
+        *kernel,
+        doctored(kernel[0]),
+        doctored(kernel[-1], existing=True),
+        random_cocycle(rng, ctx),
+        conjugate_linear_cocycle(rng, ctx, grade=m),
+    ]
+    for a in samples:
+        assert _operators_vanish(a) == operators_vanish_reference(a)
+    assert all(map(_operators_vanish, kernel))
+    assert not _operators_vanish(doctored(kernel[0]))
+
+
+@pytest.mark.parametrize("m,dual", [(2, False), (3, True)])
+def test_operators_vanish_decides_the_trace(m, dual):
+    """At n = 1 the solutions of the two-form rows alone include cocycles
+    on which only the trace fails, so they test the trace half of the
+    predicate."""
+    ctx = RepContext(1, m, dual)
+    A = assemble_system(ctx)
+    two_form = ExactMatrix.from_rows(A.sparse_rows()[: -ctx.dim_w], A.cols)
+    closed = [
+        cocycle_from_vector(ctx, sparse_vector(v)) for v in kernel_basis(two_form)
+    ]
+    assert all(t_op(a).is_zero() for a in closed)
+    assert any(not tstar_op(a).is_zero() for a in closed)
+    for a in closed:
+        assert _operators_vanish(a) == tstar_op(a).is_zero()
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_classify_fails_operator_recheck_on_doctored_kernel(dual):
+    ctx = RepContext(3, 2, dual)
+    kernel = harmonic_kernel(ctx)
+    kernel[1] = doctored(kernel[1])
+    _, checks = classify(ctx, kernel)
+    status = {c["name"]: c["status"] for c in checks}
+    assert status["operator-recheck"] == "fail"
+
+
+@pytest.mark.parametrize("n,m,dual", [(3, 2, False), (3, 2, True), (4, 2, False)])
+def test_recheck_applies_rho_to_nonzero_values_only(monkeypatch, n, m, dual):
+    import sunharm.harmonic as harmonic
+
+    real = harmonic.rho_apply
+    calls = []
+
+    def spy(X, w):
+        assert w, "rho applied to a zero value"
+        calls.append(w)
+        return real(X, w)
+
+    ctx = RepContext(n, m, dual)
+    kernel = harmonic_kernel(ctx)
+    monkeypatch.setattr(harmonic, "rho_apply", spy)
+    _, checks = classify(ctx, kernel)
+    assert checks[0]["name"] == "operator-recheck"
+    assert checks[0]["status"] == "pass"
+    # (2n - 1) images per nonzero value
+    nonzero = sum(1 for a in kernel for p in range(2 * n) if a.value(p))
+    assert len(calls) == (2 * n - 1) * nonzero
 
 
 @pytest.mark.parametrize("n,m,dual", [(2, 2, False), (2, 1, True), (3, 1, False)])

@@ -17,12 +17,19 @@ from sunharm import (
     xi_minus,
     xi_plus,
 )
-from sunharm.symrep import graded_monomials, monomial_index, monomials
+from sunharm.sun1 import k_generators
+from sunharm.symrep import (
+    graded_monomials,
+    monomial_index,
+    monomials,
+    rho_matrix_restricted,
+)
 
 from conftest import make_rng, random_value
 from reference import (
     adjoint_on_p_plus,
     bracket,
+    derivation_matrix,
     h0,
     identity,
     inner,
@@ -164,6 +171,43 @@ def test_dual_action_is_negated_transpose():
     Mp = rho_matrix(X, n, m, dual=False)
     Md = rho_matrix(X, n, m, dual=True)
     assert Md == -Mp.transpose()
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 4)])
+def test_rho_matrix_matches_derivation_reference(n, m):
+    """rho(X) from the monomial action equals the sum of derivations
+    X[j][i] e_j d/de_i on the complex tangents, the generators of k_C and a
+    diagonal whose entries cancel on e_1 e_2 e_{n+1}^(m-2); the dual matrix
+    is its negated transpose, and no zero entry is stored."""
+    tangents = [f(e_vec(j, n)) for f in (xi_plus, xi_minus) for j in range(n)]
+    cancel = ExactMatrix.diagonal([ONE, -ONE] + [ZERO] * (n - 1))
+    for X in [*tangents, *k_generators(n), cancel]:
+        M = rho_matrix(X, n, m)
+        assert M == derivation_matrix(X, n, m)
+        D = rho_matrix(X, n, m, dual=True)
+        assert D == -M.transpose()
+        assert all(x for r in M.sparse_rows() + D.sparse_rows() for x in r.values())
+    mixed = monomial_index(n + 1, m)[(1, 1) + (0,) * (n - 2) + (m - 2,)]
+    assert not any(mixed in r for r in rho_matrix(cancel, n, m).sparse_rows())
+
+
+def test_rho_matrix_restricted_rejects_size_mismatch():
+    # a 3 x 3 matrix (n = 2) against monomials in four variables
+    basis = monomials(4, 2)
+    with pytest.raises(ValueError, match="does not match"):
+        rho_matrix_restricted(xi_plus(e_vec(0, 2)), basis, basis)
+    with pytest.raises(ValueError, match="does not match"):
+        rho_matrix_restricted(xi_plus(e_vec(0, 3)), monomials(3, 2), monomials(3, 2))
+
+
+def test_rho_matrix_restricted_rejects_image_outside_target():
+    # Z_1 raises the grade, so grade 1 does not map into grade 1
+    n, m = 2, 3
+    mid = graded_monomials(n, m, 1)
+    with pytest.raises(ValueError, match="outside the target basis"):
+        rho_matrix_restricted(xi_plus(e_vec(0, n)), mid, mid)
+    with pytest.raises(ValueError, match="outside the target basis"):
+        rho_matrix_restricted(xi_plus(e_vec(0, n)), mid, mid, dual=True)
 
 
 def test_dual_action_pairing_identity():
