@@ -21,14 +21,11 @@ from .symrep import (
 )
 from .harmonic import (
     Cocycle,
-    TwoForm,
     assemble_system,
     classify,
     harmonic_kernel,
     kernel_is_invariant,
     polarization_cocycles,
-    t_op,
-    tstar_op,
 )
 from .checks import (
     check_contraction_isometry,
@@ -51,7 +48,6 @@ __all__ = [
     "ONE",
     "RepContext",
     "SymTensor",
-    "TwoForm",
     "ZERO",
     "assemble_system",
     "check_contraction_isometry",
@@ -73,8 +69,6 @@ __all__ = [
     "rho_matrix",
     "riemann_split_report",
     "run_sweep",
-    "t_op",
-    "tstar_op",
     "verify_case",
     "xi_minus",
     "xi_plus",

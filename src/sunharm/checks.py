@@ -9,13 +9,17 @@ set, the set is independent and its size is the nullity of the matrix.  A
 map kills the kernel of another when stacking its matrix under the other's
 leaves the rank unchanged.  The contraction is a proportional isometry on
 the symmetric part when S C^T L^T is a positive multiple of the
-polarization rows S.  The n = 1 split solves for no kernel either: the
-dimension of each half, and of its part in its extreme grade, is the
-nullity of the constraint matrix restricted to the columns that part may
-occupy, and the kernel dimension is the nullity of the whole matrix.  The
-entries returned are plain dicts ``{"name", "j", "status", "details"}``
-built by ``symrep.check_entry``, with status ``pass``, ``fail`` or
-``vacuous`` (empty parameter range).
+polarization rows S.  The relation spanning sets, S and the
+multiplication map whose kernel is the hook component all come from
+``symrep.polarization_family`` (its primal or its dual family), written
+from exponents; tensors serve only the three witnesses: extreme linearity,
+the hook counterexample and the pinned value.  The n = 1 split solves for
+no kernel either: the dimension of each half, and of its part in its
+extreme grade, is the nullity of the constraint matrix restricted to the
+columns that part may occupy, and the kernel dimension is the nullity of
+the whole matrix.  The entries returned are plain dicts
+``{"name", "j", "status", "details"}`` built by ``symrep.check_entry``,
+with status ``pass``, ``fail`` or ``vacuous`` (empty parameter range).
 """
 
 from __future__ import annotations
@@ -27,19 +31,16 @@ from typing import Sequence
 from .linalg import ExactMatrix, Row, rank
 from .sun1 import e_vec, xi_minus, xi_plus
 from .symrep import (
-    DualSymTensor,
     RepContext,
     SymTensor,
     check_entry,
     grade_of,
     graded_monomials,
-    monomials,
-    multiply_var,
-    polarization,
+    polarization_family,
     rho_apply,
     rho_matrix_restricted,
 )
-from .harmonic import assemble_system, pairwise_relation_rows, values_to_vector
+from .harmonic import assemble_system, pairwise_relation_rows
 
 
 # -- the table of graded operators ------------------------------------------
@@ -147,15 +148,8 @@ def check_operator_grading(n: int, m: int) -> list[dict]:
 # -- relation subspaces ------------------------------------------------------
 
 
-def _polarization_family(n: int, m: int, g: int, dual: bool) -> list[Row]:
-    """The polarizations of the degree-(g+1) monomials in the first n
-    variables, as rows over n copies of grade g."""
-    cls = DualSymTensor if dual else SymTensor
-    in_index = {a: i for i, a in enumerate(graded_monomials(n, m, g))}
-    return [
-        values_to_vector(polarization(cls.monomial(sigma + (m - g,))), in_index)
-        for sigma in monomials(n, g + 1)
-    ]
+def _grade_index(n: int, m: int, g: int) -> dict:
+    return {a: i for i, a in enumerate(graded_monomials(n, m, g))}
 
 
 def _relation_subspace_entry(
@@ -173,9 +167,10 @@ def _relation_subspace_entry(
     rank(S) is C(n+g, g+1) (S spans a subspace of full dimension).  The
     reported dimension is cols - rank(R).
     """
-    cols = n * len(graded_monomials(n, m, g))
+    index = _grade_index(n, m, g)
+    cols = n * len(index)
     R = ExactMatrix.from_rows(pairwise_relation_rows(ops), cols)
-    S = ExactMatrix.from_rows(_polarization_family(n, m, g, dual), cols)
+    S = ExactMatrix.from_rows(polarization_family(n, m, g, dual, index), cols)
     expected = math.comb(n + g, g + 1)
     dimension = cols - rank(R)
     ok = dimension == expected and (R * S.transpose()).is_zero() and rank(S) == expected
@@ -253,9 +248,11 @@ def check_contraction_isometry(n: int, m: int, j: int) -> dict:
 
     Let C be the matrix of the contraction (block k is rho(xi+_k) from
     grade j to grade j+1), L the blocks rho(xi-_k) from grade j+1 to grade j
-    stacked, and S the polarizations of grade j, one per row.  Verified as:
-    (a) the contraction vanishes on the hook component, the kernel of the
-    multiplication map M into degree j+1: the rows of C lie in the row space
+    stacked, and S the polarizations of grade j, one per row.  The
+    multiplication map M into degree j+1, (w_k)_k -> sum_k e_k w_k, is the
+    dual polarization family of grade j: both S and M are rows of
+    ``polarization_family``.  Verified as: (a) the contraction vanishes on
+    the hook component, the kernel of M: the rows of C lie in the row space
     of M, so rank([M; C]) = rank(M), and the hook has dimension
     n * d_in - rank(M); (b) composing with the exact adjoint is one positive
     rational multiple of the identity on the polarization basis,
@@ -266,27 +263,20 @@ def check_contraction_isometry(n: int, m: int, j: int) -> dict:
     if not 1 <= j < m:
         raise ValueError("j out of range")
     raising, lowering = graded_operators(n, m)
-    in_basis = graded_monomials(n, m, j)
-    d_in = len(in_basis)
+    index = _grade_index(n, m, j)
+    cols = n * len(index)
 
-    # hook component: kernel of the multiplication map into degree j+1
-    prod_basis = tuple(mu + (m - j,) for mu in monomials(n, j + 1))
-    prod_index = {a: i for i, a in enumerate(prod_basis)}
-    rows = [{} for _ in prod_basis]
-    for k in range(n):
-        for cidx, alpha in enumerate(in_basis):
-            image = multiply_var(SymTensor.monomial(alpha), k)
-            (beta, c), = image.coeffs.items()
-            rows[prod_index[beta]][k * d_in + cidx] = c
-    # the contraction kills it when its rows lie in the row space of the map
-    M = ExactMatrix.from_rows(rows, n * d_in)
+    # hook component: kernel of the multiplication map M into degree j+1,
+    # the dual polarization family of grade j; the contraction kills it
+    # when its rows lie in the row space of M
+    M = ExactMatrix.from_rows(polarization_family(n, m, j, True, index), cols)
     Ct = _stack_vertically([X.transpose() for X in raising[j]])  # C^T
     mult_rank = rank(M)
-    hook_dim = n * d_in - mult_rank
+    hook_dim = cols - mult_rank
     hook_ok = rank(_stack_vertically([M, Ct.transpose()])) == mult_rank
 
     # adjoint composition on the symmetric (polarization) basis
-    S = ExactMatrix.from_rows(_polarization_family(n, m, j, False), n * d_in)
+    S = ExactMatrix.from_rows(polarization_family(n, m, j, False, index), cols)
     back = S * Ct * _stack_vertically(lowering[j + 1]).transpose()
     col, first = next(iter(S.sparse_rows()[0].items()))
     scalar = back.at(0, col) / first

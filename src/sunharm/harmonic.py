@@ -36,13 +36,14 @@ classification flag is an exact zero test or a rank comparison on these
 objects: a one-sided, top-graded kernel lies in the symmetric component
 exactly when stacking its rows under ``polarization_rows`` (the columns of
 the polarization map P below, written as rows) leaves the rank unchanged.
+Those rows come straight from exponents (``symrep.polarization_family``);
+no tensor is built for them.
 
 The ``operator-recheck`` verdict of ``classify`` evaluates T and T* on each
 kernel element through ``rho_apply``, independently of the assembled
 matrix.  It applies rho(W) only to the nonzero values, since rho(W) 0 = 0,
 and compares the two terms of each pair of T instead of forming the
-two-form (``_operators_vanish``); ``t_op`` and ``tstar_op`` build the
-operators' values in full.
+two-form (``_operators_vanish``).
 
 Compact invariance needs no kernel basis.  ``classify`` certifies that the
 kernel is the image of the polarization map P, whose columns are the
@@ -71,7 +72,7 @@ from .symrep import (
     RepContext,
     check_entry,
     monomials,
-    polarization,
+    polarization_family,
     rho_apply,
     rho_matrix,
     rho_matrix_restricted,
@@ -122,47 +123,6 @@ class Cocycle:
         return all(w.is_zero() for w in self.plus_values + self.minus_values)
 
 
-class TwoForm:
-    """Antisymmetric table over unordered pairs of the 2n complex tangents."""
-
-    def __init__(self, n: int, values: dict):
-        self.n = n
-        self.values = values  # keys (p, q) with p < q
-
-    def value(self, p: int, q: int):
-        if p == q:
-            raise ValueError("a two-form needs two distinct directions")
-        if p < q:
-            return self.values[(p, q)]
-        return -self.values[(q, p)]
-
-    def is_zero(self) -> bool:
-        return all(w.is_zero() for w in self.values.values())
-
-
-def t_op(a: Cocycle) -> TwoForm:
-    """The two-form T a; zero exactly when rho(xi_u)a(xi_v) is symmetric."""
-    n = a.ctx.n
-    vals = {}
-    mats = [_basis_tangent(n, p) for p in range(2 * n)]
-    for p in range(2 * n):
-        for q in range(p + 1, 2 * n):
-            vals[(p, q)] = rho_apply(mats[p], a.value(q)) - rho_apply(
-                mats[q], a.value(p)
-            )
-    return TwoForm(n, vals)
-
-
-def tstar_op(a: Cocycle):
-    """The trace: each complex tangent acting on the value of its conjugate,
-    sum_j rho(Z_j) a(Zbar_j) + rho(Zbar_j) a(Z_j)."""
-    n = a.ctx.n
-    out = a.ctx.zero_value()
-    for p in range(2 * n):
-        out = out + rho_apply(_basis_tangent(n, p), a.value((p + n) % (2 * n)))
-    return out
-
-
 def _operators_vanish(a: Cocycle) -> bool:
     """T a = 0 and T* a = 0, decided by ``rho_apply`` on the nonzero values
     of a only, since rho(W) 0 = 0.
@@ -170,8 +130,7 @@ def _operators_vanish(a: Cocycle) -> bool:
     ``images[p, q]`` is rho(W_p) a(W_q) for a nonzero a(W_q) and p != q.
     T a vanishes exactly when images[p, q] = images[q, p] on every pair, a
     missing image counting as zero; pairs of two zero values are skipped.
-    T* a is the sum of the images[p, p + n mod 2n].  No ``TwoForm`` is
-    built.
+    T* a is the sum of the images[p, p + n mod 2n].  No two-form is built.
     """
     n = a.ctx.n
     nb = 2 * n
@@ -286,30 +245,26 @@ def harmonic_kernel(ctx: RepContext) -> list[Cocycle]:
 # -- the symmetric component ----------------------------------------------
 
 
-def polarization_cocycles(ctx: RepContext) -> list[Cocycle]:
-    """Independent explicit solutions spanning the symmetric component.
-
-    Primal: conjugate-linear cocycles, whose minus values are the partial
-    derivatives of a degree-(m+1) polynomial in the first n variables.
-    Dual: complex-linear cocycles, whose plus values are the exponent shifts
-    of a dual monomial.  Each satisfies T = 0 and T* = 0; together they give
-    the independent dimension oracle.
-    """
-    out = []
-    for sigma in monomials(ctx.n, ctx.m + 1):
-        pol = polarization(ctx.value_class.monomial(sigma + (0,)))
-        zero = [ctx.zero_value() for _ in pol]
-        out.append(Cocycle(ctx, pol, zero) if ctx.dual else Cocycle(ctx, zero, pol))
-    return out
-
-
 @lru_cache(maxsize=1)
 def polarization_rows(ctx: RepContext) -> tuple[Row, ...]:
-    """The rows of P: the coordinate vectors of ``polarization_cocycles``.
+    """The rows of P, one per monomial sigma of S^{m+1}(C^n) in lex order:
+    ``polarization_family`` at grade m, written into the Zbar half
+    (primal: the partial derivatives of e^sigma, a conjugate-linear
+    cocycle) or the Z half (dual: the exponent shifts of eps^sigma, a
+    complex-linear cocycle).
 
     Cached for the last case, so ``classify`` and ``kernel_is_invariant``
     share one build; the rows are read only."""
-    return tuple(cocycle_to_vector(a) for a in polarization_cocycles(ctx))
+    shift = 0 if ctx.dual else ctx.n * ctx.dim_w
+    family = polarization_family(ctx.n, ctx.m, ctx.m, ctx.dual, ctx.basis_index())
+    return tuple({shift + j: x for j, x in row.items()} for row in family)
+
+
+def polarization_cocycles(ctx: RepContext) -> list[Cocycle]:
+    """Independent explicit solutions spanning the symmetric component: the
+    cocycles of ``polarization_rows``.  Each satisfies T = 0 and T* = 0;
+    together they give the independent dimension oracle."""
+    return [cocycle_from_vector(ctx, row) for row in polarization_rows(ctx)]
 
 
 # -- classification ---------------------------------------------------------

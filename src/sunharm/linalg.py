@@ -144,12 +144,6 @@ class ExactMatrix:
                 out[j][i] = x
         return ExactMatrix.from_rows(out, self.rows)
 
-    def conj_transpose(self) -> "ExactMatrix":
-        return ExactMatrix.from_rows(
-            [{j: x.conjugate() for j, x in r.items()} for r in self.transpose()._d],
-            self.rows,
-        )
-
     def is_zero(self) -> bool:
         return not any(self._d)
 

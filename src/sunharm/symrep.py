@@ -25,6 +25,14 @@ Conventions used throughout the package:
   summand S^k(C^n) * e_{n+1}^{m-k}.  Grades are orthogonal for the inner
   product ``<e^alpha, e^alpha> = alpha!``, which makes rho(X) Hermitian for
   X in p and skew-Hermitian for X in k.
+
+* The polarization map sigma -> (d_k sigma)_k over the first n variables is
+  written from exponents alone, by ``polarization_family``: d_k sends
+  e^sigma to sigma_k e^(sigma - d_k) on primal tensors (the partial
+  derivative) and eps^sigma to eps^(sigma - d_k) on dual ones (the exponent
+  shift, the transpose of multiplication by e_k).  It builds no tensor; the
+  symmetric component P, the relation families and the multiplication map
+  of the lemma battery are all rows of it.
 """
 
 from __future__ import annotations
@@ -35,8 +43,8 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-from .exactfield import GaussianRational, gq
-from .linalg import ExactMatrix
+from .exactfield import ONE, GaussianRational, gq
+from .linalg import ExactMatrix, Row
 
 MultiIndex = tuple[int, ...]
 
@@ -87,12 +95,11 @@ class _CoeffPoly:
         self.coeffs: dict[MultiIndex, GaussianRational] = {}
         if coeffs:
             for alpha, c in coeffs.items():
-                c = _as_scalar(c)
-                if not c:
-                    continue
                 if len(alpha) != n + 1 or sum(alpha) != degree:
                     raise ValueError(f"bad multi-index {alpha} for degree {degree}")
-                self.coeffs[tuple(alpha)] = c
+                c = _as_scalar(c)
+                if c:
+                    self.coeffs[tuple(alpha)] = c
 
     @classmethod
     def zero(cls, n: int, degree: int):
@@ -185,46 +192,35 @@ class DualSymTensor(_CoeffPoly):
     """Element of S^m(C^{n+1})' over the dual monomial basis."""
 
 
-# -- grading, calculus on exponents ---------------------------------------
+# -- the polarization family ------------------------------------------------
 
 
-def derivative(w: _CoeffPoly, var: int) -> _CoeffPoly:
-    """Formal partial derivative in coordinate ``var`` (0-based)."""
-    out: dict[MultiIndex, GaussianRational] = {}
-    for a, c in w.coeffs.items():
-        k = a[var]
-        if not k:
-            continue
-        b = a[:var] + (k - 1,) + a[var + 1 :]
-        add = c * k
-        s = out.get(b)
-        out[b] = add if s is None else s + add
-    return w._like(out, degree=w.degree - 1)
+def polarization_family(
+    n: int, m: int, g: int, dual: bool, index: dict[MultiIndex, int]
+) -> list[Row]:
+    """The polarizations of the degree-(g+1) monomials in the first n
+    variables, written from exponents as rows over n blocks, each block
+    indexed by ``index`` (degree-m monomial -> position), which must hold
+    the monomials of grade g.
 
-
-def multiply_var(w: _CoeffPoly, var: int) -> _CoeffPoly:
-    """Multiplication by coordinate ``var`` (exponent bump, no factor)."""
-    out = {}
-    for a, c in w.coeffs.items():
-        b = a[:var] + (a[var] + 1,) + a[var + 1 :]
-        out[b] = c
-    return w._like(out, degree=w.degree + 1)
-
-
-def shift_down(w: _CoeffPoly, var: int) -> _CoeffPoly:
-    """Exponent shift alpha -> alpha - d_var with no combinatorial factor."""
-    out = {}
-    for a, c in w.coeffs.items():
-        if a[var]:
-            out[a[:var] + (a[var] - 1,) + a[var + 1 :]] = c
-    return w._like(out, degree=w.degree - 1)
-
-
-def polarization(s: _CoeffPoly) -> list[_CoeffPoly]:
-    """The polarization section s -> (d_k s)_k over the first n variables:
-    partial derivatives of a primal tensor, exponent shifts of a dual one."""
-    step = shift_down if isinstance(s, DualSymTensor) else derivative
-    return [step(s, k) for k in range(s.n)]
+    Row sigma runs over ``monomials(n, g + 1)`` in lex order.  Block k, the
+    columns k * len(index) onwards, holds sigma_k (the partial derivative in
+    e_k, primal) or 1 (the exponent shift, dual) at the column
+    ``index[sigma - d_k + (m - g,)]``, for each k with sigma_k > 0.  The
+    dual family is also the multiplication map (w_k)_k -> sum_k e_k w_k from
+    n copies of grade g into degree g + 1, one row per product monomial.
+    """
+    d = len(index)
+    tail = (m - g,)
+    rows = []
+    for sigma in monomials(n, g + 1):
+        row = {}
+        for k, s in enumerate(sigma):
+            if s:
+                below = sigma[:k] + (s - 1,) + sigma[k + 1 :] + tail
+                row[k * d + index[below]] = ONE if dual else gq(s)
+        rows.append(row)
+    return rows
 
 
 # -- the Lie algebra action ------------------------------------------------

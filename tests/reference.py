@@ -25,6 +25,18 @@ compare or apply to its basis, where the package decides the same claims by
 rank and annihilation, and the contraction isometry applied tensor by
 tensor, where the package checks one matrix identity.
 
+The package writes the polarization family from exponents alone
+(``symrep.polarization_family``) and decides T a = 0 and T* a = 0 without
+forming either operator.  The tensor calculus it no longer runs lives
+here as their references: ``derivative``, ``shift_down``,
+``multiply_var`` and the polarization section ``polarization``, from which
+``tensor_polarization_family``, ``tensor_polarization_cocycles`` and
+``multiplication_rows`` rebuild the family, the columns of P and the
+multiplication map tensor by tensor; and ``TwoForm``, ``t_op`` and
+``tstar_op``, which build the two operators' values in full.
+``conj_transpose`` is the conjugate transpose of a matrix, which only
+the unitary and su(n,1) references need.
+
 The package stores a cocycle by its values on the complex tangents
 Z_j = xi_plus(e_j) and Zbar_j = xi_minus(e_j).  The references here work in
 the real coordinates A_j = a(xi(e_j)) and B_j = a(xi(i e_j)) instead, and
@@ -51,6 +63,7 @@ from typing import Sequence
 from sunharm import Cocycle, ExactMatrix, I, ONE, RepContext, ZERO, gq, rho_apply
 from sunharm.exactfield import GaussianRational, sub_mul
 from sunharm.harmonic import (
+    _basis_tangent,
     cocycle_from_vector,
     pairwise_relation_rows,
     system_shape,
@@ -69,14 +82,13 @@ from sunharm.linalg import (
 from sunharm.sun1 import _p_element, _vec, e_vec, xi_minus, xi_plus
 from sunharm.symrep import (
     DualSymTensor,
+    MultiIndex,
     SymTensor,
+    _CoeffPoly,
     _map_matrix,
-    derivative,
     graded_monomials,
     monomial_index,
     monomials,
-    multiply_var,
-    polarization,
     rho_matrix,
     rho_matrix_restricted,
 )
@@ -122,6 +134,13 @@ def column(M: ExactMatrix, j: int) -> Vector:
 
 def dense_rows(M: ExactMatrix) -> list[Vector]:
     return [M.row(i) for i in range(M.rows)]
+
+
+def conj_transpose(M: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix.from_rows(
+        [{j: x.conjugate() for j, x in r.items()} for r in M.transpose().sparse_rows()],
+        M.rows,
+    )
 
 
 def rref(M: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
@@ -190,7 +209,7 @@ def in_su(M: ExactMatrix) -> bool:
     """X*J + JX = 0 and trace zero."""
     n = M.rows - 1
     Jm = j_form(n)
-    if not (M.conj_transpose() * Jm + Jm * M).is_zero():
+    if not (conj_transpose(M) * Jm + Jm * M).is_zero():
         return False
     tr = ZERO
     for i in range(M.rows):
@@ -358,7 +377,7 @@ def det(M: ExactMatrix) -> GaussianRational:
 def is_unitary(A: ExactMatrix) -> bool:
     if A.rows != A.cols:
         return False
-    return A * A.conj_transpose() == identity(A.rows)
+    return A * conj_transpose(A) == identity(A.rows)
 
 
 def embed_k(A: ExactMatrix) -> ExactMatrix:
@@ -398,7 +417,7 @@ def canonical_weight(A: ExactMatrix) -> GaussianRational:
         raise ValueError("matrix is not exactly unitary")
     n = A.rows
     g = embed_k(A)
-    ginv = g.conj_transpose()
+    ginv = conj_transpose(g)
     cols = []
     for j in range(n):
         M = g * xi_plus(e_vec(j, n)) * ginv
@@ -474,6 +493,129 @@ def unitary_corpus(n: int) -> list[ExactMatrix]:
             r2[i][i] = ONE
         mats.append(dense_matrix(r2))
     return mats
+
+
+# -- tensor calculus, the polarization section and the two-form operators ------
+
+
+def derivative(w: _CoeffPoly, var: int) -> _CoeffPoly:
+    """Formal partial derivative in coordinate ``var`` (0-based)."""
+    out: dict[MultiIndex, GaussianRational] = {}
+    for a, c in w.coeffs.items():
+        k = a[var]
+        if not k:
+            continue
+        b = a[:var] + (k - 1,) + a[var + 1 :]
+        add = c * k
+        s = out.get(b)
+        out[b] = add if s is None else s + add
+    return w._like(out, degree=w.degree - 1)
+
+
+def multiply_var(w: _CoeffPoly, var: int) -> _CoeffPoly:
+    """Multiplication by coordinate ``var`` (exponent bump, no factor)."""
+    out = {}
+    for a, c in w.coeffs.items():
+        b = a[:var] + (a[var] + 1,) + a[var + 1 :]
+        out[b] = c
+    return w._like(out, degree=w.degree + 1)
+
+
+def shift_down(w: _CoeffPoly, var: int) -> _CoeffPoly:
+    """Exponent shift alpha -> alpha - d_var with no combinatorial factor."""
+    out = {}
+    for a, c in w.coeffs.items():
+        if a[var]:
+            out[a[:var] + (a[var] - 1,) + a[var + 1 :]] = c
+    return w._like(out, degree=w.degree - 1)
+
+
+def polarization(s: _CoeffPoly) -> list[_CoeffPoly]:
+    """The polarization section s -> (d_k s)_k over the first n variables:
+    partial derivatives of a primal tensor, exponent shifts of a dual one."""
+    step = shift_down if isinstance(s, DualSymTensor) else derivative
+    return [step(s, k) for k in range(s.n)]
+
+
+def tensor_polarization_family(n: int, m: int, g: int, dual: bool, index: dict) -> list[Row]:
+    """``symrep.polarization_family`` built from tensors: the polarization
+    section of each monomial e^sigma e_{n+1}^(m-g), sigma of degree g+1 in
+    the first n variables, written as a row over n blocks of ``index``."""
+    cls = DualSymTensor if dual else SymTensor
+    return [
+        values_to_vector(polarization(cls.monomial(sigma + (m - g,))), index)
+        for sigma in monomials(n, g + 1)
+    ]
+
+
+def tensor_polarization_cocycles(ctx: RepContext) -> list[Cocycle]:
+    """The columns of P built from tensors.  Primal: conjugate-linear
+    cocycles whose minus values are the partial derivatives of a
+    degree-(m+1) monomial in the first n variables.  Dual: complex-linear
+    cocycles whose plus values are the exponent shifts of a dual monomial."""
+    out = []
+    for sigma in monomials(ctx.n, ctx.m + 1):
+        pol = polarization(ctx.value_class.monomial(sigma + (0,)))
+        zero = [ctx.zero_value() for _ in pol]
+        out.append(Cocycle(ctx, pol, zero) if ctx.dual else Cocycle(ctx, zero, pol))
+    return out
+
+
+def multiplication_rows(n: int, m: int, j: int) -> list[Row]:
+    """The multiplication map (w_k)_k -> sum_k e_k w_k from n copies of
+    grade j into degree j+1, one row per product monomial in lex order,
+    built tensor by tensor from ``multiply_var``."""
+    in_basis = graded_monomials(n, m, j)
+    d_in = len(in_basis)
+    prod_index = {mu + (m - j,): i for i, mu in enumerate(monomials(n, j + 1))}
+    rows = [{} for _ in prod_index]
+    for k in range(n):
+        for cidx, alpha in enumerate(in_basis):
+            (beta, c), = multiply_var(SymTensor.monomial(alpha), k).coeffs.items()
+            rows[prod_index[beta]][k * d_in + cidx] = c
+    return rows
+
+
+class TwoForm:
+    """Antisymmetric table over unordered pairs of the 2n complex tangents."""
+
+    def __init__(self, n: int, values: dict):
+        self.n = n
+        self.values = values  # keys (p, q) with p < q
+
+    def value(self, p: int, q: int):
+        if p == q:
+            raise ValueError("a two-form needs two distinct directions")
+        if p < q:
+            return self.values[(p, q)]
+        return -self.values[(q, p)]
+
+    def is_zero(self) -> bool:
+        return all(w.is_zero() for w in self.values.values())
+
+
+def t_op(a: Cocycle) -> TwoForm:
+    """The two-form T a; zero exactly when rho(xi_u)a(xi_v) is symmetric."""
+    n = a.ctx.n
+    vals = {}
+    mats = [_basis_tangent(n, p) for p in range(2 * n)]
+    for p in range(2 * n):
+        for q in range(p + 1, 2 * n):
+            vals[(p, q)] = rho_apply(mats[p], a.value(q)) - rho_apply(
+                mats[q], a.value(p)
+            )
+    return TwoForm(n, vals)
+
+
+def tstar_op(a: Cocycle):
+    """The trace: each complex tangent acting on the value of its conjugate,
+    sum_j rho(Z_j) a(Zbar_j) + rho(Zbar_j) a(Z_j)."""
+    n = a.ctx.n
+    out = a.ctx.zero_value()
+    for p in range(2 * n):
+        out = out + rho_apply(_basis_tangent(n, p), a.value((p + n) % (2 * n)))
+    return out
+
 
 
 # -- the group action on tensors -------------------------------------------------
@@ -569,7 +711,7 @@ def k_group_action(A: ExactMatrix, w):
         return substitute(g, w)
     n, m = w.n, w.degree
     # lam(g^{-1} v) on coordinates: the transpose of g^{-1}'s matrix
-    Minv = group_matrix(g.conj_transpose(), n, m)
+    Minv = group_matrix(conj_transpose(g), n, m)
     image = apply(Minv.transpose(), values_to_vector([w], monomial_index(n + 1, m)))
     basis = monomials(n + 1, m)
     return DualSymTensor(n, m, {basis[j]: x for j, x in image.items()})
@@ -584,7 +726,7 @@ def transform_cocycle(A: ExactMatrix, a: Cocycle) -> Cocycle:
     """
     n = a.ctx.n
     dinv = det(A).conjugate()
-    Ainv = A.conj_transpose()
+    Ainv = conj_transpose(A)
     new_a = []
     new_b = []
     for j in range(n):
@@ -874,7 +1016,6 @@ def elimination_relation_subspace(
     """Dimension and status of a relation-subspace check, by elimination:
     a kernel basis of the relation matrix, compared by ``same_span`` with the
     polarizations of the degree-(g+1) monomials in the first n variables."""
-    cls = DualSymTensor if dual else SymTensor
     in_basis = graded_monomials(n, m, g)
     out_basis = graded_monomials(n, m, g - 1)
     ops = [
@@ -887,10 +1028,7 @@ def elimination_relation_subspace(
         for v in kernel_basis(ExactMatrix.from_rows(pairwise_relation_rows(ops), cols))
     ]
     in_index = {a: i for i, a in enumerate(in_basis)}
-    span = [
-        values_to_vector(polarization(cls.monomial(sigma + (m - g,))), in_index)
-        for sigma in monomials(n, g + 1)
-    ]
+    span = tensor_polarization_family(n, m, g, dual, in_index)
     ok = len(ker) == math.comb(n + g, g + 1) and same_span(ker, span, cols)
     return len(ker), "pass" if ok else "fail"
 
@@ -901,14 +1039,8 @@ def elimination_contraction_hook(n: int, m: int, j: int) -> tuple[int, bool]:
     beta -> sum_k rho(xi+_k) beta_k vanishes on each vector of a kernel
     basis of that map, each vector turned back into tensors."""
     in_basis = graded_monomials(n, m, j)
-    d_in = len(in_basis)
-    prod_index = {mu + (m - j,): i for i, mu in enumerate(monomials(n, j + 1))}
-    rows = [{} for _ in prod_index]
-    for k in range(n):
-        for cidx, alpha in enumerate(in_basis):
-            (beta, c), = multiply_var(SymTensor.monomial(alpha), k).coeffs.items()
-            rows[prod_index[beta]][k * d_in + cidx] = c
-    hook = kernel_basis(ExactMatrix.from_rows(rows, n * d_in))
+    mult = ExactMatrix.from_rows(multiplication_rows(n, m, j), n * len(in_basis))
+    hook = kernel_basis(mult)
     plus_ops = [xi_plus(e_vec(k, n)) for k in range(n)]
 
     def contraction(values):

@@ -18,8 +18,6 @@ from sunharm import (
     kernel_is_invariant,
     polarization_cocycles,
     rho_apply,
-    t_op,
-    tstar_op,
     xi_minus,
     xi_plus,
 )
@@ -47,7 +45,7 @@ from sunharm.checks import (
     riemann_split_report,
 )
 from sunharm.linalg import ExactMatrix, kernel_basis, rank, same_span, sparse_vector
-from sunharm.symrep import graded_monomials, rho_matrix_restricted
+from sunharm.symrep import graded_monomials, polarization_family, rho_matrix_restricted
 from sunharm.sun1 import k_generators
 
 from conftest import (
@@ -62,11 +60,13 @@ from reference import (
     apply,
     bracket,
     dense_part_sub_basis,
+    derivative,
     elimination_contraction_hook,
     elimination_relation_subspace,
     evaluate,
     from_real_values,
     minus_part,
+    multiplication_rows,
     p_basis,
     plus_part,
     project_grade,
@@ -78,9 +78,12 @@ from reference import (
     scale_vec,
     split_halves,
     symmetric_component_membership,
+    t_op,
     tangent_samples,
     tensor_contraction_isometry,
+    tensor_polarization_cocycles,
     transform_cocycle,
+    tstar_op,
     unitary_corpus,
     xi,
 )
@@ -648,8 +651,6 @@ def test_kernel_deterministic():
 
 
 def test_membership_polarizations():
-    from sunharm.symrep import derivative
-
     n, j = 2, 3
     s = SymTensor.monomial((2, 2, 0)) + SymTensor.monomial((4, 0, 0), gq("1/2"))
     values = [derivative(s, k) for k in range(n)]
@@ -775,10 +776,11 @@ def test_symmetric_component_matches_hook_projection_reference(n, m, dual):
 def test_polarization_blocks_are_the_tangent_values_of_p(n, m, dual):
     ctx = RepContext(n, m, dual)
     index = ctx.basis_index()
-    pol = polarization_cocycles(ctx)
+    pol = tensor_polarization_cocycles(ctx)
     blocks = polarization_blocks(ctx)
     assert len(blocks) == 2 * n
     assert polarization_rows(ctx) == tuple(cocycle_to_vector(a) for a in pol)
+    assert polarization_cocycles(ctx) == pol
     for p, block in enumerate(blocks):
         assert (block.rows, block.cols) == (ctx.dim_w, len(pol))
         expected = [{} for _ in range(ctx.dim_w)]
@@ -924,6 +926,42 @@ def test_hook_certificate_matches_elimination_reference(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_multiplication_map_is_the_dual_family(n):
+    """The dual polarization family of grade j, which the contraction check
+    takes as its multiplication map M, equals M built tensor by tensor."""
+    for m in range(2, 6):
+        for j in range(1, m):
+            index = {a: i for i, a in enumerate(graded_monomials(n, m, j))}
+            assert polarization_family(n, m, j, True, index) == multiplication_rows(
+                n, m, j
+            ), (m, j)
+
+
+@pytest.mark.parametrize("n,m,j", [(2, 2, 1), (3, 3, 2), (4, 3, 2)])
+def test_hook_certificate_fails_on_a_perturbed_multiplication_row(monkeypatch, n, m, j):
+    # add 1 at column 0 of the last row of the dual family only: the row
+    # space of M moves off the contraction's rows, while S, built from the
+    # primal family, and the pinned value are untouched
+    import sunharm.checks as checks
+
+    real = checks.polarization_family
+
+    def perturbed(n, m, g, dual, index):
+        family = real(n, m, g, dual, index)
+        if dual:
+            last = dict(family[-1])
+            last[0] = last.get(0, ZERO) + 1
+            family = [*family[:-1], last]
+        return family
+
+    monkeypatch.setattr(checks, "polarization_family", perturbed)
+    entry = check_contraction_isometry(n, m, j)
+    assert entry["status"] == "fail"
+    assert "annihilated: False;" in entry["details"]
+    assert entry["details"].endswith(": True; pinned value: True")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_isometry_identity_matches_tensor_reference(n):
     """S C^T L^T = scalar S gives the scalar and verdict that applying the
     contraction and its adjoint to each polarization gives."""
@@ -980,21 +1018,18 @@ def test_relation_certificate_fails_on_a_vector_off_the_subspace(monkeypatch, na
     import sunharm.checks as checks
 
     seen = _spy_relation_rows(monkeypatch, checks)
-    real = checks.values_to_vector
-    calls = []
+    real = checks.polarization_family
 
-    def moved(values, index):
-        v = real(values, index)
-        calls.append(v)
-        if len(calls) == 1:
-            c = min(next(r for r in seen[-1] if r))
-            v = dict(v)
-            v[c] = v.get(c, ZERO) + 1
-            if not v[c]:
-                del v[c]
-        return v
+    def moved(*args):
+        family = real(*args)
+        c = min(next(r for r in seen[-1] if r))
+        v = dict(family[0])
+        v[c] = v.get(c, ZERO) + 1
+        if not v[c]:
+            del v[c]
+        return [v, *family[1:]]
 
-    monkeypatch.setattr(checks, "values_to_vector", moved)
+    monkeypatch.setattr(checks, "polarization_family", moved)
     entry = RELATION_CHECKS[name]()
     assert entry["dimension"] == entry["expected"]
     assert entry["status"] == "fail"
@@ -1007,16 +1042,18 @@ def test_relation_certificate_fails_on_a_dependent_family(monkeypatch, name):
     # of it in the relation subspace, but of rank one less
     import sunharm.checks as checks
 
-    real = checks.values_to_vector
+    real = checks.polarization_family
     calls = []
 
-    def repeated(values, index):
-        calls.append(real(values, index))
-        return dict(calls[0])
+    def repeated(*args):
+        family = real(*args)
+        calls.append(family)
+        return [family[0], dict(family[0]), *family[2:]]
 
-    monkeypatch.setattr(checks, "values_to_vector", repeated)
+    monkeypatch.setattr(checks, "polarization_family", repeated)
     entry = RELATION_CHECKS[name]()
-    assert len(calls) == entry["expected"]
+    assert len(calls) == 1
+    assert len(calls[0]) == entry["expected"]
     assert entry["dimension"] == entry["expected"]
     assert entry["status"] == "fail"
 
@@ -1089,18 +1126,18 @@ def test_verify_builds_p_once_per_case(monkeypatch):
     # polarization rows
     import sunharm.harmonic as harmonic
 
-    real = harmonic.polarization_cocycles
+    real = harmonic.polarization_family
     calls = []
 
-    def spy(ctx):
-        calls.append(ctx)
-        return real(ctx)
+    def spy(n, m, g, dual, index):
+        calls.append((n, m, g, dual))
+        return real(n, m, g, dual, index)
 
     harmonic.polarization_rows.cache_clear()
-    monkeypatch.setattr(harmonic, "polarization_cocycles", spy)
+    monkeypatch.setattr(harmonic, "polarization_family", spy)
     entry = verify.verify_case(3, 2)
     assert all_passed(entry["checks"])
-    assert calls == [RepContext(3, 2)]
+    assert calls == [(3, 2, 2, False)]
 
 
 def test_battery_builds_each_graded_operator_once(monkeypatch):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 import re
@@ -9,13 +10,15 @@ import sunharm
 from sunharm.cli import main
 from sunharm.verify import make_document
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
-#: Names that left the package, by the module that defined them: group-level
-#: and dense references now in tests/reference.py, among them the hook
-#: projection, the parts of a cocycle on any tangent and the n = 1 split by
-#: kernel solves, and deleted code, among it the dense coordinate-vector path
-#: and the n = 1 sub-basis combination.
+#: Names that left the package, by the module that defined them: group-level,
+#: dense and tensor references now in tests/reference.py, among them the hook
+#: projection, the parts of a cocycle on any tangent, the n = 1 split by
+#: kernel solves, the tensor calculus of the polarization section and the
+#: two-form operators, and deleted code, among it the dense coordinate-vector
+#: path and the n = 1 sub-basis combination.
 GONE = {
     "sun1": (
         "is_unitary", "embed_k", "adjoint_on_p_plus", "canonical_weight",
@@ -27,11 +30,12 @@ GONE = {
     "symrep": (
         "substitute", "_poly_mul", "group_matrix", "k_group_action", "inner",
         "pair", "power_of_vector", "project_grade", "_matrix_of", "_nonzero_entries",
-        "raise_weighted",
+        "raise_weighted", "derivative", "shift_down", "multiply_var", "polarization",
     ),
     "harmonic": (
         "transform_cocycle", "Vector", "symmetric_component_membership",
-        "_uniform_grade", "plus_part", "minus_part", "_linear_part",
+        "_uniform_grade", "plus_part", "minus_part", "_linear_part", "TwoForm",
+        "t_op", "tstar_op",
     ),
     "checks": ("part_sub_basis", "split_halves"),
     "linalg": ("det", "dump_text", "rref", "rank_of_rows", "_sparse_rows"),
@@ -40,7 +44,7 @@ GONE = {
 
 #: Methods that left the package's classes for tests/reference.py.
 GONE_MEMBERS = {
-    sunharm.ExactMatrix: ("identity", "column", "copy_rows", "apply"),
+    sunharm.ExactMatrix: ("identity", "column", "copy_rows", "apply", "conj_transpose"),
     sunharm.Cocycle: ("evaluate",),
     sunharm.SymTensor: ("to_vector",),
 }
@@ -88,3 +92,47 @@ def test_only_the_harmonic_kernel_solves():
         if hasattr(mod, "kernel_basis"):
             binders.add(info.name)
     assert binders == {"__init__", "linalg", "harmonic"}
+
+
+def _reads(tree: ast.Module) -> dict:
+    """The names a module reads, as bare names or as attributes: those in
+    each top-level definition under its name, the rest under None."""
+    out: dict = {}
+    for node in tree.body:
+        defines = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        names = out.setdefault(node.name if defines else None, set())
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+    return out
+
+
+def test_package_holds_only_what_it_runs():
+    """Every top-level function or class of the package is called from the
+    package, exported in ``sunharm.__all__``, the console script, or
+    imported by ``perfbench/``; only ``linalg.same_span`` needs the last."""
+    package = Path(sunharm.__file__).parent
+    reads = {p.stem: _reads(ast.parse(p.read_text())) for p in package.glob("*.py")}
+    perfbench = set()
+    for p in (ROOT / "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sunharm"):
+                perfbench.update(alias.name for alias in node.names)
+    script = re.search(r'^sunharm = "sunharm\.cli:(\w+)"$', PYPROJECT.read_text(), re.M)
+    exported = set(sunharm.__all__) | {script.group(1)}
+    only_perfbench = set()
+    for module, defs in reads.items():
+        for name in filter(None, defs):
+            called = any(
+                name in names
+                for other, od in reads.items()
+                for key, names in od.items()
+                if (other, key) != (module, name)
+            )
+            if called or name in exported:
+                continue
+            assert name in perfbench, f"{module}.{name} is not run by the package"
+            only_perfbench.add(f"{module}.{name}")
+    assert only_perfbench == {"linalg.same_span"}

@@ -22,6 +22,7 @@ from sunharm.symrep import (
     graded_monomials,
     monomial_index,
     monomials,
+    polarization_family,
     rho_matrix_restricted,
 )
 
@@ -39,6 +40,7 @@ from reference import (
     power_of_vector,
     project_grade,
     tangent_samples,
+    tensor_polarization_family,
     unitary_corpus,
     xi,
 )
@@ -133,6 +135,32 @@ def test_grades_are_orthogonal():
 def test_multi_index_degree_enforced():
     with pytest.raises(ValueError):
         SymTensor(2, 3, {(1, 0, 0): gq(1)})
+
+
+@pytest.mark.parametrize("cls", [SymTensor, DualSymTensor])
+@pytest.mark.parametrize("alpha", [(9, 9), (1, 0, 0)])
+def test_multi_index_shape_checked_before_zero_coefficients_drop(cls, alpha):
+    # a zero coefficient on a malformed multi-index is still an error
+    with pytest.raises(ValueError):
+        cls(2, 2, {alpha: 0})
+    with pytest.raises(ValueError):
+        cls(2, 2, {(2, 0, 0): 1, alpha: ZERO})
+    assert cls(2, 2, {(2, 0, 0): 0}).is_zero()
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_polarization_family_matches_tensor_reference(n, dual):
+    """The family written from exponents equals the polarization section of
+    each monomial, built from tensors, at every grade of every m <= 5: in
+    the grade's own index and in the whole degree-m basis."""
+    for m in range(1, 6):
+        for g in range(m + 1):
+            graded = {a: i for i, a in enumerate(graded_monomials(n, m, g))}
+            for index in (graded, monomial_index(n + 1, m)):
+                family = polarization_family(n, m, g, dual, index)
+                assert family == tensor_polarization_family(n, m, g, dual, index)
+                assert len(family) == math.comb(n + g, g + 1)
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2)])
