@@ -11,12 +11,17 @@ view of one row.  ``sparse_vector`` turns such a vector into a row; its zero
 test ``x is not ZERO and x`` skips the shared ``ZERO`` that ``kernel_basis``
 fills its vectors with, without a method call.
 
-Every rank, kernel and span comes from one elimination.  It takes the
-rows one at a time, reduces each against the pivot rows found so far (in
-increasing pivot column), makes the first nonzero column of what is left a
-new pivot, and back-substitutes the pivot rows at the end.  A new pivot row
-whose leading entry is already 1 (about half of them in the lemma battery)
-is stored as it is; any other is divided through by its leading entry.  The
+Every rank, kernel and span comes from one elimination, run over the
+Gaussian integers Z[i] so that no rank builds a rational.  It takes the
+rows one at a time, scales each to Gaussian-integer entries, reduces it
+against the pivot rows found so far (in increasing pivot column) by integer
+combinations, and makes the first nonzero column of what is left a new
+pivot.  A pivot row is kept primitive: its leading entry is a positive int
+and the gcd of that and every component of the row is 1, so its entries
+stay bounded by the minors of the input (the fraction-free elimination of
+Bareiss, row by row).  A leading entry that is a unit becomes 1, so about
+half the pivot rows of the lemma battery are monic.  Only the kernel divides
+each pivot row by its leading entry, once, before back-substituting.  The
 reduced row-echelon form is unique, so ranks and kernels do not depend on
 the order of the rows and are reproducible bit for bit.
 Kernel bases are canonical: free columns are taken in increasing order and
@@ -26,12 +31,15 @@ each basis vector carries a 1 in its free position.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .exactfield import GaussianRational, ZERO, ONE, gq, sub_mul
+from .exactfield import GaussianRational, ZERO, ONE, _raw, gq, sub_mul
 
 #: A sparse row: column -> nonzero entry.
 Row = dict[int, GaussianRational]
+#: An echelon form: pivot column -> (positive int lead, Gaussian-integer tail).
+Pivots = dict[int, tuple[int, Row]]
 
 
 def sparse_vector(v: Sequence[GaussianRational]) -> Row:
@@ -156,45 +164,99 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
 
-def _echelon(rows: Iterable[Row], pivots: dict[int, Row] | None = None) -> dict[int, Row]:
-    """Row echelon form of the span of ``rows``: pivot column -> the rest of
-    its pivot row, whose pivot entry is an implicit 1.
+def _integral(row: Row) -> Row:
+    """``row`` scaled by the lcm of its denominators, so that every entry is
+    a Gaussian integer."""
+    d = 1
+    for x in row.values():
+        if type(x.re) is not int:
+            d = lcm(d, x.re.denominator)
+        if type(x.im) is not int:
+            d = lcm(d, x.im.denominator)
+    return {j: _raw(int(x.re * d), int(x.im * d)) for j, x in row.items()}
 
-    Each row is reduced against the pivots found so far in increasing pivot
-    column; a pivot row has entries only right of its pivot, so a step never
-    brings back a column already passed.  Given ``pivots``, an echelon form
-    of other rows, the result is that of their span together with ``rows``.
+
+def _primitive(lead: GaussianRational, r: Row) -> tuple[int, Row]:
+    """The pivot ``(N, tail)`` of the Gaussian-integer row ``lead, r``: the
+    row times conj(lead), whose leading entry |lead|^2 is a positive int,
+    divided by the gcd of that and every component.  A real lead needs only
+    its sign (scaling by the lead itself gives the same row once the gcd is
+    divided out), and a unit lead gives N = 1."""
+    a, b = lead.re, lead.im
+    if not b:
+        N = abs(a)
+        tail = r if a > 0 else {j: -x for j, x in r.items()}
+    else:
+        N = a * a + b * b
+        tail = {j: _raw(x.re * a + x.im * b, x.im * a - x.re * b) for j, x in r.items()}
+    g = N
+    for x in tail.values():
+        if g == 1:
+            break
+        g = gcd(g, x.re, x.im)
+    if g == 1:
+        return N, tail
+    return N // g, {j: _raw(x.re // g, x.im // g) for j, x in tail.items()}
+
+
+def _echelon(rows: Iterable[Row], pivots: Pivots | None = None) -> Pivots:
+    """Row echelon form of the span of ``rows`` over Z[i]: pivot column ->
+    ``(N, tail)``, a primitive pivot row with leading entry the positive
+    int N and the Gaussian-integer entries ``tail`` right of it.
+
+    Each row is copied, and scaled to Gaussian-integer entries when one of
+    its components is not an int (``_integral``).  It is then reduced
+    against the pivots found so far in increasing pivot column: its entry f
+    at a pivot column c becomes 0 by r <- N r - f tail, with N and f
+    divided by their common factor first, so no rational is ever built.  A
+    pivot row has entries only right of its pivot, so a step never brings
+    back a column already passed.  What is left makes a new pivot at its
+    first column (``_primitive``).  Given ``pivots``, an echelon form of
+    other rows, the result is that of their span together with ``rows``.
     Neither the input rows nor ``pivots`` are modified.
     """
     pivots = dict(pivots) if pivots else {}
     for row in rows:
         r = dict(row)
+        for x in r.values():
+            if type(x.re) is not int or type(x.im) is not int:
+                r = _integral(r)
+                break
         todo = [c for c in r if c in pivots]
         heapify(todo)
         while todo:
             c = heappop(todo)
             f = r.pop(c, None)
             if f is not None:  # None: cancelled, or queued twice
-                tail = pivots[c]
+                N, tail = pivots[c]
+                if N != 1:
+                    g = gcd(N, f.re, f.im)
+                    if g != 1:
+                        N //= g
+                        f = _raw(f.re // g, f.im // g)
+                    if N != 1:
+                        r = {j: _raw(N * x.re, N * x.im) for j, x in r.items()}
                 _sub_mul_row(r, f, tail)
                 for j in tail:
                     if j in pivots:
                         heappush(todo, j)
         if r:
             p = min(r)
-            lead = r.pop(p)
-            if lead.re == 1 and not lead.im:
-                pivots[p] = r  # monic: r is already a fresh dict
-            else:
-                inv = lead.inverse()
-                pivots[p] = {j: x * inv for j, x in r.items()}
+            pivots[p] = _primitive(r.pop(p), r)
     return pivots
 
 
 def _reduced_echelon(rows: Iterable[Row]) -> dict[int, Row]:
-    """Reduced row-echelon form: ``_echelon`` back-substituted, so each
-    pivot row is 0 in every other pivot column."""
-    pivots = _echelon(rows)
+    """Reduced row-echelon form: pivot column -> the rest of its pivot row,
+    whose pivot entry is an implicit 1 and which is 0 in every other pivot
+    column.  Each pivot row of ``_echelon`` is divided by its lead once,
+    then the rows are back-substituted."""
+    pivots = {}
+    for c, (N, tail) in _echelon(rows).items():
+        if N != 1:
+            inv = gq(N).inverse()
+            tail = {j: x * inv for j, x in tail.items()}
+        pivots[c] = tail
     for c in sorted(pivots, reverse=True):
         tail = pivots[c]
         # pivot rows right of c are already reduced: no pivot columns return
@@ -247,5 +309,5 @@ def same_span(a: Iterable[Row], b: Iterable[Row], cols: int) -> bool:
     pa, pb = _echelon(rows_a), _echelon(rows_b)
     if len(pa) != len(pb):
         return False
-    union = _echelon(({c: ONE, **tail} for c, tail in pb.items()), pa)
+    union = _echelon(({c: gq(N), **tail} for c, (N, tail) in pb.items()), pa)
     return len(union) == len(pa)

@@ -7,10 +7,17 @@ a spanning set or a real generating set of k.  This module keeps those
 objects, outside the package, so the tests can check the algebra against
 the group it integrates to, the complex generators against the real ones
 they replaced, and the identity against the elimination-based check it
-replaced.  The package's only reduced row-echelon form is the pivot table
-that ``linalg.kernel_basis`` takes from ``_reduced_echelon``; ``rref`` here
-returns that table as a matrix with its pivot columns.  The matrix of
-rho(X) is built here a second way, as a sum of derivations
+replaced.  The package eliminates over the Gaussian integers:
+``linalg._echelon`` keeps each pivot row primitive with a positive integer
+lead, and only ``_reduced_echelon`` divides by it, for the kernel.  The
+elimination over the field Q(i) that it replaced is kept here as an
+independent oracle: ``field_echelon`` divides each non-monic pivot row
+through by its leading entry, ``field_reduced_echelon`` back-substitutes,
+and ``field_kernel_basis`` reads the canonical kernel basis off the result.
+``rref`` returns that reduced form as a matrix with its pivot columns, and
+``dense_rank_of_rows`` and the three-pass span test rank with
+``field_echelon``, so none of them runs the package's elimination.  The
+matrix of rho(X) is built here a second way, as a sum of derivations
 (``derivation_matrix``), apart from the package's monomial action.  The
 module also keeps the dense forms the package no longer takes: matrices
 written as dense literals, the span test that converts and ranks each
@@ -58,6 +65,7 @@ rotations, which are unitary inside Q(i).
 from __future__ import annotations
 
 import math
+from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from sunharm import Cocycle, ExactMatrix, I, ONE, RepContext, ZERO, gq, rho_apply
@@ -72,8 +80,7 @@ from sunharm.harmonic import (
 )
 from sunharm.linalg import (
     Row,
-    _echelon,
-    _reduced_echelon,
+    _sub_mul_row,
     kernel_basis,
     rank,
     same_span,
@@ -96,7 +103,7 @@ from sunharm.symrep import (
 Vector = list[GaussianRational]
 
 
-# -- dense views and the reduced row-echelon form ----------------------------
+# -- dense views and the elimination over the field Q(i) --------------------
 
 
 def dense_matrix(rows: Sequence[Sequence]) -> ExactMatrix:
@@ -143,9 +150,72 @@ def conj_transpose(M: ExactMatrix) -> ExactMatrix:
     )
 
 
+def field_echelon(rows, pivots: dict[int, Row] | None = None) -> dict[int, Row]:
+    """Row echelon form of the span of ``rows`` over the field Q(i): pivot
+    column -> the rest of its pivot row, whose pivot entry is an implicit 1.
+
+    Each row is reduced against the pivots found so far in increasing pivot
+    column; a pivot row has entries only right of its pivot, so a step never
+    brings back a column already passed.  Given ``pivots``, an echelon form
+    of other rows, the result is that of their span together with ``rows``.
+    Neither the input rows nor ``pivots`` are modified.
+    """
+    pivots = dict(pivots) if pivots else {}
+    for row in rows:
+        r = dict(row)
+        todo = [c for c in r if c in pivots]
+        heapify(todo)
+        while todo:
+            c = heappop(todo)
+            f = r.pop(c, None)
+            if f is not None:  # None: cancelled, or queued twice
+                tail = pivots[c]
+                _sub_mul_row(r, f, tail)
+                for j in tail:
+                    if j in pivots:
+                        heappush(todo, j)
+        if r:
+            p = min(r)
+            lead = r.pop(p)
+            if lead.re == 1 and not lead.im:
+                pivots[p] = r  # monic: r is already a fresh dict
+            else:
+                inv = lead.inverse()
+                pivots[p] = {j: x * inv for j, x in r.items()}
+    return pivots
+
+
+def field_reduced_echelon(rows) -> dict[int, Row]:
+    """Reduced row-echelon form: ``field_echelon`` back-substituted, so each
+    pivot row is 0 in every other pivot column."""
+    pivots = field_echelon(rows)
+    for c in sorted(pivots, reverse=True):
+        tail = pivots[c]
+        # pivot rows right of c are already reduced: no pivot columns return
+        for j in [j for j in tail if j in pivots]:
+            _sub_mul_row(tail, tail.pop(j), pivots[j])
+    return pivots
+
+
+def field_kernel_basis(M: ExactMatrix) -> list[Vector]:
+    """The canonical kernel basis of ``linalg.kernel_basis``, from
+    ``field_reduced_echelon``: one vector per free column, in increasing
+    order, each with a 1 in its own free position."""
+    pivots = field_reduced_echelon(M.sparse_rows())
+    basis = {}
+    for f in range(M.cols):
+        if f not in pivots:
+            basis[f] = v = [ZERO] * M.cols
+            v[f] = ONE
+    for c, tail in pivots.items():
+        for f, x in tail.items():
+            basis[f][c] = -x
+    return list(basis.values())
+
+
 def rref(M: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
     """Reduced row-echelon form and the list of pivot columns."""
-    pivots = _reduced_echelon(M.sparse_rows())
+    pivots = field_reduced_echelon(M.sparse_rows())
     cs = sorted(pivots)
     rows = [{c: ONE, **pivots[c]} for c in cs]
     rows.extend({} for _ in range(M.rows - len(cs)))
@@ -163,7 +233,7 @@ def dense_rank_of_rows(vectors, cols: int) -> int:
         if len(v) != cols:
             raise ValueError(f"vector of length {len(v)} in a space of dimension {cols}")
         rows.append({j: x for j, x in enumerate(v) if x})
-    return len(_echelon(rows))
+    return len(field_echelon(rows))
 
 
 def three_pass_same_span(a: Sequence, b: Sequence, cols: int) -> bool:

@@ -1,11 +1,16 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sunharm import ExactMatrix, I, ONE, ZERO, gq, kernel_basis, rank
+from sunharm import linalg
+from sunharm.checks import lemma_battery
 from sunharm.linalg import _echelon, _reduced_echelon, same_span, sparse_vector
+from sunharm.verify import run_sweep
 
+from conftest import make_rng
 from reference import (
     apply,
     conj_transpose,
@@ -13,6 +18,9 @@ from reference import (
     dense_rank_of_rows,
     dense_rows,
     det,
+    field_echelon,
+    field_kernel_basis,
+    field_reduced_echelon,
     identity,
     rref,
     three_pass_same_span,
@@ -257,9 +265,109 @@ def test_rank_and_kernel_leave_monic_input_rows_unmodified():
 def test_echelon_pivot_tails_are_fresh_dicts():
     rows = _monic_rows()
     before = [dict(r) for r in rows]
-    for pivots in (_echelon(rows), _reduced_echelon(rows)):
-        assert len(pivots) == 3
-        for tail in pivots.values():
-            assert all(tail is not r for r in rows)
-            tail[99] = ONE  # writing to a returned tail touches no input row
+    tails = [tail for _, tail in _echelon(rows).values()]
+    tails += _reduced_echelon(rows).values()
+    assert len(tails) == 6
+    for tail in tails:
+        assert all(tail is not r for r in rows)
+        tail[99] = ONE  # writing to a returned tail touches no input row
     assert rows == before
+
+
+# -- the elimination over Z[i] against the field oracle ------------------------
+
+# entries of elimination inputs: ints, Fractions and non-unit complex leads,
+# zero most of the time so that rows stay sparse
+elimination_scalars = st.one_of(
+    st.integers(-3, 3).map(gq),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5).map(gq),
+    st.sampled_from([gq(2, 1), gq(1, 1), gq(3), gq(0, -2)]),
+)
+elimination_entries = st.one_of(st.just(ZERO), st.just(ZERO), elimination_scalars)
+
+
+@st.composite
+def sparse_families(draw, cols):
+    """Sparse rows of length cols, with some rows added that are
+    combinations of two others, so that the rank often drops."""
+    vectors = st.lists(elimination_entries, min_size=cols, max_size=cols)
+    rows = [sparse_vector(v) for v in draw(st.lists(vectors, max_size=6))]
+    if rows:
+        row, scalar = st.sampled_from(rows), elimination_scalars
+        for a, f, b, g in draw(st.lists(st.tuples(row, scalar, row, scalar), max_size=3)):
+            combination = [f * a.get(j, ZERO) + g * b.get(j, ZERO) for j in range(cols)]
+            rows.append(sparse_vector(combination))
+    return rows
+
+
+sparse_matrices = st.integers(1, 6).flatmap(
+    lambda cols: sparse_families(cols).map(lambda rows: ExactMatrix.from_rows(rows, cols))
+)
+
+
+def assert_primitive(pivots):
+    """Every pivot is (positive int lead, tail of int components right of
+    its column), with gcd 1 over the lead and every component."""
+    for c, (lead, tail) in pivots.items():
+        assert type(lead) is int and lead > 0
+        parts = [y for x in tail.values() for y in (x.re, x.im)]
+        assert all(type(y) is int for y in parts)
+        assert all(j > c for j in tail)
+        assert math.gcd(lead, *parts) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_matrices)
+def test_elimination_agrees_with_the_field_oracle(M):
+    rows = M.sparse_rows()
+    pivots = _echelon(rows)
+    assert_primitive(pivots)
+    assert sorted(pivots) == sorted(field_echelon(rows))
+    assert rank(M) == len(pivots)
+    assert _reduced_echelon(rows) == field_reduced_echelon(rows)
+    # canonical components: equal values print alike, int or Fraction
+    assert repr(kernel_basis(M)) == repr(field_kernel_basis(M))
+    # the combination rows come last, so either verdict occurs
+    dense, half = dense_rows(M), M.rows // 2
+    for a, b in ((slice(half), slice(half, None)), (slice(None), slice(half, None))):
+        expected = three_pass_same_span(dense[a], dense[b], M.cols)
+        assert same_span(rows[a], rows[b], M.cols) == expected
+
+
+# the cases of the lemmas-wide benchmark workload
+WIDE_BATTERIES = [(4, 5), (5, 5), (6, 4), (3, 8), (2, 12)]
+
+
+def test_certifier_eliminations_build_no_rational(monkeypatch):
+    calls = []
+
+    def checked(rows, pivots=None):
+        # checked on return: _reduced_echelon divides and reduces the tails
+        out = _echelon(rows, pivots)
+        assert_primitive(out)
+        calls.append(len(out))
+        return out
+
+    monkeypatch.setattr(linalg, "_echelon", checked)
+    for n, m in WIDE_BATTERIES:
+        lemma_battery(n, m)
+    run_sweep(None, None)
+    assert len(calls) > 300
+
+
+def test_pivot_size_stays_within_twice_the_hadamard_bound():
+    rng = make_rng(30)
+    rows = [
+        sparse_vector([gq(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(30)])
+        for _ in range(30)
+    ]
+    pivots = _echelon(rows)
+    assert len(pivots) == 30
+    assert_primitive(pivots)
+    log2_hadamard = sum(math.log2(sum(x.norm_sq() for x in r.values())) for r in rows) / 2
+    bits = max(
+        abs(y).bit_length()
+        for lead, tail in pivots.values()
+        for y in [lead, *(z for x in tail.values() for z in (x.re, x.im))]
+    )
+    assert bits <= 2 * log2_hadamard + 2
