@@ -25,7 +25,6 @@ from .verify import (
     verify_case,
 )
 
-EXIT_CHECK_FAILURE = 1
 EXIT_INVALID_CONFIG = 2
 EXIT_INTERNAL_ERROR = 3
 
@@ -153,17 +152,10 @@ def main(argv: list[str] | None = None) -> int:
             doc = make_document("lemmas", {"n": args.n, "m": args.m}, [case])
             return _finish(doc, args.json, out)
         if args.command == "sweep":
-            if args.jobs < 1:
-                print("invalid configuration: --jobs must be >= 1", file=sys.stderr)
-                return EXIT_INVALID_CONFIG
-            try:
-                doc = run_sweep(args.n_max, args.m_max, jobs=args.jobs)
-            except ValueError as exc:
-                print(f"invalid configuration: {exc}", file=sys.stderr)
-                return EXIT_INVALID_CONFIG
+            doc = run_sweep(args.n_max, args.m_max, jobs=args.jobs)
             return _finish(doc, args.json, out)
         raise RuntimeError("unreachable")
-    except (ValueError,) as exc:
+    except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
     except Exception as exc:  # pragma: no cover - defensive

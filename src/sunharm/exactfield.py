@@ -5,70 +5,49 @@ real and imaginary parts are arbitrary-precision rationals.  Nothing is ever
 rounded, so a zero test downstream is a certificate, not an approximation.
 
 Each component has one representation: a Python ``int`` when it is
-integral, and the backend rational in lowest terms with positive denominator
-only when it is not.  Almost every value the program touches is a Gaussian
-integer, and plain ``int`` arithmetic spares those the rational type's
-construction, gcd and operator dispatch.  Equality and hashing do not see the
-difference (``Fraction(2) == 2`` and ``hash(Fraction(2)) == hash(2)``), and
-an ``int`` has ``numerator`` and ``denominator`` like any exact rational.
+integral, and a ``Fraction`` in lowest terms with positive denominator only
+when it is not.  Almost every value the program touches is a Gaussian
+integer, and plain ``int`` arithmetic spares those the ``Fraction``
+construction, gcd and operator dispatch.  Equality and hashing do not see
+the difference (``Fraction(2) == 2`` and ``hash(Fraction(2)) == hash(2)``),
+and an ``int`` has ``numerator`` and ``denominator`` like any exact rational.
 
-The rational layer underneath is pluggable.  gmpy2's ``mpq`` is used when it
-can be imported (same canonical-form semantics as ``fractions.Fraction``,
-considerably faster); set the environment variable ``SUNHARM_RATIONAL`` to
-``fraction`` or ``gmpy2`` to force one backend or the other.
+``gq`` is the one way the rest of the package makes a scalar.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
-_BACKEND = os.environ.get("SUNHARM_RATIONAL", "auto")
-if _BACKEND not in ("auto", "gmpy2", "fraction"):
-    raise RuntimeError(
-        "SUNHARM_RATIONAL must be one of 'auto', 'gmpy2', 'fraction'"
-    )
-
-if _BACKEND in ("auto", "gmpy2"):
-    try:
-        from gmpy2 import mpq as Rational
-    except ImportError:
-        if _BACKEND == "gmpy2":
-            raise
-        Rational = Fraction
-else:
-    Rational = Fraction
-
-#: Name of the active rational backend, for reports and benchmarks.
-BACKEND_NAME = "gmpy2" if Rational is not Fraction else "fraction"
+#: Name of the rational type, for reports and benchmarks.
+BACKEND_NAME = "fraction"
 
 
 def _canon(q):
     """A computed rational component in canonical form: int when integral."""
     if type(q) is int or q.denominator != 1:
         return q
-    return int(q.numerator)
+    return q.numerator
 
 
 def _to_rational(x):
-    """Coerce x to a component: an int when integral, else the backend
-    rational.  Floats are refused."""
+    """Coerce x to a component: an int when integral, else a ``Fraction``.
+    Floats are refused."""
     if type(x) is int:
         return x
     if isinstance(x, float):
         raise TypeError("floats are not allowed in exact arithmetic")
     if isinstance(x, int):  # bool and other int subclasses
         return int(x)
-    return _canon(x if type(x) is Rational else Rational(x))
+    return _canon(x if type(x) is Fraction else Fraction(x))
 
 
 class GaussianRational:
     """A complex number with exact rational real and imaginary parts.
 
     Values are immutable by convention: no method mutates ``re`` or ``im``.
-    A component is an ``int`` when integral and otherwise a backend rational
-    in lowest terms with positive denominator (the backend guarantees it),
-    so equality is structural.
+    A component is an ``int`` when integral and otherwise a ``Fraction`` in
+    lowest terms with positive denominator, so equality is structural.
     """
 
     __slots__ = ("re", "im")
@@ -142,9 +121,7 @@ class GaussianRational:
             raise ZeroDivisionError("division by zero in Q(i)")
         if n == 1:  # a unit: its inverse is its conjugate
             return _raw(self.re, -self.im)
-        # through the backend rational: int / int would give a float
-        n = Rational(n)
-        return _make(self.re / n, -self.im / n)
+        return _make(Fraction(self.re, n), Fraction(-self.im, n))
 
     def conjugate(self):
         return _raw(self.re, -self.im)
@@ -217,13 +194,17 @@ def _make(re, im):
 def _coerce(x):
     if type(x) is GaussianRational:
         return x
-    if isinstance(x, (int, Fraction)) or type(x) is Rational:
+    if isinstance(x, (int, Fraction)):
         return _raw(_to_rational(x), 0)
     return None
 
 
 def gq(re=0, im=0) -> GaussianRational:
-    """Build a Gaussian rational from ints, Fractions or strings like '2/3'."""
+    """Build a Gaussian rational from ints, Fractions or strings like '2/3'.
+
+    A Gaussian rational with no imaginary part is returned as it is."""
+    if type(re) is GaussianRational and type(im) is int and not im:
+        return re
     return GaussianRational(re, im)
 
 

@@ -47,12 +47,6 @@ def sparse_vector(v: Sequence[GaussianRational]) -> Row:
     return {j: x for j, x in enumerate(v) if x is not ZERO and x}
 
 
-def _entry(x) -> GaussianRational:
-    if type(x) is GaussianRational:
-        return x
-    return gq(x)
-
-
 def _sub_mul_row(r: Row, f: GaussianRational, tail: Row) -> None:
     """r -= f * tail in place, dropping the entries that cancel; f != 0."""
     for j, x in tail.items():
@@ -88,7 +82,7 @@ class ExactMatrix:
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "ExactMatrix":
-        entries = [_entry(x) for x in entries]
+        entries = [gq(x) for x in entries]
         return cls.from_rows(
             [{i: x} if x else {} for i, x in enumerate(entries)], len(entries)
         )
@@ -138,7 +132,7 @@ class ExactMatrix:
         return ExactMatrix.from_rows(out, other.cols)
 
     def scale(self, s) -> "ExactMatrix":
-        s = _entry(s)
+        s = gq(s)
         if not s:
             return ExactMatrix.zeros(self.rows, self.cols)
         return ExactMatrix.from_rows(
@@ -199,7 +193,7 @@ def _primitive(lead: GaussianRational, r: Row) -> tuple[int, Row]:
     return N // g, {j: _raw(x.re // g, x.im // g) for j, x in tail.items()}
 
 
-def _echelon(rows: Iterable[Row], pivots: Pivots | None = None) -> Pivots:
+def _echelon(rows: Iterable[Row]) -> Pivots:
     """Row echelon form of the span of ``rows`` over Z[i]: pivot column ->
     ``(N, tail)``, a primitive pivot row with leading entry the positive
     int N and the Gaussian-integer entries ``tail`` right of it.
@@ -211,11 +205,9 @@ def _echelon(rows: Iterable[Row], pivots: Pivots | None = None) -> Pivots:
     divided by their common factor first, so no rational is ever built.  A
     pivot row has entries only right of its pivot, so a step never brings
     back a column already passed.  What is left makes a new pivot at its
-    first column (``_primitive``).  Given ``pivots``, an echelon form of
-    other rows, the result is that of their span together with ``rows``.
-    Neither the input rows nor ``pivots`` are modified.
+    first column (``_primitive``).  The input rows are not modified.
     """
-    pivots = dict(pivots) if pivots else {}
+    pivots: Pivots = {}
     for row in rows:
         r = dict(row)
         for x in r.values():
@@ -300,14 +292,9 @@ def _in_range(rows: Iterable[Row], cols: int) -> list[Row]:
 def same_span(a: Iterable[Row], b: Iterable[Row], cols: int) -> bool:
     """True when the two families of rows span the same subspace of Q(i)^cols.
 
-    Every column of both families is checked before any elimination.  Each
-    family is eliminated once.  With equal ranks the spans agree exactly
-    when the pivot rows of ``b`` add nothing to the echelon form of ``a``:
-    rank(a) = rank(b) = rank(a + b).
+    Every column of both families is checked before any elimination.  The
+    spans agree exactly when rank(a) = rank(b) = rank(a + b).
     """
     rows_a, rows_b = _in_range(a, cols), _in_range(b, cols)
-    pa, pb = _echelon(rows_a), _echelon(rows_b)
-    if len(pa) != len(pb):
-        return False
-    union = _echelon(({c: gq(N), **tail} for c, (N, tail) in pb.items()), pa)
-    return len(union) == len(pa)
+    r = len(_echelon(rows_a))
+    return r == len(_echelon(rows_b)) and r == len(_echelon(rows_a + rows_b))

@@ -33,10 +33,6 @@ from .linalg import ExactMatrix, sparse_vector
 Vector = list[GaussianRational]
 
 
-def _vec(v: Sequence) -> Vector:
-    return [x if type(x) is GaussianRational else gq(x) for x in v]
-
-
 def e_vec(j: int, n: int) -> Vector:
     """Standard basis vector e_j (0-based) of C^n."""
     v = [ZERO] * n
@@ -47,7 +43,7 @@ def e_vec(j: int, n: int) -> Vector:
 def _p_element(v: Sequence, upper: bool, lower: bool) -> ExactMatrix:
     """The corner blocks of [[0, v], [v*, 0]] that are asked for, built from
     the nonzero components of v only."""
-    v = _vec(v)
+    v = [gq(x) for x in v]
     n = len(v)
     nz = sparse_vector(v)
     rows = [{n: nz[j]} if upper and j in nz else {} for j in range(n)]

@@ -80,10 +80,6 @@ def grade_of(alpha: MultiIndex, degree: int) -> int:
     return degree - alpha[-1]
 
 
-def _as_scalar(x) -> GaussianRational:
-    return x if type(x) is GaussianRational else gq(x)
-
-
 class _CoeffPoly:
     """Shared coefficient-map machinery for primal and dual tensors."""
 
@@ -97,7 +93,7 @@ class _CoeffPoly:
             for alpha, c in coeffs.items():
                 if len(alpha) != n + 1 or sum(alpha) != degree:
                     raise ValueError(f"bad multi-index {alpha} for degree {degree}")
-                c = _as_scalar(c)
+                c = gq(c)
                 if c:
                     self.coeffs[tuple(alpha)] = c
 
@@ -108,7 +104,7 @@ class _CoeffPoly:
     @classmethod
     def monomial(cls, alpha: Sequence[int], coeff=1):
         alpha = tuple(alpha)
-        return cls(len(alpha) - 1, sum(alpha), {alpha: _as_scalar(coeff)})
+        return cls(len(alpha) - 1, sum(alpha), {alpha: gq(coeff)})
 
     def _like(self, coeffs: dict, degree: int | None = None):
         out = type(self).__new__(type(self))
@@ -143,7 +139,7 @@ class _CoeffPoly:
         return self._like({a: -c for a, c in self.coeffs.items()})
 
     def scale(self, s):
-        s = _as_scalar(s)
+        s = gq(s)
         if not s:
             return self._like({})
         return self._like({a: s * c for a, c in self.coeffs.items()})

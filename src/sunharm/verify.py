@@ -176,6 +176,8 @@ def sweep_specs(n_max: int | None, m_max: int | None) -> list[tuple]:
 def worker_count(jobs: int, n_cases: int) -> int:
     """Worker processes for a sweep: never more than cases or the CPUs this
     process may run on (its affinity mask, where the platform has one)."""
+    if jobs < 1:
+        raise ValueError("--jobs must be >= 1")
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     return max(1, min(jobs, n_cases, cpus))

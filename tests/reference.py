@@ -86,7 +86,7 @@ from sunharm.linalg import (
     same_span,
     sparse_vector,
 )
-from sunharm.sun1 import _p_element, _vec, e_vec, xi_minus, xi_plus
+from sunharm.sun1 import _p_element, e_vec, xi_minus, xi_plus
 from sunharm.symrep import (
     DualSymTensor,
     MultiIndex,
@@ -109,7 +109,7 @@ Vector = list[GaussianRational]
 def dense_matrix(rows: Sequence[Sequence]) -> ExactMatrix:
     """A matrix from a dense literal: equal-length rows of scalars, each
     entry coerced as the package coerces scalars."""
-    d = [[x if type(x) is GaussianRational else gq(x) for x in r] for r in rows]
+    d = [[gq(x) for x in r] for r in rows]
     if not d or not d[0]:
         raise ValueError("matrix must have at least one row and column")
     if any(len(r) != len(d[0]) for r in d):
@@ -247,8 +247,8 @@ def three_pass_same_span(a: Sequence, b: Sequence, cols: int) -> bool:
 
 
 def scale_vec(s, v: Sequence) -> Vector:
-    s = s if type(s) is GaussianRational else gq(s)
-    return [s * x for x in _vec(v)]
+    s = gq(s)
+    return [s * gq(x) for x in v]
 
 
 def xi(v: Sequence) -> ExactMatrix:
@@ -259,7 +259,7 @@ def xi(v: Sequence) -> ExactMatrix:
 def dense_p_element(v: Sequence, upper: bool, lower: bool) -> ExactMatrix:
     """xi(v) (both corners), xi_plus(v) (upper) or xi_minus(v) (lower),
     written into a dense (n+1) x (n+1) array and converted."""
-    v = _vec(v)
+    v = [gq(x) for x in v]
     n = len(v)
     rows = [[ZERO] * (n + 1) for _ in range(n + 1)]
     for j, x in enumerate(v):
@@ -290,7 +290,7 @@ def in_su(M: ExactMatrix) -> bool:
 def compact_element(block: ExactMatrix, corner) -> ExactMatrix:
     """Block-diagonal element diag(block, corner) of k, validated."""
     n = block.rows
-    corner = corner if type(corner) is GaussianRational else gq(corner)
+    corner = gq(corner)
     rows = block.sparse_rows() + [{n: corner} if corner else {}]
     M = ExactMatrix.from_rows(rows, n + 1)
     if not in_su(M):
@@ -473,7 +473,7 @@ def adjoint_on_p_plus(A: ExactMatrix, v: Sequence) -> Vector:
     if not is_unitary(A):
         raise ValueError("matrix is not exactly unitary")
     d = det(A)
-    w = apply(A, sparse_vector(_vec(v)))
+    w = apply(A, sparse_vector([gq(x) for x in v]))
     return [d * w.get(i, ZERO) for i in range(A.rows)]
 
 
@@ -867,7 +867,7 @@ def evaluate(a: Cocycle, v: Sequence):
     """Value of the cocycle a on xi(v) for any complex tangent vector v."""
     A, B = real_values(a)
     out = a.ctx.zero_value()
-    for j, x in enumerate(_vec(v)):
+    for j, x in enumerate([gq(x) for x in v]):
         if x.re:
             out = out + A[j].scale(gq(x.re))
         if x.im:
@@ -880,8 +880,7 @@ def _linear_part(a: Cocycle, values: Sequence, v: Sequence, conj: bool):
     body of ``plus_part`` and ``minus_part``."""
     out = a.ctx.zero_value()
     for w, x in zip(values, v):
-        if type(x) is not GaussianRational:
-            x = gq(x)
+        x = gq(x)
         if x:
             out = out + w.scale(x.conjugate() if conj else x)
     return out
@@ -1196,7 +1195,7 @@ def pair(lam: DualSymTensor, w: SymTensor) -> GaussianRational:
 
 def power_of_vector(vec: Sequence, m: int) -> SymTensor:
     """(sum_i v_i e_i)^m expanded with multinomial coefficients."""
-    v = _vec(vec)
+    v = [gq(x) for x in vec]
     n = len(v) - 1
     out = {}
     for alpha in monomials(n + 1, m):

@@ -159,6 +159,13 @@ def test_sweep_bounds_validated(capsys):
     assert "at least the case (2, 1)" in capsys.readouterr().err
 
 
+def test_sweep_rejects_zero_jobs(capsys):
+    assert main(["sweep", "--jobs", "0"]) == 2
+    assert "invalid configuration: --jobs must be >= 1" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="--jobs must be >= 1"):
+        run_sweep(2, 1, jobs=0)
+
+
 def test_sweep_determinism(tmp_path):
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"

@@ -144,7 +144,8 @@ def test_integer_interop():
 
 
 def test_fraction_backend_subprocess():
-    """The pure-Fraction fallback is selectable by env flag and agrees."""
+    """A fresh interpreter with SUNHARM_RATIONAL set imports cleanly: the
+    variable is not read, and Fraction is the one rational type."""
     import os
     import subprocess
     import sys
@@ -157,28 +158,28 @@ def test_fraction_backend_subprocess():
     root = os.path.dirname(os.path.dirname(os.path.abspath(sunharm.__file__)))
     inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
     pythonpath = os.pathsep.join([root] + [p for p in inherited if p])
-
-    def run(code, backend):
-        env = dict(os.environ, SUNHARM_RATIONAL=backend, PYTHONPATH=pythonpath)
-        return subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-
+    # "gmpy2" is the value that once forced the gmpy2 import
+    env = dict(os.environ, SUNHARM_RATIONAL="gmpy2", PYTHONPATH=pythonpath)
     code = (
         "from sunharm.exactfield import BACKEND_NAME\n"
         "from sunharm import ExactMatrix, I, gq, kernel_basis\n"
         "(v,) = kernel_basis(ExactMatrix.from_rows([{0: gq(1), 1: I}], 2))\n"
         "print(BACKEND_NAME, v == [-I, ExactMatrix.diagonal([1]).at(0, 0)])\n"
     )
-    out = run(code, "fraction")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["fraction", "True"]
 
-    # Without gmpy2, "auto" also yields Fraction; an invalid value shows the
-    # child really reads the flag.
-    bad = run("import sunharm.exactfield\n", "no-such-backend")
-    assert bad.returncode != 0
-    assert "SUNHARM_RATIONAL" in bad.stderr
+
+def test_gq_returns_a_gaussian_rational_as_it_is():
+    z = gq("2/3", -5)
+    assert gq(z) is z
+    assert gq(z, 0) is z
+    assert gq(I) is I
+    with pytest.raises(TypeError):
+        gq(I, 1)
 
 
 @pytest.mark.parametrize(

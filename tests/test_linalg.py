@@ -341,9 +341,9 @@ WIDE_BATTERIES = [(4, 5), (5, 5), (6, 4), (3, 8), (2, 12)]
 def test_certifier_eliminations_build_no_rational(monkeypatch):
     calls = []
 
-    def checked(rows, pivots=None):
+    def checked(rows):
         # checked on return: _reduced_echelon divides and reduces the tails
-        out = _echelon(rows, pivots)
+        out = _echelon(rows)
         assert_primitive(out)
         calls.append(len(out))
         return out

@@ -18,19 +18,21 @@ PYPROJECT = ROOT / "pyproject.toml"
 #: projection, the parts of a cocycle on any tangent, the n = 1 split by
 #: kernel solves, the tensor calculus of the polarization section and the
 #: two-form operators, and deleted code, among it the dense coordinate-vector
-#: path and the n = 1 sub-basis combination.
+#: path, the n = 1 sub-basis combination, the pluggable rational type and
+#: the per-module scalar coercions that ``gq`` replaced.
 GONE = {
     "sun1": (
         "is_unitary", "embed_k", "adjoint_on_p_plus", "canonical_weight",
         "unitary_corpus", "tangent_samples", "p_basis", "bracket", "is_compact",
         "is_xi_shape", "is_xi_plus_shape", "LieElement", "classify_kind",
         "is_xi_minus_shape", "group_inverse", "k_basis", "h0", "xi", "scale_vec",
-        "in_su", "compact_element", "j_form",
+        "in_su", "compact_element", "j_form", "_vec",
     ),
     "symrep": (
         "substitute", "_poly_mul", "group_matrix", "k_group_action", "inner",
         "pair", "power_of_vector", "project_grade", "_matrix_of", "_nonzero_entries",
         "raise_weighted", "derivative", "shift_down", "multiply_var", "polarization",
+        "_as_scalar",
     ),
     "harmonic": (
         "transform_cocycle", "Vector", "symmetric_component_membership",
@@ -38,8 +40,8 @@ GONE = {
         "t_op", "tstar_op",
     ),
     "checks": ("part_sub_basis", "split_halves"),
-    "linalg": ("det", "dump_text", "rref", "rank_of_rows", "_sparse_rows"),
-    "exactfield": ("dump_entry",),
+    "linalg": ("det", "dump_text", "rref", "rank_of_rows", "_sparse_rows", "_entry"),
+    "exactfield": ("dump_entry", "Rational", "_BACKEND"),
 }
 
 #: Methods that left the package's classes for tests/reference.py.
