@@ -47,16 +47,15 @@ two-form (``_operators_vanish``).
 
 Compact invariance needs no kernel basis.  ``classify`` certifies that the
 kernel is the image of the polarization map P, whose columns are the
-explicit ``polarization_cocycles``; ``kernel_is_invariant`` then checks,
-as an exact identity of sparse matrices, that P intertwines the action of
-each element of ``k_generators(n)``.  Those generate the complexified
-algebra k_C = gl(n), not k itself: the identity is complex-linear in the
-acting element, so it holds on k exactly when it holds on k_C, and the
-complex generators are fewer and sparser than real ones.  P is built once
-per case (``polarization_rows`` keeps the last case's rows).  With the
-dimension count, which makes P injective, the checks make the kernel a
-K-module isomorphic to S^{m+1}(C^n) (its dual on the dual side) twisted by
-a character of K.
+explicit ``polarization_cocycles``; ``kernel_is_invariant`` then checks
+that P intertwines each generator X of k_C = gl(n) in ``k_generators(n)``.
+The identity is complex-linear in X, so it holds on k exactly when it
+holds on k_C.  It is checked on the rows of P, which P builds once per case
+(``polarization_rows`` keeps the last case's rows): X's monomial action and
+its bracket with the tangents move each row, and the result must be the
+row combination that rho(X) + chi gives.  With the dimension count, which
+makes P injective, the checks make the kernel a K-module isomorphic to
+S^{m+1}(C^n) (its dual on the dual side) twisted by a character of K.
 """
 
 from __future__ import annotations
@@ -64,18 +63,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
+from .exactfield import gq
 from .linalg import ExactMatrix, Row, kernel_basis, rank, sparse_vector
 from .sun1 import e_vec, k_generators, xi_minus, xi_plus
 from .symrep import (
     RepContext,
+    _action,
     check_entry,
     monomials,
     polarization_family,
     rho_apply,
     rho_matrix,
-    rho_matrix_restricted,
 )
 
 @lru_cache(maxsize=None)
@@ -359,62 +360,53 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dic
     return flags, checks
 
 
-def polarization_blocks(ctx: RepContext) -> list[ExactMatrix]:
-    """The polarization map P as a sparse matrix, split by tangent.
+def intertwines(ctx: RepContext, rows: Sequence[Row], X: ExactMatrix, chi) -> bool:
+    """A_X P = P (rho(X) + chi) on S^{m+1}(C^n), checked on the rows of P.
 
-    Column s of P is row s of ``polarization_rows(ctx)``, with s running
-    over S^{m+1}(C^n) in lex order (last exponent 0); block p, the p-th
-    slice of dim W rows of P, holds the values on the p-th complex tangent.
+    ``rows`` is ``polarization_rows(ctx)``, the P(sigma) in lex order of
+    sigma.  For X = diag(B, c) in k_C, A_X a = rho(X) a(W) - a([X, W]), and
+    A_X - chi must send each P(sigma) to P(rho(X) sigma): one row of P for a
+    Chevalley generator E_ab, a multiple of P(sigma) for a diagonal X.  Both
+    sides are summed column by column on the components, with no rho(X)
+    matrix and no matrix product built.  Raises ``ValueError`` unless X is
+    an (n+1) x (n+1) block-diagonal matrix.
     """
-    d = ctx.dim_w
-    P = ExactMatrix.from_rows(polarization_rows(ctx), 2 * ctx.n * d).transpose()
-    rows = P.sparse_rows()
-    return [
-        ExactMatrix.from_rows(rows[p * d : (p + 1) * d], P.cols)
-        for p in range(2 * ctx.n)
-    ]
-
-
-def _bracket_mix(X: ExactMatrix) -> list[Row]:
-    """Row p holds the coefficients R_pq of a([X, W_p]) = sum_q R_pq a(W_q)
-    over the complex tangents W, for X = diag(B, c) in k_C and any cocycle
-    a.  Both halves are matrix brackets: [X, Z_j] = sum_i w_ij Z_i and
-    [X, Zbar_i] = -sum_j w_ij Zbar_j, with w = B - c."""
-    n = X.rows - 1
-    c = X.at(n, n)
-    mix: list[Row] = [{} for _ in range(2 * n)]
-    for j in range(n):
-        for i in range(n):
-            w = X.at(i, j) - c if i == j else X.at(i, j)
+    n, d = ctx.n, ctx.dim_w
+    if X.rows != n + 1 or any(X.at(i, n) or X.at(n, i) for i in range(n)):
+        raise ValueError("X is not a block-diagonal element diag(B, c) of k_C")
+    # An entry x at column j = q d + s (tangent W_q, monomial s) adds x y at
+    # j + offset for each (offset, y) in img[s], the image of the monomial
+    # (``symrep._action``), and in into[q]: -R_pq at (p - q) d, where
+    # [X, W_p] = sum_q R_pq W_q ([X, Z_j] = sum_i w_ij Z_i and [X, Zbar_i] =
+    # -sum_j w_ij Zbar_j, w = B - c), and -chi at 0.
+    chi = gq(chi)
+    into = [[(0, -chi.re, -chi.im)] if chi else [] for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            w = X.at(i, j) - X.at(n, n) if i == j else X.at(i, j)
             if w:
-                mix[j][i] = w
-                mix[n + i][n + j] = -w
-    return mix
-
-
-def intertwines(
-    ctx: RepContext, blocks: Sequence[ExactMatrix], X: ExactMatrix, chi
-) -> bool:
-    """A_X P = P (rho(X) + chi) on S^{m+1}(C^n), an exact matrix identity.
-
-    ``blocks`` is ``polarization_blocks(ctx)``.  A_X is the action of
-    X = diag(B, c) in k_C on cocycle coordinates, a -> rho(X) a(W) - a([X, W]):
-    rho(X) on each of the 2n blocks minus the block mix of
-    ``_bracket_mix``.  On the right, rho(X) acts on the degree-(m + 1)
-    monomials with last exponent 0 (or their duals), which X = diag(B, c)
-    keeps among themselves, and chi is a scalar.
-    """
-    n, m = ctx.n, ctx.m
-    top = [s + (0,) for s in monomials(n, m + 1)]
-    rho = rho_matrix(X, n, m, ctx.dual)
-    target = rho_matrix_restricted(X, top, top, ctx.dual) + ExactMatrix.diagonal(
-        [chi] * len(top)
-    )
-    for block, mix in zip(blocks, _bracket_mix(X)):
-        moved = rho * block
-        for q, r in mix.items():
-            moved = moved - blocks[q].scale(r)
-        if moved != block * target:
+                into[i].append(((j - i) * d, -w.re, -w.im))
+                into[n + j].append(((i - j) * d, w.re, w.im))
+    act = _action(X, ctx.dual)
+    basis, index = ctx.basis(), ctx.basis_index()
+    top = {s + (0,): t for t, s in enumerate(monomials(n, ctx.m + 1))}
+    img: dict[int, list] = {}
+    for sigma, row in zip(top, rows):
+        acc: dict[int, list] = {}  # column -> [re, im] of the left minus the right
+        for j, x in row.items():
+            q, s = divmod(j, d)
+            if s not in img:
+                img[s] = [(index[b] - s, y.re, y.im) for b, y in act(basis[s]).items()]
+            for off, yre, yim in chain(img[s], into[q]):
+                a = acc.setdefault(j + off, [0, 0])
+                a[0] += x.re * yre - x.im * yim
+                a[1] += x.re * yim + x.im * yre
+        for tau, y in act(sigma).items():
+            for k, x in rows[top[tau]].items():
+                a = acc.setdefault(k, [0, 0])
+                a[0] -= y.re * x.re - y.im * x.im
+                a[1] -= y.re * x.im + y.im * x.re
+        if any(re or im for re, im in acc.values()):
             return False
     return True
 
@@ -424,25 +416,22 @@ def kernel_is_invariant(ctx: RepContext, spans_kernel: bool) -> bool:
 
     ``spans_kernel`` is the verdict of the ``polarization-span`` check of
     ``classify``: the kernel is the image of the polarization map P.  Then
-    the kernel is K-invariant when P intertwines the action of k: for every
-    X = diag(B, c) in k,
+    it is K-invariant when, for every X = diag(B, c) in k,
 
         X.P(s) = P(rho(X) s + chi(X) s),   chi(X) = -c (primal), +c (dual),
 
-    checked as the sparse matrix identity of ``intertwines``.  Both sides
-    are complex-linear in X, so the identity holds on k exactly when it
-    holds on k_C = k + ik, and it is checked on the 2n - 1 generators
-    ``k_generators(n)`` of k_C.  A subspace invariant under X and Y is
-    invariant under [X, Y], so generators suffice, and K = U(n) is
-    connected, so k-invariance is K-invariance.  No elimination runs; the
-    verdict covers all of K.  On K, chi is the differential of det on the
-    primal side and of det^-1 on the dual side.
+    which ``intertwines`` checks on the rows of P for the 2n - 1
+    generators ``k_generators(n)`` of k_C = k + ik: both sides are
+    complex-linear in X, a subspace invariant under X and Y is invariant
+    under [X, Y], and K = U(n) is connected.  No elimination runs; the
+    verdict covers all of K.  On K, chi is the differential of det
+    (primal) or of det^-1 (dual).
     """
     if not spans_kernel:
         return False
     n = ctx.n
-    blocks = polarization_blocks(ctx)
+    rows = polarization_rows(ctx)
     return all(
-        intertwines(ctx, blocks, X, X.at(n, n) if ctx.dual else -X.at(n, n))
+        intertwines(ctx, rows, X, X.at(n, n) if ctx.dual else -X.at(n, n))
         for X in k_generators(n)
     )

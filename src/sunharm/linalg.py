@@ -34,7 +34,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .exactfield import GaussianRational, ZERO, ONE, _raw, gq, sub_mul
+from .exactfield import GaussianRational, ZERO, ONE, _make, _raw, gq, sub_mul
 
 #: A sparse row: column -> nonzero entry.
 Row = dict[int, GaussianRational]
@@ -125,9 +125,18 @@ class ExactMatrix:
             raise ValueError("incompatible shapes for matrix product")
         out = []
         for row in self._d:
-            r: Row = {}
+            r: Row = {}  # r += a * (row k of other), dropping what cancels
             for k, a in row.items():
-                _sub_mul_row(r, -a, other._d[k])
+                for j, x in other._d[k].items():
+                    re, im = a.re * x.re - a.im * x.im, a.re * x.im + a.im * x.re
+                    b = r.get(j)
+                    if b is not None:
+                        re += b.re
+                        im += b.im
+                        if not (re or im):
+                            del r[j]
+                            continue
+                    r[j] = _make(re, im)
             out.append(r)
         return ExactMatrix.from_rows(out, other.cols)
 

@@ -43,7 +43,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-from .exactfield import ONE, GaussianRational, gq
+from .exactfield import ONE, GaussianRational, _make, gq
 from .linalg import ExactMatrix, Row
 
 MultiIndex = tuple[int, ...]
@@ -231,12 +231,12 @@ def _action(X: ExactMatrix, dual: bool):
     X[j][i] and builds no tensor.
     """
     entries = [
-        (j, i, x) for j, row in enumerate(X.sparse_rows()) for i, x in row.items()
+        (j, i, x.re, x.im) for j, r in enumerate(X.sparse_rows()) for i, x in r.items()
     ]
 
     def image(a: MultiIndex) -> dict[MultiIndex, GaussianRational]:
-        out: dict[MultiIndex, GaussianRational] = {}
-        for j, i, x in entries:
+        out: dict[MultiIndex, list] = {}  # b -> [re, im], summed per component
+        for j, i, re, im in entries:
             if dual:
                 # (rho'(X) lam)(v) = -lam(rho(X) v), the negated transpose:
                 # eps^alpha takes -X[j][i] b_i at b = alpha - d_j + d_i
@@ -246,10 +246,10 @@ def _action(X: ExactMatrix, dual: bool):
                 b[j] -= 1
                 b[i] += 1
                 b = tuple(b)
-                add = x * -b[i]
+                k = -b[i]
             else:
-                ai = a[i]
-                if not ai:
+                k = a[i]
+                if not k:
                     continue
                 if i == j:
                     b = a
@@ -258,10 +258,10 @@ def _action(X: ExactMatrix, dual: bool):
                     b[i] -= 1
                     b[j] += 1
                     b = tuple(b)
-                add = x * ai
-            s = out.get(b)
-            out[b] = add if s is None else s + add
-        return {b: c for b, c in out.items() if c}
+            s = out.setdefault(b, [0, 0])
+            s[0] += re * k
+            s[1] += im * k
+        return {b: _make(re, im) for b, (re, im) in out.items() if re or im}
 
     return image
 

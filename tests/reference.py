@@ -1,13 +1,17 @@
 """Group-level and dense reference implementations the tests compare against.
 
 The certifier in ``sunharm`` works in the Lie algebra: it checks compact
-invariance as an identity of sparse matrices on complex generators of k_C,
-and never builds a group element, a determinant, a pairing, the form J, or
-a spanning set or a real generating set of k.  This module keeps those
-objects, outside the package, so the tests can check the algebra against
-the group it integrates to, the complex generators against the real ones
-they replaced, and the identity against the elimination-based check it
-replaced.  The package eliminates over the Gaussian integers:
+invariance on complex generators of k_C, applying each generator's
+monomial action to the rows of the polarization map P, and never builds a
+group element, a determinant, a pairing, the form J, or a spanning set or
+a real generating set of k.  This module keeps those objects, outside the
+package, so the tests can check the algebra against the group it
+integrates to, the complex generators against the real ones they
+replaced, and the identity against the elimination-based check it
+replaced.  It also keeps the identity in the matrix form the row check
+replaced: ``matrix_intertwines`` on P split by tangent
+(``polarization_blocks``), with a rho(X) matrix and two block products
+per tangent.  The package eliminates over the Gaussian integers:
 ``linalg._echelon`` keeps each pivot row primitive with a positive integer
 lead, and only ``_reduced_echelon`` divides by it, for the kernel.  The
 elimination over the field Q(i) that it replaced is kept here as an
@@ -74,6 +78,7 @@ from sunharm.harmonic import (
     _basis_tangent,
     cocycle_from_vector,
     pairwise_relation_rows,
+    polarization_rows,
     system_shape,
     values_from_vector,
     values_to_vector,
@@ -924,15 +929,76 @@ def rank_is_invariant(ctx, kernel: Sequence[Cocycle]) -> bool:
     return rank(ExactMatrix.from_rows(vecs, system_shape(ctx)[1])) == len(kernel)
 
 
-def real_generators_intertwine(ctx, blocks: Sequence[ExactMatrix]) -> bool:
-    """P intertwines k, checked on ``real_k_generators(n)``: the identity
-    A_X P = P (rho(X) + chi(X)) of ``harmonic.intertwines``, with the
-    bracket on the Zbar half taken in the conjugated form that holds for X
-    in k only, [X, Zbar_j] = sum_i conj(w_ij) Zbar_i with w = B - c.
-    ``blocks`` is P split by tangent, as ``harmonic.polarization_blocks``
-    gives it."""
+def polarization_blocks(ctx, rows: Sequence[Row] | None = None) -> list[ExactMatrix]:
+    """The polarization map P as a sparse matrix, split by tangent.
+
+    Column s of P is row s of ``rows``, by default
+    ``harmonic.polarization_rows(ctx)``, with s running over S^{m+1}(C^n)
+    in lex order (last exponent 0); block p, the p-th slice of dim W rows
+    of P, holds the values on the p-th complex tangent.
+    """
+    d = ctx.dim_w
+    rows = polarization_rows(ctx) if rows is None else rows
+    P = ExactMatrix.from_rows(rows, 2 * ctx.n * d).transpose()
+    cols = P.sparse_rows()
+    return [
+        ExactMatrix.from_rows(cols[p * d : (p + 1) * d], P.cols)
+        for p in range(2 * ctx.n)
+    ]
+
+
+def bracket_mix(X: ExactMatrix) -> list[Row]:
+    """Row p holds the coefficients R_pq of a([X, W_p]) = sum_q R_pq a(W_q)
+    over the complex tangents W, for X = diag(B, c) in k_C and any cocycle
+    a.  Both halves are matrix brackets: [X, Z_j] = sum_i w_ij Z_i and
+    [X, Zbar_i] = -sum_j w_ij Zbar_j, with w = B - c."""
+    n = X.rows - 1
+    c = X.at(n, n)
+    mix: list[Row] = [{} for _ in range(2 * n)]
+    for j in range(n):
+        for i in range(n):
+            w = X.at(i, j) - c if i == j else X.at(i, j)
+            if w:
+                mix[j][i] = w
+                mix[n + i][n + j] = -w
+    return mix
+
+
+def matrix_intertwines(
+    ctx, blocks: Sequence[ExactMatrix], X: ExactMatrix, chi, mix: list[Row] | None = None
+) -> bool:
+    """A_X P = P (rho(X) + chi) on S^{m+1}(C^n), as an identity of sparse
+    matrices: the matrix form of ``harmonic.intertwines``.
+
+    ``blocks`` is ``polarization_blocks(ctx)``.  A_X is rho(X) on each of
+    the 2n blocks minus the block mix, ``bracket_mix(X)`` unless ``mix`` is
+    given: two products per block, rho(X) * block and block * target,
+    where target is rho(X) on the degree-(m + 1) monomials with last
+    exponent 0 (or their duals) plus the scalar chi.
+    """
     n, m = ctx.n, ctx.m
     top = [s + (0,) for s in monomials(n, m + 1)]
+    rho = rho_matrix(X, n, m, ctx.dual)
+    target = rho_matrix_restricted(X, top, top, ctx.dual) + ExactMatrix.diagonal(
+        [chi] * len(top)
+    )
+    for block, row in zip(blocks, bracket_mix(X) if mix is None else mix):
+        moved = rho * block
+        for q, r in row.items():
+            moved = moved - blocks[q].scale(r)
+        if moved != block * target:
+            return False
+    return True
+
+
+def real_generators_intertwine(ctx, blocks: Sequence[ExactMatrix]) -> bool:
+    """P intertwines k, checked on ``real_k_generators(n)``: the identity
+    A_X P = P (rho(X) + chi(X)) of ``matrix_intertwines``, with the
+    bracket on the Zbar half taken in the conjugated form that holds for X
+    in k only, [X, Zbar_j] = sum_i conj(w_ij) Zbar_i with w = B - c.
+    ``blocks`` is P split by tangent, as ``polarization_blocks`` gives
+    it."""
+    n = ctx.n
     for X in real_k_generators(n):
         c = X.at(n, n)
         mix = [{} for _ in range(2 * n)]
@@ -942,16 +1008,8 @@ def real_generators_intertwine(ctx, blocks: Sequence[ExactMatrix]) -> bool:
                 if w:
                     mix[j][i] = w
                     mix[n + j][n + i] = w.conjugate()
-        rho = rho_matrix(X, n, m, ctx.dual)
-        target = rho_matrix_restricted(X, top, top, ctx.dual) + ExactMatrix.diagonal(
-            [c if ctx.dual else -c] * len(top)
-        )
-        for block, row in zip(blocks, mix):
-            moved = rho * block
-            for q, r in row.items():
-                moved = moved - blocks[q].scale(r)
-            if moved != block * target:
-                return False
+        if not matrix_intertwines(ctx, blocks, X, c if ctx.dual else -c, mix):
+            return False
     return True
 
 

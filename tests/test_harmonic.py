@@ -29,7 +29,6 @@ from sunharm.harmonic import (
     cocycle_to_vector,
     intertwines,
     pairwise_relation_rows,
-    polarization_blocks,
     polarization_rows,
     system_shape,
     values_from_vector,
@@ -65,10 +64,12 @@ from reference import (
     elimination_relation_subspace,
     evaluate,
     from_real_values,
+    matrix_intertwines,
     minus_part,
     multiplication_rows,
     p_basis,
     plus_part,
+    polarization_blocks,
     project_grade,
     rank_is_invariant,
     real_assemble_system,
@@ -555,20 +556,26 @@ def test_kernel_k_invariance(n, m, dual):
     assert not kernel_is_invariant(ctx, False)
 
 
+def doubled_block(ctx, rows, p):
+    """The rows of P with the values on the p-th complex tangent doubled."""
+    d = ctx.dim_w
+    return tuple({j: x * 2 if j // d == p else x for j, x in row.items()} for row in rows)
+
+
 @pytest.mark.parametrize("n,m,dual", [(2, 1, False), (3, 2, True), (4, 2, False)])
 def test_polarization_intertwines_generators(n, m, dual):
     ctx = RepContext(n, m, dual)
-    blocks = polarization_blocks(ctx)
+    rows = polarization_rows(ctx)
     for X in k_generators(n):
         c = X.at(n, n)
         chi = c if dual else -c
-        assert intertwines(ctx, blocks, X, chi)
+        assert intertwines(ctx, rows, X, chi)
         # the flipped character fails wherever it differs: on the central
         # generator diag(I_n, -n), the only one with c != 0
-        assert intertwines(ctx, blocks, X, -chi) is (not c)
+        assert intertwines(ctx, rows, X, -chi) is (not c)
     central = k_generators(n)[0]
     assert central.at(n, n) == -n
-    assert not intertwines(ctx, blocks, central, n if dual else -n)
+    assert not intertwines(ctx, rows, central, n if dual else -n)
 
 
 @pytest.mark.parametrize(
@@ -580,17 +587,62 @@ def test_complex_generators_agree_with_real_generators(monkeypatch, n, m, dual):
     import sunharm.harmonic as harmonic
 
     ctx = RepContext(n, m, dual)
+    rows = polarization_rows(ctx)
     blocks = polarization_blocks(ctx)
     assert kernel_is_invariant(ctx, True) is real_generators_intertwine(ctx, blocks) is True
     nonzero = [p for p, block in enumerate(blocks) if not block.is_zero()]
     # the values of P sit on one half: Z blocks on the dual side, Zbar primal
     assert nonzero == list(range(n) if dual else range(n, 2 * n))
     for p in nonzero:
-        doubled = list(blocks)
-        doubled[p] = blocks[p].scale(2)
-        monkeypatch.setattr(harmonic, "polarization_blocks", lambda ctx: doubled)
+        doubled = doubled_block(ctx, rows, p)
+        monkeypatch.setattr(harmonic, "polarization_rows", lambda ctx: doubled)
         assert kernel_is_invariant(ctx, True) is False
-        assert real_generators_intertwine(ctx, doubled) is False
+        assert real_generators_intertwine(ctx, polarization_blocks(ctx, doubled)) is False
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in range(1, 5)])
+def test_row_form_agrees_with_matrix_form(n, m, dual):
+    # every generator, with the right character, its negative, 1 and i, on
+    # P, on i P (complex entries) and on P with each nonzero tangent block
+    # doubled
+    ctx = RepContext(n, m, dual)
+    rows = polarization_rows(ctx)
+    nonzero = range(n) if dual else range(n, 2 * n)
+    turned = tuple({j: x * I for j, x in row.items()} for row in rows)
+    verdicts = []
+    for family in (rows, turned, *(doubled_block(ctx, rows, p) for p in nonzero)):
+        blocks = polarization_blocks(ctx, family)
+        for X in k_generators(n):
+            c = X.at(n, n)
+            for chi in (c if dual else -c, -c if dual else c, 1, I):
+                verdict = intertwines(ctx, family, X, chi)
+                assert verdict is matrix_intertwines(ctx, blocks, X, chi)
+                verdicts.append(verdict)
+    # both verdicts occur: the right character on P passes, a doubled block fails
+    assert verdicts[0] is True and False in verdicts
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_row_form_rejects_elements_outside_k_c(n, dual):
+    ctx = RepContext(n, 2, dual)
+    rows = polarization_rows(ctx)
+    for X in (xi_plus(e_vec(0, n)), xi_minus(e_vec(n - 1, n)), k_generators(n + 1)[0]):
+        with pytest.raises(ValueError):
+            intertwines(ctx, rows, X, 0)
+
+
+def test_invariance_builds_no_rho_matrix_and_no_product(monkeypatch):
+    import sunharm.symrep as symrep
+
+    def refuse(*args):
+        raise AssertionError("the row check built a matrix")
+
+    monkeypatch.setattr(symrep, "_map_matrix", refuse)
+    monkeypatch.setattr(ExactMatrix, "__mul__", refuse)
+    for n, m, dual in [(1, 2, False), (2, 2, True), (3, 2, False), (4, 3, True)]:
+        assert kernel_is_invariant(RepContext(n, m, dual), True)
 
 
 def corpus_is_invariant(ctx, kernel):

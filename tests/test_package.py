@@ -16,8 +16,9 @@ PYPROJECT = ROOT / "pyproject.toml"
 #: Names that left the package, by the module that defined them: group-level,
 #: dense and tensor references now in tests/reference.py, among them the hook
 #: projection, the parts of a cocycle on any tangent, the n = 1 split by
-#: kernel solves, the tensor calculus of the polarization section and the
-#: two-form operators, and deleted code, among it the dense coordinate-vector
+#: kernel solves, the tensor calculus of the polarization section, the
+#: two-form operators and P split by tangent for the matrix form of the
+#: invariance identity, and deleted code, among it the dense coordinate-vector
 #: path, the n = 1 sub-basis combination, the pluggable rational type and
 #: the per-module scalar coercions that ``gq`` replaced.
 GONE = {
@@ -37,7 +38,7 @@ GONE = {
     "harmonic": (
         "transform_cocycle", "Vector", "symmetric_component_membership",
         "_uniform_grade", "plus_part", "minus_part", "_linear_part", "TwoForm",
-        "t_op", "tstar_op",
+        "t_op", "tstar_op", "polarization_blocks", "_bracket_mix",
     ),
     "checks": ("part_sub_basis", "split_halves"),
     "linalg": ("det", "dump_text", "rref", "rank_of_rows", "_sparse_rows", "_entry"),
