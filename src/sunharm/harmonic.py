@@ -24,20 +24,20 @@ Two constraint operators are imposed:
 
 The joint kernel is computed exactly as the nullspace of one assembled
 matrix.  Coordinate order: block p (all Z blocks before all Zbar blocks,
-index ascending), then monomial index in lex order; constraint rows: all
-two-form blocks for pairs (p, q) in lex order, then the trace block.  Each
-row has all its columns in one weight of the diagonal torus of K: column
-(Z_j, e^alpha) has weight alpha - e_j + e_{n+1}, column (Zbar_j, e^alpha)
-alpha + e_j - e_{n+1}, with alpha negated on the dual side.  A coordinate
-vector is a sparse ``linalg.Row`` (column -> nonzero entry):
-``cocycle_to_vector`` and ``values_to_vector`` write tensors as rows, and
-``cocycle_from_vector`` and ``values_from_vector`` read them back.  Every
-classification flag is an exact zero test or a rank comparison on these
-objects: a one-sided, top-graded kernel lies in the symmetric component
-exactly when stacking its rows under ``polarization_rows`` (the columns of
-the polarization map P below, written as rows) leaves the rank unchanged.
-Those rows come straight from exponents (``symrep.polarization_family``);
-no tensor is built for them.
+index ascending), then monomial index in lex order; constraint rows: the
+two-form blocks for pairs (p, q) in lex order, less their empty rows, then
+the trace block.  Each row has all its columns in one weight of the
+diagonal torus of K: column (Z_j, e^alpha) has weight alpha - e_j +
+e_{n+1}, column (Zbar_j, e^alpha) alpha + e_j - e_{n+1}, with alpha negated
+on the dual side.  A coordinate vector is a sparse ``linalg.Row`` (column
+-> nonzero entry): ``cocycle_to_vector`` and ``values_to_vector`` write
+tensors as rows, and ``cocycle_from_vector`` and ``values_from_vector``
+read them back.  Every classification flag is an exact zero test or a rank
+comparison on these objects: a one-sided, top-graded kernel lies in the
+symmetric component exactly when stacking its rows under
+``polarization_rows`` (the columns of the polarization map P below, written
+as rows) leaves the rank unchanged.  Those rows come straight from
+exponents (``symrep.polarization_family``); no tensor is built for them.
 
 The ``operator-recheck`` verdict of ``classify`` evaluates T and T* on each
 kernel element through ``rho_apply``, independently of the assembled
@@ -61,7 +61,6 @@ S^{m+1}(C^n) (its dual on the dual side) twisted by a character of K.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from typing import Sequence
@@ -87,25 +86,36 @@ def _basis_tangent(n: int, p: int) -> ExactMatrix:
     return xi_minus(e_vec(p - n, n))
 
 
-@dataclass
 class Cocycle:
     """A real-linear map p -> W stored by its values on the 2n complex
-    tangents: a(Z_j) in ``plus_values``, a(Zbar_j) in ``minus_values``."""
+    tangents: a(Z_j) in ``plus_values``, a(Zbar_j) in ``minus_values``.
+    Equal by its fields; mutable, so unhashable."""
 
-    ctx: RepContext
-    plus_values: list
-    minus_values: list
+    __slots__ = ("ctx", "plus_values", "minus_values")
 
-    def __post_init__(self):
-        n = self.ctx.n
-        if len(self.plus_values) != n or len(self.minus_values) != n:
+    def __init__(self, ctx: RepContext, plus_values: list, minus_values: list):
+        self.ctx, self.plus_values, self.minus_values = ctx, plus_values, minus_values
+        n = ctx.n
+        if len(plus_values) != n or len(minus_values) != n:
             raise ValueError("a cocycle needs n plus values and n minus values")
-        cls = self.ctx.value_class
-        for w in (*self.plus_values, *self.minus_values):
+        cls = ctx.value_class
+        for w in (*plus_values, *minus_values):
             if not isinstance(w, cls):
                 raise TypeError("cocycle values do not match the context")
-            if w.n != n or w.degree != self.ctx.m:
+            if w.n != n or w.degree != ctx.m:
                 raise ValueError("cocycle value of wrong shape")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ctx, self.plus_values, self.minus_values) == (
+            other.ctx, other.plus_values, other.minus_values
+        )
+
+    def __repr__(self):
+        return "Cocycle(ctx={!r}, plus_values={!r}, minus_values={!r})".format(
+            self.ctx, self.plus_values, self.minus_values
+        )
 
     @classmethod
     def zero(cls, ctx: RepContext) -> "Cocycle":
@@ -160,8 +170,9 @@ def pairwise_relation_rows(ops: Sequence[ExactMatrix]) -> list[Row]:
 
     The unknown (x_0, ..., x_{k-1}) has one block per op, each of the ops'
     input dimension.  Pairs come in lex order, one row per output
-    coordinate; block b carries Op_a and block a carries -Op_b.  A single
-    op gives no rows.
+    coordinate in order; block b carries Op_a and block a carries -Op_b.
+    A coordinate that neither op of the pair reaches gives the relation
+    0 = 0 and no row.  A single op gives no rows.
     """
     k = len(ops)
     d_in = ops[0].cols
@@ -170,14 +181,16 @@ def pairwise_relation_rows(ops: Sequence[ExactMatrix]) -> list[Row]:
     for a in range(k):
         for b in range(a + 1, k):
             for ra, rb in zip(mats[a], mats[b]):
-                row = {b * d_in + s: x for s, x in ra.items()}
-                row.update((a * d_in + s, -x) for s, x in rb.items())
-                rows.append(row)
+                if ra or rb:
+                    row = {b * d_in + s: x for s, x in ra.items()}
+                    row.update((a * d_in + s, -x) for s, x in rb.items())
+                    rows.append(row)
     return rows
 
 
 def system_shape(ctx: RepContext) -> tuple[int, int]:
-    """(rows, columns) of ``assemble_system(ctx)``, without building it."""
+    """The formal (rows, columns), dim W rows per block, that the report prints;
+    ``assemble_system`` stores no empty row, so it may have fewer rows."""
     nb = 2 * ctx.n
     return (math.comb(nb, 2) + 1) * ctx.dim_w, nb * ctx.dim_w
 
@@ -185,8 +198,9 @@ def system_shape(ctx: RepContext) -> tuple[int, int]:
 def assemble_system(ctx: RepContext) -> ExactMatrix:
     """Matrix whose nullspace is {a : T a = 0 and T* a = 0}.
 
-    Rows: the two-form blocks for pairs (p, q) in lex order, then the trace
-    block; columns: cocycle coordinates (block p, then monomial).
+    Rows: the nonempty rows of the two-form blocks for pairs (p, q) in lex
+    order (``pairwise_relation_rows``), then the trace block; columns:
+    cocycle coordinates (block p, then monomial).
     """
     n, d = ctx.n, ctx.dim_w
     mats = [rho_matrix(_basis_tangent(n, p), n, ctx.m, ctx.dual) for p in range(2 * n)]

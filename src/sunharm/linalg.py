@@ -102,22 +102,6 @@ class ExactMatrix:
 
     # -- algebra ---------------------------------------------------------
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self - other.scale(-ONE)
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        out = []
-        for ra, rb in zip(self._d, other._d):
-            r = dict(ra)
-            _sub_mul_row(r, ONE, rb)
-            out.append(r)
-        return ExactMatrix.from_rows(out, self.cols)
-
-    def __neg__(self) -> "ExactMatrix":
-        return self.scale(-ONE)
-
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
             return NotImplemented

@@ -38,7 +38,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Sequence
@@ -317,19 +316,40 @@ def rho_matrix_restricted(
     return _map_matrix(_action(X, dual), in_basis, out_basis)
 
 
-@dataclass(frozen=True)
 class RepContext:
-    """A verification case: the symmetric power S^m of C^{n+1} or its dual."""
+    """A verification case: the symmetric power S^m of C^{n+1} or its dual.
+    An immutable value, equal and hashed by (n, m, dual); pickle and copy
+    rebuild it through the constructor (``__reduce__``)."""
 
-    n: int
-    m: int
-    dual: bool = False
+    __slots__ = ("n", "m", "dual")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, m: int, dual: bool = False):
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if self.m < 1:
+        if m < 1:
             raise ValueError("m must be >= 1")
+        for name, value in (("n", n), ("m", m), ("dual", dual)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return RepContext, (self.n, self.m, self.dual)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.m, self.dual) == (other.n, other.m, other.dual)
+
+    def __hash__(self):
+        return hash((self.n, self.m, self.dual))
+
+    def __repr__(self):
+        return f"RepContext(n={self.n!r}, m={self.m!r}, dual={self.dual!r})"
 
     @property
     def dim_w(self) -> int:

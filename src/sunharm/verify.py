@@ -6,13 +6,14 @@ function of the requested configuration and the tool version; sweep entries
 are emitted in (n, m, kind) order regardless of how many workers computed
 them.  Every case entry, whatever its mode, is built by
 ``symrep.case_entry`` and every check entry by ``symrep.check_entry``.
+Only a sweep with more than one worker imports the process pool, so a serial
+run loads no ``concurrent.futures`` or ``multiprocessing``.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .checks import lemma_battery, riemann_split_report
 from .exactfield import BACKEND_NAME
@@ -191,6 +192,9 @@ def run_sweep(n_max: int | None, m_max: int | None, jobs: int = 1) -> dict:
     workers = worker_count(jobs, len(specs))
     try:
         if workers > 1:
+            # imported here, so a serial run loads no multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 try:
                     # results arrive in spec order; keep each as it comes

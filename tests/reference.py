@@ -45,8 +45,14 @@ here as their references: ``derivative``, ``shift_down``,
 ``multiplication_rows`` rebuild the family, the columns of P and the
 multiplication map tensor by tensor; and ``TwoForm``, ``t_op`` and
 ``tstar_op``, which build the two operators' values in full.
-``conj_transpose`` is the conjugate transpose of a matrix, which only
-the unitary and su(n,1) references need.
+``conj_transpose`` is the conjugate transpose of a matrix, and
+``matrix_add``, ``matrix_sub`` and ``matrix_neg`` the matrix sum,
+difference and negation, which only the references and the tests need.
+
+The package stores the constraint system without its empty rows;
+``formal_assemble_system`` builds it in the formal layout that
+``system_shape`` and the report count, empty rows included, on
+``formal_relation_rows``.
 
 The package stores a cocycle by its values on the complex tangents
 Z_j = xi_plus(e_j) and Zbar_j = xi_minus(e_j).  The references here work in
@@ -153,6 +159,26 @@ def conj_transpose(M: ExactMatrix) -> ExactMatrix:
         [{j: x.conjugate() for j, x in r.items()} for r in M.transpose().sparse_rows()],
         M.rows,
     )
+
+
+def matrix_sub(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
+    """A - B, for matrices of one shape."""
+    if A.rows != B.rows or A.cols != B.cols:
+        raise ValueError("shape mismatch")
+    out = []
+    for ra, rb in zip(A.sparse_rows(), B.sparse_rows()):
+        r = dict(ra)
+        _sub_mul_row(r, ONE, rb)
+        out.append(r)
+    return ExactMatrix.from_rows(out, A.cols)
+
+
+def matrix_neg(A: ExactMatrix) -> ExactMatrix:
+    return A.scale(-ONE)
+
+
+def matrix_add(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
+    return matrix_sub(A, matrix_neg(B))
 
 
 def field_echelon(rows, pivots: dict[int, Row] | None = None) -> dict[int, Row]:
@@ -284,7 +310,7 @@ def in_su(M: ExactMatrix) -> bool:
     """X*J + JX = 0 and trace zero."""
     n = M.rows - 1
     Jm = j_form(n)
-    if not (conj_transpose(M) * Jm + Jm * M).is_zero():
+    if not matrix_add(conj_transpose(M) * Jm, Jm * M).is_zero():
         return False
     tr = ZERO
     for i in range(M.rows):
@@ -328,7 +354,7 @@ def real_k_generators(n: int) -> list[ExactMatrix]:
 
 def bracket(X: ExactMatrix, Y: ExactMatrix) -> ExactMatrix:
     """Matrix commutator XY - YX."""
-    return X * Y - Y * X
+    return matrix_sub(X * Y, Y * X)
 
 
 def is_compact(M: ExactMatrix) -> bool:
@@ -846,6 +872,38 @@ def from_real_vector(ctx, vec: Row) -> Cocycle:
     return from_real_values(ctx, vals[:n], vals[n:])
 
 
+def formal_relation_rows(ops: Sequence[ExactMatrix]) -> list[Row]:
+    """``pairwise_relation_rows`` with its empty rows: one row per output
+    coordinate of every pair a < b, the relation 0 = 0 included."""
+    d_in = ops[0].cols
+    mats = [M.sparse_rows() for M in ops]
+    rows = []
+    for a in range(len(ops)):
+        for b in range(a + 1, len(ops)):
+            for ra, rb in zip(mats[a], mats[b]):
+                row = {b * d_in + s: x for s, x in ra.items()}
+                row.update((a * d_in + s, -x) for s, x in rb.items())
+                rows.append(row)
+    return rows
+
+
+def formal_assemble_system(ctx) -> ExactMatrix:
+    """The constraint system in its formal layout, of shape
+    ``system_shape(ctx)``: dim W rows for each pair (p, q) of complex
+    tangents in lex order, empty ones included, then the trace block.
+    ``assemble_system`` stores the same rows less the empty ones."""
+    n, d = ctx.n, ctx.dim_w
+    mats = [rho_matrix(_basis_tangent(n, p), n, ctx.m, ctx.dual) for p in range(2 * n)]
+    rows = formal_relation_rows(mats)
+    # trace block: block Z_j carries rho(Zbar_j) and block Zbar_j rho(Z_j)
+    blocks = [M.sparse_rows() for M in mats[n:] + mats[:n]]
+    rows.extend(
+        {p * d + s: x for p, B in enumerate(blocks) for s, x in B[r].items()}
+        for r in range(d)
+    )
+    return ExactMatrix.from_rows(rows, 2 * n * d)
+
+
 def real_assemble_system(ctx) -> ExactMatrix:
     """The constraint system on the real tangents xi(e_j), xi(i e_j).
 
@@ -979,13 +1037,13 @@ def matrix_intertwines(
     n, m = ctx.n, ctx.m
     top = [s + (0,) for s in monomials(n, m + 1)]
     rho = rho_matrix(X, n, m, ctx.dual)
-    target = rho_matrix_restricted(X, top, top, ctx.dual) + ExactMatrix.diagonal(
-        [chi] * len(top)
+    target = matrix_add(
+        rho_matrix_restricted(X, top, top, ctx.dual), ExactMatrix.diagonal([chi] * len(top))
     )
     for block, row in zip(blocks, bracket_mix(X) if mix is None else mix):
         moved = rho * block
         for q, r in row.items():
-            moved = moved - blocks[q].scale(r)
+            moved = matrix_sub(moved, blocks[q].scale(r))
         if moved != block * target:
             return False
     return True

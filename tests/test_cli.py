@@ -206,6 +206,8 @@ def test_interrupted_sweep_reports_partial(monkeypatch):
 
 
 def test_interrupted_parallel_sweep_keeps_finished_cases(monkeypatch):
+    import concurrent.futures
+
     import sunharm.verify as v
 
     made = {}
@@ -229,7 +231,8 @@ def test_interrupted_parallel_sweep_keeps_finished_cases(monkeypatch):
         def shutdown(self, wait=True, cancel_futures=False):
             made["cancelled"] = cancel_futures
 
-    monkeypatch.setattr(v, "ProcessPoolExecutor", FakePool)
+    # run_sweep imports the pool class when it needs one, so patch its home
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(v.os, "cpu_count", lambda: 4)
     doc = v.run_sweep(2, 2, jobs=2)
     assert made["workers"] == 2

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 from pathlib import Path
 
 import pytest
@@ -63,6 +65,8 @@ from reference import (
     elimination_contraction_hook,
     elimination_relation_subspace,
     evaluate,
+    formal_assemble_system,
+    formal_relation_rows,
     from_real_values,
     matrix_intertwines,
     minus_part,
@@ -295,36 +299,82 @@ def test_grade_decomposition_of_two_form(n, m):
                 assert pk(real, k) == d1 + d2 + d3 + d4
 
 
+def test_cocycle_is_a_value_compared_by_its_fields():
+    """Equality, repr and validation of a cocycle, and its round trips
+    through pickle and deepcopy; a cocycle is mutable, so unhashable."""
+    ctx = RepContext(2, 2, True)
+    a = random_cocycle(make_rng(7), ctx)
+    b = Cocycle(ctx=ctx, plus_values=list(a.plus_values), minus_values=list(a.minus_values))
+    assert a == b and a != Cocycle.zero(ctx)
+    assert Cocycle.zero(ctx) != Cocycle.zero(RepContext(2, 2))
+    assert a.__eq__(ctx) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(a)
+    assert repr(a) == (
+        f"Cocycle(ctx=RepContext(n=2, m=2, dual=True), plus_values={a.plus_values!r},"
+        f" minus_values={a.minus_values!r})"
+    )
+    zero = ctx.zero_value()
+    bad = [
+        ([zero], [zero, zero], ValueError, "n plus values and n minus values"),
+        ([zero, zero], [zero], ValueError, "n plus values and n minus values"),
+        ([zero, SymTensor.zero(2, 2)], [zero, zero], TypeError, "do not match the context"),
+        ([zero, zero], [zero, type(zero).zero(2, 3)], ValueError, "of wrong shape"),
+    ]
+    for plus, minus, error, message in bad:
+        with pytest.raises(error, match=message):
+            Cocycle(ctx, plus, minus)
+    b.plus_values = list(b.minus_values)
+    assert b != a
+    # protocols 0 and 1 cannot pickle the slotted tensors and scalars
+    for proto in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(a, proto)) == a
+    c = copy.deepcopy(a)
+    assert c == a and c.plus_values is not a.plus_values
+
+
 # -- the assembled system and its kernel -------------------------------------
 
 
 @pytest.mark.parametrize("dual", [False, True])
 def test_matrix_path_matches_operator_path(dual):
-    """Applying the assembled system to a coordinate vector reproduces the
-    two-form blocks and the trace block computed through the operators."""
+    """Applying the system in its formal layout to a coordinate vector
+    reproduces the two-form blocks and the trace block computed through the
+    operators."""
     ctx = RepContext(2, 2, dual)
     n = ctx.n
     a = random_cocycle(make_rng(41), ctx)
-    residual = apply(assemble_system(ctx), cocycle_to_vector(a))
+    residual = apply(formal_assemble_system(ctx), cocycle_to_vector(a))
     tf = t_op(a)
     blocks = [tf.value(p, q) for p in range(2 * n) for q in range(p + 1, 2 * n)]
     assert residual == values_to_vector(blocks + [tstar_op(a)], ctx.basis_index())
 
 
 def test_system_shape_counts():
+    """``system_shape`` is the shape of the formal layout; the assembled
+    system stores its rows less the empty ones, in order."""
     ctx = RepContext(2, 1)
-    M = assemble_system(ctx)
-    assert (M.rows, M.cols) == (21, 12)
+    F = formal_assemble_system(ctx)
+    assert (F.rows, F.cols) == (21, 12)
+    assert assemble_system(ctx).rows == 14
     ctx = RepContext(3, 2)
-    M = assemble_system(ctx)
+    F = formal_assemble_system(ctx)
     d = ctx.dim_w
-    assert M.cols == 2 * 3 * d
-    assert M.rows == (math.comb(6, 2) + 1) * d
+    assert F.cols == 2 * 3 * d
+    assert F.rows == (math.comb(6, 2) + 1) * d
     for n in (1, 2, 3):
-        for dual in (False, True):
-            ctx = RepContext(n, 2, dual)
-            M = assemble_system(ctx)
-            assert system_shape(ctx) == (M.rows, M.cols)
+        for m in (1, 2, 3):
+            for dual in (False, True):
+                ctx = RepContext(n, m, dual)
+                F, M = formal_assemble_system(ctx), assemble_system(ctx)
+                assert system_shape(ctx) == (F.rows, F.cols)
+                assert M.cols == F.cols
+                assert M.sparse_rows() == [r for r in F.sparse_rows() if r]
+    # the lemma battery's relation systems drop their empty rows the same way
+    mid, up = graded_monomials(3, 3, 1), graded_monomials(3, 3, 2)
+    ops = [rho_matrix_restricted(xi_plus(e_vec(a, 3)), mid, up) for a in range(3)]
+    formal = formal_relation_rows(ops)
+    assert pairwise_relation_rows(ops) == [r for r in formal if r] != formal
 
 
 @pytest.mark.parametrize("n,dual", [(1, False), (2, True), (3, False)])

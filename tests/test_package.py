@@ -1,7 +1,10 @@
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,7 +50,10 @@ GONE = {
 
 #: Methods that left the package's classes for tests/reference.py.
 GONE_MEMBERS = {
-    sunharm.ExactMatrix: ("identity", "column", "copy_rows", "apply", "conj_transpose"),
+    sunharm.ExactMatrix: (
+        "identity", "column", "copy_rows", "apply", "conj_transpose",
+        "__add__", "__sub__", "__neg__",
+    ),
     sunharm.Cocycle: ("evaluate",),
     sunharm.SymTensor: ("to_vector",),
 }
@@ -83,6 +89,34 @@ def test_public_surface():
     # matrices are built from sparse rows only: no dense constructor
     with pytest.raises(TypeError):
         sunharm.ExactMatrix([[1]])
+
+
+def test_import_loads_no_pool_and_no_dataclasses():
+    """A fresh ``import sunharm``, and a serial sweep after it, load no
+    process pool (``concurrent.futures``, ``multiprocessing``) and no
+    ``dataclasses`` or ``inspect``.  The child imports this tree's source and
+    runs without ``site`` (-S), so nothing else imports them first."""
+    root = str(Path(sunharm.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([root] + [p for p in inherited if p]))
+    code = (
+        "import sys\n"
+        "heavy = ('concurrent.futures', 'multiprocessing', 'dataclasses', 'inspect')\n"
+        "loaded = lambda: [m for m in heavy if m in sys.modules]\n"
+        "print(loaded())\n"
+        "import sunharm\n"
+        "print(sunharm.__file__)\n"
+        "print(loaded())\n"
+        "sunharm.run_sweep(2, 1, jobs=1)\n"
+        "print(loaded())\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    before, path, after, swept = out.stdout.splitlines()
+    assert Path(path).resolve() == Path(sunharm.__file__).resolve()
+    assert before == after == swept == "[]"
 
 
 def test_only_the_harmonic_kernel_solves():

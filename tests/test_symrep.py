@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -36,6 +38,8 @@ from reference import (
     inner,
     k_basis,
     k_group_action,
+    matrix_neg,
+    matrix_sub,
     pair,
     power_of_vector,
     project_grade,
@@ -190,7 +194,7 @@ def test_representation_property(n, m):
             lhs = rho_matrix(bracket(X, Y), n, m)
             MX = rho_matrix(X, n, m)
             MY = rho_matrix(Y, n, m)
-            assert lhs == MX * MY - MY * MX
+            assert lhs == matrix_sub(MX * MY, MY * MX)
 
 
 def test_dual_action_is_negated_transpose():
@@ -198,7 +202,7 @@ def test_dual_action_is_negated_transpose():
     X = xi([gq(1, 1), gq("1/2", "-1/3")])
     Mp = rho_matrix(X, n, m, dual=False)
     Md = rho_matrix(X, n, m, dual=True)
-    assert Md == -Mp.transpose()
+    assert Md == matrix_neg(Mp.transpose())
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 4)])
@@ -213,7 +217,7 @@ def test_rho_matrix_matches_derivation_reference(n, m):
         M = rho_matrix(X, n, m)
         assert M == derivation_matrix(X, n, m)
         D = rho_matrix(X, n, m, dual=True)
-        assert D == -M.transpose()
+        assert D == matrix_neg(M.transpose())
         assert all(x for r in M.sparse_rows() + D.sparse_rows() for x in r.values())
     mixed = monomial_index(n + 1, m)[(1, 1) + (0,) * (n - 2) + (m - 2,)]
     assert not any(mixed in r for r in rho_matrix(cancel, n, m).sparse_rows())
@@ -338,3 +342,31 @@ def test_mixing_primal_dual_rejected():
         SymTensor.monomial((1, 0)) + DualSymTensor.monomial((1, 0))
     with pytest.raises(TypeError):
         inner(SymTensor.monomial((1, 0)), DualSymTensor.monomial((1, 0)))
+
+
+def test_rep_context_is_an_immutable_value():
+    """Equality and hash by (n, m, dual), the repr, the validation errors,
+    assignment and deletion refused, and pickle and copy round trips."""
+    ctx = RepContext(2, 3, True)
+    assert ctx == RepContext(n=2, m=3, dual=True) != RepContext(2, 3)
+    assert RepContext(2, 3) == RepContext(2, 3, False)
+    assert ctx.__eq__((2, 3, True)) is NotImplemented
+    assert hash(ctx) == hash((2, 3, True))
+    assert len({RepContext(2, 3), RepContext(2, 3, False), ctx}) == 2
+    assert repr(ctx) == "RepContext(n=2, m=3, dual=True)"
+    assert repr(RepContext(1, 1)) == "RepContext(n=1, m=1, dual=False)"
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        RepContext(0, 1)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        RepContext(1, 0)
+    for name in ("n", "m", "dual", "other"):
+        with pytest.raises(AttributeError):
+            setattr(ctx, name, 1)
+    with pytest.raises(AttributeError):
+        del ctx.n
+    assert (ctx.n, ctx.m, ctx.dual) == (2, 3, True)
+    copies = [pickle.loads(pickle.dumps(ctx, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for c in [*copies, copy.copy(ctx), copy.deepcopy(ctx)]:
+        assert type(c) is RepContext and c == ctx and hash(c) == hash(ctx)
+        with pytest.raises(AttributeError):
+            c.n = 5
