@@ -12,14 +12,14 @@ the symmetric part when S C^T L^T is a positive multiple of the
 polarization rows S.  The relation spanning sets, S and the
 multiplication map whose kernel is the hook component all come from
 ``symrep.polarization_family`` (its primal or its dual family), written
-from exponents; tensors serve only the three witnesses: extreme linearity,
-the hook counterexample and the pinned value.  The n = 1 split solves for
-no kernel either: the dimension of each half, and of its part in its
-extreme grade, is the nullity of the constraint matrix restricted to the
-columns that part may occupy, and the kernel dimension is the nullity of
-the whole matrix.  The entries returned are plain dicts
-``{"name", "j", "status", "details"}`` built by ``symrep.check_entry``,
-with status ``pass``, ``fail`` or ``vacuous`` (empty parameter range).
+from exponents; tensors serve only the hook counterexample and the pinned
+value.  The n = 1 split solves for no kernel either: the dimension of each
+half, and of its part in its extreme grade, is the nullity of the
+constraint matrix restricted to the columns that part may occupy, and the
+kernel dimension is the nullity of the whole matrix.  The entries returned
+are plain dicts ``{"name", "j", "status", "details"}`` built by
+``symrep.check_entry``, with status ``pass``, ``fail`` or ``vacuous``
+(empty parameter range).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .sun1 import e_vec, xi_minus, xi_plus
 from .symrep import (
     RepContext,
     SymTensor,
+    _action,
     check_entry,
     grade_of,
     graded_monomials,
@@ -101,6 +102,10 @@ def check_operator_grading(n: int, m: int) -> list[dict]:
     for some v != 0 exactly when its n basis restrictions are linearly
     dependent.  That of xi(v) = xi+(v) + xi-(v) is then nonzero as well,
     since its two halves land in different grades.
+
+    Extreme linearity: each raising operator's monomial action
+    (``symrep._action``, built once per operator) sends every top-grade
+    monomial to an empty image, each lowering operator's every bottom one.
     """
     entries = []
     try:
@@ -124,14 +129,11 @@ def check_operator_grading(n: int, m: int) -> list[dict]:
                     " injectivity verified"
                 )
         entries.append(check_entry("operator-grading", ok, detail, j=k))
-    plus_ops = [xi_plus(e_vec(a, n)) for a in range(n)]
-    minus_ops = [xi_minus(e_vec(a, n)) for a in range(n)]
-    top = graded_monomials(n, m, m)
-    bottom = graded_monomials(n, m, 0)
-    extreme_ok = not any(
-        rho_apply(X, SymTensor.monomial(a)) for X in plus_ops for a in top
-    ) and not any(
-        rho_apply(X, SymTensor.monomial(a)) for X in minus_ops for a in bottom
+    extreme_ok = all(
+        not act(a)
+        for half, g in ((xi_plus, m), (xi_minus, 0))
+        for act in [_action(half(e_vec(b, n)), False) for b in range(n)]
+        for a in graded_monomials(n, m, g)
     )
     entries.append(
         check_entry(

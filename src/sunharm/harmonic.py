@@ -40,10 +40,10 @@ as rows) leaves the rank unchanged.  Those rows come straight from
 exponents (``symrep.polarization_family``); no tensor is built for them.
 
 The ``operator-recheck`` verdict of ``classify`` evaluates T and T* on each
-kernel element through ``rho_apply``, independently of the assembled
-matrix.  It applies rho(W) only to the nonzero values, since rho(W) 0 = 0,
-and compares the two terms of each pair of T instead of forming the
-two-form (``_operators_vanish``).
+kernel element through the tangents' monomial actions (``_tangent_action``,
+built once), independently of the assembled matrix.  It applies rho(W) only
+to the nonzero values, since rho(W) 0 = 0, and compares the two terms of
+each pair of T instead of forming the two-form (``_operators_vanish``).
 
 Compact invariance needs no kernel basis.  ``classify`` certifies that the
 kernel is the image of the polarization map P, whose columns are the
@@ -71,10 +71,10 @@ from .sun1 import e_vec, k_generators, xi_minus, xi_plus
 from .symrep import (
     RepContext,
     _action,
+    _extend,
     check_entry,
     monomials,
     polarization_family,
-    rho_apply,
     rho_matrix,
 )
 
@@ -84,6 +84,12 @@ def _basis_tangent(n: int, p: int) -> ExactMatrix:
     if p < n:
         return xi_plus(e_vec(p, n))
     return xi_minus(e_vec(p - n, n))
+
+
+@lru_cache(maxsize=None)
+def _tangent_action(n: int, p: int, dual: bool):
+    """The p-th complex tangent's ``symrep._action`` on one side, built once."""
+    return _action(_basis_tangent(n, p), dual)
 
 
 class Cocycle:
@@ -135,15 +141,16 @@ class Cocycle:
 
 
 def _operators_vanish(a: Cocycle) -> bool:
-    """T a = 0 and T* a = 0, decided by ``rho_apply`` on the nonzero values
-    of a only, since rho(W) 0 = 0.
+    """T a = 0 and T* a = 0, decided by the tangents' cached monomial
+    actions (``_tangent_action``), extended linearly (``symrep._extend``)
+    to the nonzero values of a only, since rho(W) 0 = 0.
 
     ``images[p, q]`` is rho(W_p) a(W_q) for a nonzero a(W_q) and p != q.
     T a vanishes exactly when images[p, q] = images[q, p] on every pair, a
     missing image counting as zero; pairs of two zero values are skipped.
     T* a is the sum of the images[p, p + n mod 2n].  No two-form is built.
     """
-    n = a.ctx.n
+    n, dual = a.ctx.n, a.ctx.dual
     nb = 2 * n
     images = {}
     for q in range(nb):
@@ -151,7 +158,7 @@ def _operators_vanish(a: Cocycle) -> bool:
         if w:
             for p in range(nb):
                 if p != q:
-                    images[p, q] = rho_apply(_basis_tangent(n, p), w).coeffs
+                    images[p, q] = _extend(_tangent_action(n, p, dual), w.coeffs)
     if any(img != images.get((q, p), {}) for (p, q), img in images.items()):
         return False
     trace = {}

@@ -186,7 +186,7 @@ def _primitive(lead: GaussianRational, r: Row) -> tuple[int, Row]:
     return N // g, {j: _raw(x.re // g, x.im // g) for j, x in tail.items()}
 
 
-def _echelon(rows: Iterable[Row]) -> Pivots:
+def _echelon(rows: Iterable[Row], cols: int) -> Pivots:
     """Row echelon form of the span of ``rows`` over Z[i]: pivot column ->
     ``(N, tail)``, a primitive pivot row with leading entry the positive
     int N and the Gaussian-integer entries ``tail`` right of it.
@@ -198,7 +198,9 @@ def _echelon(rows: Iterable[Row]) -> Pivots:
     divided by their common factor first, so no rational is ever built.  A
     pivot row has entries only right of its pivot, so a step never brings
     back a column already passed.  What is left makes a new pivot at its
-    first column (``_primitive``).  The input rows are not modified.
+    first column (``_primitive``).  Once all ``cols`` columns are pivots,
+    every later row is in the span and none is read.  The input rows are
+    not modified.
     """
     pivots: Pivots = {}
     for row in rows:
@@ -228,16 +230,18 @@ def _echelon(rows: Iterable[Row]) -> Pivots:
         if r:
             p = min(r)
             pivots[p] = _primitive(r.pop(p), r)
+            if len(pivots) == cols:
+                break
     return pivots
 
 
-def _reduced_echelon(rows: Iterable[Row]) -> dict[int, Row]:
+def _reduced_echelon(rows: Iterable[Row], cols: int) -> dict[int, Row]:
     """Reduced row-echelon form: pivot column -> the rest of its pivot row,
     whose pivot entry is an implicit 1 and which is 0 in every other pivot
     column.  Each pivot row of ``_echelon`` is divided by its lead once,
     then the rows are back-substituted."""
     pivots = {}
-    for c, (N, tail) in _echelon(rows).items():
+    for c, (N, tail) in _echelon(rows, cols).items():
         if N != 1:
             inv = gq(N).inverse()
             tail = {j: x * inv for j, x in tail.items()}
@@ -251,7 +255,7 @@ def _reduced_echelon(rows: Iterable[Row]) -> dict[int, Row]:
 
 
 def rank(M: ExactMatrix) -> int:
-    return len(_echelon(M._d))
+    return len(_echelon(M._d, M.cols))
 
 
 def kernel_basis(M: ExactMatrix) -> list[list[GaussianRational]]:
@@ -261,7 +265,7 @@ def kernel_basis(M: ExactMatrix) -> list[list[GaussianRational]]:
     vector with a 1 in its own free position; M @ v == 0 exactly.
     """
     # dense on purpose: perfbench/spans.py reads the entries of the output
-    pivots = _reduced_echelon(M._d)
+    pivots = _reduced_echelon(M._d, M.cols)
     basis = {}
     for f in range(M.cols):
         if f not in pivots:
@@ -289,5 +293,5 @@ def same_span(a: Iterable[Row], b: Iterable[Row], cols: int) -> bool:
     spans agree exactly when rank(a) = rank(b) = rank(a + b).
     """
     rows_a, rows_b = _in_range(a, cols), _in_range(b, cols)
-    r = len(_echelon(rows_a))
-    return r == len(_echelon(rows_b)) and r == len(_echelon(rows_a + rows_b))
+    r = len(_echelon(rows_a, cols))
+    return r == len(_echelon(rows_b, cols)) == len(_echelon(rows_a + rows_b, cols))

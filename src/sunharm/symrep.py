@@ -13,8 +13,9 @@ Conventions used throughout the package:
   ``rho(X) e^alpha = sum_i alpha_i sum_j X[j][i] e^(alpha - d_i + d_j)``.
   The action has one implementation, the monomial action ``_action``,
   which sends a multi-index to its image {multi-index: nonzero coefficient}
-  from the nonzero entries of X.  ``rho_apply`` extends it linearly to
-  tensors, and ``rho_matrix_restricted`` writes it as a sparse matrix.
+  from the nonzero entries of X.  ``_extend`` extends it linearly to
+  coefficient maps, ``rho_apply`` to tensors through it, and
+  ``rho_matrix_restricted`` writes it as a sparse matrix.
 
 * Dual elements live on the dual monomial basis ``eps^alpha`` normalized by
   ``eps^alpha(e^beta) = delta``; the dual action is
@@ -265,19 +266,24 @@ def _action(X: ExactMatrix, dual: bool):
     return image
 
 
+def _extend(image, coeffs: dict) -> dict[MultiIndex, GaussianRational]:
+    """The monomial action ``image`` (``_action``) extended linearly and
+    applied to ``coeffs``: {multi-index: nonzero coefficient}."""
+    out: dict[MultiIndex, GaussianRational] = {}
+    for a, c in coeffs.items():
+        for b, x in image(a).items():
+            add = c * x
+            s = out.get(b)
+            out[b] = add if s is None else s + add
+    return {b: x for b, x in out.items() if x}
+
+
 def rho_apply(X: ExactMatrix, w: _CoeffPoly) -> _CoeffPoly:
     """Apply the Lie algebra element X to w (derivation action; dual action
     on dual tensors).  Preserves the total degree."""
     if X.rows != w.n + 1:
         raise ValueError("matrix size does not match tensor dimension")
-    image = _action(X, isinstance(w, DualSymTensor))
-    out: dict[MultiIndex, GaussianRational] = {}
-    for a, c in w.coeffs.items():
-        for b, x in image(a).items():
-            add = c * x
-            s = out.get(b)
-            out[b] = add if s is None else s + add
-    return w._like(out)
+    return w._like(_extend(_action(X, isinstance(w, DualSymTensor)), w.coeffs))
 
 
 def _map_matrix(image, in_basis, out_basis) -> ExactMatrix:

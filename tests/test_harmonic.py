@@ -559,23 +559,46 @@ def test_classify_fails_operator_recheck_on_doctored_kernel(dual):
 def test_recheck_applies_rho_to_nonzero_values_only(monkeypatch, n, m, dual):
     import sunharm.harmonic as harmonic
 
-    real = harmonic.rho_apply
+    real = harmonic._extend
     calls = []
 
-    def spy(X, w):
-        assert w, "rho applied to a zero value"
-        calls.append(w)
-        return real(X, w)
+    def spy(image, coeffs):
+        assert coeffs, "rho applied to a zero value"
+        calls.append(coeffs)
+        return real(image, coeffs)
 
     ctx = RepContext(n, m, dual)
     kernel = harmonic_kernel(ctx)
-    monkeypatch.setattr(harmonic, "rho_apply", spy)
+    monkeypatch.setattr(harmonic, "_extend", spy)
     _, checks = classify(ctx, kernel)
     assert checks[0]["name"] == "operator-recheck"
     assert checks[0]["status"] == "pass"
     # (2n - 1) images per nonzero value
     nonzero = sum(1 for a in kernel for p in range(2 * n) if a.value(p))
     assert len(calls) == (2 * n - 1) * nonzero
+
+
+@pytest.mark.parametrize("n,m,dual", [(2, 2, False), (3, 2, True)])
+def test_recheck_builds_each_tangent_action_once(monkeypatch, n, m, dual):
+    import sunharm.harmonic as harmonic
+
+    real = harmonic._action
+    built = []
+
+    def spy(X, side):
+        built.append(side)
+        return real(X, side)
+
+    ctx = RepContext(n, m, dual)
+    kernel = harmonic_kernel(ctx)
+    monkeypatch.setattr(harmonic, "_action", spy)
+    harmonic._tangent_action.cache_clear()
+    assert all(e["status"] == "pass" for e in classify(ctx, kernel)[1])
+    assert 0 < len(built) <= 2 * n
+    assert set(built) == {dual}
+    built.clear()
+    classify(ctx, kernel)
+    assert built == []
 
 
 @pytest.mark.parametrize("n,m,dual", [(2, 2, False), (2, 1, True), (3, 1, False)])
@@ -933,6 +956,29 @@ def test_operator_grading_reports_an_escaped_image(monkeypatch):
     for e in entries:
         assert e["status"] == "fail"
         assert e["details"] == "image escaped the adjacent grades"
+
+
+def test_extreme_linearity_builds_no_tensor(monkeypatch):
+    import sunharm.checks as checks
+
+    def forbidden(*args):
+        raise AssertionError("extreme linearity built a tensor")
+
+    monkeypatch.setattr(checks, "rho_apply", forbidden)
+    monkeypatch.setattr(SymTensor, "monomial", classmethod(forbidden))
+    entries = check_operator_grading(3, 3)
+    assert entries[-1]["name"] == "extreme-linearity"
+    assert all_passed(entries)
+
+
+def test_extreme_linearity_fails_with_the_halves_swapped(monkeypatch):
+    import sunharm.checks as checks
+
+    monkeypatch.setattr(checks, "xi_plus", xi_minus)
+    monkeypatch.setattr(checks, "xi_minus", xi_plus)
+    checks.graded_operators.cache_clear()
+    entry = check_operator_grading(2, 3)[-1]
+    assert (entry["name"], entry["status"]) == ("extreme-linearity", "fail")
 
 
 def test_raising_annihilates_top_grade():

@@ -265,8 +265,8 @@ def test_rank_and_kernel_leave_monic_input_rows_unmodified():
 def test_echelon_pivot_tails_are_fresh_dicts():
     rows = _monic_rows()
     before = [dict(r) for r in rows]
-    tails = [tail for _, tail in _echelon(rows).values()]
-    tails += _reduced_echelon(rows).values()
+    tails = [tail for _, tail in _echelon(rows, 4).values()]
+    tails += _reduced_echelon(rows, 4).values()
     assert len(tails) == 6
     for tail in tails:
         assert all(tail is not r for r in rows)
@@ -320,11 +320,11 @@ def assert_primitive(pivots):
 @given(sparse_matrices)
 def test_elimination_agrees_with_the_field_oracle(M):
     rows = M.sparse_rows()
-    pivots = _echelon(rows)
+    pivots = _echelon(rows, M.cols)
     assert_primitive(pivots)
     assert sorted(pivots) == sorted(field_echelon(rows))
     assert rank(M) == len(pivots)
-    assert _reduced_echelon(rows) == field_reduced_echelon(rows)
+    assert _reduced_echelon(rows, M.cols) == field_reduced_echelon(rows)
     # canonical components: equal values print alike, int or Fraction
     assert repr(kernel_basis(M)) == repr(field_kernel_basis(M))
     # the combination rows come last, so either verdict occurs
@@ -341,9 +341,9 @@ WIDE_BATTERIES = [(4, 5), (5, 5), (6, 4), (3, 8), (2, 12)]
 def test_certifier_eliminations_build_no_rational(monkeypatch):
     calls = []
 
-    def checked(rows):
+    def checked(rows, cols):
         # checked on return: _reduced_echelon divides and reduces the tails
-        out = _echelon(rows)
+        out = _echelon(rows, cols)
         assert_primitive(out)
         calls.append(len(out))
         return out
@@ -361,7 +361,7 @@ def test_pivot_size_stays_within_twice_the_hadamard_bound():
         sparse_vector([gq(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(30)])
         for _ in range(30)
     ]
-    pivots = _echelon(rows)
+    pivots = _echelon(rows, 30)
     assert len(pivots) == 30
     assert_primitive(pivots)
     log2_hadamard = sum(math.log2(sum(x.norm_sq() for x in r.values())) for r in rows) / 2
@@ -371,3 +371,15 @@ def test_pivot_size_stays_within_twice_the_hadamard_bound():
         for y in [lead, *(z for x in tail.values() for z in (x.re, x.im))]
     )
     assert bits <= 2 * log2_hadamard + 2
+
+
+def test_echelon_reads_no_row_after_the_rank_is_full():
+    def rows():
+        yield {0: ONE, 1: gq(2)}
+        yield {0: gq(3), 1: gq(6)}  # in the span: the rank stays 1
+        yield {1: I, 2: ONE}
+        yield {2: gq(5)}  # completes the rank
+        raise AssertionError("read a row after every column became a pivot")
+
+    assert sorted(_echelon(rows(), 3)) == [0, 1, 2]
+    assert sorted(_reduced_echelon(rows(), 3)) == [0, 1, 2]
