@@ -11,14 +11,7 @@ dimension), and runs the supporting graded-operator checks.  See the README for 
 from .exactfield import BACKEND_NAME, GaussianRational, I, ONE, ZERO, gq
 from .linalg import ExactMatrix, kernel_basis, rank
 from .sun1 import e_vec, xi_minus, xi_plus
-from .symrep import (
-    DualSymTensor,
-    RepContext,
-    SymTensor,
-    monomials,
-    rho_apply,
-    rho_matrix,
-)
+from .symrep import RepContext, monomials, rho_matrix
 from .harmonic import (
     Cocycle,
     assemble_system,
@@ -41,13 +34,11 @@ from .verify import lemmas_case, run_sweep, verify_case
 __all__ = [
     "BACKEND_NAME",
     "Cocycle",
-    "DualSymTensor",
     "ExactMatrix",
     "GaussianRational",
     "I",
     "ONE",
     "RepContext",
-    "SymTensor",
     "ZERO",
     "assemble_system",
     "check_contraction_isometry",
@@ -65,7 +56,6 @@ __all__ = [
     "monomials",
     "polarization_cocycles",
     "rank",
-    "rho_apply",
     "rho_matrix",
     "riemann_split_report",
     "run_sweep",

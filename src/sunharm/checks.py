@@ -12,14 +12,14 @@ the symmetric part when S C^T L^T is a positive multiple of the
 polarization rows S.  The relation spanning sets, S and the
 multiplication map whose kernel is the hook component all come from
 ``symrep.polarization_family`` (its primal or its dual family), written
-from exponents; tensors serve only the hook counterexample and the pinned
-value.  The n = 1 split solves for no kernel either: the dimension of each
-half, and of its part in its extreme grade, is the nullity of the
-constraint matrix restricted to the columns that part may occupy, and the
-kernel dimension is the nullity of the whole matrix.  The entries returned
-are plain dicts ``{"name", "j", "status", "details"}`` built by
-``symrep.check_entry``, with status ``pass``, ``fail`` or ``vacuous``
-(empty parameter range).
+from exponents.  The hook counterexample and the pinned value are read off
+monomial actions (``symrep._action``), as extreme linearity is.  The n = 1
+split solves for no kernel either: the dimension of each half, and of its
+part in its extreme grade, is the nullity of the constraint matrix
+restricted to the columns that part may occupy, and the kernel dimension
+is the nullity of the whole matrix.  The entries returned are plain dicts
+``{"name", "j", "status", "details"}`` built by ``symrep.check_entry``,
+with status ``pass``, ``fail`` or ``vacuous`` (empty parameter range).
 """
 
 from __future__ import annotations
@@ -32,13 +32,11 @@ from .linalg import ExactMatrix, Row, rank
 from .sun1 import e_vec, xi_minus, xi_plus
 from .symrep import (
     RepContext,
-    SymTensor,
     _action,
     check_entry,
     grade_of,
     graded_monomials,
     polarization_family,
-    rho_apply,
     rho_matrix_restricted,
 )
 from .harmonic import assemble_system, pairwise_relation_rows
@@ -224,14 +222,14 @@ def check_symmetric_forcing(n: int, m: int, j: int) -> list[dict]:
     if n < 2:
         entries.append(check_entry("hook-counterexample", None, "needs n >= 2", j=j))
         return entries
-    w1 = -SymTensor.monomial((j - 1, 1) + (0,) * (n - 2) + (m - j,))
-    w2 = SymTensor.monomial((j,) + (0,) * (n - 1) + (m - j,))
-    lhs = rho_apply(xi_minus(e_vec(1, n)), w1)
-    rhs = rho_apply(xi_minus(e_vec(0, n)), w2)
+    # the witness's values are -e1^(j-1) e2 r and e1^j r, so each side is
+    # the image of one monomial under the monomial action, the first negated
+    r = (m - j,)
+    lhs = _action(xi_minus(e_vec(1, n)), False)((j - 1, 1) + (0,) * (n - 2) + r)
+    lhs = {b: -c for b, c in lhs.items()}
+    rhs = _action(xi_minus(e_vec(0, n)), False)((j,) + (0,) * (n - 1) + r)
     target = (j - 1, 0) + (0,) * (n - 2) + (m - j + 1,)
-    lhs_expected = SymTensor.monomial(target, -1)
-    rhs_expected = SymTensor.monomial(target, j)
-    ok = lhs == lhs_expected and rhs == rhs_expected and lhs != rhs
+    ok = lhs == {target: -1} and rhs == {target: j} and lhs != rhs
     entries.append(
         check_entry(
             "hook-counterexample",
@@ -284,10 +282,8 @@ def check_contraction_isometry(n: int, m: int, j: int) -> dict:
     scalar = back.at(0, col) / first
     iso_ok = scalar.is_real() and scalar.re > 0 and back == S.scale(scalar)
 
-    pin_in = SymTensor.monomial((j,) + (0,) * (n - 1) + (m - j,))
-    pinned = rho_apply(xi_plus(e_vec(0, n)), pin_in)
-    pin_expected = SymTensor.monomial((j + 1,) + (0,) * (n - 1) + (m - j - 1,), m - j)
-    pin_ok = pinned == pin_expected
+    pinned = _action(xi_plus(e_vec(0, n)), False)((j,) + (0,) * (n - 1) + (m - j,))
+    pin_ok = pinned == {(j + 1,) + (0,) * (n - 1) + (m - j - 1,): m - j}
 
     ok = hook_ok and iso_ok and pin_ok
     return check_entry(

@@ -10,7 +10,9 @@ tangents, the (1,0)/(0,1) split of p
 
 so a is complex-linear exactly when its minus values vanish and
 conjugate-linear exactly when its plus values do.  The real tangents are
-xi(e_j) = Z_j + Zbar_j and xi(i e_j) = i (Z_j - Zbar_j).
+xi(e_j) = Z_j + Zbar_j and xi(i e_j) = i (Z_j - Zbar_j).  Each value is a
+coefficient map {multi-index: nonzero coefficient}, the package's one form
+of a vector of W.
 
 Two constraint operators are imposed:
 
@@ -31,13 +33,13 @@ diagonal torus of K: column (Z_j, e^alpha) has weight alpha - e_j +
 e_{n+1}, column (Zbar_j, e^alpha) alpha + e_j - e_{n+1}, with alpha negated
 on the dual side.  A coordinate vector is a sparse ``linalg.Row`` (column
 -> nonzero entry): ``cocycle_to_vector`` and ``values_to_vector`` write
-tensors as rows, and ``cocycle_from_vector`` and ``values_from_vector``
-read them back.  Every classification flag is an exact zero test or a rank
-comparison on these objects: a one-sided, top-graded kernel lies in the
-symmetric component exactly when stacking its rows under
-``polarization_rows`` (the columns of the polarization map P below, written
-as rows) leaves the rank unchanged.  Those rows come straight from
-exponents (``symrep.polarization_family``); no tensor is built for them.
+coefficient maps as rows, and ``cocycle_from_vector`` and
+``values_from_vector`` read them back.  Every classification flag is an
+exact zero test or a rank comparison on these objects: a one-sided,
+top-graded kernel lies in the symmetric component exactly when stacking its
+rows under ``polarization_rows`` (the columns of the polarization map P
+below, written as rows) leaves the rank unchanged.  Those rows come
+straight from exponents (``symrep.polarization_family``).
 
 The ``operator-recheck`` verdict of ``classify`` evaluates T and T* on each
 kernel element through the tangents' monomial actions (``_tangent_action``,
@@ -65,7 +67,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Sequence
 
-from .exactfield import gq
+from .exactfield import GaussianRational, gq
 from .linalg import ExactMatrix, Row, kernel_basis, rank, sparse_vector
 from .sun1 import e_vec, k_generators, xi_minus, xi_plus
 from .symrep import (
@@ -95,21 +97,28 @@ def _tangent_action(n: int, p: int, dual: bool):
 class Cocycle:
     """A real-linear map p -> W stored by its values on the 2n complex
     tangents: a(Z_j) in ``plus_values``, a(Zbar_j) in ``minus_values``.
+    Each value is a coefficient map {multi-index: nonzero GaussianRational}
+    over the degree-m multi-indices in n + 1 variables, on the monomial
+    basis (the dual monomial basis on the dual side); the zero value is {}.
     Equal by its fields; mutable, so unhashable."""
 
     __slots__ = ("ctx", "plus_values", "minus_values")
 
     def __init__(self, ctx: RepContext, plus_values: list, minus_values: list):
         self.ctx, self.plus_values, self.minus_values = ctx, plus_values, minus_values
-        n = ctx.n
-        if len(plus_values) != n or len(minus_values) != n:
+        if len(plus_values) != ctx.n or len(minus_values) != ctx.n:
             raise ValueError("a cocycle needs n plus values and n minus values")
-        cls = ctx.value_class
+        index = ctx.basis_index()
         for w in (*plus_values, *minus_values):
-            if not isinstance(w, cls):
-                raise TypeError("cocycle values do not match the context")
-            if w.n != n or w.degree != ctx.m:
-                raise ValueError("cocycle value of wrong shape")
+            if not isinstance(w, dict):
+                raise TypeError("a cocycle value is a coefficient map")
+            for alpha, c in w.items():
+                if alpha not in index:
+                    raise ValueError(f"bad multi-index {alpha!r} for degree {ctx.m}")
+                if not (isinstance(c, GaussianRational) and c):
+                    raise ValueError(
+                        f"bad coefficient {c!r}: not a nonzero GaussianRational"
+                    )
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -125,11 +134,7 @@ class Cocycle:
 
     @classmethod
     def zero(cls, ctx: RepContext) -> "Cocycle":
-        return cls(
-            ctx,
-            [ctx.zero_value() for _ in range(ctx.n)],
-            [ctx.zero_value() for _ in range(ctx.n)],
-        )
+        return cls(ctx, [{} for _ in range(ctx.n)], [{} for _ in range(ctx.n)])
 
     def value(self, p: int):
         """Value on the p-th complex tangent."""
@@ -137,7 +142,7 @@ class Cocycle:
         return self.plus_values[p] if p < n else self.minus_values[p - n]
 
     def is_zero(self) -> bool:
-        return all(w.is_zero() for w in self.plus_values + self.minus_values)
+        return not any(self.plus_values) and not any(self.minus_values)
 
 
 def _operators_vanish(a: Cocycle) -> bool:
@@ -158,7 +163,7 @@ def _operators_vanish(a: Cocycle) -> bool:
         if w:
             for p in range(nb):
                 if p != q:
-                    images[p, q] = _extend(_tangent_action(n, p, dual), w.coeffs)
+                    images[p, q] = _extend(_tangent_action(n, p, dual), w)
     if any(img != images.get((q, p), {}) for (p, q), img in images.items()):
         return False
     trace = {}
@@ -221,28 +226,24 @@ def assemble_system(ctx: RepContext) -> ExactMatrix:
     return ExactMatrix.from_rows(rows, 2 * n * d)
 
 
-def values_to_vector(values: Sequence, index: dict) -> Row:
-    """Coordinates of a tuple of tensors: block k holds values[k] in the
-    order of ``index`` (monomial -> position)."""
+def values_to_vector(values: Sequence[dict], index: dict) -> Row:
+    """Coordinates of a tuple of coefficient maps: block k holds values[k]
+    in the order of ``index`` (monomial -> position)."""
     d = len(index)
     return {
-        k * d + index[alpha]: c
-        for k, w in enumerate(values)
-        for alpha, c in w.coeffs.items()
+        k * d + index[alpha]: c for k, w in enumerate(values) for alpha, c in w.items()
     }
 
 
-def values_from_vector(
-    cls, n: int, m: int, basis: Sequence, vec: Row, blocks: int
-) -> list:
-    """Inverse of ``values_to_vector``: ``blocks`` tensors ``cls(n, m, ...)``,
-    block k read from columns k * len(basis) onwards."""
+def values_from_vector(basis: Sequence, vec: Row, blocks: int) -> list[dict]:
+    """Inverse of ``values_to_vector``: ``blocks`` coefficient maps, block k
+    read from columns k * len(basis) onwards."""
     d = len(basis)
-    coeffs = [{} for _ in range(blocks)]
+    values = [{} for _ in range(blocks)]
     for j, c in vec.items():
         k, s = divmod(j, d)
-        coeffs[k][basis[s]] = c
-    return [cls(n, m, co) for co in coeffs]
+        values[k][basis[s]] = c
+    return values
 
 
 def cocycle_to_vector(a: Cocycle) -> Row:
@@ -250,9 +251,7 @@ def cocycle_to_vector(a: Cocycle) -> Row:
 
 
 def cocycle_from_vector(ctx: RepContext, vec: Row) -> Cocycle:
-    values = values_from_vector(
-        ctx.value_class, ctx.n, ctx.m, ctx.basis(), vec, 2 * ctx.n
-    )
+    values = values_from_vector(ctx.basis(), vec, 2 * ctx.n)
     return Cocycle(ctx, values[: ctx.n], values[ctx.n :])
 
 
@@ -314,11 +313,9 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dic
         check_entry("operator-recheck", op_ok, "T and T* vanish via direct evaluation")
     ]
 
-    # the opposite linearity block must vanish
-    lin_ok = all(
-        w.is_zero()
-        for a in kernel
-        for w in (a.minus_values if ctx.dual else a.plus_values)
+    # the opposite linearity half must be empty
+    lin_ok = not any(
+        w for a in kernel for w in (a.minus_values if ctx.dual else a.plus_values)
     )
     flags[linear_key] = lin_ok
     checks.append(
@@ -329,10 +326,12 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dic
         )
     )
 
+    # grade m is last exponent 0
     top_ok = all(
-        w.support_grades() <= {m}
+        not alpha[-1]
         for a in kernel
         for w in (*a.plus_values, *a.minus_values)
+        for alpha in w
     )
     flags["top_graded"] = top_ok
     checks.append(check_entry("top-graded", top_ok, f"values supported in grade {m} only"))

@@ -3,7 +3,7 @@
 A matrix stores one dict per row, mapping a column to its nonzero entry;
 no zero entry is ever stored.  Such a dict, a ``Row``, is also the one
 coordinate form of a vector: the span test takes rows, and the harmonic
-layer writes cocycles and tensor tuples as rows.  Matrices are built from
+layer writes cocycles and tuples of values as rows.  Matrices are built from
 rows (``from_rows``) and are immutable by convention.
 
 ``kernel_basis`` alone returns dense vectors, and ``row(i)`` gives a dense

@@ -2,10 +2,11 @@
 
 Conventions used throughout the package:
 
-* A degree-m element of S^m(C^{n+1}) is a finitely supported coefficient map
-  over multi-indices: tuples ``alpha`` of n+1 nonnegative integers summing
-  to m, ordered lexicographically.  The monomial ``e^alpha`` stands for
-  ``e_1^a1 ... e_{n+1}^a_{n+1}`` with the binomial normalization
+* A degree-m element of S^m(C^{n+1}), or of its dual, has one form in the
+  package: a coefficient map {multi-index: nonzero coefficient}, a plain
+  dict over multi-indices, tuples ``alpha`` of n+1 nonnegative integers
+  summing to m, ordered lexicographically.  The monomial ``e^alpha``
+  stands for ``e_1^a1 ... e_{n+1}^a_{n+1}`` with the binomial normalization
   ``(u+v)^j = sum_i C(j,i) u^i v^{j-i}``, i.e. a monomial is the *average*
   of the tensor words it symmetrizes.
 
@@ -14,8 +15,8 @@ Conventions used throughout the package:
   The action has one implementation, the monomial action ``_action``,
   which sends a multi-index to its image {multi-index: nonzero coefficient}
   from the nonzero entries of X.  ``_extend`` extends it linearly to
-  coefficient maps, ``rho_apply`` to tensors through it, and
-  ``rho_matrix_restricted`` writes it as a sparse matrix.
+  coefficient maps, and ``rho_matrix_restricted`` writes it as a sparse
+  matrix.
 
 * Dual elements live on the dual monomial basis ``eps^alpha`` normalized by
   ``eps^alpha(e^beta) = delta``; the dual action is
@@ -29,11 +30,11 @@ Conventions used throughout the package:
 
 * The polarization map sigma -> (d_k sigma)_k over the first n variables is
   written from exponents alone, by ``polarization_family``: d_k sends
-  e^sigma to sigma_k e^(sigma - d_k) on primal tensors (the partial
-  derivative) and eps^sigma to eps^(sigma - d_k) on dual ones (the exponent
-  shift, the transpose of multiplication by e_k).  It builds no tensor; the
-  symmetric component P, the relation families and the multiplication map
-  of the lemma battery are all rows of it.
+  e^sigma to sigma_k e^(sigma - d_k) on the primal side (the partial
+  derivative) and eps^sigma to eps^(sigma - d_k) on the dual one (the
+  exponent shift, the transpose of multiplication by e_k).  It builds no
+  vector of W; the symmetric component P, the relation families and the
+  multiplication map of the lemma battery are all rows of it.
 """
 
 from __future__ import annotations
@@ -80,114 +81,6 @@ def grade_of(alpha: MultiIndex, degree: int) -> int:
     return degree - alpha[-1]
 
 
-class _CoeffPoly:
-    """Shared coefficient-map machinery for primal and dual tensors."""
-
-    __slots__ = ("n", "degree", "coeffs")
-
-    def __init__(self, n: int, degree: int, coeffs: dict | None = None):
-        self.n = n
-        self.degree = degree
-        self.coeffs: dict[MultiIndex, GaussianRational] = {}
-        if coeffs:
-            for alpha, c in coeffs.items():
-                if len(alpha) != n + 1 or sum(alpha) != degree:
-                    raise ValueError(f"bad multi-index {alpha} for degree {degree}")
-                c = gq(c)
-                if c:
-                    self.coeffs[tuple(alpha)] = c
-
-    @classmethod
-    def zero(cls, n: int, degree: int):
-        return cls(n, degree)
-
-    @classmethod
-    def monomial(cls, alpha: Sequence[int], coeff=1):
-        alpha = tuple(alpha)
-        return cls(len(alpha) - 1, sum(alpha), {alpha: gq(coeff)})
-
-    def _like(self, coeffs: dict, degree: int | None = None):
-        out = type(self).__new__(type(self))
-        out.n = self.n
-        out.degree = self.degree if degree is None else degree
-        out.coeffs = {a: c for a, c in coeffs.items() if c}
-        return out
-
-    def _check_compatible(self, other):
-        if type(self) is not type(other):
-            raise TypeError("cannot mix primal and dual tensors")
-        if self.n != other.n or self.degree != other.degree:
-            raise ValueError("degree/dimension mismatch")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            s = out.get(a)
-            out[a] = c if s is None else s + c
-        return self._like(out)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            s = out.get(a)
-            out[a] = -c if s is None else s - c
-        return self._like(out)
-
-    def __neg__(self):
-        return self._like({a: -c for a, c in self.coeffs.items()})
-
-    def scale(self, s):
-        s = gq(s)
-        if not s:
-            return self._like({})
-        return self._like({a: s * c for a, c in self.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if type(self) is not type(other):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.n, self.degree,
-                     tuple(sorted(self.coeffs.items(), key=lambda t: t[0]))))
-
-    def support_grades(self) -> set[int]:
-        return {grade_of(a, self.degree) for a in self.coeffs}
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for a in sorted(self.coeffs):
-            mono = "*".join(
-                f"e{i + 1}^{k}" if k > 1 else f"e{i + 1}"
-                for i, k in enumerate(a)
-                if k
-            ) or "1"
-            parts.append(f"({self.coeffs[a]})*{mono}")
-        return " + ".join(parts)
-
-
-class SymTensor(_CoeffPoly):
-    """Element of S^m(C^{n+1}) over the monomial basis."""
-
-
-class DualSymTensor(_CoeffPoly):
-    """Element of S^m(C^{n+1})' over the dual monomial basis."""
-
-
 # -- the polarization family ------------------------------------------------
 
 
@@ -228,7 +121,7 @@ def _action(X: ExactMatrix, dual: bool):
     Returns the map sending a multi-index alpha to the image of e^alpha
     under rho(X) (of eps^alpha under the dual action when ``dual``) as
     {multi-index: nonzero coefficient}.  It reads only the nonzero entries
-    X[j][i] and builds no tensor.
+    X[j][i].
     """
     entries = [
         (j, i, x.re, x.im) for j, r in enumerate(X.sparse_rows()) for i, x in r.items()
@@ -276,14 +169,6 @@ def _extend(image, coeffs: dict) -> dict[MultiIndex, GaussianRational]:
             s = out.get(b)
             out[b] = add if s is None else s + add
     return {b: x for b, x in out.items() if x}
-
-
-def rho_apply(X: ExactMatrix, w: _CoeffPoly) -> _CoeffPoly:
-    """Apply the Lie algebra element X to w (derivation action; dual action
-    on dual tensors).  Preserves the total degree."""
-    if X.rows != w.n + 1:
-        raise ValueError("matrix size does not match tensor dimension")
-    return w._like(_extend(_action(X, isinstance(w, DualSymTensor)), w.coeffs))
 
 
 def _map_matrix(image, in_basis, out_basis) -> ExactMatrix:
@@ -366,18 +251,11 @@ class RepContext:
         """dim S^{m+1}(C^n), the symmetric-component dimension."""
         return math.comb(self.n + self.m, self.m + 1)
 
-    @property
-    def value_class(self):
-        return DualSymTensor if self.dual else SymTensor
-
     def basis(self) -> tuple[MultiIndex, ...]:
         return monomials(self.n + 1, self.m)
 
     def basis_index(self) -> dict[MultiIndex, int]:
         return monomial_index(self.n + 1, self.m)
-
-    def zero_value(self) -> _CoeffPoly:
-        return self.value_class.zero(self.n, self.m)
 
 
 # -- report entries ----------------------------------------------------------

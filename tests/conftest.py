@@ -6,6 +6,8 @@ from fractions import Fraction
 from sunharm import Cocycle, RepContext, gq
 from sunharm.symrep import graded_monomials, monomials
 
+from reference import tensor
+
 
 #: Report keys that hold wall-clock timings rather than report content.
 TIMING_KEYS = ("seconds", "total_seconds", "phases")
@@ -37,6 +39,7 @@ def random_scalar(rng: random.Random):
 
 
 def random_value(rng: random.Random, ctx: RepContext, grade: int | None = None):
+    """A random tensor of ctx's side, of one grade when ``grade`` is given."""
     basis = (
         graded_monomials(ctx.n, ctx.m, grade)
         if grade is not None
@@ -46,18 +49,18 @@ def random_value(rng: random.Random, ctx: RepContext, grade: int | None = None):
     for alpha in basis:
         if rng.random() < 0.6:
             coeffs[alpha] = random_scalar(rng)
-    return ctx.value_class(ctx.n, ctx.m, coeffs)
+    return tensor(ctx, coeffs)
 
 
 def random_cocycle(rng: random.Random, ctx: RepContext, grade: int | None = None):
     return Cocycle(
         ctx,
-        [random_value(rng, ctx, grade) for _ in range(ctx.n)],
-        [random_value(rng, ctx, grade) for _ in range(ctx.n)],
+        [random_value(rng, ctx, grade).coeffs for _ in range(ctx.n)],
+        [random_value(rng, ctx, grade).coeffs for _ in range(ctx.n)],
     )
 
 
 def conjugate_linear_cocycle(rng: random.Random, ctx: RepContext, grade: int | None = None):
     """A cocycle with vanishing complex-linear part: a(Z_j) = 0."""
-    zero = [ctx.zero_value() for _ in range(ctx.n)]
-    return Cocycle(ctx, zero, [random_value(rng, ctx, grade) for _ in range(ctx.n)])
+    minus = [random_value(rng, ctx, grade).coeffs for _ in range(ctx.n)]
+    return Cocycle(ctx, [{} for _ in range(ctx.n)], minus)

@@ -36,6 +36,15 @@ compare or apply to its basis, where the package decides the same claims by
 rank and annihilation, and the contraction isometry applied tensor by
 tensor, where the package checks one matrix identity.
 
+The package's one form of a vector of W is the coefficient map
+{multi-index: nonzero coefficient}.  The tensor types it no longer has are
+kept here as references: ``SymTensor`` and ``DualSymTensor``, with the
+sums, scalings and grades the references compute with, and ``rho_apply``,
+which applies X to a tensor through the package's monomial action.
+``tensor`` is the one bridge from a map to a tensor, and a tensor's
+``coeffs`` is its map; ``tensor_values`` and ``tensor_cocycle`` apply the
+bridge to the values of a cocycle.
+
 The package writes the polarization family from exponents alone
 (``symrep.polarization_family``) and decides T a = 0 and T* a = 0 without
 forming either operator.  The tensor calculus it no longer runs lives
@@ -78,7 +87,7 @@ import math
 from heapq import heapify, heappop, heappush
 from typing import Sequence
 
-from sunharm import Cocycle, ExactMatrix, I, ONE, RepContext, ZERO, gq, rho_apply
+from sunharm import Cocycle, ExactMatrix, I, ONE, RepContext, ZERO, gq
 from sunharm.exactfield import GaussianRational, sub_mul
 from sunharm.harmonic import (
     _basis_tangent,
@@ -99,10 +108,9 @@ from sunharm.linalg import (
 )
 from sunharm.sun1 import _p_element, e_vec, xi_minus, xi_plus
 from sunharm.symrep import (
-    DualSymTensor,
     MultiIndex,
-    SymTensor,
-    _CoeffPoly,
+    _action,
+    _extend,
     _map_matrix,
     graded_monomials,
     monomial_index,
@@ -596,6 +604,142 @@ def unitary_corpus(n: int) -> list[ExactMatrix]:
     return mats
 
 
+# -- tensors: the reference form of a vector of W ------------------------------
+
+
+class _CoeffPoly:
+    """Shared coefficient-map machinery for primal and dual tensors."""
+
+    __slots__ = ("n", "degree", "coeffs")
+
+    def __init__(self, n: int, degree: int, coeffs: dict | None = None):
+        self.n = n
+        self.degree = degree
+        self.coeffs: dict[MultiIndex, GaussianRational] = {}
+        if coeffs:
+            for alpha, c in coeffs.items():
+                if len(alpha) != n + 1 or sum(alpha) != degree:
+                    raise ValueError(f"bad multi-index {alpha} for degree {degree}")
+                c = gq(c)
+                if c:
+                    self.coeffs[tuple(alpha)] = c
+
+    @classmethod
+    def zero(cls, n: int, degree: int):
+        return cls(n, degree)
+
+    @classmethod
+    def monomial(cls, alpha: Sequence[int], coeff=1):
+        alpha = tuple(alpha)
+        return cls(len(alpha) - 1, sum(alpha), {alpha: gq(coeff)})
+
+    def _like(self, coeffs: dict, degree: int | None = None):
+        out = type(self).__new__(type(self))
+        out.n = self.n
+        out.degree = self.degree if degree is None else degree
+        out.coeffs = {a: c for a, c in coeffs.items() if c}
+        return out
+
+    def _check_compatible(self, other):
+        if type(self) is not type(other):
+            raise TypeError("cannot mix primal and dual tensors")
+        if self.n != other.n or self.degree != other.degree:
+            raise ValueError("degree/dimension mismatch")
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        out = dict(self.coeffs)
+        for a, c in other.coeffs.items():
+            s = out.get(a)
+            out[a] = c if s is None else s + c
+        return self._like(out)
+
+    def __sub__(self, other):
+        self._check_compatible(other)
+        out = dict(self.coeffs)
+        for a, c in other.coeffs.items():
+            s = out.get(a)
+            out[a] = -c if s is None else s - c
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({a: -c for a, c in self.coeffs.items()})
+
+    def scale(self, s):
+        s = gq(s)
+        if not s:
+            return self._like({})
+        return self._like({a: s * c for a, c in self.coeffs.items()})
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        if type(self) is not type(other):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.degree == other.degree
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.n, self.degree,
+                     tuple(sorted(self.coeffs.items(), key=lambda t: t[0]))))
+
+    def support_grades(self) -> set[int]:
+        return {self.degree - a[-1] for a in self.coeffs}
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for a in sorted(self.coeffs):
+            mono = "*".join(
+                f"e{i + 1}^{k}" if k > 1 else f"e{i + 1}"
+                for i, k in enumerate(a)
+                if k
+            ) or "1"
+            parts.append(f"({self.coeffs[a]})*{mono}")
+        return " + ".join(parts)
+
+
+class SymTensor(_CoeffPoly):
+    """Element of S^m(C^{n+1}) over the monomial basis."""
+
+
+class DualSymTensor(_CoeffPoly):
+    """Element of S^m(C^{n+1})' over the dual monomial basis."""
+
+
+def rho_apply(X: ExactMatrix, w: _CoeffPoly) -> _CoeffPoly:
+    """Apply the Lie algebra element X to w (derivation action; dual action
+    on dual tensors) through the package's monomial action.  Preserves the
+    total degree."""
+    if X.rows != w.n + 1:
+        raise ValueError("matrix size does not match tensor dimension")
+    return w._like(_extend(_action(X, isinstance(w, DualSymTensor)), w.coeffs))
+
+
+def tensor(ctx: RepContext, w: dict) -> _CoeffPoly:
+    """The bridge from the package's coefficient map w, a vector of ctx's
+    W, to the tensor of ctx's side; a tensor's ``coeffs`` is its map."""
+    return (DualSymTensor if ctx.dual else SymTensor)(ctx.n, ctx.m, w)
+
+
+def tensor_values(a: Cocycle) -> list[_CoeffPoly]:
+    """The 2n values of a as tensors, in tangent order: Z_j, then Zbar_j."""
+    return [tensor(a.ctx, w) for w in a.plus_values + a.minus_values]
+
+
+def tensor_cocycle(ctx: RepContext, plus: Sequence, minus: Sequence) -> Cocycle:
+    """The cocycle with the given tensor values, read through ``coeffs``."""
+    return Cocycle(ctx, [w.coeffs for w in plus], [w.coeffs for w in minus])
+
+
 # -- tensor calculus, the polarization section and the two-form operators ------
 
 
@@ -644,7 +788,9 @@ def tensor_polarization_family(n: int, m: int, g: int, dual: bool, index: dict) 
     the first n variables, written as a row over n blocks of ``index``."""
     cls = DualSymTensor if dual else SymTensor
     return [
-        values_to_vector(polarization(cls.monomial(sigma + (m - g,))), index)
+        values_to_vector(
+            [w.coeffs for w in polarization(cls.monomial(sigma + (m - g,)))], index
+        )
         for sigma in monomials(n, g + 1)
     ]
 
@@ -654,10 +800,11 @@ def tensor_polarization_cocycles(ctx: RepContext) -> list[Cocycle]:
     cocycles whose minus values are the partial derivatives of a
     degree-(m+1) monomial in the first n variables.  Dual: complex-linear
     cocycles whose plus values are the exponent shifts of a dual monomial."""
+    cls = DualSymTensor if ctx.dual else SymTensor
     out = []
     for sigma in monomials(ctx.n, ctx.m + 1):
-        pol = polarization(ctx.value_class.monomial(sigma + (0,)))
-        zero = [ctx.zero_value() for _ in pol]
+        pol = [w.coeffs for w in polarization(cls.monomial(sigma + (0,)))]
+        zero = [{} for _ in pol]
         out.append(Cocycle(ctx, pol, zero) if ctx.dual else Cocycle(ctx, zero, pol))
     return out
 
@@ -700,10 +847,11 @@ def t_op(a: Cocycle) -> TwoForm:
     n = a.ctx.n
     vals = {}
     mats = [_basis_tangent(n, p) for p in range(2 * n)]
+    values = tensor_values(a)
     for p in range(2 * n):
         for q in range(p + 1, 2 * n):
-            vals[(p, q)] = rho_apply(mats[p], a.value(q)) - rho_apply(
-                mats[q], a.value(p)
+            vals[(p, q)] = rho_apply(mats[p], values[q]) - rho_apply(
+                mats[q], values[p]
             )
     return TwoForm(n, vals)
 
@@ -712,9 +860,10 @@ def tstar_op(a: Cocycle):
     """The trace: each complex tangent acting on the value of its conjugate,
     sum_j rho(Z_j) a(Zbar_j) + rho(Zbar_j) a(Z_j)."""
     n = a.ctx.n
-    out = a.ctx.zero_value()
+    values = tensor_values(a)
+    out = tensor(a.ctx, {})
     for p in range(2 * n):
-        out = out + rho_apply(_basis_tangent(n, p), a.value((p + n) % (2 * n)))
+        out = out + rho_apply(_basis_tangent(n, p), values[(p + n) % (2 * n)])
     return out
 
 
@@ -813,7 +962,8 @@ def k_group_action(A: ExactMatrix, w):
     n, m = w.n, w.degree
     # lam(g^{-1} v) on coordinates: the transpose of g^{-1}'s matrix
     Minv = group_matrix(conj_transpose(g), n, m)
-    image = apply(Minv.transpose(), values_to_vector([w], monomial_index(n + 1, m)))
+    vec = values_to_vector([w.coeffs], monomial_index(n + 1, m))
+    image = apply(Minv.transpose(), vec)
     basis = monomials(n + 1, m)
     return DualSymTensor(n, m, {basis[j]: x for j, x in image.items()})
 
@@ -844,7 +994,8 @@ def real_values(a: Cocycle) -> tuple[list, list]:
     """(A, B), the values on the real tangents:
     A_j = a(xi(e_j)) = a(Z_j) + a(Zbar_j) and
     B_j = a(xi(i e_j)) = i (a(Z_j) - a(Zbar_j))."""
-    pairs = list(zip(a.plus_values, a.minus_values))
+    values = tensor_values(a)
+    pairs = list(zip(values[: a.ctx.n], values[a.ctx.n :]))
     return [z + w for z, w in pairs], [(z - w).scale(I) for z, w in pairs]
 
 
@@ -852,7 +1003,7 @@ def from_real_values(ctx, A: Sequence, B: Sequence) -> Cocycle:
     """Inverse of ``real_values``: a(Z_j) = (A_j - i B_j) / 2 and
     a(Zbar_j) = (A_j + i B_j) / 2."""
     half = gq("1/2")
-    return Cocycle(
+    return tensor_cocycle(
         ctx,
         [(x - y.scale(I)).scale(half) for x, y in zip(A, B)],
         [(x + y.scale(I)).scale(half) for x, y in zip(A, B)],
@@ -862,13 +1013,13 @@ def from_real_values(ctx, A: Sequence, B: Sequence) -> Cocycle:
 def real_vector(a: Cocycle) -> Row:
     """Coordinates of a in the real basis: the A blocks, then the B blocks."""
     A, B = real_values(a)
-    return values_to_vector(A + B, a.ctx.basis_index())
+    return values_to_vector([w.coeffs for w in A + B], a.ctx.basis_index())
 
 
 def from_real_vector(ctx, vec: Row) -> Cocycle:
     """Inverse of ``real_vector``."""
     n = ctx.n
-    vals = values_from_vector(ctx.value_class, n, ctx.m, ctx.basis(), vec, 2 * n)
+    vals = [tensor(ctx, w) for w in values_from_vector(ctx.basis(), vec, 2 * n)]
     return from_real_values(ctx, vals[:n], vals[n:])
 
 
@@ -929,7 +1080,7 @@ def real_assemble_system(ctx) -> ExactMatrix:
 def evaluate(a: Cocycle, v: Sequence):
     """Value of the cocycle a on xi(v) for any complex tangent vector v."""
     A, B = real_values(a)
-    out = a.ctx.zero_value()
+    out = tensor(a.ctx, {})
     for j, x in enumerate([gq(x) for x in v]):
         if x.re:
             out = out + A[j].scale(gq(x.re))
@@ -941,7 +1092,7 @@ def evaluate(a: Cocycle, v: Sequence):
 def _linear_part(a: Cocycle, values: Sequence, v: Sequence, conj: bool):
     """sum_j v_j values[j], or conj(v_j) values[j] when ``conj``: the one
     body of ``plus_part`` and ``minus_part``."""
-    out = a.ctx.zero_value()
+    out = tensor(a.ctx, {})
     for w, x in zip(values, v):
         x = gq(x)
         if x:
@@ -951,12 +1102,12 @@ def _linear_part(a: Cocycle, values: Sequence, v: Sequence, conj: bool):
 
 def plus_part(a: Cocycle, v: Sequence):
     """Complex-linear component of a(xi_v): sum_j v_j a(Z_j)."""
-    return _linear_part(a, a.plus_values, v, conj=False)
+    return _linear_part(a, tensor_values(a)[: a.ctx.n], v, conj=False)
 
 
 def minus_part(a: Cocycle, v: Sequence):
     """Conjugate-linear component of a(xi_v): sum_j conj(v_j) a(Zbar_j)."""
-    return _linear_part(a, a.minus_values, v, conj=True)
+    return _linear_part(a, tensor_values(a)[a.ctx.n :], v, conj=True)
 
 
 def rank_is_invariant(ctx, kernel: Sequence[Cocycle]) -> bool:
@@ -970,7 +1121,7 @@ def rank_is_invariant(ctx, kernel: Sequence[Cocycle]) -> bool:
     n = ctx.n
     index = ctx.basis_index()
     reals = [real_values(a) for a in kernel]
-    vecs = [values_to_vector(A + B, index) for A, B in reals]
+    vecs = [values_to_vector([w.coeffs for w in A + B], index) for A, B in reals]
     for X in k_basis(n):
         c = X.at(n, n)
         # column j of B - c: the bracket [X, xi(e_j)] = xi((B - c) e_j)
@@ -983,7 +1134,7 @@ def rank_is_invariant(ctx, kernel: Sequence[Cocycle]) -> bool:
             moved = [
                 rho_apply(X, w) - evaluate(a, v) for w, v in zip(A + B, shifts)
             ]
-            vecs.append(values_to_vector(moved, index))
+            vecs.append(values_to_vector([w.coeffs for w in moved], index))
     return rank(ExactMatrix.from_rows(vecs, system_shape(ctx)[1])) == len(kernel)
 
 
@@ -1094,12 +1245,13 @@ def dense_part_sub_basis(ctx, kernel: Sequence[Cocycle], plus: bool) -> list[Coc
 
     reals = [real_values(a) for a in kernel]
     residuals = dense_matrix(
-        [dense(values_to_vector([(x + y.scale(twist)).scale(half)
+        [dense(values_to_vector([(x + y.scale(twist)).scale(half).coeffs
                                  for x, y in zip(A, B)], index),
                n * ctx.dim_w)
          for A, B in reals]
     ).transpose()
-    vecs = [dense(values_to_vector(A + B, index), cols) for A, B in reals]
+    vecs = [dense(values_to_vector([w.coeffs for w in A + B], index), cols)
+            for A, B in reals]
     out = []
     for combo in kernel_basis(residuals):
         v = [ZERO] * cols
@@ -1236,9 +1388,9 @@ def elimination_contraction_hook(n: int, m: int, j: int) -> tuple[int, bool]:
 
     killed = all(
         contraction(
-            values_from_vector(SymTensor, n, m, in_basis, sparse_vector(h), n)
+            [SymTensor(n, m, w) for w in values_from_vector(in_basis, h, n)]
         ).is_zero()
-        for h in hook
+        for h in map(sparse_vector, hook)
     )
     return len(hook), killed
 

@@ -18,7 +18,6 @@ from sunharm import (
     e_vec,
     harmonic_kernel,
     polarization_cocycles,
-    rho_apply,
     xi_minus,
     xi_plus,
 )
@@ -31,11 +30,11 @@ from sunharm.checks import (
 )
 from sunharm.harmonic import cocycle_to_vector
 from sunharm.linalg import ExactMatrix, rank, same_span
-from sunharm.symrep import SymTensor
 from sunharm.verify import run_sweep
 
 from conftest import make_rng, random_value, scrub
 from reference import (
+    SymTensor,
     adjoint_on_p_plus,
     bracket,
     canonical_weight,
@@ -51,6 +50,7 @@ from reference import (
     k_group_action,
     matrix_add,
     p_basis,
+    rho_apply,
     t_op,
     tangent_samples,
     tstar_op,

@@ -2,15 +2,16 @@ import copy
 import json
 import math
 import pickle
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from sunharm import (
     Cocycle,
+    GaussianRational,
     I,
     RepContext,
-    SymTensor,
     ZERO,
     assemble_system,
     classify,
@@ -19,7 +20,6 @@ from sunharm import (
     harmonic_kernel,
     kernel_is_invariant,
     polarization_cocycles,
-    rho_apply,
     xi_minus,
     xi_plus,
 )
@@ -58,6 +58,8 @@ from conftest import (
     random_value,
 )
 from reference import (
+    DualSymTensor,
+    SymTensor,
     apply,
     bracket,
     dense_part_sub_basis,
@@ -80,13 +82,17 @@ from reference import (
     real_generators_intertwine,
     real_values,
     real_vector,
+    rho_apply,
     scale_vec,
     split_halves,
     symmetric_component_membership,
     t_op,
     tangent_samples,
+    tensor,
+    tensor_cocycle,
     tensor_contraction_isometry,
     tensor_polarization_cocycles,
+    tensor_values,
     transform_cocycle,
     tstar_op,
     unitary_corpus,
@@ -95,9 +101,9 @@ from reference import (
 
 
 def single_entry_cocycle(ctx, j, value, part="plus"):
-    plus = [ctx.zero_value() for _ in range(ctx.n)]
-    minus = [ctx.zero_value() for _ in range(ctx.n)]
-    (plus if part == "plus" else minus)[j] = value
+    plus = [{} for _ in range(ctx.n)]
+    minus = [{} for _ in range(ctx.n)]
+    (plus if part == "plus" else minus)[j] = value.coeffs
     return Cocycle(ctx, plus, minus)
 
 
@@ -109,7 +115,7 @@ def test_conjugate_linear_has_no_plus_part():
     a = conjugate_linear_cocycle(make_rng(1), ctx)
     for j in range(ctx.n):
         assert plus_part(a, e_vec(j, ctx.n)).is_zero()
-        assert minus_part(a, e_vec(j, ctx.n)) == a.minus_values[j]
+        assert minus_part(a, e_vec(j, ctx.n)) == tensor(ctx, a.minus_values[j])
         # in real coordinates: B_j = -i A_j
         A, B = real_values(a)
         assert B[j] == A[j].scale(-I)
@@ -199,7 +205,7 @@ def test_tstar_single_entry_example():
     # the trace on the real tangents is twice this one
     A, B = real_values(a)
     real = sum(
-        (rho_apply(Y, w) for Y, w in zip(p_basis(ctx.n), A + B)), ctx.zero_value()
+        (rho_apply(Y, w) for Y, w in zip(p_basis(ctx.n), A + B)), tensor(ctx, {})
     )
     assert real == tstar_op(a).scale(2)
 
@@ -209,7 +215,7 @@ def test_coboundary_two_form_is_bracket_action(n, m):
     ctx = RepContext(n, m)
     rng = make_rng(5)
     w0 = random_value(rng, ctx)
-    a = Cocycle(
+    a = tensor_cocycle(
         ctx,
         [rho_apply(_basis_tangent(n, p), w0) for p in range(n)],
         [rho_apply(_basis_tangent(n, p), w0) for p in range(n, 2 * n)],
@@ -235,10 +241,11 @@ def test_two_form_matches_direct_symmetry_residual(n, m):
     ctx = RepContext(n, m)
     a = random_cocycle(make_rng(21), ctx)
     tf = t_op(a)
+    values = tensor_values(a)
     for p in range(2 * n):
         for q in range(p + 1, 2 * n):
-            direct = rho_apply(_basis_tangent(n, p), a.value(q)) - rho_apply(
-                _basis_tangent(n, q), a.value(p)
+            direct = rho_apply(_basis_tangent(n, p), values[q]) - rho_apply(
+                _basis_tangent(n, q), values[p]
             )
             assert tf.value(p, q) == direct
     # and for kernel elements the residual vanishes for arbitrary complex pairs
@@ -263,7 +270,7 @@ def test_grade_decomposition_of_two_form(n, m):
 
     def pk(w, k):
         if k < 0 or k > m:
-            return ctx.zero_value()
+            return tensor(ctx, {})
         return project_grade(w, k)
 
     tf = t_op(a)
@@ -277,7 +284,7 @@ def test_grade_decomposition_of_two_form(n, m):
         for q in range(p + 1, 2 * n):
             u, v = dirs[p], dirs[q]
             real = rho_apply(xi(u), evaluate(a, v)) - rho_apply(xi(v), evaluate(a, u))
-            expanded = ctx.zero_value()
+            expanded = tensor(ctx, {})
             for r, x in coords[p].items():
                 for t, y in coords[q].items():
                     if r != t:
@@ -314,23 +321,61 @@ def test_cocycle_is_a_value_compared_by_its_fields():
         f"Cocycle(ctx=RepContext(n=2, m=2, dual=True), plus_values={a.plus_values!r},"
         f" minus_values={a.minus_values!r})"
     )
-    zero = ctx.zero_value()
+    zero = {}
     bad = [
         ([zero], [zero, zero], ValueError, "n plus values and n minus values"),
         ([zero, zero], [zero], ValueError, "n plus values and n minus values"),
-        ([zero, SymTensor.zero(2, 2)], [zero, zero], TypeError, "do not match the context"),
-        ([zero, zero], [zero, type(zero).zero(2, 3)], ValueError, "of wrong shape"),
     ]
     for plus, minus, error, message in bad:
         with pytest.raises(error, match=message):
             Cocycle(ctx, plus, minus)
     b.plus_values = list(b.minus_values)
     assert b != a
-    # protocols 0 and 1 cannot pickle the slotted tensors and scalars
+    # protocols 0 and 1 cannot pickle the slotted cocycle and scalars
     for proto in range(2, pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(a, proto)) == a
     c = copy.deepcopy(a)
     assert c == a and c.plus_values is not a.plus_values
+
+
+MALFORMED_VALUES = [
+    (SymTensor.monomial((2, 0, 0)), TypeError, "coefficient map"),
+    ([((2, 0, 0), gq(1))], TypeError, "coefficient map"),
+    ({(2, 0): gq(1)}, ValueError, "bad multi-index"),
+    ({(2, 0, 0, 0): gq(1)}, ValueError, "bad multi-index"),
+    ({(1, 0, 0): gq(1)}, ValueError, "bad multi-index"),
+    ({(3, -1, 0): gq(1)}, ValueError, "bad multi-index"),
+    ({2: gq(1)}, ValueError, "bad multi-index"),
+    ({(2, 0, 0): ZERO}, ValueError, "bad coefficient"),
+    ({(2, 0, 0): 1}, ValueError, "bad coefficient"),
+    ({(2, 0, 0): Fraction(1, 2)}, ValueError, "bad coefficient"),
+]
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("value,error,message", MALFORMED_VALUES)
+def test_cocycle_rejects_a_malformed_value(dual, value, error, message):
+    """A value that is not a dict, a key that is not a degree-m multi-index
+    in n + 1 variables, and a coefficient that is zero or not a
+    GaussianRational are each rejected, in any slot."""
+    ctx = RepContext(2, 2, dual)
+    good = {(1, 1, 0): gq(1, 2)}
+    Cocycle(ctx, [good, {}], [{}, good])
+    for slot in range(4):
+        values = [{}, good, good, {}]
+        values[slot] = value
+        with pytest.raises(error, match=message):
+            Cocycle(ctx, values[:2], values[2:])
+
+
+def test_cocycle_zero_is_empty_maps():
+    ctx = RepContext(3, 2, True)
+    zero = Cocycle.zero(ctx)
+    assert zero.plus_values == zero.minus_values == [{}, {}, {}]
+    assert zero.is_zero()
+    assert zero.plus_values[0] is not zero.plus_values[1]
+    one = Cocycle(ctx, [{}, {}, {}], [{}, {(0, 0, 2, 0): gq(1)}, {}])
+    assert not one.is_zero()
 
 
 # -- the assembled system and its kernel -------------------------------------
@@ -347,7 +392,8 @@ def test_matrix_path_matches_operator_path(dual):
     residual = apply(formal_assemble_system(ctx), cocycle_to_vector(a))
     tf = t_op(a)
     blocks = [tf.value(p, q) for p in range(2 * n) for q in range(p + 1, 2 * n)]
-    assert residual == values_to_vector(blocks + [tstar_op(a)], ctx.basis_index())
+    values = [w.coeffs for w in blocks + [tstar_op(a)]]
+    assert residual == values_to_vector(values, ctx.basis_index())
 
 
 def test_system_shape_counts():
@@ -434,13 +480,34 @@ def test_constraint_rows_lie_in_one_torus_weight(n, m, dual):
     assert not rows_in_one_weight(real_assemble_system(ctx), ctx)
 
 
+GRID_VERIFY_CASES = [
+    (n, m, kind == "verify-dual")
+    for kind, n, m in verify.sweep_specs(None, None)
+    if kind != "lemmas"
+]
+
+
+@pytest.mark.parametrize("n,m,dual", GRID_VERIFY_CASES)
+def test_kernel_values_are_coefficient_maps(n, m, dual):
+    """On the default grid, both sides, every value of ``harmonic_kernel``
+    and of ``polarization_cocycles`` is a plain dict with nonzero
+    GaussianRational coefficients, and each cocycle comes back unchanged
+    from its coordinate vector."""
+    ctx = RepContext(n, m, dual)
+    for a in harmonic_kernel(ctx) + polarization_cocycles(ctx):
+        for w in (*a.plus_values, *a.minus_values):
+            assert type(w) is dict
+            assert all(type(c) is GaussianRational and c for c in w.values())
+        assert cocycle_from_vector(ctx, cocycle_to_vector(a)) == a
+
+
 @pytest.mark.parametrize(
     "n,m,dual", [(1, 3, False), (2, 2, False), (2, 2, True), (3, 1, True)]
 )
 def test_vector_round_trip(n, m, dual):
-    """Coordinates and tensors convert back and forth without loss: whole
-    cocycles in the ambient basis, and tuples of graded values in a graded
-    sub-basis."""
+    """Coordinates and coefficient maps convert back and forth without loss:
+    whole cocycles in the ambient basis, and tuples of graded values in a
+    graded sub-basis."""
     ctx = RepContext(n, m, dual)
     rng = make_rng(53)
     for _ in range(3):
@@ -451,10 +518,10 @@ def test_vector_round_trip(n, m, dual):
         assert cocycle_from_vector(ctx, vec) == a
     basis = graded_monomials(n, m, 1)
     index = {alpha: i for i, alpha in enumerate(basis)}
-    values = [random_value(rng, ctx, 1) for _ in range(n)]
+    values = [random_value(rng, ctx, 1).coeffs for _ in range(n)]
     vec = values_to_vector(values, index)
     assert all(0 <= j < n * len(basis) for j in vec)
-    assert values_from_vector(ctx.value_class, n, m, basis, vec, n) == values
+    assert values_from_vector(basis, vec, n) == values
 
 
 @pytest.mark.parametrize(
@@ -500,11 +567,11 @@ def doctored(a, existing=False):
     e_{n+1}^m.  Kernel elements are top-graded, so the second leaves the
     kernel."""
     n, m = a.ctx.n, a.ctx.m
-    values = [a.value(p) for p in range(2 * n)]
+    values = tensor_values(a)
     q = next(p for p, w in enumerate(values) if w)
     alpha = next(iter(values[q].coeffs)) if existing else (0,) * n + (m,)
-    values[q] = values[q] + a.ctx.value_class.monomial(alpha)
-    return Cocycle(a.ctx, values[:n], values[n:])
+    values[q] = values[q] + tensor(a.ctx, {alpha: 1})
+    return tensor_cocycle(a.ctx, values[:n], values[n:])
 
 
 @pytest.mark.parametrize("n,m,dual", DEFAULT_VERIFY_CASES)
@@ -842,23 +909,19 @@ def hook_cocycle(ctx):
     eps_2 (x) e1^m - eps_1 (x) e1^(m-1) e2, as a one-sided, top-graded
     cocycle: its minus values on the primal side, plus values on the dual."""
     n, m = ctx.n, ctx.m
-    form = [ctx.zero_value() for _ in range(n)]
-    form[0] = -ctx.value_class.monomial((m - 1, 1) + (0,) * (n - 1))
-    form[1] = ctx.value_class.monomial((m,) + (0,) * n)
-    zero = [ctx.zero_value() for _ in range(n)]
+    form = [{} for _ in range(n)]
+    form[0] = {(m - 1, 1) + (0,) * (n - 1): gq(-1)}
+    form[1] = {(m,) + (0,) * n: gq(1)}
+    zero = [{} for _ in range(n)]
     return Cocycle(ctx, form, zero) if ctx.dual else Cocycle(ctx, zero, form)
 
 
 def combine(ctx, coeffs, cocycles):
     """sum_k coeffs[k] cocycles[k]."""
-    out = Cocycle.zero(ctx)
+    out = tensor_values(Cocycle.zero(ctx))
     for c, a in zip(coeffs, cocycles):
-        out = Cocycle(
-            ctx,
-            [x + y.scale(c) for x, y in zip(out.plus_values, a.plus_values)],
-            [x + y.scale(c) for x, y in zip(out.minus_values, a.minus_values)],
-        )
-    return out
+        out = [x + y.scale(c) for x, y in zip(out, tensor_values(a))]
+    return tensor_cocycle(ctx, out[: ctx.n], out[ctx.n :])
 
 
 @pytest.mark.parametrize("n,m,dual", [(2, 2, False), (3, 2, False), (2, 3, True)])
@@ -889,7 +952,9 @@ def test_symmetric_component_matches_hook_projection_reference(n, m, dual):
     verdicts = []
     for family in families:
         expected = all(
-            symmetric_component_membership(a.plus_values if dual else a.minus_values)[0]
+            symmetric_component_membership(
+                tensor_values(a)[:n] if dual else tensor_values(a)[n:]
+            )[0]
             for a in family
         )
         assert classify(ctx, family)[0]["symmetric_component"] is expected
@@ -910,7 +975,7 @@ def test_polarization_blocks_are_the_tangent_values_of_p(n, m, dual):
         assert (block.rows, block.cols) == (ctx.dim_w, len(pol))
         expected = [{} for _ in range(ctx.dim_w)]
         for s, a in enumerate(pol):
-            for alpha, x in a.value(p).coeffs.items():
+            for alpha, x in a.value(p).items():
                 expected[index[alpha]][s] = x
         assert block.sparse_rows() == expected
 
@@ -958,19 +1023,6 @@ def test_operator_grading_reports_an_escaped_image(monkeypatch):
         assert e["details"] == "image escaped the adjacent grades"
 
 
-def test_extreme_linearity_builds_no_tensor(monkeypatch):
-    import sunharm.checks as checks
-
-    def forbidden(*args):
-        raise AssertionError("extreme linearity built a tensor")
-
-    monkeypatch.setattr(checks, "rho_apply", forbidden)
-    monkeypatch.setattr(SymTensor, "monomial", classmethod(forbidden))
-    entries = check_operator_grading(3, 3)
-    assert entries[-1]["name"] == "extreme-linearity"
-    assert all_passed(entries)
-
-
 def test_extreme_linearity_fails_with_the_halves_swapped(monkeypatch):
     import sunharm.checks as checks
 
@@ -1010,6 +1062,79 @@ def test_symmetric_forcing_dimensions(n, m, j, expected):
     assert by_name["symmetric-forcing"]["status"] == "pass"
     assert by_name["symmetric-forcing"]["dimension"] == expected
     assert by_name["hook-counterexample"]["status"] == "pass"
+
+
+#: The (n, m) of the default sweep's batteries and the wide batteries of the
+#: ``lemmas-wide`` benchmark workload.
+WITNESS_CASES = sorted(
+    {(n, m) for kind, n, m in verify.sweep_specs(None, None) if kind == "lemmas"}
+    | {(4, 5), (5, 5), (6, 4), (3, 8), (2, 12)}
+)
+
+
+@pytest.mark.parametrize("n,m", WITNESS_CASES)
+def test_witnesses_agree_with_the_tensor_reference(monkeypatch, n, m):
+    """For every j, the hook counterexample and the pinned value read off
+    monomial actions pass, every image they read equals the reference
+    ``rho_apply`` on the monomial tensor, and the reference evaluates both
+    witnesses to the values the checks compare with."""
+    import sunharm.checks as checks
+
+    real = checks._action
+    seen = []  # (X, dual, multi-index, image) for every image the checks read
+
+    def spy(X, dual):
+        image = real(X, dual)
+
+        def recorded(alpha):
+            seen.append((X, dual, alpha, image(alpha)))
+            return seen[-1][-1]
+
+        return recorded
+
+    monkeypatch.setattr(checks, "_action", spy)
+    up, down = xi_plus(e_vec(0, n)), xi_minus(e_vec(0, n))
+    for j in range(1, m + 1):
+        hook = check_symmetric_forcing(n, m, j)[-1]
+        assert (hook["name"], hook["status"]) == ("hook-counterexample", "pass")
+        w1 = -SymTensor.monomial((j - 1, 1) + (0,) * (n - 2) + (m - j,))
+        w2 = SymTensor.monomial((j,) + (0,) * (n - 1) + (m - j,))
+        target = (j - 1, 0) + (0,) * (n - 2) + (m - j + 1,)
+        assert rho_apply(xi_minus(e_vec(1, n)), w1) == SymTensor.monomial(target, -1)
+        assert rho_apply(down, w2) == SymTensor.monomial(target, j)
+        if j < m:
+            assert check_contraction_isometry(n, m, j)["status"] == "pass"
+            pin = SymTensor.monomial((j,) + (0,) * (n - 1) + (m - j,))
+            assert rho_apply(up, pin) == SymTensor.monomial(
+                (j + 1,) + (0,) * (n - 1) + (m - j - 1,), m - j
+            )
+    # two hook images per j and one pinned image per j < m
+    assert len(seen) == 2 * m + m - 1
+    for X, dual, alpha, image in seen:
+        cls = DualSymTensor if dual else SymTensor
+        assert rho_apply(X, cls.monomial(alpha)).coeffs == image
+
+
+def test_witnesses_fail_on_doubled_images(monkeypatch):
+    """With every monomial image doubled, the hook counterexample and the
+    contraction isometry read ``fail``: neither witness passes vacuously."""
+    import sunharm.checks as checks
+
+    real = checks._action
+
+    def doubled(X, dual):
+        image = real(X, dual)
+        return lambda alpha: {b: c + c for b, c in image(alpha).items()}
+
+    monkeypatch.setattr(checks, "_action", doubled)
+    for n, m in [(2, 3), (3, 4)]:
+        for j in range(1, m + 1):
+            hook = check_symmetric_forcing(n, m, j)[-1]
+            assert (hook["name"], hook["status"]) == ("hook-counterexample", "fail")
+        for j in range(1, m):
+            entry = check_contraction_isometry(n, m, j)
+            assert entry["status"] == "fail"
+            assert entry["details"].endswith("pinned value: False")
 
 
 @pytest.mark.parametrize("j", [1, 2, 3])
@@ -1309,19 +1434,20 @@ def test_battery_builds_each_graded_operator_once(monkeypatch):
 
 def test_isometry_applies_rho_only_to_the_pinned_witness(monkeypatch):
     # the adjoint composition is one matrix identity: the check's only
-    # tensor-level application is the pinned value
+    # monomial action of its own is the pinned value's, rho(xi+(e_1))
     import sunharm.checks as checks
 
-    real = checks.rho_apply
-    calls = []
+    real = checks._action
+    built = []
 
-    def spy(X, w):
-        calls.append(w)
-        return real(X, w)
+    def spy(X, dual):
+        built.append((X, dual))
+        return real(X, dual)
 
-    monkeypatch.setattr(checks, "rho_apply", spy)
-    assert check_contraction_isometry(3, 4, 2)["status"] == "pass"
-    assert len(calls) == 1
+    n = 3
+    monkeypatch.setattr(checks, "_action", spy)
+    assert check_contraction_isometry(n, 4, 2)["status"] == "pass"
+    assert built == [(xi_plus(e_vec(0, n)), False)]
 
 
 def test_lemma_battery_matches_golden():
@@ -1414,11 +1540,7 @@ def _reference_split_verdicts(ctx: RepContext, A: ExactMatrix) -> dict:
     complex_sub, conj_sub = split_halves(ctx, A)
 
     def supported_in(cos, g):
-        return all(
-            w.support_grades() <= {g}
-            for a in cos
-            for w in (*a.plus_values, *a.minus_values)
-        )
+        return all(w.support_grades() <= {g} for a in cos for w in tensor_values(a))
 
     return {
         "complex": len(complex_sub),

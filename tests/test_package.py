@@ -13,6 +13,8 @@ import sunharm
 from sunharm.cli import main
 from sunharm.verify import make_document
 
+import reference
+
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 
@@ -23,7 +25,9 @@ PYPROJECT = ROOT / "pyproject.toml"
 #: two-form operators and P split by tangent for the matrix form of the
 #: invariance identity, and deleted code, among it the dense coordinate-vector
 #: path, the n = 1 sub-basis combination, the pluggable rational type and
-#: the per-module scalar coercions that ``gq`` replaced.
+#: the per-module scalar coercions that ``gq`` replaced.  The tensor types
+#: and ``rho_apply`` left too, for the coefficient map; under ``checks`` are
+#: the tensor names it imported for its two witnesses.
 GONE = {
     "sun1": (
         "is_unitary", "embed_k", "adjoint_on_p_plus", "canonical_weight",
@@ -36,14 +40,14 @@ GONE = {
         "substitute", "_poly_mul", "group_matrix", "k_group_action", "inner",
         "pair", "power_of_vector", "project_grade", "_matrix_of", "_nonzero_entries",
         "raise_weighted", "derivative", "shift_down", "multiply_var", "polarization",
-        "_as_scalar",
+        "_as_scalar", "_CoeffPoly", "SymTensor", "DualSymTensor", "rho_apply",
     ),
     "harmonic": (
         "transform_cocycle", "Vector", "symmetric_component_membership",
         "_uniform_grade", "plus_part", "minus_part", "_linear_part", "TwoForm",
         "t_op", "tstar_op", "polarization_blocks", "_bracket_mix",
     ),
-    "checks": ("part_sub_basis", "split_halves"),
+    "checks": ("part_sub_basis", "split_halves", "SymTensor", "rho_apply"),
     "linalg": ("det", "dump_text", "rref", "rank_of_rows", "_sparse_rows", "_entry"),
     "exactfield": ("dump_entry", "Rational", "_BACKEND"),
 }
@@ -55,7 +59,8 @@ GONE_MEMBERS = {
         "__add__", "__sub__", "__neg__",
     ),
     sunharm.Cocycle: ("evaluate",),
-    sunharm.SymTensor: ("to_vector",),
+    sunharm.RepContext: ("value_class", "zero_value"),
+    reference.SymTensor: ("to_vector",),
 }
 
 

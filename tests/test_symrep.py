@@ -5,16 +5,13 @@ import pickle
 import pytest
 
 from sunharm import (
-    DualSymTensor,
     ExactMatrix,
     I,
     ONE,
     RepContext,
-    SymTensor,
     ZERO,
     e_vec,
     gq,
-    rho_apply,
     rho_matrix,
     xi_minus,
     xi_plus,
@@ -30,6 +27,8 @@ from sunharm.symrep import (
 
 from conftest import make_rng, random_value
 from reference import (
+    DualSymTensor,
+    SymTensor,
     adjoint_on_p_plus,
     bracket,
     derivation_matrix,
@@ -43,6 +42,7 @@ from reference import (
     pair,
     power_of_vector,
     project_grade,
+    rho_apply,
     tangent_samples,
     tensor_polarization_family,
     unitary_corpus,
