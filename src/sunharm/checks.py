@@ -12,14 +12,17 @@ the symmetric part when S C^T L^T is a positive multiple of the
 polarization rows S.  The relation spanning sets, S and the
 multiplication map whose kernel is the hook component all come from
 ``symrep.polarization_family`` (its primal or its dual family), written
-from exponents.  The hook counterexample and the pinned value are read off
-monomial actions (``symrep._action``), as extreme linearity is.  The n = 1
-split solves for no kernel either: the dimension of each half, and of its
-part in its extreme grade, is the nullity of the constraint matrix
-restricted to the columns that part may occupy, and the kernel dimension
-is the nullity of the whole matrix.  The entries returned are plain dicts
-``{"name", "j", "status", "details"}`` built by ``symrep.check_entry``,
-with status ``pass``, ``fail`` or ``vacuous`` (empty parameter range).
+from exponents.  Every operator comes from the complex tangents' cached
+monomial actions, ``harmonic._tangent_action``: the graded and the dual
+operators are written from them with ``symrep._map_matrix``, and the hook
+counterexample, the pinned value and extreme linearity read their images.
+The n = 1 split solves for no kernel either: the dimension of each half,
+and of its part in its extreme grade, is the nullity of the constraint
+matrix restricted to the columns that part may occupy, and the kernel
+dimension is the nullity of the whole matrix.  The entries returned are
+plain dicts ``{"name", "j", "status", "details"}`` built by
+``symrep.check_entry``, with status ``pass``, ``fail`` or ``vacuous``
+(empty parameter range).
 """
 
 from __future__ import annotations
@@ -29,17 +32,15 @@ from functools import lru_cache
 from typing import Sequence
 
 from .linalg import ExactMatrix, Row, rank
-from .sun1 import e_vec, xi_minus, xi_plus
 from .symrep import (
     RepContext,
-    _action,
+    _map_matrix,
     check_entry,
     grade_of,
     graded_monomials,
     polarization_family,
-    rho_matrix_restricted,
 )
-from .harmonic import assemble_system, pairwise_relation_rows
+from .harmonic import _tangent_action, assemble_system, pairwise_relation_rows
 
 
 # -- the table of graded operators ------------------------------------------
@@ -47,23 +48,24 @@ from .harmonic import assemble_system, pairwise_relation_rows
 
 @lru_cache(maxsize=1)
 def graded_operators(n: int, m: int) -> tuple[dict, dict]:
-    """``(raising, lowering)``: ``raising[k]`` holds rho(xi+(e_a)) from grade
-    k to grade k+1 for 1 <= k < m, ``lowering[k]`` holds rho(xi-(e_a)) from
-    grade k to grade k-1 for 1 <= k <= m, each a tuple over a < n.
+    """``(raising, lowering)``: ``raising[k]`` holds rho(Z_a) = rho(xi+(e_a))
+    from grade k to grade k+1 for 1 <= k < m, ``lowering[k]`` holds
+    rho(Zbar_a) = rho(xi-(e_a)) from grade k to grade k-1 for 1 <= k <= m,
+    each a tuple over a < n, written from the primal tangent actions
+    p = a and p = n + a.
 
     The battery runs its checks back to back on one (n, m), so this one
     cached table serves all of them.  Raises ``ValueError`` if an image
     leaves the adjacent grade.
     """
 
-    def restricted(half, k, step):
+    def restricted(tangents, k, step):
         src, dst = graded_monomials(n, m, k), graded_monomials(n, m, k + step)
-        ops = (half(e_vec(a, n)) for a in range(n))
-        return tuple(rho_matrix_restricted(X, src, dst) for X in ops)
+        return tuple(_map_matrix(_tangent_action(n, p, False), src, dst) for p in tangents)
 
     return (
-        {k: restricted(xi_plus, k, 1) for k in range(1, m)},
-        {k: restricted(xi_minus, k, -1) for k in range(1, m + 1)},
+        {k: restricted(range(n), k, 1) for k in range(1, m)},
+        {k: restricted(range(n, 2 * n), k, -1) for k in range(1, m + 1)},
     )
 
 
@@ -102,8 +104,8 @@ def check_operator_grading(n: int, m: int) -> list[dict]:
     since its two halves land in different grades.
 
     Extreme linearity: each raising operator's monomial action
-    (``symrep._action``, built once per operator) sends every top-grade
-    monomial to an empty image, each lowering operator's every bottom one.
+    (``harmonic._tangent_action``) sends every top-grade monomial to an
+    empty image, each lowering operator's every bottom one.
     """
     entries = []
     try:
@@ -128,10 +130,9 @@ def check_operator_grading(n: int, m: int) -> list[dict]:
                 )
         entries.append(check_entry("operator-grading", ok, detail, j=k))
     extreme_ok = all(
-        not act(a)
-        for half, g in ((xi_plus, m), (xi_minus, 0))
-        for act in [_action(half(e_vec(b, n)), False) for b in range(n)]
-        for a in graded_monomials(n, m, g)
+        not _tangent_action(n, p, False)(a)
+        for p in range(2 * n)
+        for a in graded_monomials(n, m, m if p < n else 0)
     )
     entries.append(
         check_entry(
@@ -196,10 +197,7 @@ def check_dual_symmetry(n: int, m: int) -> dict:
     if n < 2:
         return check_entry("dual-symmetry", None, "needs n >= 2", j=None)
     top, below = graded_monomials(n, m, m), graded_monomials(n, m, m - 1)
-    ops = [
-        rho_matrix_restricted(xi_plus(e_vec(a, n)), top, below, dual=True)
-        for a in range(n)
-    ]
+    ops = [_map_matrix(_tangent_action(n, a, True), top, below) for a in range(n)]
     return _relation_subspace_entry("dual-symmetry", n, m, m, ops, True, None)
 
 
@@ -225,9 +223,9 @@ def check_symmetric_forcing(n: int, m: int, j: int) -> list[dict]:
     # the witness's values are -e1^(j-1) e2 r and e1^j r, so each side is
     # the image of one monomial under the monomial action, the first negated
     r = (m - j,)
-    lhs = _action(xi_minus(e_vec(1, n)), False)((j - 1, 1) + (0,) * (n - 2) + r)
+    lhs = _tangent_action(n, n + 1, False)((j - 1, 1) + (0,) * (n - 2) + r)
     lhs = {b: -c for b, c in lhs.items()}
-    rhs = _action(xi_minus(e_vec(0, n)), False)((j,) + (0,) * (n - 1) + r)
+    rhs = _tangent_action(n, n, False)((j,) + (0,) * (n - 1) + r)
     target = (j - 1, 0) + (0,) * (n - 2) + (m - j + 1,)
     ok = lhs == {target: -1} and rhs == {target: j} and lhs != rhs
     entries.append(
@@ -282,7 +280,7 @@ def check_contraction_isometry(n: int, m: int, j: int) -> dict:
     scalar = back.at(0, col) / first
     iso_ok = scalar.is_real() and scalar.re > 0 and back == S.scale(scalar)
 
-    pinned = _action(xi_plus(e_vec(0, n)), False)((j,) + (0,) * (n - 1) + (m - j,))
+    pinned = _tangent_action(n, 0, False)((j,) + (0,) * (n - 1) + (m - j,))
     pin_ok = pinned == {(j + 1,) + (0,) * (n - 1) + (m - j - 1,): m - j}
 
     ok = hook_ok and iso_ok and pin_ok

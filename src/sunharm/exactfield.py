@@ -6,11 +6,13 @@ rounded, so a zero test downstream is a certificate, not an approximation.
 
 Each component has one representation: a Python ``int`` when it is
 integral, and a ``Fraction`` in lowest terms with positive denominator only
-when it is not.  Almost every value the program touches is a Gaussian
-integer, and plain ``int`` arithmetic spares those the ``Fraction``
-construction, gcd and operator dispatch.  Equality and hashing do not see
-the difference (``Fraction(2) == 2`` and ``hash(Fraction(2)) == hash(2)``),
-and an ``int`` has ``numerator`` and ``denominator`` like any exact rational.
+when it is not.  Every value the certifier stores is real, and almost
+every one an integer: plain ``int`` arithmetic spares those the
+``Fraction`` construction, gcd and operator dispatch.  Q(i) serves the
+library API and the tests' references on the real tangents.  Equality and
+hashing do not see the difference (``Fraction(2) == 2`` and
+``hash(Fraction(2)) == hash(2)``), and an ``int`` has ``numerator`` and
+``denominator`` like any exact rational.
 
 ``gq`` is the one way the rest of the package makes a scalar.
 """

@@ -41,11 +41,14 @@ rows under ``polarization_rows`` (the columns of the polarization map P
 below, written as rows) leaves the rank unchanged.  Those rows come
 straight from exponents (``symrep.polarization_family``).
 
-The ``operator-recheck`` verdict of ``classify`` evaluates T and T* on each
-kernel element through the tangents' monomial actions (``_tangent_action``,
-built once), independently of the assembled matrix.  It applies rho(W) only
-to the nonzero values, since rho(W) 0 = 0, and compares the two terms of
-each pair of T instead of forming the two-form (``_operators_vanish``).
+Every tangent operator rho(W_p) comes from ``_tangent_action(n, p, dual)``,
+the tangent's monomial action built once: ``assemble_system`` writes its
+matrices with ``symrep._map_matrix``, and ``checks`` reads it too.  The
+``operator-recheck`` verdict of ``classify`` evaluates T and T* on each
+kernel element by applying the actions, independently of the assembled
+matrix.  It applies rho(W) only to the nonzero values, since rho(W) 0 = 0,
+and compares the two terms of each pair of T instead of forming the
+two-form (``_operators_vanish``).
 
 Compact invariance needs no kernel basis.  ``classify`` certifies that the
 kernel is the image of the polarization map P, whose columns are the
@@ -74,13 +77,13 @@ from .symrep import (
     RepContext,
     _action,
     _extend,
+    _map_matrix,
     check_entry,
     monomials,
     polarization_family,
-    rho_matrix,
 )
 
-@lru_cache(maxsize=None)
+
 def _basis_tangent(n: int, p: int) -> ExactMatrix:
     """The p-th complex tangent (0 <= p < 2n): Z_p, then Zbar_{p-n}."""
     if p < n:
@@ -90,7 +93,8 @@ def _basis_tangent(n: int, p: int) -> ExactMatrix:
 
 @lru_cache(maxsize=None)
 def _tangent_action(n: int, p: int, dual: bool):
-    """The p-th complex tangent's ``symrep._action`` on one side, built once."""
+    """The p-th complex tangent's ``symrep._action`` on one side, built
+    once: the package's one source of a tangent's operator."""
     return _action(_basis_tangent(n, p), dual)
 
 
@@ -214,8 +218,10 @@ def assemble_system(ctx: RepContext) -> ExactMatrix:
     order (``pairwise_relation_rows``), then the trace block; columns:
     cocycle coordinates (block p, then monomial).
     """
-    n, d = ctx.n, ctx.dim_w
-    mats = [rho_matrix(_basis_tangent(n, p), n, ctx.m, ctx.dual) for p in range(2 * n)]
+    n, d, basis = ctx.n, ctx.dim_w, ctx.basis()
+    mats = [
+        _map_matrix(_tangent_action(n, p, ctx.dual), basis, basis) for p in range(2 * n)
+    ]
     rows = pairwise_relation_rows(mats)
     # trace block: block Z_j carries rho(Zbar_j) and block Zbar_j rho(Z_j)
     blocks = [M.sparse_rows() for M in mats[n:] + mats[:n]]

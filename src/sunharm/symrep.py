@@ -15,8 +15,7 @@ Conventions used throughout the package:
   The action has one implementation, the monomial action ``_action``,
   which sends a multi-index to its image {multi-index: nonzero coefficient}
   from the nonzero entries of X.  ``_extend`` extends it linearly to
-  coefficient maps, and ``rho_matrix_restricted`` writes it as a sparse
-  matrix.
+  coefficient maps, and ``_map_matrix`` writes it as a sparse matrix.
 
 * Dual elements live on the dual monomial basis ``eps^alpha`` normalized by
   ``eps^alpha(e^beta) = delta``; the dual action is
@@ -186,25 +185,12 @@ def _map_matrix(image, in_basis, out_basis) -> ExactMatrix:
 
 
 def rho_matrix(X: ExactMatrix, n: int, m: int, dual: bool = False) -> ExactMatrix:
-    """Matrix of the action on S^m (or its dual) in the lex monomial basis."""
-    basis = monomials(n + 1, m)
-    return rho_matrix_restricted(X, basis, basis, dual)
-
-
-def rho_matrix_restricted(
-    X: ExactMatrix,
-    in_basis: Sequence[MultiIndex],
-    out_basis: Sequence[MultiIndex],
-    dual: bool = False,
-) -> ExactMatrix:
-    """Matrix of the action from span(in_basis) into span(out_basis).
-
-    Raises if X's size does not match the monomials, or if some image falls
-    outside the target span (a grading bug).
-    """
-    if any(len(a) != X.rows for a in in_basis):
+    """Matrix of the action on S^m (or its dual) in the lex monomial basis.
+    Raises if X is not an (n+1) x (n+1) matrix."""
+    if X.rows != n + 1:
         raise ValueError("matrix size does not match the monomials")
-    return _map_matrix(_action(X, dual), in_basis, out_basis)
+    basis = monomials(n + 1, m)
+    return _map_matrix(_action(X, dual), basis, basis)
 
 
 class RepContext:
@@ -215,6 +201,10 @@ class RepContext:
     __slots__ = ("n", "m", "dual")
 
     def __init__(self, n: int, m: int, dual: bool = False):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (n, m)):
+            raise TypeError("n and m must be int")
+        if not isinstance(dual, bool):
+            raise TypeError("dual must be a bool")
         if n < 1:
             raise ValueError("n must be >= 1")
         if m < 1:

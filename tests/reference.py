@@ -22,7 +22,9 @@ and ``field_kernel_basis`` reads the canonical kernel basis off the result.
 ``dense_rank_of_rows`` and the three-pass span test rank with
 ``field_echelon``, so none of them runs the package's elimination.  The
 matrix of rho(X) is built here a second way, as a sum of derivations
-(``derivation_matrix``), apart from the package's monomial action.  The
+(``derivation_matrix``), apart from the package's monomial action, and
+between any two monomial bases for any X (``rho_matrix_restricted``),
+apart from the tangents' cached actions the package reads.  The
 module also keeps the dense forms the package no longer takes: matrices
 written as dense literals, the span test that converts and ranks each
 family twice, the p-elements written into dense arrays, the n = 1 split
@@ -116,7 +118,6 @@ from sunharm.symrep import (
     monomial_index,
     monomials,
     rho_matrix,
-    rho_matrix_restricted,
 )
 
 Vector = list[GaussianRational]
@@ -948,6 +949,16 @@ def derivation_matrix(X: ExactMatrix, n: int, m: int) -> ExactMatrix:
         for beta, c in image.coeffs.items():
             rows[index[beta]][col] = c
     return ExactMatrix.from_rows(rows, len(basis))
+
+
+def rho_matrix_restricted(
+    X: ExactMatrix, in_basis: Sequence, out_basis: Sequence, dual: bool = False
+) -> ExactMatrix:
+    """Matrix of rho(X) (the dual action when ``dual``) from span(in_basis)
+    into span(out_basis), from a monomial action of X's own, where the
+    package reads the tangents' cached ones; raises if an image leaves
+    span(out_basis)."""
+    return _map_matrix(_action(X, dual), in_basis, out_basis)
 
 
 def k_group_action(A: ExactMatrix, w):

@@ -46,7 +46,7 @@ from sunharm.checks import (
     riemann_split_report,
 )
 from sunharm.linalg import ExactMatrix, kernel_basis, rank, same_span, sparse_vector
-from sunharm.symrep import graded_monomials, polarization_family, rho_matrix_restricted
+from sunharm.symrep import graded_monomials, polarization_family
 from sunharm.sun1 import k_generators
 
 from conftest import (
@@ -79,6 +79,7 @@ from reference import (
     project_grade,
     rank_is_invariant,
     real_assemble_system,
+    rho_matrix_restricted,
     real_generators_intertwine,
     real_values,
     real_vector,
@@ -1026,8 +1027,12 @@ def test_operator_grading_reports_an_escaped_image(monkeypatch):
 def test_extreme_linearity_fails_with_the_halves_swapped(monkeypatch):
     import sunharm.checks as checks
 
-    monkeypatch.setattr(checks, "xi_plus", xi_minus)
-    monkeypatch.setattr(checks, "xi_minus", xi_plus)
+    real = checks._tangent_action
+
+    def swapped(n, p, dual):  # Z_a reads as Zbar_a and Zbar_a as Z_a
+        return real(n, (p + n) % (2 * n), dual)
+
+    monkeypatch.setattr(checks, "_tangent_action", swapped)
     checks.graded_operators.cache_clear()
     entry = check_operator_grading(2, 3)[-1]
     assert (entry["name"], entry["status"]) == ("extreme-linearity", "fail")
@@ -1075,16 +1080,16 @@ WITNESS_CASES = sorted(
 @pytest.mark.parametrize("n,m", WITNESS_CASES)
 def test_witnesses_agree_with_the_tensor_reference(monkeypatch, n, m):
     """For every j, the hook counterexample and the pinned value read off
-    monomial actions pass, every image they read equals the reference
-    ``rho_apply`` on the monomial tensor, and the reference evaluates both
-    witnesses to the values the checks compare with."""
+    the tangents' monomial actions pass, every image they read equals the
+    reference ``rho_apply`` on the monomial tensor, and the reference
+    evaluates both witnesses to the values the checks compare with."""
     import sunharm.checks as checks
 
-    real = checks._action
+    real = checks._tangent_action
     seen = []  # (X, dual, multi-index, image) for every image the checks read
 
-    def spy(X, dual):
-        image = real(X, dual)
+    def spy(n, p, dual):
+        image, X = real(n, p, dual), _basis_tangent(n, p)
 
         def recorded(alpha):
             seen.append((X, dual, alpha, image(alpha)))
@@ -1092,7 +1097,8 @@ def test_witnesses_agree_with_the_tensor_reference(monkeypatch, n, m):
 
         return recorded
 
-    monkeypatch.setattr(checks, "_action", spy)
+    checks.graded_operators(n, m)  # built first, so the spy sees only the witnesses
+    monkeypatch.setattr(checks, "_tangent_action", spy)
     up, down = xi_plus(e_vec(0, n)), xi_minus(e_vec(0, n))
     for j in range(1, m + 1):
         hook = check_symmetric_forcing(n, m, j)[-1]
@@ -1120,21 +1126,23 @@ def test_witnesses_fail_on_doubled_images(monkeypatch):
     contraction isometry read ``fail``: neither witness passes vacuously."""
     import sunharm.checks as checks
 
-    real = checks._action
+    real = checks._tangent_action
 
-    def doubled(X, dual):
-        image = real(X, dual)
+    def doubled(n, p, dual):
+        image = real(n, p, dual)
         return lambda alpha: {b: c + c for b, c in image(alpha).items()}
 
-    monkeypatch.setattr(checks, "_action", doubled)
     for n, m in [(2, 3), (3, 4)]:
-        for j in range(1, m + 1):
-            hook = check_symmetric_forcing(n, m, j)[-1]
-            assert (hook["name"], hook["status"]) == ("hook-counterexample", "fail")
-        for j in range(1, m):
-            entry = check_contraction_isometry(n, m, j)
-            assert entry["status"] == "fail"
-            assert entry["details"].endswith("pinned value: False")
+        checks.graded_operators(n, m)  # the cached operators keep the true images
+        with monkeypatch.context() as patch:
+            patch.setattr(checks, "_tangent_action", doubled)
+            for j in range(1, m + 1):
+                hook = check_symmetric_forcing(n, m, j)[-1]
+                assert (hook["name"], hook["status"]) == ("hook-counterexample", "fail")
+            for j in range(1, m):
+                entry = check_contraction_isometry(n, m, j)
+                assert entry["status"] == "fail"
+                assert entry["details"].endswith("pinned value: False")
 
 
 @pytest.mark.parametrize("j", [1, 2, 3])
@@ -1413,39 +1421,96 @@ def test_verify_builds_p_once_per_case(monkeypatch):
     assert calls == [(3, 2, 2, False)]
 
 
+def test_tangent_actions_are_built_once_per_side(monkeypatch):
+    """A primal and a dual verify case and a battery at (3, 3) build each of
+    the 2n tangents' monomial actions once per side, 4n in all: every
+    tangent operator comes from ``harmonic._tangent_action``.  The spy
+    patches ``_action`` wherever the package binds it and counts the builds
+    on a tangent; the generators of k_C that ``intertwines`` acts with are
+    not tangents."""
+    import importlib
+    import pkgutil
+
+    import sunharm
+    import sunharm.checks as checks
+    import sunharm.harmonic as harmonic
+    import sunharm.symrep as symrep
+
+    n = 3
+    tangents = [_basis_tangent(n, p) for p in range(2 * n)]
+    real = symrep._action
+    built = []
+
+    def spy(X, dual):
+        if X in tangents:
+            built.append((tangents.index(X), dual))
+        return real(X, dual)
+
+    for info in pkgutil.iter_modules(sunharm.__path__):
+        mod = importlib.import_module(f"sunharm.{info.name}")
+        if getattr(mod, "_action", None) is real:
+            monkeypatch.setattr(mod, "_action", spy)
+    harmonic._tangent_action.cache_clear()
+    checks.graded_operators.cache_clear()
+    assert all_passed(verify.verify_case(n, 3)["checks"])
+    assert all_passed(verify.verify_case(n, 3, True)["checks"])
+    assert all(e["status"] == "pass" for e in lemma_battery(n, 3))
+    assert sorted(built) == [(p, dual) for p in range(2 * n) for dual in (False, True)]
+
+
+def test_certifier_data_are_real():
+    """Z_j, Zbar_j, the generators of k_C and P are real matrices, so every
+    entry the certifier stores is real: the assembled system, the rows of P,
+    the kernel's values and the generators, on the default grid, both sides.
+    Gaussian rationals stay for the library API and the tests' references
+    on the real tangents."""
+    grid = {(n, m) for kind, n, m in verify.sweep_specs(None, None)}
+    for n, m in sorted(grid):
+        gens = [r for X in k_generators(n) for r in X.sparse_rows()]
+        assert all(not x.im for r in gens for x in r.values()), n
+        for dual in (False, True):
+            ctx = RepContext(n, m, dual)
+            maps = assemble_system(ctx).sparse_rows() + list(polarization_rows(ctx))
+            for a in harmonic_kernel(ctx):
+                maps += a.plus_values + a.minus_values
+            assert all(not x.im for r in maps for x in r.values()), (n, m, dual)
+
+
 def test_battery_builds_each_graded_operator_once(monkeypatch):
     # one table of 2nm restricted operators per (n, m): n(m-1) raising and
     # nm lowering ones, plus the n dual ones of the dual-symmetry check
     import sunharm.checks as checks
 
-    real = checks.rho_matrix_restricted
+    real = checks._map_matrix
     calls = []
 
-    def spy(*args, **kwargs):
+    def spy(*args):
         calls.append(args)
-        return real(*args, **kwargs)
+        return real(*args)
 
     checks.graded_operators.cache_clear()
-    monkeypatch.setattr(checks, "rho_matrix_restricted", spy)
+    monkeypatch.setattr(checks, "_map_matrix", spy)
     entries = lemma_battery(3, 4)
     assert all(e["status"] == "pass" for e in entries)
     assert len(calls) == 2 * 3 * 4
 
 
 def test_isometry_applies_rho_only_to_the_pinned_witness(monkeypatch):
-    # the adjoint composition is one matrix identity: the check's only
-    # monomial action of its own is the pinned value's, rho(xi+(e_1))
+    # the adjoint composition is one matrix identity: past the cached
+    # operator table, the check reads one tangent action, the pinned
+    # value's rho(xi+(e_1))
     import sunharm.checks as checks
 
-    real = checks._action
+    real = checks._tangent_action
     built = []
 
-    def spy(X, dual):
-        built.append((X, dual))
-        return real(X, dual)
+    def spy(n, p, dual):
+        built.append((_basis_tangent(n, p), dual))
+        return real(n, p, dual)
 
     n = 3
-    monkeypatch.setattr(checks, "_action", spy)
+    checks.graded_operators(n, 4)
+    monkeypatch.setattr(checks, "_tangent_action", spy)
     assert check_contraction_isometry(n, 4, 2)["status"] == "pass"
     assert built == [(xi_plus(e_vec(0, n)), False)]
 

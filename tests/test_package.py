@@ -27,7 +27,9 @@ PYPROJECT = ROOT / "pyproject.toml"
 #: path, the n = 1 sub-basis combination, the pluggable rational type and
 #: the per-module scalar coercions that ``gq`` replaced.  The tensor types
 #: and ``rho_apply`` left too, for the coefficient map; under ``checks`` are
-#: the tensor names it imported for its two witnesses.
+#: the tensor names it imported for its two witnesses, and the names it built
+#: tangents with before it read ``harmonic._tangent_action``: ``e_vec``,
+#: ``xi_plus`` and ``xi_minus`` stay exported from ``sun1``.
 GONE = {
     "sun1": (
         "is_unitary", "embed_k", "adjoint_on_p_plus", "canonical_weight",
@@ -41,13 +43,17 @@ GONE = {
         "pair", "power_of_vector", "project_grade", "_matrix_of", "_nonzero_entries",
         "raise_weighted", "derivative", "shift_down", "multiply_var", "polarization",
         "_as_scalar", "_CoeffPoly", "SymTensor", "DualSymTensor", "rho_apply",
+        "rho_matrix_restricted",
     ),
     "harmonic": (
         "transform_cocycle", "Vector", "symmetric_component_membership",
         "_uniform_grade", "plus_part", "minus_part", "_linear_part", "TwoForm",
         "t_op", "tstar_op", "polarization_blocks", "_bracket_mix",
     ),
-    "checks": ("part_sub_basis", "split_halves", "SymTensor", "rho_apply"),
+    "checks": (
+        "part_sub_basis", "split_halves", "SymTensor", "rho_apply", "_action",
+        "xi_plus", "xi_minus", "e_vec", "rho_matrix_restricted",
+    ),
     "linalg": ("det", "dump_text", "rref", "rank_of_rows", "_sparse_rows", "_entry"),
     "exactfield": ("dump_entry", "Rational", "_BACKEND"),
 }
@@ -86,7 +92,8 @@ def test_public_surface():
     for module, names in GONE.items():
         mod = importlib.import_module(f"sunharm.{module}")
         for name in names:
-            assert not hasattr(sunharm, name), name
+            if name not in sunharm.__all__:
+                assert not hasattr(sunharm, name), name
             assert not hasattr(mod, name), f"{module}.{name}"
     for cls, names in GONE_MEMBERS.items():
         for name in names:

@@ -16,13 +16,14 @@ from sunharm import (
     xi_minus,
     xi_plus,
 )
+from sunharm.harmonic import _tangent_action
 from sunharm.sun1 import k_generators
 from sunharm.symrep import (
+    _map_matrix,
     graded_monomials,
     monomial_index,
     monomials,
     polarization_family,
-    rho_matrix_restricted,
 )
 
 from conftest import make_rng, random_value
@@ -223,23 +224,22 @@ def test_rho_matrix_matches_derivation_reference(n, m):
     assert not any(mixed in r for r in rho_matrix(cancel, n, m).sparse_rows())
 
 
-def test_rho_matrix_restricted_rejects_size_mismatch():
-    # a 3 x 3 matrix (n = 2) against monomials in four variables
-    basis = monomials(4, 2)
+def test_rho_matrix_rejects_size_mismatch():
+    # a 3 x 3 matrix (n = 2) against monomials in four variables, and back
     with pytest.raises(ValueError, match="does not match"):
-        rho_matrix_restricted(xi_plus(e_vec(0, 2)), basis, basis)
+        rho_matrix(xi_plus(e_vec(0, 2)), 3, 2)
     with pytest.raises(ValueError, match="does not match"):
-        rho_matrix_restricted(xi_plus(e_vec(0, 3)), monomials(3, 2), monomials(3, 2))
+        rho_matrix(xi_plus(e_vec(0, 3)), 2, 2)
 
 
-def test_rho_matrix_restricted_rejects_image_outside_target():
+def test_map_matrix_rejects_image_outside_target():
     # Z_1 raises the grade, so grade 1 does not map into grade 1
     n, m = 2, 3
     mid = graded_monomials(n, m, 1)
     with pytest.raises(ValueError, match="outside the target basis"):
-        rho_matrix_restricted(xi_plus(e_vec(0, n)), mid, mid)
+        _map_matrix(_tangent_action(n, 0, False), mid, mid)
     with pytest.raises(ValueError, match="outside the target basis"):
-        rho_matrix_restricted(xi_plus(e_vec(0, n)), mid, mid, dual=True)
+        _map_matrix(_tangent_action(n, 0, True), mid, mid)
 
 
 def test_dual_action_pairing_identity():
@@ -327,6 +327,16 @@ def test_rep_context_validation():
     ctx = RepContext(2, 2)
     assert ctx.dim_w == math.comb(4, 2)
     assert ctx.expected_kernel_dim == math.comb(4, 3)
+
+
+@pytest.mark.parametrize(
+    "args", [(2.0, 1), (2, 1.0), (True, 1), (2, False), (2, 1, 1), (2, 1, "yes")]
+)
+def test_rep_context_rejects_wrong_types(args):
+    """n and m must be ints (not bools) and dual a bool, checked at
+    construction, before a report records the value or ``dim_w`` reads it."""
+    with pytest.raises(TypeError):
+        RepContext(*args)
 
 
 def test_monomial_order_is_lex():
