@@ -5,7 +5,8 @@ The package computes, entirely over Gaussian rationals, the joint kernel of
 the symmetry and trace constraints on real-linear cocycles valued in a
 symmetric power of C^{n+1} (or its dual), certifies its structure
 (linearity type, grading support, symmetric-component membership,
-dimension), and runs the supporting graded-operator checks.  See the README for the CLI.
+dimension), and runs the supporting graded-operator checks as one battery
+per case, ``lemma_battery``.  See the README for the CLI.
 """
 
 from .exactfield import BACKEND_NAME, GaussianRational, I, ONE, ZERO, gq
@@ -20,14 +21,7 @@ from .harmonic import (
     kernel_is_invariant,
     polarization_cocycles,
 )
-from .checks import (
-    check_contraction_isometry,
-    check_dual_symmetry,
-    check_operator_grading,
-    check_symmetric_forcing,
-    lemma_battery,
-    riemann_split_report,
-)
+from .checks import lemma_battery, riemann_split_report
 from .verify import VERSION as __version__
 from .verify import lemmas_case, run_sweep, verify_case
 
@@ -41,10 +35,6 @@ __all__ = [
     "RepContext",
     "ZERO",
     "assemble_system",
-    "check_contraction_isometry",
-    "check_dual_symmetry",
-    "check_operator_grading",
-    "check_symmetric_forcing",
     "classify",
     "e_vec",
     "gq",

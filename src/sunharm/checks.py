@@ -1,15 +1,16 @@
 """Exact verifiers for the graded-operator structure of the representation.
 
 Each check here is an independent computation: spanning sets are written
-down explicitly.  The battery builds its grade-restricted operators once per
-(n, m) (``graded_operators``), every verdict on them is a rank test or an
-exact matrix identity, and no subspace is solved for.  A relation subspace
-is the span of an explicit set when the relation matrix annihilates the
-set, the set is independent and its size is the nullity of the matrix.  A
-map kills the kernel of another when stacking its matrix under the other's
-leaves the rank unchanged.  The contraction is a proportional isometry on
-the symmetric part when S C^T L^T is a positive multiple of the
-polarization rows S.  The relation spanning sets, S and the
+down explicitly.  ``lemma_battery`` is the one entry point: it validates
+the case, builds the grade-restricted operators once (``graded_operators``)
+and passes each check the operators it reads.  Every verdict on them is a
+rank test or an exact matrix identity, and no subspace is solved for.  A
+relation subspace is the span of an explicit set when the relation matrix
+annihilates the set, the set is independent and its size is the nullity of
+the matrix.  A map kills the kernel of another when stacking its matrix
+under the other's leaves the rank unchanged.  The contraction is a
+proportional isometry on the symmetric part when S C^T L^T is a positive
+multiple of the polarization rows S.  The relation spanning sets, S and the
 multiplication map whose kernel is the hook component all come from
 ``symrep.polarization_family`` (its primal or its dual family), written
 from exponents.  Every operator comes from the complex tangents' cached
@@ -28,7 +29,6 @@ plain dicts ``{"name", "j", "status", "details"}`` built by
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Sequence
 
 from .linalg import ExactMatrix, Row, rank
@@ -46,26 +46,25 @@ from .harmonic import _tangent_action, assemble_system, pairwise_relation_rows
 # -- the table of graded operators ------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def graded_operators(n: int, m: int) -> tuple[dict, dict]:
-    """``(raising, lowering)``: ``raising[k]`` holds rho(Z_a) = rho(xi+(e_a))
-    from grade k to grade k+1 for 1 <= k < m, ``lowering[k]`` holds
-    rho(Zbar_a) = rho(xi-(e_a)) from grade k to grade k-1 for 1 <= k <= m,
-    each a tuple over a < n, written from the primal tangent actions
-    p = a and p = n + a.
+def graded_operators(n: int, m: int) -> tuple[dict, dict, tuple]:
+    """``(raising, lowering, dual_top)``: ``raising[k]`` holds
+    rho(Z_a) = rho(xi+(e_a)) from grade k to grade k+1 for 1 <= k < m,
+    ``lowering[k]`` holds rho(Zbar_a) = rho(xi-(e_a)) from grade k to
+    grade k-1 for 1 <= k <= m, each a tuple over a < n written from the
+    primal tangent actions p = a and p = n + a, and ``dual_top`` holds the
+    dual rho'(Z_a) from grade m to grade m-1 for n >= 2 (empty for n = 1).
 
-    The battery runs its checks back to back on one (n, m), so this one
-    cached table serves all of them.  Raises ``ValueError`` if an image
-    leaves the adjacent grade.
+    Raises ``ValueError`` if an image leaves the adjacent grade.
     """
 
-    def restricted(tangents, k, step):
+    def restricted(tangents, k, step, dual=False):
         src, dst = graded_monomials(n, m, k), graded_monomials(n, m, k + step)
-        return tuple(_map_matrix(_tangent_action(n, p, False), src, dst) for p in tangents)
+        return tuple(_map_matrix(_tangent_action(n, p, dual), src, dst) for p in tangents)
 
     return (
         {k: restricted(range(n), k, 1) for k in range(1, m)},
         {k: restricted(range(n, 2 * n), k, -1) for k in range(1, m + 1)},
+        restricted(range(n) if n >= 2 else (), m, -1, True),
     )
 
 
@@ -88,14 +87,15 @@ def _independent(mats: Sequence[ExactMatrix]) -> bool:
     return rank(ExactMatrix.from_rows(flat, mats[0].rows * cols)) == len(mats)
 
 
-def check_operator_grading(n: int, m: int) -> list[dict]:
+def _operator_grading(n: int, m: int, raising: dict, lowering: dict) -> list[dict]:
     """Grade shifts, nonvanishing, joint injectivity, extreme linearity.
 
     For 1 <= k <= m-1 the complex-linear half of xi(v) must send grade k to
     grade k+1 and the conjugate-linear half to grade k-1, each restriction
     nonzero for v != 0, and the stacked maps over a basis of directions must
     have trivial kernel.  On the extreme grades the action collapses to a
-    single linearity type.
+    single linearity type.  ``raising`` and ``lowering`` are those of
+    ``graded_operators``; building them already proved the grade shifts.
 
     v -> rho(xi+(v)) is complex-linear and v -> rho(xi-(v)) conjugate-linear,
     so the basis e_a settles each claim for every v: a restriction vanishes
@@ -108,26 +108,19 @@ def check_operator_grading(n: int, m: int) -> list[dict]:
     empty image, each lowering operator's every bottom one.
     """
     entries = []
-    try:
-        raising, lowering = graded_operators(n, m)
-    except ValueError:
-        raising = None
     for k in range(1, m):
+        halves = (raising[k], lowering[k])
         ok = False
-        if raising is None:
-            detail = "image escaped the adjacent grades"
+        if not all(map(_independent, halves)):
+            detail = "restriction vanished for a nonzero direction"
+        elif any(rank(_stack_vertically(ops)) < ops[0].cols for ops in halves):
+            detail = "stacked raising/lowering map has a kernel"
         else:
-            halves = (raising[k], lowering[k])
-            if not all(map(_independent, halves)):
-                detail = "restriction vanished for a nonzero direction"
-            elif any(rank(_stack_vertically(ops)) < ops[0].cols for ops in halves):
-                detail = "stacked raising/lowering map has a kernel"
-            else:
-                ok = True
-                detail = (
-                    "grade shifts, nonvanishing for every v != 0 and joint"
-                    " injectivity verified"
-                )
+            ok = True
+            detail = (
+                "grade shifts, nonvanishing for every v != 0 and joint"
+                " injectivity verified"
+            )
         entries.append(check_entry("operator-grading", ok, detail, j=k))
     extreme_ok = all(
         not _tangent_action(n, p, False)(a)
@@ -185,23 +178,22 @@ def _relation_subspace_entry(
     )
 
 
-def check_dual_symmetry(n: int, m: int) -> dict:
+def _dual_symmetry(n: int, m: int, dual_top: tuple) -> dict:
     """Complex-linear dual forms with a symmetric pairwise relation fill
     exactly the fully symmetric subspace.
 
     The relation subspace {C : rho'(xi+_a) C_b = rho'(xi+_b) C_a} inside
     n copies of the top dual grade is compared, by rank and annihilation,
     with the explicit symmetric spanning set (exponent shifts of dual
-    monomials of degree m+1).
+    monomials of degree m+1).  ``dual_top`` holds the rho'(xi+_a) from
+    grade m.
     """
     if n < 2:
         return check_entry("dual-symmetry", None, "needs n >= 2", j=None)
-    top, below = graded_monomials(n, m, m), graded_monomials(n, m, m - 1)
-    ops = [_map_matrix(_tangent_action(n, a, True), top, below) for a in range(n)]
-    return _relation_subspace_entry("dual-symmetry", n, m, m, ops, True, None)
+    return _relation_subspace_entry("dual-symmetry", n, m, m, dual_top, True, None)
 
 
-def check_symmetric_forcing(n: int, m: int, j: int) -> list[dict]:
+def _symmetric_forcing(n: int, m: int, j: int, lowering: tuple) -> list[dict]:
     """A symmetric pairwise relation on a grade-j form forces membership in
     the leading component; the hook component violates it.
 
@@ -211,11 +203,9 @@ def check_symmetric_forcing(n: int, m: int, j: int) -> list[dict]:
     ``eps_2 (x) e1^j r - eps_1 (x) e1^(j-1) e2 r`` (r the residual last-
     coordinate power) evaluates the two sides of the relation to
     -1 and j times the same monomial, which differ for every j >= 1.
+    ``lowering`` holds the rho(xi-_a) from grade j.
     """
-    if not 1 <= j <= m:
-        raise ValueError("j out of range")
-    ops = graded_operators(n, m)[1][j]
-    entries = [_relation_subspace_entry("symmetric-forcing", n, m, j, ops, False, j)]
+    entries = [_relation_subspace_entry("symmetric-forcing", n, m, j, lowering, False, j)]
 
     if n < 2:
         entries.append(check_entry("hook-counterexample", None, "needs n >= 2", j=j))
@@ -239,7 +229,7 @@ def check_symmetric_forcing(n: int, m: int, j: int) -> list[dict]:
     return entries
 
 
-def check_contraction_isometry(n: int, m: int, j: int) -> dict:
+def _contraction_isometry(n: int, m: int, j: int, raising: tuple, lowering: tuple) -> dict:
     """The contraction  beta -> sum_k rho(xi+_k) beta(xi-_k)  from grade-j
     forms into grade j+1 kills the hook component and is a proportional
     isometry on the symmetric component.
@@ -256,11 +246,9 @@ def check_contraction_isometry(n: int, m: int, j: int) -> dict:
     rational multiple of the identity on the polarization basis,
     S C^T L^T = scalar S, the scalar read off the first entry of S; (c) the
     pinned witness value contraction(eps_1 (x) e1^j r) = (m-j) e1^(j+1) r'
-    holds exactly.
+    holds exactly.  ``raising`` holds the rho(xi+_k) from grade j, and
+    ``lowering`` the rho(xi-_k) from grade j+1.
     """
-    if not 1 <= j < m:
-        raise ValueError("j out of range")
-    raising, lowering = graded_operators(n, m)
     index = _grade_index(n, m, j)
     cols = n * len(index)
 
@@ -268,14 +256,14 @@ def check_contraction_isometry(n: int, m: int, j: int) -> dict:
     # the dual polarization family of grade j; the contraction kills it
     # when its rows lie in the row space of M
     M = ExactMatrix.from_rows(polarization_family(n, m, j, True, index), cols)
-    Ct = _stack_vertically([X.transpose() for X in raising[j]])  # C^T
+    Ct = _stack_vertically([X.transpose() for X in raising])  # C^T
     mult_rank = rank(M)
     hook_dim = cols - mult_rank
     hook_ok = rank(_stack_vertically([M, Ct.transpose()])) == mult_rank
 
     # adjoint composition on the symmetric (polarization) basis
     S = ExactMatrix.from_rows(polarization_family(n, m, j, False, index), cols)
-    back = S * Ct * _stack_vertically(lowering[j + 1]).transpose()
+    back = S * Ct * _stack_vertically(lowering).transpose()
     col, first = next(iter(S.sparse_rows()[0].items()))
     scalar = back.at(0, col) / first
     iso_ok = scalar.is_real() and scalar.re > 0 and back == S.scale(scalar)
@@ -378,17 +366,30 @@ def riemann_split_report(ctx: RepContext) -> dict:
 def lemma_battery(n: int, m: int) -> list[dict]:
     """All structure checks for one (n, m): grading, dual symmetry,
     symmetric forcing for every grade, contraction isometry for every
-    applicable grade.  Rejects n < 1 or m < 1 as ``RepContext`` does."""
+    applicable grade.  Rejects n < 1 or m < 1 as ``RepContext`` does.
+
+    The operator table is built once and passed to the checks.  If an
+    image leaves its adjacent grade, the battery is one failing
+    ``operator-grading`` entry per grade 1 <= k < m (one with no grade
+    when m = 1) and nothing else.
+    """
     RepContext(n, m)
-    entries = list(check_operator_grading(n, m))
-    entries.append(check_dual_symmetry(n, m))
+    try:
+        raising, lowering, dual_top = graded_operators(n, m)
+    except ValueError:
+        return [
+            check_entry("operator-grading", False, "image escaped the adjacent grades", j=k)
+            for k in range(1, m) or (None,)
+        ]
+    entries = _operator_grading(n, m, raising, lowering)
+    entries.append(_dual_symmetry(n, m, dual_top))
     for j in range(1, m + 1):
-        entries.extend(check_symmetric_forcing(n, m, j))
+        entries.extend(_symmetric_forcing(n, m, j, lowering[j]))
     if m == 1:
         entries.append(
             check_entry("contraction-isometry", None, "no grade with 1 <= j < m", j=None)
         )
     else:
         for j in range(1, m):
-            entries.append(check_contraction_isometry(n, m, j))
+            entries.append(_contraction_isometry(n, m, j, raising[j], lowering[j + 1]))
     return entries

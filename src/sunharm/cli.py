@@ -89,9 +89,7 @@ def _render_case(case: dict, out) -> None:
             f" conjugate-linear {r['conjugate_linear_dim']}",
             file=out,
         )
-    for chk in case.get("checks", []):
-        print(f"  [{chk['status'].upper():7s}] {chk['name']}: {chk['details']}", file=out)
-    for chk in case.get("lemmas", []):
+    for chk in case["checks"] + case["lemmas"]:
         j = chk.get("j")
         jtext = "" if j is None else f" (j={j})"
         print(

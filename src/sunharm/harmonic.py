@@ -398,7 +398,8 @@ def intertwines(ctx: RepContext, rows: Sequence[Row], X: ExactMatrix, chi) -> bo
     an (n+1) x (n+1) block-diagonal matrix.
     """
     n, d = ctx.n, ctx.dim_w
-    if X.rows != n + 1 or any(X.at(i, n) or X.at(n, i) for i in range(n)):
+    square = X.rows == X.cols == n + 1
+    if not square or any(X.at(i, n) or X.at(n, i) for i in range(n)):
         raise ValueError("X is not a block-diagonal element diag(B, c) of k_C")
     # An entry x at column j = q d + s (tangent W_q, monomial s) adds x y at
     # j + offset for each (offset, y) in img[s], the image of the monomial

@@ -122,14 +122,6 @@ def lemmas_case(n: int, m: int) -> dict:
     )
 
 
-_KIND_ORDER = {"verify-primal": 0, "verify-dual": 1, "lemmas": 2}
-
-
-def _case_key(spec: tuple) -> tuple:
-    kind, n, m = spec
-    return (n, m, _KIND_ORDER[kind])
-
-
 def _run_spec(spec: tuple) -> dict:
     kind, n, m = spec
     if kind == "verify-primal":
@@ -149,6 +141,7 @@ def sweep_specs(n_max: int | None, m_max: int | None) -> list[tuple]:
     Riemann-surface entries (primal n = 1, m in {2, 4}, which
     ``verify_case`` reports as the split) ride along when m_max allows.
     Every (n, m) contributes a primal case, a dual case and the structure
+    battery.  The list is in (n, m) order, and per (n, m) primal, dual,
     battery.
     """
     defaulted = n_max is None and m_max is None
@@ -163,15 +156,10 @@ def sweep_specs(n_max: int | None, m_max: int | None) -> list[tuple]:
             raise ValueError("sweep bounds must cover at least the case (2, 1)")
         grid = [(n, m) for n in range(2, n_max + 1) for m in range(1, m_max + 1)]
         mm = m_max
-    specs: list[tuple] = []
+    specs = [("verify-primal", 1, m) for m in (2, 4) if m <= mm]
     for n, m in grid:
-        specs.append(("verify-primal", n, m))
-        specs.append(("verify-dual", n, m))
-        specs.append(("lemmas", n, m))
-    for m in (2, 4):
-        if m <= mm:
-            specs.append(("verify-primal", 1, m))
-    return sorted(specs, key=_case_key)
+        specs += [("verify-primal", n, m), ("verify-dual", n, m), ("lemmas", n, m)]
+    return specs
 
 
 def worker_count(jobs: int, n_cases: int) -> int:
@@ -230,9 +218,7 @@ def make_document(command: str, config: dict, cases: list[dict]) -> dict:
         if case.get("status") == "incomplete":
             incomplete += 1
             continue
-        for c in case.get("checks", []):
-            counts[c["status"]] = counts.get(c["status"], 0) + 1
-        for c in case.get("lemmas", []):
+        for c in case["checks"] + case["lemmas"]:
             counts[c["status"]] = counts.get(c["status"], 0) + 1
     doc = {
         "tool": "sunharm",

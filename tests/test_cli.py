@@ -154,6 +154,18 @@ def test_sweep_default_budget():
     assert cases == {(n, m) for n in (2, 3) for m in (1, 2, 3, 4)} | {(4, 1), (4, 2)}
 
 
+@pytest.mark.parametrize(
+    "bounds", [(None, None), (2, 1), (2, 2), (3, 4), (4, 3), (None, 1), (5, None)]
+)
+def test_sweep_specs_come_in_case_order(bounds):
+    # (n, m), then primal before dual before the battery: the order of a
+    # sweep's report, whatever the bounds
+    kinds = ("verify-primal", "verify-dual", "lemmas")
+    specs = sweep_specs(*bounds)
+    assert len(set(specs)) == len(specs)
+    assert specs == sorted(specs, key=lambda s: (s[1], s[2], kinds.index(s[0])))
+
+
 def test_sweep_bounds_validated(capsys):
     assert main(["sweep", "--n-max", "1"]) == 2
     assert "at least the case (2, 1)" in capsys.readouterr().err
@@ -269,3 +281,30 @@ def test_exit_code_logic():
     assert exit_code_for(bad) == 1
     partial = make_document("sweep", {}, [{"status": "incomplete", "checks": [], "lemmas": []}])
     assert exit_code_for(partial) == 1
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_battery_fails_when_images_leave_their_grade(monkeypatch, capsys, m):
+    """With every tangent image pushed one grade further from its source,
+    the battery is one failing operator-grading entry per grade 1 <= k < m
+    (one with no grade at m = 1) and nothing else, and ``sunharm lemmas``
+    reports the failure with exit 1 instead of stopping with exit 2."""
+    import sunharm.checks as checks
+
+    real = checks._tangent_action
+
+    def pushed(n, p, dual):
+        image, s = real(n, p, dual), 1 if p < n else -1
+        return lambda alpha: {
+            (b[0] + s,) + b[1:-1] + (b[-1] - s,): c for b, c in image(alpha).items()
+        }
+
+    monkeypatch.setattr(checks, "_tangent_action", pushed)
+    entries = lemma_battery(2, m)
+    grades = list(range(1, m)) or [None]
+    assert [(e["name"], e["j"], e["status"]) for e in entries] == [
+        ("operator-grading", k, "fail") for k in grades
+    ]
+    assert {e["details"] for e in entries} == {"image escaped the adjacent grades"}
+    assert main(["lemmas", "--n", "2", "--m", str(m)]) == 1
+    assert "[FAIL   ] operator-grading" in capsys.readouterr().out

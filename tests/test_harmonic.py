@@ -37,11 +37,12 @@ from sunharm.harmonic import (
     values_to_vector,
 )
 from sunharm.checks import (
+    _contraction_isometry,
+    _dual_symmetry,
+    _operator_grading,
     _relation_subspace_entry,
-    check_contraction_isometry,
-    check_dual_symmetry,
-    check_operator_grading,
-    check_symmetric_forcing,
+    _symmetric_forcing,
+    graded_operators,
     lemma_battery,
     riemann_split_report,
 )
@@ -767,9 +768,14 @@ def test_row_form_agrees_with_matrix_form(n, m, dual):
 @pytest.mark.parametrize("dual", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_row_form_rejects_elements_outside_k_c(n, dual):
+    # a tangent of each half, a generator of the next n, and matrices with
+    # n + 1 rows but n or 2(n + 1) columns, zero off the diagonal blocks
     ctx = RepContext(n, 2, dual)
     rows = polarization_rows(ctx)
-    for X in (xi_plus(e_vec(0, n)), xi_minus(e_vec(n - 1, n)), k_generators(n + 1)[0]):
+    narrow = ExactMatrix.from_rows([{0: gq(1)}] + [{}] * n, n)
+    wide = ExactMatrix.from_rows([{2 * n + 1: gq(1)}] + [{}] * n, 2 * n + 2)
+    outside = (xi_plus(e_vec(0, n)), xi_minus(e_vec(n - 1, n)), k_generators(n + 1)[0])
+    for X in (*outside, narrow, wide):
         with pytest.raises(ValueError):
             intertwines(ctx, rows, X, 0)
 
@@ -906,7 +912,7 @@ def test_classify_fails_on_riemann_case():
 
 
 def hook_cocycle(ctx):
-    """The hook witness of ``check_symmetric_forcing`` at j = m,
+    """The hook witness of the symmetric-forcing check at j = m,
     eps_2 (x) e1^m - eps_1 (x) e1^(m-1) e2, as a one-sided, top-graded
     cocycle: its minus values on the primal side, plus values on the dual."""
     n, m = ctx.n, ctx.m
@@ -982,30 +988,43 @@ def test_polarization_blocks_are_the_tangent_values_of_p(n, m, dual):
 
 
 # -- structure batteries ------------------------------------------------------
+#
+# The checks are private to ``checks``: ``lemma_battery`` builds the operator
+# table once and passes each check its operators.  The tests below do the
+# same, and pass a doctored table where they need one.
+
+
+def forcing(n, m, j, table=None):
+    """The symmetric-forcing and hook entries at grade j."""
+    lowering = (table or graded_operators(n, m))[1]
+    return _symmetric_forcing(n, m, j, lowering[j])
+
+
+def contraction(n, m, j, table=None):
+    """The contraction-isometry entry at grade j."""
+    raising, lowering, _ = table or graded_operators(n, m)
+    return _contraction_isometry(n, m, j, raising[j], lowering[j + 1])
+
+
+def dual_symmetry(n, m):
+    return _dual_symmetry(n, m, graded_operators(n, m)[2])
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 2)])
 def test_operator_grading_battery(n, m):
-    entries = check_operator_grading(n, m)
+    entries = _operator_grading(n, m, *graded_operators(n, m)[:2])
     assert all(e["status"] == "pass" for e in entries)
     ks = [e["j"] for e in entries if e["name"] == "operator-grading"]
     assert ks == list(range(1, m))
 
 
-def test_operator_grading_flags_dependent_restrictions(monkeypatch):
+def test_operator_grading_flags_dependent_restrictions():
     # make rho(xi+(e_2))|_1 twice rho(xi+(e_1))|_1: the family [M, 2M] is
     # dependent, so rho(xi+(v))|_1 vanishes for v = (2, -1)
-    import sunharm.checks as checks
-
-    real = checks.graded_operators
-
-    def doubled(n, m):
-        raising, lowering = real(n, m)
-        first = raising[1][0]
-        return {**raising, 1: (first, first.scale(2))}, lowering
-
-    monkeypatch.setattr(checks, "graded_operators", doubled)
-    entry = check_operator_grading(2, 2)[0]
+    raising, lowering, _ = graded_operators(2, 2)
+    first = raising[1][0]
+    doubled = {**raising, 1: (first, first.scale(2))}
+    entry = _operator_grading(2, 2, doubled, lowering)[0]
     assert (entry["name"], entry["j"], entry["status"]) == ("operator-grading", 1, "fail")
     assert entry["details"] == "restriction vanished for a nonzero direction"
 
@@ -1017,7 +1036,7 @@ def test_operator_grading_reports_an_escaped_image(monkeypatch):
         raise ValueError("image monomial outside the target basis")
 
     monkeypatch.setattr(checks, "graded_operators", escaped)
-    entries = [e for e in check_operator_grading(3, 4) if e["name"] == "operator-grading"]
+    entries = lemma_battery(3, 4)
     assert [e["j"] for e in entries] == [1, 2, 3]
     for e in entries:
         assert e["status"] == "fail"
@@ -1032,9 +1051,9 @@ def test_extreme_linearity_fails_with_the_halves_swapped(monkeypatch):
     def swapped(n, p, dual):  # Z_a reads as Zbar_a and Zbar_a as Z_a
         return real(n, (p + n) % (2 * n), dual)
 
+    raising, lowering, _ = graded_operators(2, 3)  # built first, with the true images
     monkeypatch.setattr(checks, "_tangent_action", swapped)
-    checks.graded_operators.cache_clear()
-    entry = check_operator_grading(2, 3)[-1]
+    entry = _operator_grading(2, 3, raising, lowering)[-1]
     assert (entry["name"], entry["status"]) == ("extreme-linearity", "fail")
 
 
@@ -1052,7 +1071,7 @@ def test_raising_annihilates_top_grade():
     [(2, 1, 3), (3, 1, 6), (2, 2, 4)],
 )
 def test_dual_symmetry_dimensions(n, m, expected):
-    entry = check_dual_symmetry(n, m)
+    entry = dual_symmetry(n, m)
     assert entry["status"] == "pass"
     assert entry["dimension"] == expected == math.comb(n + m, m + 1)
 
@@ -1062,7 +1081,7 @@ def test_dual_symmetry_dimensions(n, m, expected):
     [(2, 2, 1, 3), (2, 2, 2, 4), (3, 2, 1, math.comb(4, 2))],
 )
 def test_symmetric_forcing_dimensions(n, m, j, expected):
-    entries = check_symmetric_forcing(n, m, j)
+    entries = forcing(n, m, j)
     by_name = {e["name"]: e for e in entries}
     assert by_name["symmetric-forcing"]["status"] == "pass"
     assert by_name["symmetric-forcing"]["dimension"] == expected
@@ -1097,11 +1116,11 @@ def test_witnesses_agree_with_the_tensor_reference(monkeypatch, n, m):
 
         return recorded
 
-    checks.graded_operators(n, m)  # built first, so the spy sees only the witnesses
+    table = graded_operators(n, m)  # built first, so the spy sees only the witnesses
     monkeypatch.setattr(checks, "_tangent_action", spy)
     up, down = xi_plus(e_vec(0, n)), xi_minus(e_vec(0, n))
     for j in range(1, m + 1):
-        hook = check_symmetric_forcing(n, m, j)[-1]
+        hook = forcing(n, m, j, table)[-1]
         assert (hook["name"], hook["status"]) == ("hook-counterexample", "pass")
         w1 = -SymTensor.monomial((j - 1, 1) + (0,) * (n - 2) + (m - j,))
         w2 = SymTensor.monomial((j,) + (0,) * (n - 1) + (m - j,))
@@ -1109,7 +1128,7 @@ def test_witnesses_agree_with_the_tensor_reference(monkeypatch, n, m):
         assert rho_apply(xi_minus(e_vec(1, n)), w1) == SymTensor.monomial(target, -1)
         assert rho_apply(down, w2) == SymTensor.monomial(target, j)
         if j < m:
-            assert check_contraction_isometry(n, m, j)["status"] == "pass"
+            assert contraction(n, m, j, table)["status"] == "pass"
             pin = SymTensor.monomial((j,) + (0,) * (n - 1) + (m - j,))
             assert rho_apply(up, pin) == SymTensor.monomial(
                 (j + 1,) + (0,) * (n - 1) + (m - j - 1,), m - j
@@ -1133,14 +1152,14 @@ def test_witnesses_fail_on_doubled_images(monkeypatch):
         return lambda alpha: {b: c + c for b, c in image(alpha).items()}
 
     for n, m in [(2, 3), (3, 4)]:
-        checks.graded_operators(n, m)  # the cached operators keep the true images
+        table = graded_operators(n, m)  # built first, so it keeps the true images
         with monkeypatch.context() as patch:
             patch.setattr(checks, "_tangent_action", doubled)
             for j in range(1, m + 1):
-                hook = check_symmetric_forcing(n, m, j)[-1]
+                hook = forcing(n, m, j, table)[-1]
                 assert (hook["name"], hook["status"]) == ("hook-counterexample", "fail")
             for j in range(1, m):
-                entry = check_contraction_isometry(n, m, j)
+                entry = contraction(n, m, j, table)
                 assert entry["status"] == "fail"
                 assert entry["details"].endswith("pinned value: False")
 
@@ -1164,7 +1183,7 @@ def test_hook_counterexample_sides(j):
 
 @pytest.mark.parametrize("n,m,j", [(2, 2, 1), (2, 3, 1), (2, 3, 2), (3, 3, 2)])
 def test_contraction_isometry(n, m, j):
-    entry = check_contraction_isometry(n, m, j)
+    entry = contraction(n, m, j)
     assert entry["status"] == "pass", entry["details"]
 
 
@@ -1198,8 +1217,9 @@ def test_hook_certificate_matches_elimination_reference(n):
     """rank([mult; contraction]) = rank(mult) gives the hook dimension and
     verdict that applying the contraction to a hook kernel basis gives."""
     for m in range(2, 6):
+        table = graded_operators(n, m)
         for j in range(1, m):
-            entry = check_contraction_isometry(n, m, j)
+            entry = contraction(n, m, j, table)
             hook_dim, killed = elimination_contraction_hook(n, m, j)
             assert entry["hook_dim"] == hook_dim, (m, j)
             assert f"annihilated: {killed};" in entry["details"], (m, j)
@@ -1236,7 +1256,7 @@ def test_hook_certificate_fails_on_a_perturbed_multiplication_row(monkeypatch, n
         return family
 
     monkeypatch.setattr(checks, "polarization_family", perturbed)
-    entry = check_contraction_isometry(n, m, j)
+    entry = contraction(n, m, j)
     assert entry["status"] == "fail"
     assert "annihilated: False;" in entry["details"]
     assert entry["details"].endswith(": True; pinned value: True")
@@ -1247,8 +1267,9 @@ def test_isometry_identity_matches_tensor_reference(n):
     """S C^T L^T = scalar S gives the scalar and verdict that applying the
     contraction and its adjoint to each polarization gives."""
     for m in range(2, 6):
+        table = graded_operators(n, m)
         for j in range(1, m):
-            entry = check_contraction_isometry(n, m, j)
+            entry = contraction(n, m, j, table)
             scalar, ok = tensor_contraction_isometry(n, m, j)
             assert entry["scalar"] == str(scalar), (m, j)
             assert f"adjoint composition scalar {scalar}: {ok};" in entry["details"], (m, j)
@@ -1260,19 +1281,15 @@ def test_lemma_certificates_solve_for_no_kernel():
 
     assert not hasattr(checks, "kernel_basis")
     assert not hasattr(checks, "same_span")
-    entries = [
-        *check_symmetric_forcing(3, 3, 2),
-        check_dual_symmetry(3, 2),
-        check_contraction_isometry(3, 3, 2),
-    ]
+    entries = [*forcing(3, 3, 2), dual_symmetry(3, 2), contraction(3, 3, 2)]
     assert all(e["status"] == "pass" for e in entries)
     for ctx in (RepContext(1, 4), RepContext(1, 3, dual=True)):
         assert riemann_split_report(ctx)["split"], ctx
 
 
 RELATION_CHECKS = {
-    "symmetric-forcing": lambda: check_symmetric_forcing(3, 3, 2)[0],
-    "dual-symmetry": lambda: check_dual_symmetry(3, 2),
+    "symmetric-forcing": lambda: forcing(3, 3, 2)[0],
+    "dual-symmetry": lambda: dual_symmetry(3, 2),
 }
 
 
@@ -1360,29 +1377,21 @@ def test_relation_certificate_fails_on_a_dropped_relation_row(monkeypatch, name)
     assert entry["status"] == "fail"
 
 
-def _double_block(monkeypatch, which: int):
-    """Route checks.graded_operators through a table in which block 1 of
-    every raising (which 0) or lowering (which 1) entry is doubled."""
-    import sunharm.checks as checks
-
-    real = checks.graded_operators
-
-    def doubled(n, m):
-        table = list(real(n, m))
-        table[which] = {
-            k: (ops[0], ops[1].scale(2), *ops[2:]) for k, ops in table[which].items()
-        }
-        return tuple(table)
-
-    monkeypatch.setattr(checks, "graded_operators", doubled)
+def _double_block(n: int, m: int, which: int) -> tuple:
+    """The operator table of (n, m) with block 1 of every raising (which 0)
+    or lowering (which 1) entry doubled."""
+    table = list(graded_operators(n, m))
+    table[which] = {
+        k: (ops[0], ops[1].scale(2), *ops[2:]) for k, ops in table[which].items()
+    }
+    return tuple(table)
 
 
-def test_hook_certificate_fails_off_the_multiplication_row_space(monkeypatch):
+def test_hook_certificate_fails_off_the_multiplication_row_space():
     # double the block of xi+(e_2) in the contraction's matrix: its rows leave
     # the row space of the multiplication map, so it no longer kills the hook
-    _double_block(monkeypatch, 0)
     for m, j in [(2, 1), (3, 1), (3, 2)]:
-        entry = check_contraction_isometry(2, m, j)
+        entry = contraction(2, m, j, _double_block(2, m, 0))
         assert entry["hook_dim"] == elimination_contraction_hook(2, m, j)[0]
         assert entry["status"] == "fail"
         assert "annihilated: False;" in entry["details"]
@@ -1390,13 +1399,12 @@ def test_hook_certificate_fails_off_the_multiplication_row_space(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_isometry_fails_on_a_doubled_lowering_block(monkeypatch, n):
+def test_isometry_fails_on_a_doubled_lowering_block(n):
     # double rho(xi-(e_2)) from grade j+1: the adjoint composition sends the
     # polarizations to no single multiple of themselves, while the hook part
     # and the pinned value, which do not read the lowering, still hold
-    _double_block(monkeypatch, 1)
     for m, j in [(2, 1), (3, 1), (3, 2)]:
-        entry = check_contraction_isometry(n, m, j)
+        entry = contraction(n, m, j, _double_block(n, m, 1))
         assert entry["status"] == "fail"
         assert "annihilated: True;" in entry["details"]
         assert ": False; pinned value: True" in entry["details"]
@@ -1451,7 +1459,6 @@ def test_tangent_actions_are_built_once_per_side(monkeypatch):
         if getattr(mod, "_action", None) is real:
             monkeypatch.setattr(mod, "_action", spy)
     harmonic._tangent_action.cache_clear()
-    checks.graded_operators.cache_clear()
     assert all_passed(verify.verify_case(n, 3)["checks"])
     assert all_passed(verify.verify_case(n, 3, True)["checks"])
     assert all(e["status"] == "pass" for e in lemma_battery(n, 3))
@@ -1488,7 +1495,6 @@ def test_battery_builds_each_graded_operator_once(monkeypatch):
         calls.append(args)
         return real(*args)
 
-    checks.graded_operators.cache_clear()
     monkeypatch.setattr(checks, "_map_matrix", spy)
     entries = lemma_battery(3, 4)
     assert all(e["status"] == "pass" for e in entries)
@@ -1496,9 +1502,9 @@ def test_battery_builds_each_graded_operator_once(monkeypatch):
 
 
 def test_isometry_applies_rho_only_to_the_pinned_witness(monkeypatch):
-    # the adjoint composition is one matrix identity: past the cached
-    # operator table, the check reads one tangent action, the pinned
-    # value's rho(xi+(e_1))
+    # the adjoint composition is one matrix identity: past the operator
+    # table, the check reads one tangent action, the pinned value's
+    # rho(xi+(e_1))
     import sunharm.checks as checks
 
     real = checks._tangent_action
@@ -1509,9 +1515,9 @@ def test_isometry_applies_rho_only_to_the_pinned_witness(monkeypatch):
         return real(n, p, dual)
 
     n = 3
-    checks.graded_operators(n, 4)
+    table = graded_operators(n, 4)
     monkeypatch.setattr(checks, "_tangent_action", spy)
-    assert check_contraction_isometry(n, 4, 2)["status"] == "pass"
+    assert contraction(n, 4, 2, table)["status"] == "pass"
     assert built == [(xi_plus(e_vec(0, n)), False)]
 
 

@@ -29,7 +29,10 @@ PYPROJECT = ROOT / "pyproject.toml"
 #: and ``rho_apply`` left too, for the coefficient map; under ``checks`` are
 #: the tensor names it imported for its two witnesses, and the names it built
 #: tangents with before it read ``harmonic._tangent_action``: ``e_vec``,
-#: ``xi_plus`` and ``xi_minus`` stay exported from ``sun1``.
+#: ``xi_plus`` and ``xi_minus`` stay exported from ``sun1``.  The four
+#: per-lemma checks left the package root too: ``lemma_battery``, which
+#: validates the case and builds their operators, is their one entry point,
+#: and the operator table it builds has no cache (``lru_cache``).
 GONE = {
     "sun1": (
         "is_unitary", "embed_k", "adjoint_on_p_plus", "canonical_weight",
@@ -53,6 +56,8 @@ GONE = {
     "checks": (
         "part_sub_basis", "split_halves", "SymTensor", "rho_apply", "_action",
         "xi_plus", "xi_minus", "e_vec", "rho_matrix_restricted",
+        "check_operator_grading", "check_dual_symmetry", "check_symmetric_forcing",
+        "check_contraction_isometry", "lru_cache",
     ),
     "linalg": ("det", "dump_text", "rref", "rank_of_rows", "_sparse_rows", "_entry"),
     "exactfield": ("dump_entry", "Rational", "_BACKEND"),

@@ -225,11 +225,16 @@ def test_rho_matrix_matches_derivation_reference(n, m):
 
 
 def test_rho_matrix_rejects_size_mismatch():
-    # a 3 x 3 matrix (n = 2) against monomials in four variables, and back
+    # a 3 x 3 matrix (n = 2) against monomials in four variables, and back;
+    # then 3 x 2 and 3 x 6 matrices, whose row count matches n = 2
     with pytest.raises(ValueError, match="does not match"):
         rho_matrix(xi_plus(e_vec(0, 2)), 3, 2)
     with pytest.raises(ValueError, match="does not match"):
         rho_matrix(xi_plus(e_vec(0, 3)), 2, 2)
+    for cols in (2, 6):
+        X = ExactMatrix.from_rows([{cols - 1: ONE}, {}, {}], cols)
+        with pytest.raises(ValueError, match="does not match"):
+            rho_matrix(X, 2, 2)
 
 
 def test_map_matrix_rejects_image_outside_target():
