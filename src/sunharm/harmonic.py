@@ -3,13 +3,13 @@
 A cocycle is a real-linear map from the tangent part p of su(n,1) into the
 representation space W (a symmetric power or its dual).  It extends
 complex-linearly to p (x) C and is stored by its values on the 2n complex
-tangents, the (1,0)/(0,1) split of p
+tangents, the (1,0)/(0,1) split of p, in tangent order p = 0..2n-1
 
-    Z_0..Z_{n-1}        = xi_plus(e_1)..xi_plus(e_n)    (``plus_values``)
-    Zbar_0..Zbar_{n-1}  = xi_minus(e_1)..xi_minus(e_n)  (``minus_values``)
+    Z_0..Z_{n-1}        = xi_plus(e_1)..xi_plus(e_n)    (``values[:n]``)
+    Zbar_0..Zbar_{n-1}  = xi_minus(e_1)..xi_minus(e_n)  (``values[n:]``)
 
-so a is complex-linear exactly when its minus values vanish and
-conjugate-linear exactly when its plus values do.  The real tangents are
+so a is complex-linear exactly when its Zbar values vanish and
+conjugate-linear exactly when its Z values do.  The real tangents are
 xi(e_j) = Z_j + Zbar_j and xi(i e_j) = i (Z_j - Zbar_j).  Each value is a
 coefficient map {multi-index: nonzero coefficient}, the package's one form
 of a vector of W.
@@ -100,20 +100,21 @@ def _tangent_action(n: int, p: int, dual: bool):
 
 class Cocycle:
     """A real-linear map p -> W stored by its values on the 2n complex
-    tangents: a(Z_j) in ``plus_values``, a(Zbar_j) in ``minus_values``.
+    tangents in tangent order: ``values[p]`` is a(Z_p) for p < n and
+    a(Zbar_{p-n}) for p >= n.
     Each value is a coefficient map {multi-index: nonzero GaussianRational}
     over the degree-m multi-indices in n + 1 variables, on the monomial
     basis (the dual monomial basis on the dual side); the zero value is {}.
     Equal by its fields; mutable, so unhashable."""
 
-    __slots__ = ("ctx", "plus_values", "minus_values")
+    __slots__ = ("ctx", "values")
 
-    def __init__(self, ctx: RepContext, plus_values: list, minus_values: list):
-        self.ctx, self.plus_values, self.minus_values = ctx, plus_values, minus_values
-        if len(plus_values) != ctx.n or len(minus_values) != ctx.n:
-            raise ValueError("a cocycle needs n plus values and n minus values")
+    def __init__(self, ctx: RepContext, values: list):
+        self.ctx, self.values = ctx, values
+        if len(values) != 2 * ctx.n:
+            raise ValueError("a cocycle needs 2n values, one per complex tangent")
         index = ctx.basis_index()
-        for w in (*plus_values, *minus_values):
+        for w in values:
             if not isinstance(w, dict):
                 raise TypeError("a cocycle value is a coefficient map")
             for alpha, c in w.items():
@@ -127,26 +128,17 @@ class Cocycle:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.ctx, self.plus_values, self.minus_values) == (
-            other.ctx, other.plus_values, other.minus_values
-        )
+        return (self.ctx, self.values) == (other.ctx, other.values)
 
     def __repr__(self):
-        return "Cocycle(ctx={!r}, plus_values={!r}, minus_values={!r})".format(
-            self.ctx, self.plus_values, self.minus_values
-        )
+        return f"Cocycle(ctx={self.ctx!r}, values={self.values!r})"
 
     @classmethod
     def zero(cls, ctx: RepContext) -> "Cocycle":
-        return cls(ctx, [{} for _ in range(ctx.n)], [{} for _ in range(ctx.n)])
-
-    def value(self, p: int):
-        """Value on the p-th complex tangent."""
-        n = self.ctx.n
-        return self.plus_values[p] if p < n else self.minus_values[p - n]
+        return cls(ctx, [{} for _ in range(2 * ctx.n)])
 
     def is_zero(self) -> bool:
-        return not any(self.plus_values) and not any(self.minus_values)
+        return not any(self.values)
 
 
 def _operators_vanish(a: Cocycle) -> bool:
@@ -162,8 +154,7 @@ def _operators_vanish(a: Cocycle) -> bool:
     n, dual = a.ctx.n, a.ctx.dual
     nb = 2 * n
     images = {}
-    for q in range(nb):
-        w = a.value(q)
+    for q, w in enumerate(a.values):
         if w:
             for p in range(nb):
                 if p != q:
@@ -253,12 +244,11 @@ def values_from_vector(basis: Sequence, vec: Row, blocks: int) -> list[dict]:
 
 
 def cocycle_to_vector(a: Cocycle) -> Row:
-    return values_to_vector(a.plus_values + a.minus_values, a.ctx.basis_index())
+    return values_to_vector(a.values, a.ctx.basis_index())
 
 
 def cocycle_from_vector(ctx: RepContext, vec: Row) -> Cocycle:
-    values = values_from_vector(ctx.basis(), vec, 2 * ctx.n)
-    return Cocycle(ctx, values[: ctx.n], values[ctx.n :])
+    return Cocycle(ctx, values_from_vector(ctx.basis(), vec, 2 * ctx.n))
 
 
 def harmonic_kernel(ctx: RepContext) -> list[Cocycle]:
@@ -307,8 +297,11 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dic
     dual), support in the top grade, membership in the symmetric component
     (rank([P; K]) = rank(P) on the polarization rows P and the kernel rows
     K), and the dimension count.
-    Returns the flags and the check entries.
+    Returns the flags and the check entries.  Raises ``ValueError`` when a
+    kernel element belongs to another case.
     """
+    if any(a.ctx != ctx for a in kernel):
+        raise ValueError(f"a kernel element is not a cocycle of {ctx!r}")
     m = ctx.m
     flags = {}
     linear_key = "complex_linear" if ctx.dual else "conjugate_linear"
@@ -320,9 +313,8 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dic
     ]
 
     # the opposite linearity half must be empty
-    lin_ok = not any(
-        w for a in kernel for w in (a.minus_values if ctx.dual else a.plus_values)
-    )
+    half = slice(ctx.n, None) if ctx.dual else slice(ctx.n)
+    lin_ok = not any(w for a in kernel for w in a.values[half])
     flags[linear_key] = lin_ok
     checks.append(
         check_entry(
@@ -333,12 +325,7 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dic
     )
 
     # grade m is last exponent 0
-    top_ok = all(
-        not alpha[-1]
-        for a in kernel
-        for w in (*a.plus_values, *a.minus_values)
-        for alpha in w
-    )
+    top_ok = all(not alpha[-1] for a in kernel for w in a.values for alpha in w)
     flags["top_graded"] = top_ok
     checks.append(check_entry("top-graded", top_ok, f"values supported in grade {m} only"))
 
@@ -395,12 +382,14 @@ def intertwines(ctx: RepContext, rows: Sequence[Row], X: ExactMatrix, chi) -> bo
     Chevalley generator E_ab, a multiple of P(sigma) for a diagonal X.  Both
     sides are summed column by column on the components, with no rho(X)
     matrix and no matrix product built.  Raises ``ValueError`` unless X is
-    an (n+1) x (n+1) block-diagonal matrix.
+    an (n+1) x (n+1) block-diagonal matrix and P has C(n+m, m+1) rows.
     """
     n, d = ctx.n, ctx.dim_w
     square = X.rows == X.cols == n + 1
     if not square or any(X.at(i, n) or X.at(n, i) for i in range(n)):
         raise ValueError("X is not a block-diagonal element diag(B, c) of k_C")
+    if len(rows) != ctx.expected_kernel_dim:
+        raise ValueError(f"P needs {ctx.expected_kernel_dim} rows, not {len(rows)}")
     # An entry x at column j = q d + s (tangent W_q, monomial s) adds x y at
     # j + offset for each (offset, y) in img[s], the image of the monomial
     # (``symrep._action``), and in into[q]: -R_pq at (p - q) d, where

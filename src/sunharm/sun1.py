@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .exactfield import GaussianRational, ONE, ZERO, gq
-from .linalg import ExactMatrix, sparse_vector
+from .linalg import ExactMatrix
 
 Vector = list[GaussianRational]
 
@@ -43,9 +43,8 @@ def e_vec(j: int, n: int) -> Vector:
 def _p_element(v: Sequence, upper: bool, lower: bool) -> ExactMatrix:
     """The corner blocks of [[0, v], [v*, 0]] that are asked for, built from
     the nonzero components of v only."""
-    v = [gq(x) for x in v]
     n = len(v)
-    nz = sparse_vector(v)
+    nz = {j: z for j, z in enumerate(map(gq, v)) if z}
     rows = [{n: nz[j]} if upper and j in nz else {} for j in range(n)]
     rows.append({j: x.conjugate() for j, x in nz.items()} if lower else {})
     return ExactMatrix.from_rows(rows, n + 1)

@@ -53,14 +53,10 @@ def random_value(rng: random.Random, ctx: RepContext, grade: int | None = None):
 
 
 def random_cocycle(rng: random.Random, ctx: RepContext, grade: int | None = None):
-    return Cocycle(
-        ctx,
-        [random_value(rng, ctx, grade).coeffs for _ in range(ctx.n)],
-        [random_value(rng, ctx, grade).coeffs for _ in range(ctx.n)],
-    )
+    return Cocycle(ctx, [random_value(rng, ctx, grade).coeffs for _ in range(2 * ctx.n)])
 
 
 def conjugate_linear_cocycle(rng: random.Random, ctx: RepContext, grade: int | None = None):
     """A cocycle with vanishing complex-linear part: a(Z_j) = 0."""
     minus = [random_value(rng, ctx, grade).coeffs for _ in range(ctx.n)]
-    return Cocycle(ctx, [{} for _ in range(ctx.n)], minus)
+    return Cocycle(ctx, [{} for _ in range(ctx.n)] + minus)

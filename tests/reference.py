@@ -733,12 +733,13 @@ def tensor(ctx: RepContext, w: dict) -> _CoeffPoly:
 
 def tensor_values(a: Cocycle) -> list[_CoeffPoly]:
     """The 2n values of a as tensors, in tangent order: Z_j, then Zbar_j."""
-    return [tensor(a.ctx, w) for w in a.plus_values + a.minus_values]
+    return [tensor(a.ctx, w) for w in a.values]
 
 
-def tensor_cocycle(ctx: RepContext, plus: Sequence, minus: Sequence) -> Cocycle:
-    """The cocycle with the given tensor values, read through ``coeffs``."""
-    return Cocycle(ctx, [w.coeffs for w in plus], [w.coeffs for w in minus])
+def tensor_cocycle(ctx: RepContext, values: Sequence) -> Cocycle:
+    """The cocycle with the given tensor values in tangent order, read
+    through ``coeffs``."""
+    return Cocycle(ctx, [w.coeffs for w in values])
 
 
 # -- tensor calculus, the polarization section and the two-form operators ------
@@ -798,15 +799,15 @@ def tensor_polarization_family(n: int, m: int, g: int, dual: bool, index: dict) 
 
 def tensor_polarization_cocycles(ctx: RepContext) -> list[Cocycle]:
     """The columns of P built from tensors.  Primal: conjugate-linear
-    cocycles whose minus values are the partial derivatives of a
+    cocycles whose Zbar values are the partial derivatives of a
     degree-(m+1) monomial in the first n variables.  Dual: complex-linear
-    cocycles whose plus values are the exponent shifts of a dual monomial."""
+    cocycles whose Z values are the exponent shifts of a dual monomial."""
     cls = DualSymTensor if ctx.dual else SymTensor
     out = []
     for sigma in monomials(ctx.n, ctx.m + 1):
         pol = [w.coeffs for w in polarization(cls.monomial(sigma + (0,)))]
         zero = [{} for _ in pol]
-        out.append(Cocycle(ctx, pol, zero) if ctx.dual else Cocycle(ctx, zero, pol))
+        out.append(Cocycle(ctx, pol + zero if ctx.dual else zero + pol))
     return out
 
 
@@ -1016,8 +1017,8 @@ def from_real_values(ctx, A: Sequence, B: Sequence) -> Cocycle:
     half = gq("1/2")
     return tensor_cocycle(
         ctx,
-        [(x - y.scale(I)).scale(half) for x, y in zip(A, B)],
-        [(x + y.scale(I)).scale(half) for x, y in zip(A, B)],
+        [(x - y.scale(I)).scale(half) for x, y in zip(A, B)]
+        + [(x + y.scale(I)).scale(half) for x, y in zip(A, B)],
     )
 
 

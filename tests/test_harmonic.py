@@ -102,11 +102,11 @@ from reference import (
 )
 
 
-def single_entry_cocycle(ctx, j, value, part="plus"):
-    plus = [{} for _ in range(ctx.n)]
-    minus = [{} for _ in range(ctx.n)]
-    (plus if part == "plus" else minus)[j] = value.coeffs
-    return Cocycle(ctx, plus, minus)
+def single_entry_cocycle(ctx, p, value):
+    """The cocycle with the one nonzero value ``value`` on the p-th tangent."""
+    values = [{} for _ in range(2 * ctx.n)]
+    values[p] = value.coeffs
+    return Cocycle(ctx, values)
 
 
 # -- plus / minus parts -------------------------------------------------------
@@ -117,7 +117,7 @@ def test_conjugate_linear_has_no_plus_part():
     a = conjugate_linear_cocycle(make_rng(1), ctx)
     for j in range(ctx.n):
         assert plus_part(a, e_vec(j, ctx.n)).is_zero()
-        assert minus_part(a, e_vec(j, ctx.n)) == tensor(ctx, a.minus_values[j])
+        assert minus_part(a, e_vec(j, ctx.n)) == tensor(ctx, a.values[ctx.n + j])
         # in real coordinates: B_j = -i A_j
         A, B = real_values(a)
         assert B[j] == A[j].scale(-I)
@@ -217,11 +217,7 @@ def test_coboundary_two_form_is_bracket_action(n, m):
     ctx = RepContext(n, m)
     rng = make_rng(5)
     w0 = random_value(rng, ctx)
-    a = tensor_cocycle(
-        ctx,
-        [rho_apply(_basis_tangent(n, p), w0) for p in range(n)],
-        [rho_apply(_basis_tangent(n, p), w0) for p in range(n, 2 * n)],
-    )
+    a = tensor_cocycle(ctx, [rho_apply(_basis_tangent(n, p), w0) for p in range(2 * n)])
     tf = t_op(a)
     for p in range(2 * n):
         for q in range(p + 1, 2 * n):
@@ -313,31 +309,25 @@ def test_cocycle_is_a_value_compared_by_its_fields():
     through pickle and deepcopy; a cocycle is mutable, so unhashable."""
     ctx = RepContext(2, 2, True)
     a = random_cocycle(make_rng(7), ctx)
-    b = Cocycle(ctx=ctx, plus_values=list(a.plus_values), minus_values=list(a.minus_values))
+    b = Cocycle(ctx=ctx, values=list(a.values))
     assert a == b and a != Cocycle.zero(ctx)
     assert Cocycle.zero(ctx) != Cocycle.zero(RepContext(2, 2))
     assert a.__eq__(ctx) is NotImplemented
     with pytest.raises(TypeError):
         hash(a)
     assert repr(a) == (
-        f"Cocycle(ctx=RepContext(n=2, m=2, dual=True), plus_values={a.plus_values!r},"
-        f" minus_values={a.minus_values!r})"
+        f"Cocycle(ctx=RepContext(n=2, m=2, dual=True), values={a.values!r})"
     )
-    zero = {}
-    bad = [
-        ([zero], [zero, zero], ValueError, "n plus values and n minus values"),
-        ([zero, zero], [zero], ValueError, "n plus values and n minus values"),
-    ]
-    for plus, minus, error, message in bad:
-        with pytest.raises(error, match=message):
-            Cocycle(ctx, plus, minus)
-    b.plus_values = list(b.minus_values)
+    for count in (3, 5):
+        with pytest.raises(ValueError, match="2n values"):
+            Cocycle(ctx, [{} for _ in range(count)])
+    b.values = b.values[2:] + b.values[:2]
     assert b != a
     # protocols 0 and 1 cannot pickle the slotted cocycle and scalars
     for proto in range(2, pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(a, proto)) == a
     c = copy.deepcopy(a)
-    assert c == a and c.plus_values is not a.plus_values
+    assert c == a and c.values is not a.values
 
 
 MALFORMED_VALUES = [
@@ -362,21 +352,21 @@ def test_cocycle_rejects_a_malformed_value(dual, value, error, message):
     GaussianRational are each rejected, in any slot."""
     ctx = RepContext(2, 2, dual)
     good = {(1, 1, 0): gq(1, 2)}
-    Cocycle(ctx, [good, {}], [{}, good])
+    Cocycle(ctx, [good, {}, {}, good])
     for slot in range(4):
         values = [{}, good, good, {}]
         values[slot] = value
         with pytest.raises(error, match=message):
-            Cocycle(ctx, values[:2], values[2:])
+            Cocycle(ctx, values)
 
 
 def test_cocycle_zero_is_empty_maps():
     ctx = RepContext(3, 2, True)
     zero = Cocycle.zero(ctx)
-    assert zero.plus_values == zero.minus_values == [{}, {}, {}]
+    assert zero.values == [{}, {}, {}, {}, {}, {}]
     assert zero.is_zero()
-    assert zero.plus_values[0] is not zero.plus_values[1]
-    one = Cocycle(ctx, [{}, {}, {}], [{}, {(0, 0, 2, 0): gq(1)}, {}])
+    assert len(set(map(id, zero.values))) == 6
+    one = Cocycle(ctx, [{}, {}, {}, {}, {(0, 0, 2, 0): gq(1)}, {}])
     assert not one.is_zero()
 
 
@@ -497,7 +487,7 @@ def test_kernel_values_are_coefficient_maps(n, m, dual):
     from its coordinate vector."""
     ctx = RepContext(n, m, dual)
     for a in harmonic_kernel(ctx) + polarization_cocycles(ctx):
-        for w in (*a.plus_values, *a.minus_values):
+        for w in a.values:
             assert type(w) is dict
             assert all(type(c) is GaussianRational and c for c in w.values())
         assert cocycle_from_vector(ctx, cocycle_to_vector(a)) == a
@@ -573,7 +563,7 @@ def doctored(a, existing=False):
     q = next(p for p, w in enumerate(values) if w)
     alpha = next(iter(values[q].coeffs)) if existing else (0,) * n + (m,)
     values[q] = values[q] + tensor(a.ctx, {alpha: 1})
-    return tensor_cocycle(a.ctx, values[:n], values[n:])
+    return tensor_cocycle(a.ctx, values)
 
 
 @pytest.mark.parametrize("n,m,dual", DEFAULT_VERIFY_CASES)
@@ -643,7 +633,7 @@ def test_recheck_applies_rho_to_nonzero_values_only(monkeypatch, n, m, dual):
     assert checks[0]["name"] == "operator-recheck"
     assert checks[0]["status"] == "pass"
     # (2n - 1) images per nonzero value
-    nonzero = sum(1 for a in kernel for p in range(2 * n) if a.value(p))
+    nonzero = sum(1 for a in kernel for w in a.values if w)
     assert len(calls) == (2 * n - 1) * nonzero
 
 
@@ -668,6 +658,19 @@ def test_recheck_builds_each_tangent_action_once(monkeypatch, n, m, dual):
     built.clear()
     classify(ctx, kernel)
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "own,other", [((2, 2, False), (2, 3, False)), ((2, 2, True), (2, 2, False))]
+)
+def test_classify_rejects_a_kernel_of_another_case(own, other):
+    # another (n, m), and the other side of the same (n, m)
+    ctx = RepContext(*own)
+    kernel = harmonic_kernel(ctx)
+    foreign = harmonic_kernel(RepContext(*other))
+    for family in (foreign, kernel + foreign[:1]):
+        with pytest.raises(ValueError, match="not a cocycle of"):
+            classify(ctx, family)
 
 
 @pytest.mark.parametrize("n,m,dual", [(2, 2, False), (2, 1, True), (3, 1, False)])
@@ -778,6 +781,20 @@ def test_row_form_rejects_elements_outside_k_c(n, dual):
     for X in (*outside, narrow, wide):
         with pytest.raises(ValueError):
             intertwines(ctx, rows, X, 0)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_row_form_rejects_a_p_of_the_wrong_size(dual):
+    # an empty P, P less its last row and P with its first row repeated,
+    # against every generator of k_C with the right character
+    n = 3
+    ctx = RepContext(n, 2, dual)
+    rows = polarization_rows(ctx)
+    for family in ((), rows[:-1], rows + rows[:1]):
+        for X in k_generators(n):
+            c = X.at(n, n)
+            with pytest.raises(ValueError, match="rows"):
+                intertwines(ctx, family, X, c if dual else -c)
 
 
 def test_invariance_builds_no_rho_matrix_and_no_product(monkeypatch):
@@ -914,13 +931,13 @@ def test_classify_fails_on_riemann_case():
 def hook_cocycle(ctx):
     """The hook witness of the symmetric-forcing check at j = m,
     eps_2 (x) e1^m - eps_1 (x) e1^(m-1) e2, as a one-sided, top-graded
-    cocycle: its minus values on the primal side, plus values on the dual."""
+    cocycle: its Zbar values on the primal side, Z values on the dual."""
     n, m = ctx.n, ctx.m
     form = [{} for _ in range(n)]
     form[0] = {(m - 1, 1) + (0,) * (n - 1): gq(-1)}
     form[1] = {(m,) + (0,) * n: gq(1)}
     zero = [{} for _ in range(n)]
-    return Cocycle(ctx, form, zero) if ctx.dual else Cocycle(ctx, zero, form)
+    return Cocycle(ctx, form + zero if ctx.dual else zero + form)
 
 
 def combine(ctx, coeffs, cocycles):
@@ -928,7 +945,7 @@ def combine(ctx, coeffs, cocycles):
     out = tensor_values(Cocycle.zero(ctx))
     for c, a in zip(coeffs, cocycles):
         out = [x + y.scale(c) for x, y in zip(out, tensor_values(a))]
-    return tensor_cocycle(ctx, out[: ctx.n], out[ctx.n :])
+    return tensor_cocycle(ctx, out)
 
 
 @pytest.mark.parametrize("n,m,dual", [(2, 2, False), (3, 2, False), (2, 3, True)])
@@ -982,7 +999,7 @@ def test_polarization_blocks_are_the_tangent_values_of_p(n, m, dual):
         assert (block.rows, block.cols) == (ctx.dim_w, len(pol))
         expected = [{} for _ in range(ctx.dim_w)]
         for s, a in enumerate(pol):
-            for alpha, x in a.value(p).items():
+            for alpha, x in a.values[p].items():
                 expected[index[alpha]][s] = x
         assert block.sparse_rows() == expected
 
@@ -1479,7 +1496,7 @@ def test_certifier_data_are_real():
             ctx = RepContext(n, m, dual)
             maps = assemble_system(ctx).sparse_rows() + list(polarization_rows(ctx))
             for a in harmonic_kernel(ctx):
-                maps += a.plus_values + a.minus_values
+                maps += a.values
             assert all(not x.im for r in maps for x in r.values()), (n, m, dual)
 
 
@@ -1573,7 +1590,7 @@ def test_part_sub_bases_match_dense_reference(m, dual):
     kernel = harmonic_kernel(ctx)
     ncols = system_shape(ctx)[1]
     halves = split_halves(ctx, assemble_system(ctx))
-    # the complex-linear half has vanishing minus values (plus=False)
+    # the complex-linear half has vanishing Zbar values (plus=False)
     for sub, plus in zip(halves, (False, True)):
         ref = dense_part_sub_basis(ctx, kernel, plus)
         assert sub == ref

@@ -69,7 +69,7 @@ GONE_MEMBERS = {
         "identity", "column", "copy_rows", "apply", "conj_transpose",
         "__add__", "__sub__", "__neg__",
     ),
-    sunharm.Cocycle: ("evaluate",),
+    sunharm.Cocycle: ("evaluate", "plus_values", "minus_values", "value"),
     sunharm.RepContext: ("value_class", "zero_value"),
     reference.SymTensor: ("to_vector",),
 }
