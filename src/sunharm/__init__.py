@@ -13,14 +13,7 @@ from .exactfield import BACKEND_NAME, GaussianRational, I, ONE, ZERO, gq
 from .linalg import ExactMatrix, kernel_basis, rank
 from .sun1 import e_vec, xi_minus, xi_plus
 from .symrep import RepContext, monomials, rho_matrix
-from .harmonic import (
-    Cocycle,
-    assemble_system,
-    classify,
-    harmonic_kernel,
-    kernel_is_invariant,
-    polarization_cocycles,
-)
+from .harmonic import Cocycle, assemble_system, harmonic_kernel, polarization_cocycles
 from .checks import lemma_battery, riemann_split_report
 from .verify import VERSION as __version__
 from .verify import lemmas_case, run_sweep, verify_case
@@ -35,12 +28,10 @@ __all__ = [
     "RepContext",
     "ZERO",
     "assemble_system",
-    "classify",
     "e_vec",
     "gq",
     "harmonic_kernel",
     "kernel_basis",
-    "kernel_is_invariant",
     "lemma_battery",
     "lemmas_case",
     "monomials",

@@ -55,12 +55,12 @@ kernel is the image of the polarization map P, whose columns are the
 explicit ``polarization_cocycles``; ``kernel_is_invariant`` then checks
 that P intertwines each generator X of k_C = gl(n) in ``k_generators(n)``.
 The identity is complex-linear in X, so it holds on k exactly when it
-holds on k_C.  It is checked on the rows of P, which P builds once per case
-(``polarization_rows`` keeps the last case's rows): X's monomial action and
-its bracket with the tangents move each row, and the result must be the
-row combination that rho(X) + chi gives.  With the dimension count, which
-makes P injective, the checks make the kernel a K-module isomorphic to
-S^{m+1}(C^n) (its dual on the dual side) twisted by a character of K.
+holds on k_C.  It is checked on the rows of P, which ``verify_case`` builds
+once per case and hands to both checks: X's monomial action and its bracket
+with the tangents move each row, and the result must be the row combination
+that rho(X) + chi gives.  With the dimension count, which makes P
+injective, the checks make the kernel a K-module isomorphic to S^{m+1}(C^n)
+(its dual on the dual side) twisted by a character of K.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from itertools import chain
 from typing import Sequence
 
 from .exactfield import GaussianRational, gq
-from .linalg import ExactMatrix, Row, kernel_basis, rank, sparse_vector
+from .linalg import ExactMatrix, Row, _in_range, kernel_basis, rank, sparse_vector
 from .sun1 import e_vec, k_generators, xi_minus, xi_plus
 from .symrep import (
     RepContext,
@@ -234,8 +234,10 @@ def values_to_vector(values: Sequence[dict], index: dict) -> Row:
 
 def values_from_vector(basis: Sequence, vec: Row, blocks: int) -> list[dict]:
     """Inverse of ``values_to_vector``: ``blocks`` coefficient maps, block k
-    read from columns k * len(basis) onwards."""
+    read from columns k * len(basis) onwards.  Raises ``ValueError`` for a
+    column outside 0..blocks * len(basis) - 1."""
     d = len(basis)
+    _in_range((vec,), blocks * d)
     values = [{} for _ in range(blocks)]
     for j, c in vec.items():
         k, s = divmod(j, d)
@@ -262,16 +264,13 @@ def harmonic_kernel(ctx: RepContext) -> list[Cocycle]:
 # -- the symmetric component ----------------------------------------------
 
 
-@lru_cache(maxsize=1)
 def polarization_rows(ctx: RepContext) -> tuple[Row, ...]:
     """The rows of P, one per monomial sigma of S^{m+1}(C^n) in lex order:
     ``polarization_family`` at grade m, written into the Zbar half
     (primal: the partial derivatives of e^sigma, a conjugate-linear
     cocycle) or the Z half (dual: the exponent shifts of eps^sigma, a
-    complex-linear cocycle).
-
-    Cached for the last case, so ``classify`` and ``kernel_is_invariant``
-    share one build; the rows are read only."""
+    complex-linear cocycle).  ``verify_case`` builds them once per case for
+    ``classify`` and ``kernel_is_invariant``."""
     shift = 0 if ctx.dual else ctx.n * ctx.dim_w
     family = polarization_family(ctx.n, ctx.m, ctx.m, ctx.dual, ctx.basis_index())
     return tuple({shift + j: x for j, x in row.items()} for row in family)
@@ -287,8 +286,11 @@ def polarization_cocycles(ctx: RepContext) -> list[Cocycle]:
 # -- classification ---------------------------------------------------------
 
 
-def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dict]]:
-    """Run the structural verdicts on a computed kernel basis.
+def classify(
+    ctx: RepContext, kernel: Sequence[Cocycle], pol: Sequence[Row]
+) -> tuple[dict, list[dict]]:
+    """Run the structural verdicts on a computed kernel basis, against the
+    rows ``pol`` of P, ``polarization_rows(ctx)``.
 
     The ``operator-recheck`` check re-evaluates T and T* on each kernel
     element with ``_operators_vanish``, which applies rho only to nonzero
@@ -335,7 +337,6 @@ def classify(ctx: RepContext, kernel: Sequence[Cocycle]) -> tuple[dict, list[dic
     # kernel rows under them keeps the rank.  The same three ranks decide
     # the polarization span below.
     cols = system_shape(ctx)[1]
-    pol = polarization_rows(ctx)
     ker_vecs = [cocycle_to_vector(a) for a in kernel]
     r_pol = rank(ExactMatrix.from_rows(pol, cols))
     r_ker = rank(ExactMatrix.from_rows(ker_vecs, cols))
@@ -427,27 +428,22 @@ def intertwines(ctx: RepContext, rows: Sequence[Row], X: ExactMatrix, chi) -> bo
     return True
 
 
-def kernel_is_invariant(ctx: RepContext, spans_kernel: bool) -> bool:
-    """The compact group K maps the harmonic kernel into itself.
-
-    ``spans_kernel`` is the verdict of the ``polarization-span`` check of
-    ``classify``: the kernel is the image of the polarization map P.  Then
-    it is K-invariant when, for every X = diag(B, c) in k,
+def kernel_is_invariant(ctx: RepContext, pol: Sequence[Row]) -> bool:
+    """P intertwines k_C: for every X = diag(B, c) in k,
 
         X.P(s) = P(rho(X) s + chi(X) s),   chi(X) = -c (primal), +c (dual),
 
-    which ``intertwines`` checks on the rows of P for the 2n - 1
-    generators ``k_generators(n)`` of k_C = k + ik: both sides are
-    complex-linear in X, a subspace invariant under X and Y is invariant
-    under [X, Y], and K = U(n) is connected.  No elimination runs; the
-    verdict covers all of K.  On K, chi is the differential of det
-    (primal) or of det^-1 (dual).
+    checked by ``intertwines`` on ``pol``, the rows of P
+    (``polarization_rows(ctx)``), for the 2n - 1 generators
+    ``k_generators(n)`` of k_C = k + ik: both sides are complex-linear in X,
+    a subspace invariant under X and Y is invariant under [X, Y], and
+    K = U(n) is connected.  No elimination runs.  On K, chi is the
+    differential of det (primal) or of det^-1 (dual).  Together with the
+    ``polarization-span`` verdict of ``classify``, that the kernel is the
+    image of P, this makes the kernel K-invariant.
     """
-    if not spans_kernel:
-        return False
     n = ctx.n
-    rows = polarization_rows(ctx)
     return all(
-        intertwines(ctx, rows, X, X.at(n, n) if ctx.dual else -X.at(n, n))
+        intertwines(ctx, pol, X, X.at(n, n) if ctx.dual else -X.at(n, n))
         for X in k_generators(n)
     )

@@ -34,7 +34,10 @@ Vector = list[GaussianRational]
 
 
 def e_vec(j: int, n: int) -> Vector:
-    """Standard basis vector e_j (0-based) of C^n."""
+    """Standard basis vector e_j (0-based) of C^n; ``ValueError`` unless
+    0 <= j < n."""
+    if not 0 <= j < n:
+        raise ValueError(f"no basis vector e_{j} in C^{n}")
     v = [ZERO] * n
     v[j] = ONE
     return v

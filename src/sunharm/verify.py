@@ -17,7 +17,8 @@ import time
 
 from .checks import lemma_battery, riemann_split_report
 from .exactfield import BACKEND_NAME
-from .harmonic import classify, harmonic_kernel, kernel_is_invariant, system_shape
+from .harmonic import classify, harmonic_kernel, kernel_is_invariant
+from .harmonic import polarization_rows, system_shape
 from .symrep import RepContext, case_entry, check_entry
 
 #: The tool version, written into every report; ``sunharm.__version__``
@@ -44,7 +45,8 @@ def verify_case(n: int, m: int, dual: bool = False, with_lemmas: bool = False) -
 
     The entry's ``phases`` block times each phase that ran: ``kernel``
     (assembly and solve), ``classify``, ``invariance`` and, with the
-    battery, ``lemmas``; for n = 1, ``riemann`` and ``lemmas``.
+    battery, ``lemmas``; for n = 1, ``riemann`` and ``lemmas``.  For n >= 2,
+    P's rows are built once for ``classify`` and ``kernel_is_invariant``.
     """
     t0 = time.perf_counter()
     phases: dict[str, float] = {}
@@ -66,10 +68,11 @@ def verify_case(n: int, m: int, dual: bool = False, with_lemmas: bool = False) -
         }
     else:
         kernel = _timed(phases, "kernel", harmonic_kernel, ctx)
-        flags, checks = _timed(phases, "classify", classify, ctx, kernel)
+        pol = polarization_rows(ctx)
+        flags, checks = _timed(phases, "classify", classify, ctx, kernel, pol)
         passed = {c["name"] for c in checks if c["status"] == "pass"}
-        spans = "polarization-span" in passed
-        invariant = _timed(phases, "invariance", kernel_is_invariant, ctx, spans)
+        intertwined = _timed(phases, "invariance", kernel_is_invariant, ctx, pol)
+        invariant = "polarization-span" in passed and intertwined
         checks.append(
             check_entry(
                 "compact-invariance",

@@ -14,7 +14,6 @@ import pytest
 from sunharm import (
     I,
     RepContext,
-    classify,
     e_vec,
     harmonic_kernel,
     polarization_cocycles,
@@ -22,7 +21,7 @@ from sunharm import (
     xi_plus,
 )
 from sunharm.checks import lemma_battery, riemann_split_report
-from sunharm.harmonic import cocycle_to_vector
+from sunharm.harmonic import classify, cocycle_to_vector, polarization_rows
 from sunharm.linalg import ExactMatrix, rank, same_span
 from sunharm.verify import run_sweep
 
@@ -64,7 +63,7 @@ def report_line(name: str, ok: bool) -> None:
 def kernel_and_report(n: int, m: int, dual: bool):
     ctx = RepContext(n, m, dual)
     kernel = tuple(harmonic_kernel(ctx))
-    return ctx, kernel, classify(ctx, list(kernel))
+    return ctx, kernel, classify(ctx, list(kernel), polarization_rows(ctx))
 
 
 @lru_cache(maxsize=None)

@@ -14,11 +14,9 @@ from sunharm import (
     RepContext,
     ZERO,
     assemble_system,
-    classify,
     e_vec,
     gq,
     harmonic_kernel,
-    kernel_is_invariant,
     polarization_cocycles,
     xi_minus,
     xi_plus,
@@ -27,9 +25,11 @@ from sunharm import verify
 from sunharm.harmonic import (
     _basis_tangent,
     _operators_vanish,
+    classify,
     cocycle_from_vector,
     cocycle_to_vector,
     intertwines,
+    kernel_is_invariant,
     pairwise_relation_rows,
     polarization_rows,
     system_shape,
@@ -516,6 +516,19 @@ def test_vector_round_trip(n, m, dual):
     assert values_from_vector(basis, vec, n) == values
 
 
+@pytest.mark.parametrize("dual", [False, True])
+def test_vector_rejects_a_column_outside_its_case(dual):
+    # (2, 1) has 2n = 4 blocks of dim W = 3: columns 0..11.  A negative
+    # column would wrap to the last block, a large one would overflow it.
+    ctx = RepContext(2, 1, dual)
+    assert cocycle_from_vector(ctx, {11: gq(1)}).values[3] == {ctx.basis()[-1]: gq(1)}
+    for j in (-1, 12, 10**6):
+        with pytest.raises(ValueError, match="outside 0..11"):
+            cocycle_from_vector(ctx, {j: gq(1)})
+        with pytest.raises(ValueError, match="outside 0..11"):
+            values_from_vector(ctx.basis(), {0: gq(1), j: gq(1)}, 4)
+
+
 @pytest.mark.parametrize(
     "n,m,dual,expected",
     [
@@ -609,7 +622,7 @@ def test_classify_fails_operator_recheck_on_doctored_kernel(dual):
     ctx = RepContext(3, 2, dual)
     kernel = harmonic_kernel(ctx)
     kernel[1] = doctored(kernel[1])
-    _, checks = classify(ctx, kernel)
+    _, checks = classify(ctx, kernel, polarization_rows(ctx))
     status = {c["name"]: c["status"] for c in checks}
     assert status["operator-recheck"] == "fail"
 
@@ -629,7 +642,7 @@ def test_recheck_applies_rho_to_nonzero_values_only(monkeypatch, n, m, dual):
     ctx = RepContext(n, m, dual)
     kernel = harmonic_kernel(ctx)
     monkeypatch.setattr(harmonic, "_extend", spy)
-    _, checks = classify(ctx, kernel)
+    _, checks = classify(ctx, kernel, polarization_rows(ctx))
     assert checks[0]["name"] == "operator-recheck"
     assert checks[0]["status"] == "pass"
     # (2n - 1) images per nonzero value
@@ -652,11 +665,12 @@ def test_recheck_builds_each_tangent_action_once(monkeypatch, n, m, dual):
     kernel = harmonic_kernel(ctx)
     monkeypatch.setattr(harmonic, "_action", spy)
     harmonic._tangent_action.cache_clear()
-    assert all(e["status"] == "pass" for e in classify(ctx, kernel)[1])
+    pol = polarization_rows(ctx)
+    assert all(e["status"] == "pass" for e in classify(ctx, kernel, pol)[1])
     assert 0 < len(built) <= 2 * n
     assert set(built) == {dual}
     built.clear()
-    classify(ctx, kernel)
+    classify(ctx, kernel, pol)
     assert built == []
 
 
@@ -670,7 +684,7 @@ def test_classify_rejects_a_kernel_of_another_case(own, other):
     foreign = harmonic_kernel(RepContext(*other))
     for family in (foreign, kernel + foreign[:1]):
         with pytest.raises(ValueError, match="not a cocycle of"):
-            classify(ctx, family)
+            classify(ctx, family, polarization_rows(ctx))
 
 
 @pytest.mark.parametrize("n,m,dual", [(2, 2, False), (2, 1, True), (3, 1, False)])
@@ -696,9 +710,9 @@ def test_polarization_cocycles_are_solutions(dual):
 @pytest.mark.parametrize("n,m,dual", [(2, 2, False), (2, 1, True)])
 def test_kernel_k_invariance(n, m, dual):
     ctx = RepContext(n, m, dual)
-    assert kernel_is_invariant(ctx, True)
-    # without the polarization-span certificate there is no verdict to give
-    assert not kernel_is_invariant(ctx, False)
+    assert kernel_is_invariant(ctx, polarization_rows(ctx))
+    # a kernel that P does not span fails compact invariance in verify_case:
+    # test_invariance_fails_on_a_partial_kernel
 
 
 def doubled_block(ctx, rows, p):
@@ -726,22 +740,19 @@ def test_polarization_intertwines_generators(n, m, dual):
 @pytest.mark.parametrize(
     "n,m,dual", [(2, 2, False), (4, 3, False), (3, 2, True), (3, 3, True), (2, 1, True)]
 )
-def test_complex_generators_agree_with_real_generators(monkeypatch, n, m, dual):
+def test_complex_generators_agree_with_real_generators(n, m, dual):
     # the 2n - 1 generators of k_C give the verdict of the 3n - 2 real
     # generators of k, on P and on P with one nonzero tangent block doubled
-    import sunharm.harmonic as harmonic
-
     ctx = RepContext(n, m, dual)
     rows = polarization_rows(ctx)
     blocks = polarization_blocks(ctx)
-    assert kernel_is_invariant(ctx, True) is real_generators_intertwine(ctx, blocks) is True
+    assert kernel_is_invariant(ctx, rows) is real_generators_intertwine(ctx, blocks) is True
     nonzero = [p for p, block in enumerate(blocks) if not block.is_zero()]
     # the values of P sit on one half: Z blocks on the dual side, Zbar primal
     assert nonzero == list(range(n) if dual else range(n, 2 * n))
     for p in nonzero:
         doubled = doubled_block(ctx, rows, p)
-        monkeypatch.setattr(harmonic, "polarization_rows", lambda ctx: doubled)
-        assert kernel_is_invariant(ctx, True) is False
+        assert kernel_is_invariant(ctx, doubled) is False
         assert real_generators_intertwine(ctx, polarization_blocks(ctx, doubled)) is False
 
 
@@ -806,7 +817,8 @@ def test_invariance_builds_no_rho_matrix_and_no_product(monkeypatch):
     monkeypatch.setattr(symrep, "_map_matrix", refuse)
     monkeypatch.setattr(ExactMatrix, "__mul__", refuse)
     for n, m, dual in [(1, 2, False), (2, 2, True), (3, 2, False), (4, 3, True)]:
-        assert kernel_is_invariant(RepContext(n, m, dual), True)
+        ctx = RepContext(n, m, dual)
+        assert kernel_is_invariant(ctx, polarization_rows(ctx))
 
 
 def corpus_is_invariant(ctx, kernel):
@@ -901,7 +913,7 @@ def test_membership_grading_mismatch():
 def test_classify_primal_all_flags():
     ctx = RepContext(2, 2)
     kernel = harmonic_kernel(ctx)
-    flags, checks = classify(ctx, kernel)
+    flags, checks = classify(ctx, kernel, polarization_rows(ctx))
     assert flags == {
         "conjugate_linear": True,
         "top_graded": True,
@@ -914,7 +926,7 @@ def test_classify_primal_all_flags():
 
 def test_classify_dual_flags():
     ctx = RepContext(2, 1, dual=True)
-    flags, checks = classify(ctx, harmonic_kernel(ctx))
+    flags, checks = classify(ctx, harmonic_kernel(ctx), polarization_rows(ctx))
     assert flags["complex_linear"]
     assert flags["symmetric_component"]
     assert all_passed(checks)
@@ -922,7 +934,7 @@ def test_classify_dual_flags():
 
 def test_classify_fails_on_riemann_case():
     ctx = RepContext(1, 2)
-    flags, checks = classify(ctx, harmonic_kernel(ctx))
+    flags, checks = classify(ctx, harmonic_kernel(ctx), polarization_rows(ctx))
     assert not flags["conjugate_linear"]
     assert not flags["dimension_match"]
     assert not all_passed(checks)
@@ -952,8 +964,9 @@ def combine(ctx, coeffs, cocycles):
 def test_symmetric_component_rejects_an_appended_hook_form(n, m, dual):
     ctx = RepContext(n, m, dual)
     kernel = harmonic_kernel(ctx)
-    assert classify(ctx, kernel)[0]["symmetric_component"]
-    flags, checks = classify(ctx, kernel + [hook_cocycle(ctx)])
+    pol = polarization_rows(ctx)
+    assert classify(ctx, kernel, pol)[0]["symmetric_component"]
+    flags, checks = classify(ctx, kernel + [hook_cocycle(ctx)], pol)
     assert flags["complex_linear" if dual else "conjugate_linear"]
     assert flags["top_graded"]
     assert not flags["symmetric_component"]
@@ -973,6 +986,7 @@ def test_symmetric_component_matches_hook_projection_reference(n, m, dual):
         hook = hook_cocycle(ctx)
         mixed = combine(ctx, [random_scalar(rng) for _ in pol] + [gq(1, 2)], pol + [hook])
         families += [[hook], pol[:1] + [hook], [mixed]]
+    rows = polarization_rows(ctx)
     verdicts = []
     for family in families:
         expected = all(
@@ -981,7 +995,7 @@ def test_symmetric_component_matches_hook_projection_reference(n, m, dual):
             )[0]
             for a in family
         )
-        assert classify(ctx, family)[0]["symmetric_component"] is expected
+        assert classify(ctx, family, rows)[0]["symmetric_component"] is expected
         verdicts.append(expected)
     assert verdicts[:3] == [True] * 3 and verdicts[3:] == [False] * (len(verdicts) - 3)
 
@@ -1428,8 +1442,8 @@ def test_isometry_fails_on_a_doubled_lowering_block(n):
 
 
 def test_verify_builds_p_once_per_case(monkeypatch):
-    # classify and the invariance check share one build of the
-    # polarization rows
+    # verify_case builds the polarization rows once and hands them to both
+    # classify and the invariance check
     import sunharm.harmonic as harmonic
 
     real = harmonic.polarization_family
@@ -1439,7 +1453,6 @@ def test_verify_builds_p_once_per_case(monkeypatch):
         calls.append((n, m, g, dual))
         return real(n, m, g, dual, index)
 
-    harmonic.polarization_rows.cache_clear()
     monkeypatch.setattr(harmonic, "polarization_family", spy)
     entry = verify.verify_case(3, 2)
     assert all_passed(entry["checks"])

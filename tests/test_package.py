@@ -103,6 +103,12 @@ def test_public_surface():
     for cls, names in GONE_MEMBERS.items():
         for name in names:
             assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+    # the two kernel checks trust the rows of P they are handed, so they
+    # stay in harmonic for verify_case, which builds P once per case
+    for name in ("classify", "kernel_is_invariant"):
+        assert not hasattr(sunharm, name), name
+        assert hasattr(sunharm.harmonic, name), name
+    assert not hasattr(sunharm.harmonic.polarization_rows, "cache_info")
     # matrices are built from sparse rows only: no dense constructor
     with pytest.raises(TypeError):
         sunharm.ExactMatrix([[1]])

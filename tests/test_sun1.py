@@ -42,6 +42,14 @@ def test_xi_block_form():
     assert sum(1 for i in range(3) for j in range(3) if X.at(i, j)) == 2
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_e_vec_rejects_an_index_outside_c_n(n):
+    assert [e_vec(j, n).index(ONE) for j in range(n)] == list(range(n))
+    for j in (-1, n, n + 5):
+        with pytest.raises(ValueError, match="no basis vector"):
+            e_vec(j, n)
+
+
 def test_xi_of_zero():
     assert xi([0, 0]).is_zero()
 
