@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands:
-  verify   exact kernel computation + classification for one (n, m) case
+  verify   exact kernel computation + classification for one (n, m) case;
+           with --all-lemmas, the structure-check battery as a second entry
   lemmas   the structure-check battery for one (n, m)
   sweep    verify + lemmas over a grid, primal and dual, optionally parallel
 
-Exit codes: 0 all executed checks passed, 1 some check failed (or a sweep
-was interrupted), 2 invalid configuration, 3 internal error.
+Exit codes: 0 all executed checks passed, 1 some check failed or the run
+was interrupted, 2 invalid configuration, 3 internal error.
 """
 
 from __future__ import annotations
@@ -16,14 +17,7 @@ import json
 import os
 import sys
 
-from .verify import (
-    VERSION,
-    exit_code_for,
-    lemmas_case,
-    make_document,
-    run_sweep,
-    verify_case,
-)
+from .verify import VERSION, exit_code_for, run_specs, run_sweep
 
 EXIT_INVALID_CONFIG = 2
 EXIT_INTERNAL_ERROR = 3
@@ -48,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--all-lemmas",
         action="store_true",
-        help="also run the full structure-check battery for this case",
+        help="also run the structure-check battery, reported as its own entry",
     )
 
     p_lemmas = sub.add_parser("lemmas", help="run the structure-check battery")
@@ -137,22 +131,17 @@ def main(argv: list[str] | None = None) -> int:
     out = sys.stdout
     try:
         _check_json_path(args.json)
-        if args.command == "verify":
-            case = verify_case(args.n, args.m, dual=args.dual, with_lemmas=args.all_lemmas)
-            doc = make_document(
-                "verify",
-                {"n": args.n, "m": args.m, "dual": args.dual, "all_lemmas": args.all_lemmas},
-                [case],
-            )
-            return _finish(doc, args.json, out)
-        if args.command == "lemmas":
-            case = lemmas_case(args.n, args.m)
-            doc = make_document("lemmas", {"n": args.n, "m": args.m}, [case])
-            return _finish(doc, args.json, out)
         if args.command == "sweep":
             doc = run_sweep(args.n_max, args.m_max, jobs=args.jobs)
-            return _finish(doc, args.json, out)
-        raise RuntimeError("unreachable")
+        else:
+            n, m = args.n, args.m
+            config, specs = {"n": n, "m": m}, [("lemmas", n, m)]
+            if args.command == "verify":
+                config.update(dual=args.dual, all_lemmas=args.all_lemmas)
+                kind = "verify-dual" if args.dual else "verify-primal"
+                specs = [(kind, n, m)] + (specs if args.all_lemmas else [])
+            doc = run_specs(args.command, config, specs)
+        return _finish(doc, args.json, out)
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG

@@ -109,12 +109,12 @@ class Cocycle:
 
     __slots__ = ("ctx", "values")
 
-    def __init__(self, ctx: RepContext, values: list):
-        self.ctx, self.values = ctx, values
-        if len(values) != 2 * ctx.n:
+    def __init__(self, ctx: RepContext, values: Sequence[dict]):
+        self.ctx, self.values = ctx, list(values)
+        if len(self.values) != 2 * ctx.n:
             raise ValueError("a cocycle needs 2n values, one per complex tangent")
         index = ctx.basis_index()
-        for w in values:
+        for w in self.values:
             if not isinstance(w, dict):
                 raise TypeError("a cocycle value is a coefficient map")
             for alpha, c in w.items():

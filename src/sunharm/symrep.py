@@ -186,10 +186,11 @@ def _map_matrix(image, in_basis, out_basis) -> ExactMatrix:
 
 def rho_matrix(X: ExactMatrix, n: int, m: int, dual: bool = False) -> ExactMatrix:
     """Matrix of the action on S^m (or its dual) in the lex monomial basis.
-    Raises if X is not an (n+1) x (n+1) matrix."""
+    Raises on an invalid case (``RepContext``) or if X is not an
+    (n+1) x (n+1) matrix."""
+    basis = RepContext(n, m, dual).basis()
     if X.rows != n + 1 or X.cols != n + 1:
         raise ValueError("matrix size does not match the monomials")
-    basis = monomials(n + 1, m)
     return _map_matrix(_action(X, dual), basis, basis)
 
 

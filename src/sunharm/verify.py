@@ -1,13 +1,14 @@
 """Case orchestration: run verifications, aggregate structured reports.
 
-A report document is a plain dict (JSON-ready).  Its content, apart from the
-timing fields ``seconds``, ``phases`` and ``total_seconds``, is a pure
-function of the requested configuration and the tool version; sweep entries
-are emitted in (n, m, kind) order regardless of how many workers computed
-them.  Every case entry, whatever its mode, is built by
-``symrep.case_entry`` and every check entry by ``symrep.check_entry``.
-Only a sweep with more than one worker imports the process pool, so a serial
-run loads no ``concurrent.futures`` or ``multiprocessing``.
+A report document is a plain dict (JSON-ready), and every command's
+document comes from ``run_specs``.  Its content, apart from the timing
+fields ``seconds``, ``phases`` and ``total_seconds``, is a pure function of
+the requested configuration and the tool version; entries are emitted in
+spec order regardless of how many workers computed them.  Every case entry,
+whatever its mode, is built by ``symrep.case_entry`` and every check entry
+by ``symrep.check_entry``.  Only a sweep with more than one worker imports
+the process pool, so a serial run loads no ``concurrent.futures`` or
+``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -39,14 +40,15 @@ def _timed(phases: dict, name: str, fn, *args):
     return out
 
 
-def verify_case(n: int, m: int, dual: bool = False, with_lemmas: bool = False) -> dict:
+def verify_case(n: int, m: int, dual: bool = False) -> dict:
     """Kernel computation + classification for one case (n = 1 gets the
-    split report instead of the one-sided classifier).
+    split report instead of the one-sided classifier); its ``lemmas`` are
+    empty, since the battery is an entry of its own (``lemmas_case``).
 
     The entry's ``phases`` block times each phase that ran: ``kernel``
-    (assembly and solve), ``classify``, ``invariance`` and, with the
-    battery, ``lemmas``; for n = 1, ``riemann`` and ``lemmas``.  For n >= 2,
-    P's rows are built once for ``classify`` and ``kernel_is_invariant``.
+    (assembly and solve), ``classify`` and ``invariance``; for n = 1,
+    ``riemann``.  For n >= 2, P's rows are built once for ``classify`` and
+    ``kernel_is_invariant``.
     """
     t0 = time.perf_counter()
     phases: dict[str, float] = {}
@@ -101,12 +103,10 @@ def verify_case(n: int, m: int, dual: bool = False, with_lemmas: bool = False) -
             },
             "flags": flags,
         }
-    lemmas = _timed(phases, "lemmas", lemma_battery, n, m) if with_lemmas else []
     return case_entry(
         ctx,
         mode,
         checks=checks,
-        lemmas=lemmas,
         seconds=time.perf_counter() - t0,
         phases=phases,
         **blocks,
@@ -175,8 +175,11 @@ def worker_count(jobs: int, n_cases: int) -> int:
     return max(1, min(jobs, n_cases, cpus))
 
 
-def run_sweep(n_max: int | None, m_max: int | None, jobs: int = 1) -> dict:
-    specs = sweep_specs(n_max, m_max)
+def run_specs(command: str, config: dict, specs: list[tuple], jobs: int = 1) -> dict:
+    """The document of ``command``: one entry per ``(kind, n, m)`` spec, in
+    spec order, on ``jobs`` workers.  An interrupt keeps the finished
+    entries, and the rest become ``incomplete`` entries (mode: the kind) of
+    a document whose ``status`` is ``incomplete``."""
     t0 = time.perf_counter()
     cases: list[dict] = []
     interrupted = False
@@ -202,16 +205,17 @@ def run_sweep(n_max: int | None, m_max: int | None, jobs: int = 1) -> dict:
         for kind, n, m in specs[len(cases) :]:
             ctx = RepContext(n, m, kind == "verify-dual")
             cases.append(case_entry(ctx, kind, status="incomplete"))
-    # jobs is an execution detail: concurrency must not affect the report.
-    doc = make_document(
-        command="sweep",
-        config={"n_max": n_max, "m_max": m_max},
-        cases=cases,
-    )
+    doc = make_document(command, config, cases)
     if interrupted:
         doc["status"] = "incomplete"
     doc["total_seconds"] = round(time.perf_counter() - t0, 6)
     return doc
+
+
+def run_sweep(n_max: int | None, m_max: int | None, jobs: int = 1) -> dict:
+    """The sweep's document; ``jobs``, an execution detail, is not config."""
+    config = {"n_max": n_max, "m_max": m_max}
+    return run_specs("sweep", config, sweep_specs(n_max, m_max), jobs)
 
 
 def make_document(command: str, config: dict, cases: list[dict]) -> dict:
@@ -222,8 +226,8 @@ def make_document(command: str, config: dict, cases: list[dict]) -> dict:
             incomplete += 1
             continue
         for c in case["checks"] + case["lemmas"]:
-            counts[c["status"]] = counts.get(c["status"], 0) + 1
-    doc = {
+            counts[c["status"]] += 1
+    return {
         "tool": "sunharm",
         "version": VERSION,
         "backend": BACKEND_NAME,
@@ -232,13 +236,12 @@ def make_document(command: str, config: dict, cases: list[dict]) -> dict:
         "cases": cases,
         "summary": {
             "cases": len(cases),
-            "checks_passed": counts.get("pass", 0),
-            "checks_failed": counts.get("fail", 0),
-            "checks_vacuous": counts.get("vacuous", 0),
+            "checks_passed": counts["pass"],
+            "checks_failed": counts["fail"],
+            "checks_vacuous": counts["vacuous"],
             "cases_incomplete": incomplete,
         },
     }
-    return doc
 
 
 def exit_code_for(doc: dict) -> int:

@@ -46,9 +46,8 @@ def test_verify_dual(tmp_path):
 
 def test_verify_entry_phases():
     # timings of the phases that ran, in the order they ran
-    case = verify_case(2, 1, with_lemmas=True)
-    assert list(case["phases"]) == ["kernel", "classify", "invariance", "lemmas"]
-    assert list(verify_case(2, 1)["phases"]) == ["kernel", "classify", "invariance"]
+    case = verify_case(2, 1)
+    assert list(case["phases"]) == ["kernel", "classify", "invariance"]
     assert list(verify_case(1, 2)["phases"]) == ["riemann"]
     assert all(type(s) is float and s >= 0 for s in case["phases"].values())
 
@@ -65,7 +64,7 @@ def test_unwritable_json_path_rejected_before_any_case(argv, tmp_path, capsys, m
     def no_case(*args, **kwargs):
         raise AssertionError("a case ran before the --json path was checked")
 
-    for name in ("verify_case", "lemmas_case", "run_sweep"):
+    for name in ("run_specs", "run_sweep"):
         monkeypatch.setattr(cli, name, no_case)
     for bad in (tmp_path / "no" / "such" / "out.json", tmp_path):
         assert main(argv + ["--json", str(bad)]) == 2
@@ -128,8 +127,46 @@ def test_verify_riemann_route(tmp_path):
 def test_verify_all_lemmas(tmp_path):
     path = tmp_path / "out.json"
     assert main(["verify", "--n", "2", "--m", "2", "--all-lemmas", "--json", str(path)]) == 0
-    case = json.loads(path.read_text())["cases"][0]
-    assert case["lemmas"], "battery entries expected"
+    verified, battery = json.loads(path.read_text())["cases"]
+    assert verified["mode"] == "kernel-verification" and verified["lemmas"] == []
+    assert battery["mode"] == "lemma-battery"
+    assert battery["lemmas"], "battery entries expected"
+
+
+def test_interrupted_verify_keeps_the_verify_entry(monkeypatch, tmp_path):
+    import sunharm.verify as v
+
+    real = v._run_spec
+
+    def interrupted_battery(spec):
+        if spec[0] == "lemmas":
+            raise KeyboardInterrupt
+        return real(spec)
+
+    monkeypatch.setattr(v, "_run_spec", interrupted_battery)
+    path = tmp_path / "out.json"
+    assert main(["verify", "--n", "2", "--m", "2", "--all-lemmas", "--json", str(path)]) == 1
+    doc = json.loads(path.read_text())
+    verified, battery = doc["cases"]
+    assert verified["mode"] == "kernel-verification" and "status" not in verified
+    assert (battery["mode"], battery["status"]) == ("lemmas", "incomplete")
+    assert doc["status"] == "incomplete"
+    assert doc["summary"]["cases_incomplete"] == 1
+    assert doc["summary"]["checks_passed"] == len(verified["checks"])
+
+
+def test_every_command_writes_one_document_shape(tmp_path):
+    keys = []
+    for argv in (
+        ["verify", "--n", "2", "--m", "1"],
+        ["lemmas", "--n", "2", "--m", "1"],
+        ["sweep", "--n-max", "2", "--m-max", "1"],
+    ):
+        path = tmp_path / f"{argv[0]}.json"
+        assert main(argv + ["--json", str(path)]) == 0
+        keys.append(list(json.loads(path.read_text())))
+    assert keys[0] == keys[1] == keys[2]
+    assert "total_seconds" in keys[0]
 
 
 def test_lemmas_command_vacuous_range(tmp_path):

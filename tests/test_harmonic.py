@@ -311,6 +311,9 @@ def test_cocycle_is_a_value_compared_by_its_fields():
     a = random_cocycle(make_rng(7), ctx)
     b = Cocycle(ctx=ctx, values=list(a.values))
     assert a == b and a != Cocycle.zero(ctx)
+    # any sequence of values is kept as a list, so the cocycle stays equal
+    t = Cocycle(ctx, tuple(a.values))
+    assert t == a and repr(t) == repr(a)
     assert Cocycle.zero(ctx) != Cocycle.zero(RepContext(2, 2))
     assert a.__eq__(ctx) is NotImplemented
     with pytest.raises(TypeError):

@@ -237,6 +237,17 @@ def test_rho_matrix_rejects_size_mismatch():
             rho_matrix(X, 2, 2)
 
 
+def test_rho_matrix_validates_its_case():
+    # the case is checked as RepContext checks it, before the matrix size
+    X = xi_plus(e_vec(0, 2))
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        rho_matrix(X, 2, -1)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        rho_matrix(X, 2, 0)
+    with pytest.raises(TypeError, match="dual must be a bool"):
+        rho_matrix(X, 2, 1, 1)
+
+
 def test_map_matrix_rejects_image_outside_target():
     # Z_1 raises the grade, so grade 1 does not map into grade 1
     n, m = 2, 3
