@@ -83,7 +83,7 @@ def _render_case(case: dict, out) -> None:
             f" conjugate-linear {r['conjugate_linear_dim']}",
             file=out,
         )
-    for chk in case["checks"] + case["lemmas"]:
+    for chk in case["checks"]:
         j = chk.get("j")
         jtext = "" if j is None else f" (j={j})"
         print(
@@ -96,9 +96,10 @@ def _finish(doc: dict, json_path: str | None, out) -> int:
     for case in doc["cases"]:
         _render_case(case, out)
     s = doc["summary"]
+    incomplete = f", {s['cases_incomplete']} incomplete" if s["cases_incomplete"] else ""
     print(
         f"summary: {s['cases']} case(s), {s['checks_passed']} passed,"
-        f" {s['checks_failed']} failed, {s['checks_vacuous']} vacuous",
+        f" {s['checks_failed']} failed, {s['checks_vacuous']} vacuous{incomplete}",
         file=out,
     )
     if json_path:

@@ -14,7 +14,10 @@ hashing do not see the difference (``Fraction(2) == 2`` and
 ``hash(Fraction(2)) == hash(2)``), and an ``int`` has ``numerator`` and
 ``denominator`` like any exact rational.
 
-``gq`` is the one way the rest of the package makes a scalar.
+``gq`` makes a scalar from any accepted input.  The inner loops that build
+one scalar per entry from components they computed skip its coercion: the
+elimination in ``linalg`` calls ``_raw`` on int components, and the matrix
+product in ``linalg`` and ``symrep._action`` call ``_make``.
 """
 
 from __future__ import annotations

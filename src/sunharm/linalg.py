@@ -1,10 +1,12 @@
 """Sparse exact linear algebra over Q(i).
 
-A matrix stores one dict per row, mapping a column to its nonzero entry;
-no zero entry is ever stored.  Such a dict, a ``Row``, is also the one
-coordinate form of a vector: the span test takes rows, and the harmonic
-layer writes cocycles and tuples of values as rows.  Matrices are built from
-rows (``from_rows``) and are immutable by convention.
+A matrix stores one dict per row, mapping a column in 0..cols - 1 to its
+nonzero entry; no zero entry is ever stored.  Such a dict, a ``Row``, is
+also the one coordinate form of a vector: the span test takes rows, and the
+harmonic layer writes cocycles and tuples of values as rows.  Matrices are
+built from rows (``from_rows``), immutable by convention.  The elimination
+raises ``ValueError`` for a pivot row with a column out of range or a zero
+lead, and reads no row after it stops at full rank.
 
 ``kernel_basis`` alone returns dense vectors, and ``row(i)`` gives a dense
 view of one row.  ``sparse_vector`` turns such a vector into a row; its zero
@@ -229,7 +231,10 @@ def _echelon(rows: Iterable[Row], cols: int) -> Pivots:
                         heappush(todo, j)
         if r:
             p = min(r)
-            pivots[p] = _primitive(r.pop(p), r)
+            lead = r.pop(p)
+            if p < 0 or not (lead.re or lead.im) or (max(r) if r else p) >= cols:
+                raise ValueError(f"row with a zero lead or a column outside 0..{cols - 1}")
+            pivots[p] = _primitive(lead, r)
             if len(pivots) == cols:
                 break
     return pivots

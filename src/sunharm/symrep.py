@@ -279,23 +279,22 @@ def case_entry(
     mode: str,
     *,
     checks: Sequence[dict] = (),
-    lemmas: Sequence[dict] = (),
     seconds: float = 0.0,
     phases: dict[str, float] | None = None,
     **blocks,
 ) -> dict:
     """One report entry for a case.
 
-    Every entry has the keys case, mode, checks, lemmas, decisions and
-    seconds; the mode's own ``blocks`` (note, system, kernel, flags,
-    riemann, status) sit between mode and checks, in the order given.
+    Every entry has the keys case, mode, checks (a verification's checks or
+    a battery's entries), decisions and seconds; the mode's own ``blocks``
+    (note, system, kernel, flags, riemann, status) sit between mode and
+    checks, in the order given.
     ``phases`` (phase name -> seconds), when given, follows ``seconds``;
     like it, it is timing and not report content.
     """
     entry = {"case": {"n": ctx.n, "m": ctx.m, "dual": ctx.dual}, "mode": mode}
     entry.update(blocks)
     entry["checks"] = list(checks)
-    entry["lemmas"] = list(lemmas)
     entry["decisions"] = list(DECISION_NOTES)
     entry["seconds"] = round(seconds, 6)
     if phases is not None:

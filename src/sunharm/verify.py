@@ -42,8 +42,8 @@ def _timed(phases: dict, name: str, fn, *args):
 
 def verify_case(n: int, m: int, dual: bool = False) -> dict:
     """Kernel computation + classification for one case (n = 1 gets the
-    split report instead of the one-sided classifier); its ``lemmas`` are
-    empty, since the battery is an entry of its own (``lemmas_case``).
+    split report instead of the one-sided classifier); the battery is an
+    entry of its own (``lemmas_case``).
 
     The entry's ``phases`` block times each phase that ran: ``kernel``
     (assembly and solve), ``classify`` and ``invariance``; for n = 1,
@@ -114,13 +114,13 @@ def verify_case(n: int, m: int, dual: bool = False) -> dict:
 
 
 def lemmas_case(n: int, m: int) -> dict:
-    """The structure-check battery alone, as a report entry."""
+    """The structure-check battery alone, as a report entry's checks."""
     t0 = time.perf_counter()
-    lemmas = lemma_battery(n, m)
+    checks = lemma_battery(n, m)
     return case_entry(
         RepContext(n, m),
         "lemma-battery",
-        lemmas=lemmas,
+        checks=checks,
         seconds=time.perf_counter() - t0,
     )
 
@@ -220,13 +220,10 @@ def run_sweep(n_max: int | None, m_max: int | None, jobs: int = 1) -> dict:
 
 def make_document(command: str, config: dict, cases: list[dict]) -> dict:
     counts = {"pass": 0, "fail": 0, "vacuous": 0}
-    incomplete = 0
     for case in cases:
-        if case.get("status") == "incomplete":
-            incomplete += 1
-            continue
-        for c in case["checks"] + case["lemmas"]:
+        for c in case["checks"]:
             counts[c["status"]] += 1
+    incomplete = sum(case.get("status") == "incomplete" for case in cases)
     return {
         "tool": "sunharm",
         "version": VERSION,

@@ -22,10 +22,9 @@ def scrub(x, drop=TIMING_KEYS):
     return x
 
 
-def all_passed(checks, lemmas=()) -> bool:
-    """Every check passed, and every lemma entry passed or was vacuous."""
-    ok = all(c["status"] == "pass" for c in checks)
-    return ok and all(e["status"] in ("pass", "vacuous") for e in lemmas)
+def all_passed(checks) -> bool:
+    """Every check passed."""
+    return all(c["status"] == "pass" for c in checks)
 
 
 def make_rng(seed: int) -> random.Random:

@@ -128,12 +128,12 @@ def test_verify_all_lemmas(tmp_path):
     path = tmp_path / "out.json"
     assert main(["verify", "--n", "2", "--m", "2", "--all-lemmas", "--json", str(path)]) == 0
     verified, battery = json.loads(path.read_text())["cases"]
-    assert verified["mode"] == "kernel-verification" and verified["lemmas"] == []
+    assert verified["mode"] == "kernel-verification" and "lemmas" not in verified
     assert battery["mode"] == "lemma-battery"
-    assert battery["lemmas"], "battery entries expected"
+    assert battery["checks"], "battery entries expected"
 
 
-def test_interrupted_verify_keeps_the_verify_entry(monkeypatch, tmp_path):
+def test_interrupted_verify_keeps_the_verify_entry(monkeypatch, capsys, tmp_path):
     import sunharm.verify as v
 
     real = v._run_spec
@@ -153,6 +153,8 @@ def test_interrupted_verify_keeps_the_verify_entry(monkeypatch, tmp_path):
     assert doc["status"] == "incomplete"
     assert doc["summary"]["cases_incomplete"] == 1
     assert doc["summary"]["checks_passed"] == len(verified["checks"])
+    summary = capsys.readouterr().out.splitlines()[-2]
+    assert summary.startswith("summary: 2 case(s), ") and summary.endswith(", 1 incomplete")
 
 
 def test_every_command_writes_one_document_shape(tmp_path):
@@ -169,11 +171,32 @@ def test_every_command_writes_one_document_shape(tmp_path):
     assert "total_seconds" in keys[0]
 
 
+def test_every_entry_holds_one_list_the_summary_counts(tmp_path):
+    # each document's summary counts are the statuses of its entries' checks,
+    # and no entry carries a second list
+    for argv in (
+        ["verify", "--n", "2", "--m", "2", "--all-lemmas"],
+        ["verify", "--n", "1", "--m", "2", "--dual", "--all-lemmas"],
+        ["lemmas", "--n", "2", "--m", "1"],
+        ["sweep", "--n-max", "2", "--m-max", "2"],
+    ):
+        path = tmp_path / f"{argv[0]}.json"
+        assert main(argv + ["--json", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        assert all("lemmas" not in case for case in doc["cases"])
+        statuses = [c["status"] for case in doc["cases"] for c in case["checks"]]
+        s = doc["summary"]
+        assert s["checks_passed"] == statuses.count("pass") > 0
+        assert s["checks_failed"] == statuses.count("fail")
+        assert s["checks_vacuous"] == statuses.count("vacuous")
+        assert s["checks_passed"] + s["checks_failed"] + s["checks_vacuous"] == len(statuses)
+
+
 def test_lemmas_command_vacuous_range(tmp_path):
     path = tmp_path / "out.json"
     assert main(["lemmas", "--n", "2", "--m", "1", "--json", str(path)]) == 0
     case = json.loads(path.read_text())["cases"][0]
-    entries = [e for e in case["lemmas"] if e["name"] == "contraction-isometry"]
+    entries = [e for e in case["checks"] if e["name"] == "contraction-isometry"]
     assert entries and entries[0]["status"] == "vacuous"
 
 

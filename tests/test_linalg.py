@@ -217,6 +217,23 @@ def test_rref_is_reduced_and_independent_of_row_order(M):
     assert same_span(M.sparse_rows(), R.sparse_rows()[: len(pivots)], M.cols)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{5: ONE}],  # a lead right of the last column
+        [{0: ONE, 1: ONE}, {-1: ONE}],  # a lead at column -1
+        [{0: ONE, 3: ONE}],  # a tail entry right of the last column
+        [{0: ONE}, {0: ONE, 1: gq(0)}],  # a stored zero that becomes a lead
+    ],
+)
+def test_elimination_rejects_malformed_rows(rows):
+    M = ExactMatrix.from_rows(rows, 2)
+    with pytest.raises(ValueError, match="zero lead or a column outside 0..1"):
+        rank(M)
+    with pytest.raises(ValueError, match="zero lead or a column outside 0..1"):
+        kernel_basis(M)
+
+
 def test_rejects_float_zero():
     with pytest.raises(TypeError):
         ExactMatrix.diagonal([0.0])
