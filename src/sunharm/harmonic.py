@@ -27,11 +27,13 @@ Two constraint operators are imposed:
 The joint kernel is computed exactly as the nullspace of one assembled
 matrix.  Coordinate order: block p (all Z blocks before all Zbar blocks,
 index ascending), then monomial index in lex order; constraint rows: the
-two-form blocks for pairs (p, q) in lex order, less their empty rows, then
-the trace block.  Each row has all its columns in one weight of the
-diagonal torus of K: column (Z_j, e^alpha) has weight alpha - e_j +
-e_{n+1}, column (Zbar_j, e^alpha) alpha + e_j - e_{n+1}, with alpha negated
-on the dual side.  A coordinate vector is a sparse ``linalg.Row`` (column
+two-form blocks for pairs (p, q) in lex order, less their empty rows and
+less each one-entry row whose column an earlier one-entry row already sets
+to zero, then the trace block; the rows span the same space as the formal
+ones.  Each row has all its columns in one weight of the diagonal torus of
+K: column (Z_j, e^alpha) has weight alpha - e_j + e_{n+1}, column
+(Zbar_j, e^alpha) alpha + e_j - e_{n+1}, with alpha negated on the dual
+side.  A coordinate vector is a sparse ``linalg.Row`` (column
 -> nonzero entry): ``cocycle_to_vector`` and ``values_to_vector`` write
 coefficient maps as rows, and ``cocycle_from_vector`` and
 ``values_from_vector`` read them back.  Every classification flag is an
@@ -173,31 +175,46 @@ def _operators_vanish(a: Cocycle) -> bool:
 
 
 def pairwise_relation_rows(ops: Sequence[ExactMatrix]) -> list[Row]:
-    """Sparse rows of the relations Op_a x_b = Op_b x_a for all pairs a < b.
+    """Sparse rows spanning the relations Op_a x_b = Op_b x_a for all pairs
+    a < b.
 
     The unknown (x_0, ..., x_{k-1}) has one block per op, each of the ops'
     input dimension.  Pairs come in lex order, one row per output
     coordinate in order; block b carries Op_a and block a carries -Op_b.
     A coordinate that neither op of the pair reaches gives the relation
-    0 = 0 and no row.  A single op gives no rows.
+    0 = 0 and no row.  A row with one entry says x_c = 0 for its column c,
+    and only the first such row for each column is kept, so the rows span
+    the same space as the formal ones.  A single op gives no rows.
     """
     k = len(ops)
     d_in = ops[0].cols
     mats = [M.sparse_rows() for M in ops]
+    negs = [[{s: -x for s, x in r.items()} for r in M] for M in mats]
     rows = []
+    forced = set()  # columns that a one-entry row already sets to zero
     for a in range(k):
         for b in range(a + 1, k):
-            for ra, rb in zip(mats[a], mats[b]):
-                if ra or rb:
-                    row = {b * d_in + s: x for s, x in ra.items()}
-                    row.update((a * d_in + s, -x) for s, x in rb.items())
+            at_a, at_b = a * d_in, b * d_in
+            for ra, rb in zip(mats[a], negs[b]):
+                row = {}
+                for s, x in ra.items():
+                    row[at_b + s] = x
+                for s, x in rb.items():
+                    row[at_a + s] = x
+                if len(row) == 1:
+                    (c,) = row
+                    if c in forced:
+                        continue
+                    forced.add(c)
+                if row:
                     rows.append(row)
     return rows
 
 
 def system_shape(ctx: RepContext) -> tuple[int, int]:
     """The formal (rows, columns), dim W rows per block, that the report prints;
-    ``assemble_system`` stores no empty row, so it may have fewer rows."""
+    ``assemble_system`` stores no empty row and no repeated one-entry row of
+    the two-form blocks, so it may have fewer rows with the same span."""
     nb = 2 * ctx.n
     return (math.comb(nb, 2) + 1) * ctx.dim_w, nb * ctx.dim_w
 
@@ -205,9 +222,10 @@ def system_shape(ctx: RepContext) -> tuple[int, int]:
 def assemble_system(ctx: RepContext) -> ExactMatrix:
     """Matrix whose nullspace is {a : T a = 0 and T* a = 0}.
 
-    Rows: the nonempty rows of the two-form blocks for pairs (p, q) in lex
-    order (``pairwise_relation_rows``), then the trace block; columns:
-    cocycle coordinates (block p, then monomial).
+    Rows: the two-form blocks for pairs (p, q) in lex order, less their
+    empty rows and their repeated one-entry rows
+    (``pairwise_relation_rows``), then the trace block; columns: cocycle
+    coordinates (block p, then monomial).
     """
     n, d, basis = ctx.n, ctx.dim_w, ctx.basis()
     mats = [

@@ -90,6 +90,10 @@ class ExactMatrix:
         )
 
     def at(self, i: int, j: int) -> GaussianRational:
+        """The entry in row i, column j; raises ``IndexError`` outside
+        0..rows - 1 or 0..cols - 1."""
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) outside a {self.rows}x{self.cols} matrix")
         return self._d[i].get(j, ZERO)
 
     def row(self, i: int) -> list[GaussianRational]:

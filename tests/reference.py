@@ -60,10 +60,14 @@ multiplication map tensor by tensor; and ``TwoForm``, ``t_op`` and
 ``matrix_add``, ``matrix_sub`` and ``matrix_neg`` the matrix sum,
 difference and negation, which only the references and the tests need.
 
-The package stores the constraint system without its empty rows;
-``formal_assemble_system`` builds it in the formal layout that
-``system_shape`` and the report count, empty rows included, on
-``formal_relation_rows``.
+The package stores the constraint system without its empty rows, and
+keeps a one-entry relation row only for the first time its column is set
+to zero that way; ``formal_assemble_system`` builds it in the formal
+layout that ``system_shape`` and the report count, every row included, on
+``formal_relation_rows``, and ``presolved_rows`` is the filter from the
+formal relation rows to the package's.  The references that eliminate a
+relation system build it from ``formal_relation_rows``, less the empty
+rows, so they do not share the package's builder.
 
 The package stores a cocycle by its values on the complex tangents
 Z_j = xi_plus(e_j) and Zbar_j = xi_minus(e_j).  The references here work in
@@ -94,7 +98,6 @@ from sunharm.exactfield import GaussianRational, sub_mul
 from sunharm.harmonic import (
     _basis_tangent,
     cocycle_from_vector,
-    pairwise_relation_rows,
     polarization_rows,
     system_shape,
     values_from_vector,
@@ -1036,7 +1039,7 @@ def from_real_vector(ctx, vec: Row) -> Cocycle:
 
 
 def formal_relation_rows(ops: Sequence[ExactMatrix]) -> list[Row]:
-    """``pairwise_relation_rows`` with its empty rows: one row per output
+    """The relations Op_a x_b = Op_b x_a in full: one row per output
     coordinate of every pair a < b, the relation 0 = 0 included."""
     d_in = ops[0].cols
     mats = [M.sparse_rows() for M in ops]
@@ -1050,11 +1053,24 @@ def formal_relation_rows(ops: Sequence[ExactMatrix]) -> list[Row]:
     return rows
 
 
+def presolved_rows(rows: Sequence[Row]) -> list[Row]:
+    """``rows`` in order, less the empty ones, less each one-entry row whose
+    column an earlier one-entry row already holds: the rows
+    ``pairwise_relation_rows`` keeps of ``formal_relation_rows``."""
+    return [
+        r
+        for i, r in enumerate(rows)
+        if r
+        and not (len(r) == 1 and any(q.keys() == r.keys() for q in rows[:i]))
+    ]
+
+
 def formal_assemble_system(ctx) -> ExactMatrix:
     """The constraint system in its formal layout, of shape
     ``system_shape(ctx)``: dim W rows for each pair (p, q) of complex
     tangents in lex order, empty ones included, then the trace block.
-    ``assemble_system`` stores the same rows less the empty ones."""
+    ``assemble_system`` stores ``presolved_rows`` of its two-form blocks,
+    then the trace block."""
     n, d = ctx.n, ctx.dim_w
     mats = [rho_matrix(_basis_tangent(n, p), n, ctx.m, ctx.dual) for p in range(2 * n)]
     rows = formal_relation_rows(mats)
@@ -1077,7 +1093,7 @@ def real_assemble_system(ctx) -> ExactMatrix:
     """
     d = ctx.dim_w
     mats = [rho_matrix(Y, ctx.n, ctx.m, ctx.dual) for Y in p_basis(ctx.n)]
-    rows = pairwise_relation_rows(mats)
+    rows = [r for r in formal_relation_rows(mats) if r]
     blocks = [M.sparse_rows() for M in mats]
     rows.extend(
         {p * d + s: x for p, B in enumerate(blocks) for s, x in B[r].items()}
@@ -1372,10 +1388,8 @@ def elimination_relation_subspace(
         for a in range(n)
     ]
     cols = n * len(in_basis)
-    ker = [
-        sparse_vector(v)
-        for v in kernel_basis(ExactMatrix.from_rows(pairwise_relation_rows(ops), cols))
-    ]
+    rows = [r for r in formal_relation_rows(ops) if r]
+    ker = [sparse_vector(v) for v in kernel_basis(ExactMatrix.from_rows(rows, cols))]
     in_index = {a: i for i, a in enumerate(in_basis)}
     span = tensor_polarization_family(n, m, g, dual, in_index)
     ok = len(ker) == math.comb(n + g, g + 1) and same_span(ker, span, cols)

@@ -68,6 +68,8 @@ from reference import (
     elimination_contraction_hook,
     elimination_relation_subspace,
     evaluate,
+    field_echelon,
+    field_kernel_basis,
     formal_assemble_system,
     formal_relation_rows,
     from_real_values,
@@ -77,6 +79,7 @@ from reference import (
     p_basis,
     plus_part,
     polarization_blocks,
+    presolved_rows,
     project_grade,
     rank_is_invariant,
     real_assemble_system,
@@ -391,13 +394,22 @@ def test_matrix_path_matches_operator_path(dual):
     assert residual == values_to_vector(values, ctx.basis_index())
 
 
+def presolved_system_rows(ctx):
+    """The formal system's two-form rows through ``presolved_rows``, then
+    its trace block as it is."""
+    F = formal_assemble_system(ctx)
+    d = ctx.dim_w
+    return presolved_rows(F.sparse_rows()[:-d]) + F.sparse_rows()[-d:]
+
+
 def test_system_shape_counts():
     """``system_shape`` is the shape of the formal layout; the assembled
-    system stores its rows less the empty ones, in order."""
+    system stores its two-form rows less the empty ones and the repeated
+    one-entry ones, in order, then the trace block."""
     ctx = RepContext(2, 1)
     F = formal_assemble_system(ctx)
     assert (F.rows, F.cols) == (21, 12)
-    assert assemble_system(ctx).rows == 14
+    assert assemble_system(ctx).sparse_rows() == presolved_system_rows(ctx)
     ctx = RepContext(3, 2)
     F = formal_assemble_system(ctx)
     d = ctx.dim_w
@@ -410,12 +422,58 @@ def test_system_shape_counts():
                 F, M = formal_assemble_system(ctx), assemble_system(ctx)
                 assert system_shape(ctx) == (F.rows, F.cols)
                 assert M.cols == F.cols
-                assert M.sparse_rows() == [r for r in F.sparse_rows() if r]
-    # the lemma battery's relation systems drop their empty rows the same way
+                assert M.sparse_rows() == presolved_system_rows(ctx)
+    # the lemma battery's relation systems are filtered the same way
     mid, up = graded_monomials(3, 3, 1), graded_monomials(3, 3, 2)
     ops = [rho_matrix_restricted(xi_plus(e_vec(a, 3)), mid, up) for a in range(3)]
     formal = formal_relation_rows(ops)
-    assert pairwise_relation_rows(ops) == [r for r in formal if r] != formal
+    assert pairwise_relation_rows(ops) == presolved_rows(formal) != formal
+
+
+def test_presolved_rows_filter():
+    """The reference filter drops the empty rows and each one-entry row on
+    a column an earlier one-entry row holds, whatever its entry, and keeps
+    a longer row on that column."""
+    one, two = gq(1), gq(2)
+    rows = [{3: one}, {}, {3: two}, {1: one, 3: one}, {1: two}, {3: one}, {1: one}]
+    assert presolved_rows(rows) == [{3: one}, {1: one, 3: one}, {1: two}]
+
+
+# the five cases of the ``kernel-large`` benchmark workload
+KERNEL_LARGE_CASES = [(4, 4, False), (4, 4, True), (5, 3, False), (5, 3, True), (6, 3, False)]
+
+
+@pytest.mark.parametrize(
+    "n,m,dual",
+    [(n, m, dual) for n in (1, 2, 3) for m in (1, 2, 3) for dual in (False, True)]
+    + KERNEL_LARGE_CASES,
+)
+def test_kernel_equals_the_formal_system_kernel(n, m, dual):
+    """Dropping repeated one-entry rows keeps the canonical basis:
+    ``harmonic_kernel`` is, vector for vector and in order, the kernel of
+    the formal system less its empty rows, eliminated over the field."""
+    ctx = RepContext(n, m, dual)
+    F = formal_assemble_system(ctx)
+    formal = ExactMatrix.from_rows([r for r in F.sparse_rows() if r], F.cols)
+    ref = [sparse_vector(v) for v in field_kernel_basis(formal)]
+    assert [cocycle_to_vector(a) for a in harmonic_kernel(ctx)] == ref
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (4, 3)])
+def test_battery_relation_matrices_keep_the_formal_rank(n, m):
+    """Each relation matrix of the lemma battery, symmetric forcing at every
+    grade and dual symmetry, has the rank of its formal rows."""
+    _, lowering, dual_top = graded_operators(n, m)
+    for ops in [*lowering.values(), dual_top]:
+        R = ExactMatrix.from_rows(pairwise_relation_rows(ops), n * ops[0].cols)
+        assert rank(R) == len(field_echelon(formal_relation_rows(ops)))
+
+
+def test_kernel_large_systems_store_4871_rows():
+    """The five ``kernel-large`` systems hold 9035 nonempty formal two-form
+    and trace rows; 4164 of them repeat a one-entry row and are not stored."""
+    systems = [assemble_system(RepContext(*case)) for case in KERNEL_LARGE_CASES]
+    assert sum(M.rows for M in systems) == 4871
 
 
 @pytest.mark.parametrize("n,dual", [(1, False), (2, True), (3, False)])

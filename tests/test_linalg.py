@@ -72,6 +72,15 @@ def matrices(max_dim=4):
     )
 
 
+def test_entry_index_must_lie_in_the_shape():
+    M = dense_matrix([[1, 2], [3, I]])
+    assert [M.at(i, j) for i in (0, 1) for j in (0, 1)] == [gq(1), gq(2), gq(3), I]
+    assert ExactMatrix.zeros(2, 2).at(1, 1) == ZERO
+    for i, j in [(0, 5), (0, 2), (2, 0), (-1, 1), (1, -1)]:
+        with pytest.raises(IndexError):
+            M.at(i, j)
+
+
 def test_kernel_of_zero_matrix():
     kb = kernel_basis(ExactMatrix.zeros(2, 3))
     assert len(kb) == 3
