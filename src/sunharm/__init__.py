@@ -6,13 +6,16 @@ the symmetry and trace constraints on real-linear cocycles valued in a
 symmetric power of C^{n+1} (or its dual), certifies its structure
 (linearity type, grading support, symmetric-component membership,
 dimension), and runs the supporting graded-operator checks as one battery
-per case, ``lemma_battery``.  See the README for the CLI.
+per case, ``lemma_battery``.  See the README for the CLI.  It exports what
+the certifier runs: the complex tangents are matrix units built in
+``harmonic``, and the general complex directions xi_plus(v), xi_minus(v)
+and the matrix of rho on a whole symmetric power live with the tests'
+references.
 """
 
-from .exactfield import BACKEND_NAME, GaussianRational, I, ONE, ZERO, gq
+from .exactfield import BACKEND_NAME, GaussianRational, ONE, ZERO, gq
 from .linalg import ExactMatrix, kernel_basis, rank
-from .sun1 import e_vec, xi_minus, xi_plus
-from .symrep import RepContext, monomials, rho_matrix
+from .symrep import RepContext, monomials
 from .harmonic import Cocycle, assemble_system, harmonic_kernel, polarization_cocycles
 from .checks import lemma_battery, riemann_split_report
 from .verify import VERSION as __version__
@@ -23,12 +26,10 @@ __all__ = [
     "Cocycle",
     "ExactMatrix",
     "GaussianRational",
-    "I",
     "ONE",
     "RepContext",
     "ZERO",
     "assemble_system",
-    "e_vec",
     "gq",
     "harmonic_kernel",
     "kernel_basis",
@@ -37,10 +38,7 @@ __all__ = [
     "monomials",
     "polarization_cocycles",
     "rank",
-    "rho_matrix",
     "riemann_split_report",
     "run_sweep",
     "verify_case",
-    "xi_minus",
-    "xi_plus",
 ]

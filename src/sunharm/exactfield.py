@@ -8,11 +8,11 @@ Each component has one representation: a Python ``int`` when it is
 integral, and a ``Fraction`` in lowest terms with positive denominator only
 when it is not.  Every value the certifier stores is real, and almost
 every one an integer: plain ``int`` arithmetic spares those the
-``Fraction`` construction, gcd and operator dispatch.  Q(i) serves the
-library API and the tests' references on the real tangents.  Equality and
-hashing do not see the difference (``Fraction(2) == 2`` and
-``hash(Fraction(2)) == hash(2)``), and an ``int`` has ``numerator`` and
-``denominator`` like any exact rational.
+``Fraction`` construction, gcd and operator dispatch.  Q(i) serves complex
+input to ``linalg.rank`` and ``kernel_basis`` and the tests' references on
+the real tangents.  Equality and hashing do not see the difference
+(``Fraction(2) == 2`` and ``hash(Fraction(2)) == hash(2)``), and an ``int``
+has ``numerator`` and ``denominator`` like any exact rational.
 
 ``gq`` makes a scalar from any accepted input.  The inner loops that build
 one scalar per entry from components they computed skip its coercion: the
@@ -215,7 +215,6 @@ def gq(re=0, im=0) -> GaussianRational:
 
 ZERO = gq(0)
 ONE = gq(1)
-I = gq(0, 1)
 
 
 def sub_mul(a: GaussianRational, f: GaussianRational, b: GaussianRational):

@@ -1,14 +1,22 @@
 """Harmonicity constraints on cocycles and their exact joint kernel.
 
-A cocycle is a real-linear map from the tangent part p of su(n,1) into the
-representation space W (a symmetric power or its dual).  It extends
-complex-linearly to p (x) C and is stored by its values on the 2n complex
-tangents, the (1,0)/(0,1) split of p, in tangent order p = 0..2n-1
+Conventions.  V = C^{n+1} carries the form J = diag(1, ..., 1, -1) of
+signature (n, 1), and su(n,1) complexifies to sl(n+1, C).  The
+complexified compact part k_C is the traceless block-diagonal diag(B, c), a
+copy of gl(n), and the tangent part p is spanned by the Hermitian
+xi(v) = [[0, v], [v*, 0]], v in C^n.
 
-    Z_0..Z_{n-1}        = xi_plus(e_1)..xi_plus(e_n)    (``values[:n]``)
-    Zbar_0..Zbar_{n-1}  = xi_minus(e_1)..xi_minus(e_n)  (``values[n:]``)
+A cocycle is a real-linear map from p into the representation space W (a
+symmetric power or its dual).  It extends complex-linearly to p (x) C and
+is stored by its values on the 2n complex tangents, the (1,0)/(0,1) split
+of p, in tangent order p = 0..2n-1: the matrix units (``_unit``)
 
-so a is complex-linear exactly when its Zbar values vanish and
+    Z_0..Z_{n-1}        = E_{0,n}..E_{n-1,n}    (``values[:n]``)
+    Zbar_0..Zbar_{n-1}  = E_{n,0}..E_{n,n-1}    (``values[n:]``)
+
+so xi(v) = xi_plus(v) + xi_minus(v), with xi_plus(v) = sum_j v_j Z_j and
+xi_minus(v) = sum_j conj(v_j) Zbar_j (built in ``tests/reference.py``).
+A cocycle is complex-linear exactly when its Zbar values vanish and
 conjugate-linear exactly when its Z values do.  The real tangents are
 xi(e_j) = Z_j + Zbar_j and xi(i e_j) = i (Z_j - Zbar_j).  Each value is a
 coefficient map {multi-index: nonzero coefficient}, the package's one form
@@ -72,9 +80,8 @@ from functools import lru_cache
 from itertools import chain
 from typing import Sequence
 
-from .exactfield import GaussianRational, gq
+from .exactfield import ONE, GaussianRational, gq
 from .linalg import ExactMatrix, Row, _in_range, kernel_basis, rank, sparse_vector
-from .sun1 import e_vec, k_generators, xi_minus, xi_plus
 from .symrep import (
     RepContext,
     _action,
@@ -86,11 +93,35 @@ from .symrep import (
 )
 
 
+def _unit(n: int, i: int, j: int) -> ExactMatrix:
+    """The (n+1) x (n+1) matrix unit E_ij: one entry, ONE at (i, j)."""
+    rows = [{} for _ in range(n + 1)]
+    rows[i] = {j: ONE}
+    return ExactMatrix.from_rows(rows, n + 1)
+
+
 def _basis_tangent(n: int, p: int) -> ExactMatrix:
-    """The p-th complex tangent (0 <= p < 2n): Z_p, then Zbar_{p-n}."""
-    if p < n:
-        return xi_plus(e_vec(p, n))
-    return xi_minus(e_vec(p - n, n))
+    """The p-th complex tangent (0 <= p < 2n): Z_p = E_{p,n}, then
+    Zbar_{p-n} = E_{n,p-n}."""
+    return _unit(n, p, n) if p < n else _unit(n, n, p - n)
+
+
+@lru_cache(maxsize=None)
+def k_generators(n: int) -> tuple[ExactMatrix, ...]:
+    """A Lie-algebra generating set of k_C = gl(n), the complexified k.
+
+    The central element diag(I_n, -n), then, for each adjacent pair
+    (a, a + 1), the elementary matrices E_{a,a+1} and E_{a+1,a}: 2n - 1
+    elements, each diagonal or with a single nonzero entry.  The E's
+    generate sl(n) (J. E. Humphreys, *Introduction to Lie Algebras and
+    Representation Theory*, section 18), and the central element completes
+    it to all of k_C.  Built once per n; the tuple keeps the cached set
+    immutable.
+    """
+    out = [ExactMatrix.diagonal([ONE] * n + [gq(-n)])]
+    for a in range(n - 1):
+        out += (_unit(n, a, a + 1), _unit(n, a + 1, a))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

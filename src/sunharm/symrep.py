@@ -184,16 +184,6 @@ def _map_matrix(image, in_basis, out_basis) -> ExactMatrix:
     return ExactMatrix.from_rows(rows, len(in_basis))
 
 
-def rho_matrix(X: ExactMatrix, n: int, m: int, dual: bool = False) -> ExactMatrix:
-    """Matrix of the action on S^m (or its dual) in the lex monomial basis.
-    Raises on an invalid case (``RepContext``) or if X is not an
-    (n+1) x (n+1) matrix."""
-    basis = RepContext(n, m, dual).basis()
-    if X.rows != n + 1 or X.cols != n + 1:
-        raise ValueError("matrix size does not match the monomials")
-    return _map_matrix(_action(X, dual), basis, basis)
-
-
 class RepContext:
     """A verification case: the symmetric power S^m of C^{n+1} or its dual.
     An immutable value, equal and hashed by (n, m, dual); pickle and copy

@@ -69,8 +69,13 @@ formal relation rows to the package's.  The references that eliminate a
 relation system build it from ``formal_relation_rows``, less the empty
 rows, so they do not share the package's builder.
 
-The package stores a cocycle by its values on the complex tangents
-Z_j = xi_plus(e_j) and Zbar_j = xi_minus(e_j).  The references here work in
+The package stores a cocycle by its values on the complex tangents Z_j and
+Zbar_j, which it builds as matrix units.  This module keeps the general
+complex directions they specialize: ``e_vec``, the halves ``xi_plus(v)``
+and ``xi_minus(v)`` of xi(v) for any v in C^n, the matrix ``rho_matrix`` of
+the action on a whole symmetric power, and the imaginary unit ``I``.  Its
+own tangents, ``complex_tangent``, come from them, so no reference shares
+the package's builder.  The references here work in
 the real coordinates A_j = a(xi(e_j)) and B_j = a(xi(i e_j)) instead, and
 reach the package's cocycles only through one conversion pair,
 ``real_values`` and ``from_real_values``.  That includes the constraint
@@ -93,10 +98,9 @@ import math
 from heapq import heapify, heappop, heappush
 from typing import Sequence
 
-from sunharm import Cocycle, ExactMatrix, I, ONE, RepContext, ZERO, gq
+from sunharm import Cocycle, ExactMatrix, ONE, RepContext, ZERO, gq
 from sunharm.exactfield import GaussianRational, sub_mul
 from sunharm.harmonic import (
-    _basis_tangent,
     cocycle_from_vector,
     polarization_rows,
     system_shape,
@@ -111,7 +115,6 @@ from sunharm.linalg import (
     same_span,
     sparse_vector,
 )
-from sunharm.sun1 import _p_element, e_vec, xi_minus, xi_plus
 from sunharm.symrep import (
     MultiIndex,
     _action,
@@ -120,10 +123,12 @@ from sunharm.symrep import (
     graded_monomials,
     monomial_index,
     monomials,
-    rho_matrix,
 )
 
 Vector = list[GaussianRational]
+
+#: The imaginary unit of Q(i).
+I = gq(0, 1)
 
 
 # -- dense views and the elimination over the field Q(i) --------------------
@@ -287,6 +292,44 @@ def three_pass_same_span(a: Sequence, b: Sequence, cols: int) -> bool:
 
 
 # -- the Lie algebra -----------------------------------------------------------
+
+
+def e_vec(j: int, n: int) -> Vector:
+    """Standard basis vector e_j (0-based) of C^n; ``ValueError`` unless
+    0 <= j < n."""
+    if not 0 <= j < n:
+        raise ValueError(f"no basis vector e_{j} in C^{n}")
+    v = [ZERO] * n
+    v[j] = ONE
+    return v
+
+
+def _p_element(v: Sequence, upper: bool, lower: bool) -> ExactMatrix:
+    """The corner blocks of [[0, v], [v*, 0]] that are asked for, built from
+    the nonzero components of v only."""
+    n = len(v)
+    nz = {j: z for j, z in enumerate(map(gq, v)) if z}
+    rows = [{n: nz[j]} if upper and j in nz else {} for j in range(n)]
+    rows.append({j: x.conjugate() for j, x in nz.items()} if lower else {})
+    return ExactMatrix.from_rows(rows, n + 1)
+
+
+def xi_plus(v: Sequence) -> ExactMatrix:
+    """Complex-linear half of xi(v): the strictly upper corner block."""
+    return _p_element(v, upper=True, lower=False)
+
+
+def xi_minus(v: Sequence) -> ExactMatrix:
+    """Conjugate-linear half of xi(v): the strictly lower corner block."""
+    return _p_element(v, upper=False, lower=True)
+
+
+def complex_tangent(n: int, p: int) -> ExactMatrix:
+    """The p-th complex tangent (0 <= p < 2n) from the complex directions:
+    Z_p = xi_plus(e_p), then Zbar_{p-n} = xi_minus(e_{p-n})."""
+    if p < n:
+        return xi_plus(e_vec(p, n))
+    return xi_minus(e_vec(p - n, n))
 
 
 def scale_vec(s, v: Sequence) -> Vector:
@@ -851,7 +894,7 @@ def t_op(a: Cocycle) -> TwoForm:
     """The two-form T a; zero exactly when rho(xi_u)a(xi_v) is symmetric."""
     n = a.ctx.n
     vals = {}
-    mats = [_basis_tangent(n, p) for p in range(2 * n)]
+    mats = [complex_tangent(n, p) for p in range(2 * n)]
     values = tensor_values(a)
     for p in range(2 * n):
         for q in range(p + 1, 2 * n):
@@ -868,7 +911,7 @@ def tstar_op(a: Cocycle):
     values = tensor_values(a)
     out = tensor(a.ctx, {})
     for p in range(2 * n):
-        out = out + rho_apply(_basis_tangent(n, p), values[(p + n) % (2 * n)])
+        out = out + rho_apply(complex_tangent(n, p), values[(p + n) % (2 * n)])
     return out
 
 
@@ -953,6 +996,16 @@ def derivation_matrix(X: ExactMatrix, n: int, m: int) -> ExactMatrix:
         for beta, c in image.coeffs.items():
             rows[index[beta]][col] = c
     return ExactMatrix.from_rows(rows, len(basis))
+
+
+def rho_matrix(X: ExactMatrix, n: int, m: int, dual: bool = False) -> ExactMatrix:
+    """Matrix of the action on S^m (or its dual) in the lex monomial basis.
+    Raises on an invalid case (``RepContext``) or if X is not an
+    (n+1) x (n+1) matrix."""
+    basis = RepContext(n, m, dual).basis()
+    if X.rows != n + 1 or X.cols != n + 1:
+        raise ValueError("matrix size does not match the monomials")
+    return _map_matrix(_action(X, dual), basis, basis)
 
 
 def rho_matrix_restricted(
@@ -1072,7 +1125,7 @@ def formal_assemble_system(ctx) -> ExactMatrix:
     ``assemble_system`` stores ``presolved_rows`` of its two-form blocks,
     then the trace block."""
     n, d = ctx.n, ctx.dim_w
-    mats = [rho_matrix(_basis_tangent(n, p), n, ctx.m, ctx.dual) for p in range(2 * n)]
+    mats = [rho_matrix(complex_tangent(n, p), n, ctx.m, ctx.dual) for p in range(2 * n)]
     rows = formal_relation_rows(mats)
     # trace block: block Z_j carries rho(Zbar_j) and block Zbar_j rho(Z_j)
     blocks = [M.sparse_rows() for M in mats[n:] + mats[:n]]

@@ -11,15 +11,7 @@ from functools import lru_cache
 
 import pytest
 
-from sunharm import (
-    I,
-    RepContext,
-    e_vec,
-    harmonic_kernel,
-    polarization_cocycles,
-    xi_minus,
-    xi_plus,
-)
+from sunharm import RepContext, harmonic_kernel, polarization_cocycles
 from sunharm.checks import lemma_battery, riemann_split_report
 from sunharm.harmonic import classify, cocycle_to_vector, polarization_rows
 from sunharm.linalg import ExactMatrix, rank, same_span
@@ -27,12 +19,14 @@ from sunharm.verify import run_sweep
 
 from conftest import make_rng, random_value, scrub
 from reference import (
+    I,
     SymTensor,
     adjoint_on_p_plus,
     bracket,
     canonical_weight,
     conj_transpose,
     det,
+    e_vec,
     embed_k,
     h0,
     inner,
@@ -49,6 +43,8 @@ from reference import (
     tstar_op,
     unitary_corpus,
     xi,
+    xi_minus,
+    xi_plus,
 )
 
 GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2)]

@@ -10,16 +10,13 @@ import pytest
 from sunharm import (
     Cocycle,
     GaussianRational,
-    I,
+    ONE,
     RepContext,
     ZERO,
     assemble_system,
-    e_vec,
     gq,
     harmonic_kernel,
     polarization_cocycles,
-    xi_minus,
-    xi_plus,
 )
 from sunharm import verify
 from sunharm.harmonic import (
@@ -29,6 +26,7 @@ from sunharm.harmonic import (
     cocycle_from_vector,
     cocycle_to_vector,
     intertwines,
+    k_generators,
     kernel_is_invariant,
     pairwise_relation_rows,
     polarization_rows,
@@ -48,7 +46,6 @@ from sunharm.checks import (
 )
 from sunharm.linalg import ExactMatrix, kernel_basis, rank, same_span, sparse_vector
 from sunharm.symrep import graded_monomials, polarization_family
-from sunharm.sun1 import k_generators
 
 from conftest import (
     all_passed,
@@ -60,11 +57,14 @@ from conftest import (
 )
 from reference import (
     DualSymTensor,
+    I,
     SymTensor,
     apply,
     bracket,
+    dense_matrix,
     dense_part_sub_basis,
     derivative,
+    e_vec,
     elimination_contraction_hook,
     elimination_relation_subspace,
     evaluate,
@@ -102,6 +102,8 @@ from reference import (
     tstar_op,
     unitary_corpus,
     xi,
+    xi_minus,
+    xi_plus,
 )
 
 
@@ -1556,12 +1558,36 @@ def test_tangent_actions_are_built_once_per_side(monkeypatch):
     assert sorted(built) == [(p, dual) for p in range(2 * n) for dual in (False, True)]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_tangents_and_k_generators_are_matrix_units(n):
+    """Each complex tangent stores one entry, ONE at (p, n) for Z_p and at
+    (n, p - n) for Zbar_{p-n}, and is the reference's complex direction
+    xi_plus(e_p) or xi_minus(e_{p-n}); ``k_generators(n)`` is diag(I_n, -n),
+    then E_{a,a+1} and E_{a+1,a} for each adjacent pair, written densely."""
+    for p in range(2 * n):
+        T = _basis_tangent(n, p)
+        at = (p, n) if p < n else (n, p - n)
+        stored = [(i, j, x) for i, r in enumerate(T.sparse_rows()) for j, x in r.items()]
+        assert stored == [(*at, ONE)], p
+        assert T == (xi_plus(e_vec(p, n)) if p < n else xi_minus(e_vec(p - n, n))), p
+
+    def dense(entries):
+        return dense_matrix(
+            [[entries.get((i, j), 0) for j in range(n + 1)] for i in range(n + 1)]
+        )
+
+    central = dense({(i, i): 1 for i in range(n)} | {(n, n): -n})
+    units = [dense({ij: 1}) for a in range(n - 1) for ij in ((a, a + 1), (a + 1, a))]
+    assert list(k_generators(n)) == [central, *units]
+
+
 def test_certifier_data_are_real():
     """Z_j, Zbar_j, the generators of k_C and P are real matrices, so every
     entry the certifier stores is real: the assembled system, the rows of P,
     the kernel's values and the generators, on the default grid, both sides.
-    Gaussian rationals stay for the library API and the tests' references
-    on the real tangents."""
+    Gaussian rationals stay in the scalar type and in complex ``rank`` and
+    ``kernel_basis`` input, and serve the tests' references: the real
+    tangents and the complex directions xi_plus(v), xi_minus(v)."""
     grid = {(n, m) for kind, n, m in verify.sweep_specs(None, None)}
     for n, m in sorted(grid):
         gens = [r for X in k_generators(n) for r in X.sparse_rows()]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sunharm import ExactMatrix, I, ONE, ZERO, gq, kernel_basis, rank
+from sunharm import ExactMatrix, ONE, ZERO, gq, kernel_basis, rank
 from sunharm import linalg
 from sunharm.checks import lemma_battery
 from sunharm.linalg import _echelon, _reduced_echelon, same_span, sparse_vector
@@ -12,6 +12,7 @@ from sunharm.verify import run_sweep
 
 from conftest import make_rng
 from reference import (
+    I,
     apply,
     conj_transpose,
     dense_matrix,

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import re
@@ -19,7 +20,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 
 #: Names that left the package, by the module that defined them: group-level,
-#: dense and tensor references now in tests/reference.py, among them the hook
+#: dense and tensor references now in tests/reference.py, among them the
+#: matrix of rho on a whole symmetric power, the imaginary unit, the hook
 #: projection, the parts of a cocycle on any tangent, the n = 1 split by
 #: kernel solves, the tensor calculus of the polarization section, the
 #: two-form operators and P split by tangent for the matrix form of the
@@ -28,30 +30,25 @@ PYPROJECT = ROOT / "pyproject.toml"
 #: the per-module scalar coercions that ``gq`` replaced.  The tensor types
 #: and ``rho_apply`` left too, for the coefficient map; under ``checks`` are
 #: the tensor names it imported for its two witnesses, and the names it built
-#: tangents with before it read ``harmonic._tangent_action``: ``e_vec``,
-#: ``xi_plus`` and ``xi_minus`` stay exported from ``sun1``.  The four
-#: per-lemma checks left the package root too: ``lemma_battery``, which
-#: validates the case and builds their operators, is their one entry point,
-#: and the operator table it builds has no cache (``lru_cache``).
+#: tangents with before it read ``harmonic._tangent_action``; ``harmonic``
+#: bound ``xi_plus``, ``xi_minus`` and ``e_vec`` too until it built its
+#: tangents as matrix units.  The four per-lemma checks left the package
+#: root too: ``lemma_battery``, which validates the case and builds their
+#: operators, is their one entry point, and the operator table it builds
+#: has no cache (``lru_cache``).
 GONE = {
-    "sun1": (
-        "is_unitary", "embed_k", "adjoint_on_p_plus", "canonical_weight",
-        "unitary_corpus", "tangent_samples", "p_basis", "bracket", "is_compact",
-        "is_xi_shape", "is_xi_plus_shape", "LieElement", "classify_kind",
-        "is_xi_minus_shape", "group_inverse", "k_basis", "h0", "xi", "scale_vec",
-        "in_su", "compact_element", "j_form", "_vec",
-    ),
     "symrep": (
         "substitute", "_poly_mul", "group_matrix", "k_group_action", "inner",
         "pair", "power_of_vector", "project_grade", "_matrix_of", "_nonzero_entries",
         "raise_weighted", "derivative", "shift_down", "multiply_var", "polarization",
         "_as_scalar", "_CoeffPoly", "SymTensor", "DualSymTensor", "rho_apply",
-        "rho_matrix_restricted",
+        "rho_matrix_restricted", "rho_matrix",
     ),
     "harmonic": (
         "transform_cocycle", "Vector", "symmetric_component_membership",
         "_uniform_grade", "plus_part", "minus_part", "_linear_part", "TwoForm",
         "t_op", "tstar_op", "polarization_blocks", "_bracket_mix",
+        "xi_plus", "xi_minus", "e_vec",
     ),
     "checks": (
         "part_sub_basis", "split_halves", "SymTensor", "rho_apply", "_action",
@@ -60,8 +57,21 @@ GONE = {
         "check_contraction_isometry", "lru_cache",
     ),
     "linalg": ("det", "dump_text", "rref", "rank_of_rows", "_sparse_rows", "_entry"),
-    "exactfield": ("dump_entry", "Rational", "_BACKEND"),
+    "exactfield": ("dump_entry", "Rational", "_BACKEND", "I"),
 }
+
+#: The names of the deleted module ``sun1``: the group-level and dense
+#: references, and the complex directions of p, which tests/reference.py
+#: keeps; its ``k_generators`` moved to ``harmonic``, built from matrix
+#: units like the tangents.
+SUN1 = (
+    "is_unitary", "embed_k", "adjoint_on_p_plus", "canonical_weight",
+    "unitary_corpus", "tangent_samples", "p_basis", "bracket", "is_compact",
+    "is_xi_shape", "is_xi_plus_shape", "LieElement", "classify_kind",
+    "is_xi_minus_shape", "group_inverse", "k_basis", "h0", "xi", "scale_vec",
+    "in_su", "compact_element", "j_form", "_vec",
+    "e_vec", "xi_plus", "xi_minus", "_p_element",
+)
 
 #: Methods that left the package's classes for tests/reference.py.
 GONE_MEMBERS = {
@@ -94,6 +104,9 @@ def test_public_surface():
     exec("from sunharm import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == set(sunharm.__all__)
+    assert importlib.util.find_spec("sunharm.sun1") is None
+    for name in SUN1:
+        assert not hasattr(sunharm, name), name
     for module, names in GONE.items():
         mod = importlib.import_module(f"sunharm.{module}")
         for name in names:

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from sunharm import ExactMatrix, I, ONE, ZERO, e_vec, gq, xi_minus, xi_plus
+from sunharm import ExactMatrix, ONE, ZERO, gq
+from sunharm.harmonic import k_generators
 from sunharm.linalg import rank
-from sunharm.sun1 import k_generators
 
 from reference import (
+    I,
     adjoint_on_p_plus,
     bracket,
     canonical_weight,
@@ -16,6 +17,7 @@ from reference import (
     dense_rank_of_rows,
     dense_rows,
     det,
+    e_vec,
     embed_k,
     h0,
     identity,
@@ -33,6 +35,8 @@ from reference import (
     tangent_samples,
     unitary_corpus,
     xi,
+    xi_minus,
+    xi_plus,
 )
 
 

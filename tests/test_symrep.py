@@ -4,20 +4,8 @@ import pickle
 
 import pytest
 
-from sunharm import (
-    ExactMatrix,
-    I,
-    ONE,
-    RepContext,
-    ZERO,
-    e_vec,
-    gq,
-    rho_matrix,
-    xi_minus,
-    xi_plus,
-)
-from sunharm.harmonic import _tangent_action
-from sunharm.sun1 import k_generators
+from sunharm import ExactMatrix, ONE, RepContext, ZERO, gq
+from sunharm.harmonic import _tangent_action, k_generators
 from sunharm.symrep import (
     _map_matrix,
     graded_monomials,
@@ -29,10 +17,12 @@ from sunharm.symrep import (
 from conftest import make_rng, random_value
 from reference import (
     DualSymTensor,
+    I,
     SymTensor,
     adjoint_on_p_plus,
     bracket,
     derivation_matrix,
+    e_vec,
     h0,
     identity,
     inner,
@@ -44,10 +34,13 @@ from reference import (
     power_of_vector,
     project_grade,
     rho_apply,
+    rho_matrix,
     tangent_samples,
     tensor_polarization_family,
     unitary_corpus,
     xi,
+    xi_minus,
+    xi_plus,
 )
 
 
