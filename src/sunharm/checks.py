@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .linalg import ExactMatrix, Row, rank
+from .linalg import ExactMatrix, Row, column_block, rank
 from .symrep import (
     RepContext,
     _map_matrix,
@@ -288,9 +288,7 @@ def _contraction_isometry(n: int, m: int, j: int, raising: tuple, lowering: tupl
 
 def _nullity(rows: Sequence[Row], cols: Sequence[int]) -> int:
     """The nullity of the block of ``rows`` on the columns ``cols``."""
-    index = {c: i for i, c in enumerate(cols)}
-    block = [{index[j]: x for j, x in r.items() if j in index} for r in rows]
-    return len(cols) - rank(ExactMatrix.from_rows(block, len(cols)))
+    return len(cols) - rank(column_block(rows, cols))
 
 
 def riemann_split_report(ctx: RepContext) -> dict:

@@ -35,13 +35,15 @@ Two constraint operators are imposed:
 The joint kernel is computed exactly as the nullspace of one assembled
 matrix.  Coordinate order: block p (all Z blocks before all Zbar blocks,
 index ascending), then monomial index in lex order; constraint rows: the
-two-form blocks for pairs (p, q) in lex order, less their empty rows and
-less each one-entry row whose column an earlier one-entry row already sets
-to zero, then the trace block; the rows span the same space as the formal
-ones.  Each row has all its columns in one weight of the diagonal torus of
-K: column (Z_j, e^alpha) has weight alpha - e_j + e_{n+1}, column
-(Zbar_j, e^alpha) alpha + e_j - e_{n+1}, with alpha negated on the dual
-side.  A coordinate vector is a sparse ``linalg.Row`` (column
+two-form blocks for pairs (p, q) in lex order, less their empty rows, then
+the trace block, presolved (``_presolve``): one row {c: 1} for each column
+c that a chain of one-entry rows forces to zero, in increasing order, then
+the other rows, struck of those columns.  The rows span the same space as
+the formal ones, and ``harmonic_kernel`` eliminates only the struck rows,
+on the columns left.  Each row has all its columns in one weight of the
+diagonal torus of K: column (Z_j, e^alpha) has weight alpha - e_j +
+e_{n+1}, column (Zbar_j, e^alpha) alpha + e_j - e_{n+1}, with alpha negated
+on the dual side.  A coordinate vector is a sparse ``linalg.Row`` (column
 -> nonzero entry): ``cocycle_to_vector`` and ``values_to_vector`` write
 coefficient maps as rows, and ``cocycle_from_vector`` and
 ``values_from_vector`` read them back.  Every classification flag is an
@@ -78,10 +80,18 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exactfield import ONE, GaussianRational, gq
-from .linalg import ExactMatrix, Row, _in_range, kernel_basis, rank, sparse_vector
+from .linalg import (
+    ExactMatrix,
+    Row,
+    _in_range,
+    column_block,
+    kernel_basis,
+    rank,
+    sparse_vector,
+)
 from .symrep import (
     RepContext,
     _action,
@@ -166,13 +176,6 @@ class Cocycle:
     def __repr__(self):
         return f"Cocycle(ctx={self.ctx!r}, values={self.values!r})"
 
-    @classmethod
-    def zero(cls, ctx: RepContext) -> "Cocycle":
-        return cls(ctx, [{} for _ in range(2 * ctx.n)])
-
-    def is_zero(self) -> bool:
-        return not any(self.values)
-
 
 def _operators_vanish(a: Cocycle) -> bool:
     """T a = 0 and T* a = 0, decided by the tangents' cached monomial
@@ -205,24 +208,21 @@ def _operators_vanish(a: Cocycle) -> bool:
 # -- the constraint-system layer --------------------------------------------
 
 
-def pairwise_relation_rows(ops: Sequence[ExactMatrix]) -> list[Row]:
+def pairwise_relation_rows(ops: Sequence[ExactMatrix]) -> Iterator[Row]:
     """Sparse rows spanning the relations Op_a x_b = Op_b x_a for all pairs
-    a < b.
+    a < b, yielded one at a time so that no caller need hold them all.
 
     The unknown (x_0, ..., x_{k-1}) has one block per op, each of the ops'
     input dimension.  Pairs come in lex order, one row per output
     coordinate in order; block b carries Op_a and block a carries -Op_b.
     A coordinate that neither op of the pair reaches gives the relation
-    0 = 0 and no row.  A row with one entry says x_c = 0 for its column c,
-    and only the first such row for each column is kept, so the rows span
-    the same space as the formal ones.  A single op gives no rows.
+    0 = 0 and no row, so the rows span the same space as the formal ones.
+    A single op gives no rows.
     """
     k = len(ops)
     d_in = ops[0].cols
     mats = [M.sparse_rows() for M in ops]
     negs = [[{s: -x for s, x in r.items()} for r in M] for M in mats]
-    rows = []
-    forced = set()  # columns that a one-entry row already sets to zero
     for a in range(k):
         for b in range(a + 1, k):
             at_a, at_b = a * d_in, b * d_in
@@ -232,20 +232,46 @@ def pairwise_relation_rows(ops: Sequence[ExactMatrix]) -> list[Row]:
                     row[at_b + s] = x
                 for s, x in rb.items():
                     row[at_a + s] = x
-                if len(row) == 1:
-                    (c,) = row
-                    if c in forced:
-                        continue
-                    forced.add(c)
                 if row:
-                    rows.append(row)
-    return rows
+                    yield row
+
+
+def _presolve(rows: Iterable[Row]) -> list[Row]:
+    """The rows less the columns they force to zero, with the same span.
+
+    A one-entry row {c: x} says x_c = 0, so column c is struck from every
+    other row, and a row left with one entry forces its column in turn, to
+    a fixed point (the singleton-row reduction of E. D. Andersen and K. D.
+    Andersen, "Presolving in linear programming", Math. Programming 71,
+    1995).  Returns one row {c: 1} per forced column c in increasing order,
+    then the rows with two or more columns left, in order and struck of the
+    forced ones; the other rows are dropped.  The longer rows are struck in
+    place, and a one-entry row is not kept once its column is read.
+    """
+    kept, todo = [], []
+    touching: dict[int, list[Row]] = {}  # column -> the longer rows on it
+    for r in rows:
+        if len(r) == 1:
+            todo += r
+        elif r:
+            kept.append(r)
+            for c in r:
+                touching.setdefault(c, []).append(r)
+    forced = set()
+    for c in todo:  # the worklist grows while it is read
+        if c not in forced:
+            forced.add(c)
+            for r in touching.get(c, ()):
+                del r[c]
+                if len(r) == 1:
+                    todo += r
+    return [{c: ONE} for c in sorted(forced)] + [r for r in kept if len(r) > 1]
 
 
 def system_shape(ctx: RepContext) -> tuple[int, int]:
-    """The formal (rows, columns), dim W rows per block, that the report prints;
-    ``assemble_system`` stores no empty row and no repeated one-entry row of
-    the two-form blocks, so it may have fewer rows with the same span."""
+    """The formal (rows, columns), dim W rows per block, that the report
+    prints; ``assemble_system`` stores the rows of ``_presolve``, so it has
+    fewer rows with the same span."""
     nb = 2 * ctx.n
     return (math.comb(nb, 2) + 1) * ctx.dim_w, nb * ctx.dim_w
 
@@ -253,22 +279,23 @@ def system_shape(ctx: RepContext) -> tuple[int, int]:
 def assemble_system(ctx: RepContext) -> ExactMatrix:
     """Matrix whose nullspace is {a : T a = 0 and T* a = 0}.
 
-    Rows: the two-form blocks for pairs (p, q) in lex order, less their
-    empty rows and their repeated one-entry rows
-    (``pairwise_relation_rows``), then the trace block; columns: cocycle
-    coordinates (block p, then monomial).
+    Columns: cocycle coordinates (block p, then monomial).  Rows: the
+    two-form blocks for pairs (p, q) in lex order, less their empty rows
+    (``pairwise_relation_rows``), then the trace block, all through
+    ``_presolve``: one row {c: 1} per column c forced to zero, in order,
+    then the other rows, struck of those columns.
     """
     n, d, basis = ctx.n, ctx.dim_w, ctx.basis()
     mats = [
         _map_matrix(_tangent_action(n, p, ctx.dual), basis, basis) for p in range(2 * n)
     ]
-    rows = pairwise_relation_rows(mats)
     # trace block: block Z_j carries rho(Zbar_j) and block Zbar_j rho(Z_j)
     blocks = [M.sparse_rows() for M in mats[n:] + mats[:n]]
-    rows.extend(
+    trace = (
         {p * d + s: x for p, B in enumerate(blocks) for s, x in B[r].items()}
         for r in range(d)
     )
+    rows = _presolve(chain(pairwise_relation_rows(mats), trace))
     return ExactMatrix.from_rows(rows, 2 * n * d)
 
 
@@ -303,10 +330,21 @@ def cocycle_from_vector(ctx: RepContext, vec: Row) -> Cocycle:
 
 
 def harmonic_kernel(ctx: RepContext) -> list[Cocycle]:
-    """Canonical exact basis of the joint kernel of (T, T*)."""
+    """Canonical exact basis of the joint kernel of (T, T*).
+
+    A forced column of ``assemble_system`` is a pivot whose row has no
+    other entry, and no other row reaches it, so only the other rows are
+    eliminated, on the free columns (``column_block``), and each vector is
+    padded back with zeros: the basis is that of the whole system.
+    """
+    A = assemble_system(ctx)
+    rows = A.sparse_rows()
+    forced = {c for r in rows if len(r) == 1 for c in r}
+    free = [c for c in range(A.cols) if c not in forced]
+    block = column_block((r for r in rows if len(r) > 1), free)
     return [
-        cocycle_from_vector(ctx, sparse_vector(v))
-        for v in kernel_basis(assemble_system(ctx))
+        cocycle_from_vector(ctx, {free[j]: x for j, x in sparse_vector(v).items()})
+        for v in kernel_basis(block)
     ]
 
 

@@ -11,7 +11,10 @@ lead, and reads no row after it stops at full rank.
 ``kernel_basis`` alone returns dense vectors, and ``row(i)`` gives a dense
 view of one row.  ``sparse_vector`` turns such a vector into a row; its zero
 test ``x is not ZERO and x`` skips the shared ``ZERO`` that ``kernel_basis``
-fills its vectors with, without a method call.
+fills its vectors with, without a method call.  ``column_block`` restricts
+rows to a list of columns, relabelled in that order: the n = 1 split takes
+nullities of such blocks, and the harmonic kernel is solved on the block of
+the columns that its presolve leaves free.
 
 Every rank, kernel and span comes from one elimination, run over the
 Gaussian integers Z[i] so that no rank builds a rational.  It takes the
@@ -285,6 +288,14 @@ def kernel_basis(M: ExactMatrix) -> list[list[GaussianRational]]:
         for f, x in tail.items():
             basis[f][c] = -x
     return list(basis.values())
+
+
+def column_block(rows: Iterable[Row], cols: Sequence[int]) -> ExactMatrix:
+    """The block of ``rows`` on the columns ``cols``, column ``cols[i]``
+    relabelled i; entries in any other column are left out."""
+    index = {c: i for i, c in enumerate(cols)}
+    block = [{index[j]: x for j, x in r.items() if j in index} for r in rows]
+    return ExactMatrix.from_rows(block, len(index))
 
 
 def _in_range(rows: Iterable[Row], cols: int) -> list[Row]:

@@ -45,7 +45,9 @@ sums, scalings and grades the references compute with, and ``rho_apply``,
 which applies X to a tensor through the package's monomial action.
 ``tensor`` is the one bridge from a map to a tensor, and a tensor's
 ``coeffs`` is its map; ``tensor_values`` and ``tensor_cocycle`` apply the
-bridge to the values of a cocycle.
+bridge to the values of a cocycle.  The zero cocycle and its test,
+``zero_cocycle`` and ``is_zero_cocycle``, are kept here too, since the
+package never builds or tests a zero cocycle.
 
 The package writes the polarization family from exponents alone
 (``symrep.polarization_family``) and decides T a = 0 and T* a = 0 without
@@ -60,14 +62,14 @@ multiplication map tensor by tensor; and ``TwoForm``, ``t_op`` and
 ``matrix_add``, ``matrix_sub`` and ``matrix_neg`` the matrix sum,
 difference and negation, which only the references and the tests need.
 
-The package stores the constraint system without its empty rows, and
-keeps a one-entry relation row only for the first time its column is set
-to zero that way; ``formal_assemble_system`` builds it in the formal
-layout that ``system_shape`` and the report count, every row included, on
-``formal_relation_rows``, and ``presolved_rows`` is the filter from the
-formal relation rows to the package's.  The references that eliminate a
-relation system build it from ``formal_relation_rows``, less the empty
-rows, so they do not share the package's builder.
+The package stores the constraint system presolved: the columns that
+one-entry rows force to zero, one row each, then the other rows struck of
+those columns.  ``formal_assemble_system`` builds it in the formal layout
+that ``system_shape`` and the report count, every row included, on
+``formal_relation_rows``, and ``presolved_rows`` finds the forced columns
+by a plain fixed-point loop, not the package's worklist.  The references
+that eliminate a relation system build it from ``formal_relation_rows``,
+less the empty rows, so they do not share the package's builder.
 
 The package stores a cocycle by its values on the complex tangents Z_j and
 Zbar_j, which it builds as matrix units.  This module keeps the general
@@ -788,6 +790,15 @@ def tensor_cocycle(ctx: RepContext, values: Sequence) -> Cocycle:
     return Cocycle(ctx, [w.coeffs for w in values])
 
 
+def zero_cocycle(ctx: RepContext) -> Cocycle:
+    """The zero cocycle of ctx: 2n empty coefficient maps, each its own."""
+    return Cocycle(ctx, [{} for _ in range(2 * ctx.n)])
+
+
+def is_zero_cocycle(a: Cocycle) -> bool:
+    return not any(a.values)
+
+
 # -- tensor calculus, the polarization section and the two-form operators ------
 
 
@@ -1107,14 +1118,22 @@ def formal_relation_rows(ops: Sequence[ExactMatrix]) -> list[Row]:
 
 
 def presolved_rows(rows: Sequence[Row]) -> list[Row]:
-    """``rows`` in order, less the empty ones, less each one-entry row whose
-    column an earlier one-entry row already holds: the rows
-    ``pairwise_relation_rows`` keeps of ``formal_relation_rows``."""
-    return [
-        r
-        for i, r in enumerate(rows)
-        if r
-        and not (len(r) == 1 and any(q.keys() == r.keys() for q in rows[:i]))
+    """The layout of ``assemble_system``: one row {c: 1} per forced column c
+    in increasing order, then the rows with two or more unforced columns,
+    in order, less their forced ones.  A column is forced when a row has it
+    as its one unforced column; the set grows round by round until no row
+    adds a column."""
+    forced: set[int] = set()
+    while True:
+        left = [r.keys() - forced for r in rows]
+        more = {c for cols in left if len(cols) == 1 for c in cols}
+        if not more:
+            break
+        forced |= more
+    return [{c: ONE} for c in sorted(forced)] + [
+        {j: x for j, x in r.items() if j not in forced}
+        for r in rows
+        if len(r.keys() - forced) > 1
     ]
 
 
@@ -1122,8 +1141,7 @@ def formal_assemble_system(ctx) -> ExactMatrix:
     """The constraint system in its formal layout, of shape
     ``system_shape(ctx)``: dim W rows for each pair (p, q) of complex
     tangents in lex order, empty ones included, then the trace block.
-    ``assemble_system`` stores ``presolved_rows`` of its two-form blocks,
-    then the trace block."""
+    ``assemble_system`` stores ``presolved_rows`` of these rows."""
     n, d = ctx.n, ctx.dim_w
     mats = [rho_matrix(complex_tangent(n, p), n, ctx.m, ctx.dual) for p in range(2 * n)]
     rows = formal_relation_rows(mats)

@@ -22,6 +22,7 @@ from sunharm import verify
 from sunharm.harmonic import (
     _basis_tangent,
     _operators_vanish,
+    _presolve,
     classify,
     cocycle_from_vector,
     cocycle_to_vector,
@@ -73,6 +74,7 @@ from reference import (
     formal_assemble_system,
     formal_relation_rows,
     from_real_values,
+    is_zero_cocycle,
     matrix_intertwines,
     minus_part,
     multiplication_rows,
@@ -104,6 +106,7 @@ from reference import (
     xi,
     xi_minus,
     xi_plus,
+    zero_cocycle,
 )
 
 
@@ -191,8 +194,8 @@ def test_transform_cocycle_is_group_action(dual):
 
 def test_t_of_zero_cocycle():
     ctx = RepContext(2, 2)
-    assert t_op(Cocycle.zero(ctx)).is_zero()
-    assert tstar_op(Cocycle.zero(ctx)).is_zero()
+    assert t_op(zero_cocycle(ctx)).is_zero()
+    assert tstar_op(zero_cocycle(ctx)).is_zero()
 
 
 def test_t_single_entry_example():
@@ -315,11 +318,11 @@ def test_cocycle_is_a_value_compared_by_its_fields():
     ctx = RepContext(2, 2, True)
     a = random_cocycle(make_rng(7), ctx)
     b = Cocycle(ctx=ctx, values=list(a.values))
-    assert a == b and a != Cocycle.zero(ctx)
+    assert a == b and a != zero_cocycle(ctx)
     # any sequence of values is kept as a list, so the cocycle stays equal
     t = Cocycle(ctx, tuple(a.values))
     assert t == a and repr(t) == repr(a)
-    assert Cocycle.zero(ctx) != Cocycle.zero(RepContext(2, 2))
+    assert zero_cocycle(ctx) != zero_cocycle(RepContext(2, 2))
     assert a.__eq__(ctx) is NotImplemented
     with pytest.raises(TypeError):
         hash(a)
@@ -370,12 +373,12 @@ def test_cocycle_rejects_a_malformed_value(dual, value, error, message):
 
 def test_cocycle_zero_is_empty_maps():
     ctx = RepContext(3, 2, True)
-    zero = Cocycle.zero(ctx)
+    zero = zero_cocycle(ctx)
     assert zero.values == [{}, {}, {}, {}, {}, {}]
-    assert zero.is_zero()
+    assert is_zero_cocycle(zero)
     assert len(set(map(id, zero.values))) == 6
     one = Cocycle(ctx, [{}, {}, {}, {}, {(0, 0, 2, 0): gq(1)}, {}])
-    assert not one.is_zero()
+    assert not is_zero_cocycle(one)
 
 
 # -- the assembled system and its kernel -------------------------------------
@@ -396,22 +399,20 @@ def test_matrix_path_matches_operator_path(dual):
     assert residual == values_to_vector(values, ctx.basis_index())
 
 
-def presolved_system_rows(ctx):
-    """The formal system's two-form rows through ``presolved_rows``, then
-    its trace block as it is."""
+def two_form_system(ctx) -> ExactMatrix:
+    """The formal system less its trace block: the two-form rows alone."""
     F = formal_assemble_system(ctx)
-    d = ctx.dim_w
-    return presolved_rows(F.sparse_rows()[:-d]) + F.sparse_rows()[-d:]
+    return ExactMatrix.from_rows(F.sparse_rows()[: -ctx.dim_w], F.cols)
 
 
 def test_system_shape_counts():
     """``system_shape`` is the shape of the formal layout; the assembled
-    system stores its two-form rows less the empty ones and the repeated
-    one-entry ones, in order, then the trace block."""
+    system stores the formal rows presolved: one row per forced column,
+    then the other rows, in order, struck of the forced columns."""
     ctx = RepContext(2, 1)
     F = formal_assemble_system(ctx)
     assert (F.rows, F.cols) == (21, 12)
-    assert assemble_system(ctx).sparse_rows() == presolved_system_rows(ctx)
+    assert assemble_system(ctx).sparse_rows() == presolved_rows(F.sparse_rows())
     ctx = RepContext(3, 2)
     F = formal_assemble_system(ctx)
     d = ctx.dim_w
@@ -424,41 +425,63 @@ def test_system_shape_counts():
                 F, M = formal_assemble_system(ctx), assemble_system(ctx)
                 assert system_shape(ctx) == (F.rows, F.cols)
                 assert M.cols == F.cols
-                assert M.sparse_rows() == presolved_system_rows(ctx)
-    # the lemma battery's relation systems are filtered the same way
+                assert M.sparse_rows() == presolved_rows(F.sparse_rows())
+    # the lemma battery's relation systems keep every nonempty formal row
     mid, up = graded_monomials(3, 3, 1), graded_monomials(3, 3, 2)
     ops = [rho_matrix_restricted(xi_plus(e_vec(a, 3)), mid, up) for a in range(3)]
     formal = formal_relation_rows(ops)
-    assert pairwise_relation_rows(ops) == presolved_rows(formal) != formal
+    assert list(pairwise_relation_rows(ops)) == [r for r in formal if r] != formal
 
 
 def test_presolved_rows_filter():
-    """The reference filter drops the empty rows and each one-entry row on
-    a column an earlier one-entry row holds, whatever its entry, and keeps
-    a longer row on that column."""
+    """Column 0 is forced by a one-entry row, column 1 only once column 0
+    is struck from {0, 1}, and column 3 only once column 1 is struck in
+    turn.  The package's worklist and the reference's fixed-point loop keep
+    one row per forced column and the struck longer rows, which span the
+    rows given; a repeated one-entry row, the empty row and a row whose
+    columns are all forced are dropped."""
     one, two = gq(1), gq(2)
-    rows = [{3: one}, {}, {3: two}, {1: one, 3: one}, {1: two}, {3: one}, {1: one}]
-    assert presolved_rows(rows) == [{3: one}, {1: one, 3: one}, {1: two}]
+    rows = [
+        {1: one, 2: one, 4: one},
+        {0: two, 1: one},
+        {},
+        {0: one},
+        {0: two},
+        {1: two, 3: one},
+        {2: one, 3: one, 4: one},
+        {0: one, 3: one},
+    ]
+    expected = [{0: one}, {1: one}, {3: one}, {2: one, 4: one}, {2: one, 4: one}]
+    assert _presolve([dict(r) for r in rows]) == presolved_rows(rows) == expected
+    assert same_span(expected, rows, 5)
 
 
 # the five cases of the ``kernel-large`` benchmark workload
 KERNEL_LARGE_CASES = [(4, 4, False), (4, 4, True), (5, 3, False), (5, 3, True), (6, 3, False)]
+SMALL_CASES = [(n, m, dual) for n in (1, 2, 3) for m in (1, 2, 3) for dual in (False, True)]
+# the verify cases of the default sweep that SMALL_CASES leaves out
+DEFAULT_GRID_CASES = [
+    (n, m, kind == "verify-dual")
+    for kind, n, m in verify.sweep_specs(None, None)
+    if kind != "lemmas" and max(n, m) > 3
+]
 
 
-@pytest.mark.parametrize(
-    "n,m,dual",
-    [(n, m, dual) for n in (1, 2, 3) for m in (1, 2, 3) for dual in (False, True)]
-    + KERNEL_LARGE_CASES,
-)
+@pytest.mark.parametrize("n,m,dual", SMALL_CASES + KERNEL_LARGE_CASES + DEFAULT_GRID_CASES)
 def test_kernel_equals_the_formal_system_kernel(n, m, dual):
-    """Dropping repeated one-entry rows keeps the canonical basis:
-    ``harmonic_kernel`` is, vector for vector and in order, the kernel of
-    the formal system less its empty rows, eliminated over the field."""
+    """The presolve keeps the canonical basis: ``harmonic_kernel`` is,
+    value for value and in order, the kernel of the formal system F with
+    no presolve, solved by ``kernel_basis`` and over the field, and the
+    presolved system A has F's row space: rank(F) = rank(A) = rank([F; A])."""
     ctx = RepContext(n, m, dual)
-    F = formal_assemble_system(ctx)
+    F, A = formal_assemble_system(ctx), assemble_system(ctx)
+    kernel = harmonic_kernel(ctx)
+    assert kernel == [cocycle_from_vector(ctx, sparse_vector(v)) for v in kernel_basis(F)]
     formal = ExactMatrix.from_rows([r for r in F.sparse_rows() if r], F.cols)
     ref = [sparse_vector(v) for v in field_kernel_basis(formal)]
-    assert [cocycle_to_vector(a) for a in harmonic_kernel(ctx)] == ref
+    assert [cocycle_to_vector(a) for a in kernel] == ref
+    both = ExactMatrix.from_rows(F.sparse_rows() + A.sparse_rows(), F.cols)
+    assert rank(F) == rank(A) == rank(both)
 
 
 @pytest.mark.parametrize("n,m", [(3, 3), (4, 3)])
@@ -471,11 +494,24 @@ def test_battery_relation_matrices_keep_the_formal_rank(n, m):
         assert rank(R) == len(field_echelon(formal_relation_rows(ops)))
 
 
-def test_kernel_large_systems_store_4871_rows():
+def test_kernel_large_systems_store_3137_rows():
     """The five ``kernel-large`` systems hold 9035 nonempty formal two-form
-    and trace rows; 4164 of them repeat a one-entry row and are not stored."""
+    and trace rows; presolved, they store one row for each of their 2282
+    forced columns and 855 longer rows."""
     systems = [assemble_system(RepContext(*case)) for case in KERNEL_LARGE_CASES]
-    assert sum(M.rows for M in systems) == 4871
+    rows = [r for M in systems for r in M.sparse_rows()]
+    assert len(rows) == 3137
+    assert sum(len(r) == 1 for r in rows) == 2282
+
+
+@pytest.mark.parametrize("n,m,dual", SMALL_CASES + KERNEL_LARGE_CASES)
+def test_each_forced_column_has_one_row(n, m, dual):
+    """In the whole assembled system, trace block included, each forced
+    column has exactly one one-entry row and no longer row touches it."""
+    rows = assemble_system(RepContext(n, m, dual)).sparse_rows()
+    forced = [c for r in rows if len(r) == 1 for c in r]
+    assert len(set(forced)) == len(forced)
+    assert not any(c in r for r in rows if len(r) > 1 for c in forced)
 
 
 @pytest.mark.parametrize("n,dual", [(1, False), (2, True), (3, False)])
@@ -485,7 +521,7 @@ def test_constraint_systems_store_no_zero_entries(n, dual):
     M = assemble_system(RepContext(n, 2, dual))
     mid, up = graded_monomials(n, 2, 1), graded_monomials(n, 2, 2)
     ops = [rho_matrix_restricted(xi_plus(e_vec(a, n)), mid, up) for a in range(n)]
-    rows = M.sparse_rows() + pairwise_relation_rows(ops)
+    rows = M.sparse_rows() + list(pairwise_relation_rows(ops))
     assert all(x for r in rows for x in r.values())
 
 
@@ -669,8 +705,7 @@ def test_operators_vanish_decides_the_trace(m, dual):
     on which only the trace fails, so they test the trace half of the
     predicate."""
     ctx = RepContext(1, m, dual)
-    A = assemble_system(ctx)
-    two_form = ExactMatrix.from_rows(A.sparse_rows()[: -ctx.dim_w], A.cols)
+    two_form = two_form_system(ctx)
     closed = [
         cocycle_from_vector(ctx, sparse_vector(v)) for v in kernel_basis(two_form)
     ]
@@ -1017,7 +1052,7 @@ def hook_cocycle(ctx):
 
 def combine(ctx, coeffs, cocycles):
     """sum_k coeffs[k] cocycles[k]."""
-    out = tensor_values(Cocycle.zero(ctx))
+    out = tensor_values(zero_cocycle(ctx))
     for c, a in zip(coeffs, cocycles):
         out = [x + y.scale(c) for x, y in zip(out, tensor_values(a))]
     return tensor_cocycle(ctx, out)
@@ -1394,7 +1429,7 @@ def _spy_relation_rows(monkeypatch, checks, change=lambda rows: rows):
     seen = []
 
     def spy(ops):
-        rows = change(real(ops))
+        rows = change(list(real(ops)))
         seen.append(rows)
         return rows
 
@@ -1780,8 +1815,6 @@ def test_split_rejects_an_empty_system(monkeypatch, n, m, dual):
 def test_split_rejects_a_system_without_its_trace_block(monkeypatch, m, dual):
     # without T* the kernel holds mixed forms that neither half contains
     ctx = RepContext(1, m, dual)
-    A = assemble_system(ctx)
-    rows = A.sparse_rows()[: A.rows - ctx.dim_w]
-    got, ref = _doctored_split(monkeypatch, ctx, ExactMatrix.from_rows(rows, A.cols))
+    got, ref = _doctored_split(monkeypatch, ctx, two_form_system(ctx))
     assert got == ref
     assert not got["direct_sum"]
