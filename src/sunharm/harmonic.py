@@ -34,24 +34,25 @@ Two constraint operators are imposed:
 
 The joint kernel is computed exactly as the nullspace of one assembled
 matrix.  Coordinate order: block p (all Z blocks before all Zbar blocks,
-index ascending), then monomial index in lex order; constraint rows: the
-two-form blocks for pairs (p, q) in lex order, less their empty rows, then
-the trace block, presolved (``_presolve``): one row {c: 1} for each column
-c that a chain of one-entry rows forces to zero, in increasing order, then
-the other rows, struck of those columns.  The rows span the same space as
-the formal ones, and ``harmonic_kernel`` eliminates only the struck rows,
-on the columns left.  Each row has all its columns in one weight of the
-diagonal torus of K: column (Z_j, e^alpha) has weight alpha - e_j +
-e_{n+1}, column (Zbar_j, e^alpha) alpha + e_j - e_{n+1}, with alpha negated
-on the dual side.  A coordinate vector is a sparse ``linalg.Row`` (column
--> nonzero entry): ``cocycle_to_vector`` and ``values_to_vector`` write
-coefficient maps as rows, and ``cocycle_from_vector`` and
-``values_from_vector`` read them back.  Every classification flag is an
-exact zero test or a rank comparison on these objects: a one-sided,
-top-graded kernel lies in the symmetric component exactly when stacking its
-rows under ``polarization_rows`` (the columns of the polarization map P
-below, written as rows) leaves the rank unchanged.  Those rows come
-straight from exponents (``symrep.polarization_family``).
+index ascending), then monomial index in lex order; constraint rows: one
+row {c: 1} per column c forced to zero, in increasing order, then the
+two-form rows for pairs (p, q) in lex order, then the trace block, struck
+of the forced columns (``pairwise_relation_rows``).  A tangent sends a
+monomial to one monomial at most, so a two-form row has one or two
+entries, and only those left with two are written.  The rows span the
+formal ones; ``harmonic_kernel`` eliminates the longer rows alone.  Each
+row has all its columns in one weight of the diagonal torus of K: column
+(Z_j, e^alpha) has weight alpha - e_j + e_{n+1}, column (Zbar_j, e^alpha)
+alpha + e_j - e_{n+1}, with alpha negated on the dual side.  A coordinate
+vector is a sparse ``linalg.Row`` (column -> nonzero entry):
+``cocycle_to_vector`` and ``values_to_vector`` write coefficient maps as
+rows, and ``cocycle_from_vector`` and ``values_from_vector`` read them
+back.  Every classification flag is an exact zero test or a rank
+comparison on these objects: a one-sided, top-graded kernel lies in the
+symmetric component exactly when stacking its rows under
+``polarization_rows`` (the columns of the polarization map P below,
+written as rows) leaves the rank unchanged.  Those rows come straight from
+exponents (``symrep.polarization_family``).
 
 Every tangent operator rho(W_p) comes from ``_tangent_action(n, p, dual)``,
 the tangent's monomial action built once: ``assemble_system`` writes its
@@ -79,8 +80,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, combinations
+from typing import Iterable, Sequence
 
 from .exactfield import ONE, GaussianRational, gq
 from .linalg import (
@@ -208,70 +209,91 @@ def _operators_vanish(a: Cocycle) -> bool:
 # -- the constraint-system layer --------------------------------------------
 
 
-def pairwise_relation_rows(ops: Sequence[ExactMatrix]) -> Iterator[Row]:
+def pairwise_relation_rows(
+    ops: Sequence[ExactMatrix], extra: Iterable[Row] = ()
+) -> list[Row]:
     """Sparse rows spanning the relations Op_a x_b = Op_b x_a for all pairs
-    a < b, yielded one at a time so that no caller need hold them all.
+    a < b together with the rows ``extra``, presolved.
 
-    The unknown (x_0, ..., x_{k-1}) has one block per op, each of the ops'
-    input dimension.  Pairs come in lex order, one row per output
-    coordinate in order; block b carries Op_a and block a carries -Op_b.
-    A coordinate that neither op of the pair reaches gives the relation
-    0 = 0 and no row, so the rows span the same space as the formal ones.
-    A single op gives no rows.
+    The unknown has one block per op.  Each op is read as its reach, output
+    -> (input, coefficient), so an op row may hold one entry at most.  At an
+    output that both ops of a pair reach, the relation is a doubleton:
+    Op_a's entry in block b and minus Op_b's in block a.  At an output that
+    one op reaches, it forces that entry's column to zero, and no row is
+    written.  A forced column is struck from every other row, and a row
+    left with one entry forces its column in turn, to a fixed point (the
+    singleton-row reduction of E. D. Andersen and K. D. Andersen,
+    "Presolving in linear programming", Math. Programming 71, 1995).
+    Returns one row {c: 1} per forced column c in increasing order, the
+    doubletons left with both columns free in lex pair and output order,
+    then the rows of ``extra`` left with two or more columns, in order and
+    struck in place.  They span the formal rows.  When nothing is forced,
+    no strike pass runs.  Raises ``ValueError`` unless the ops share one
+    shape and each op row holds one entry at most.
     """
-    k = len(ops)
-    d_in = ops[0].cols
-    mats = [M.sparse_rows() for M in ops]
-    negs = [[{s: -x for s, x in r.items()} for r in M] for M in mats]
-    for a in range(k):
-        for b in range(a + 1, k):
-            at_a, at_b = a * d_in, b * d_in
-            for ra, rb in zip(mats[a], negs[b]):
-                row = {}
-                for s, x in ra.items():
-                    row[at_b + s] = x
-                for s, x in rb.items():
-                    row[at_a + s] = x
-                if row:
-                    yield row
+    if len({(M.rows, M.cols) for M in ops}) > 1:
+        raise ValueError("the ops differ in shape")
+    d = ops[0].cols if ops else 0
+    # each op's reach, per output: the input column (None if unreached),
+    # the coefficient and, negated once per op, minus the coefficient
+    col, val, neg = [], [], []
+    for M in ops:
+        rows = M.sparse_rows()
+        if any(len(r) > 1 for r in rows):
+            raise ValueError("an op row holds more than one entry")
+        col.append([next(iter(r), None) for r in rows])
+        val.append([r.get(s) for r, s in zip(rows, col[-1])])
+        neg.append([x and -x for x in val[-1]])
+    # the doubletons, flat (c1, x1, c2, x2, ...) so that no tuple is kept
+    # per row, and the forced columns
+    flat, todo = [], []
+    for a, b in combinations(range(len(ops)), 2):
+        at_a, at_b = a * d, b * d
+        for sa, xa, sb, yb in zip(col[a], val[a], col[b], neg[b]):
+            if sa is None:
+                if sb is not None:
+                    todo.append(at_a + sb)
+            elif sb is None:
+                todo.append(at_b + sa)
+            else:
+                flat += at_b + sa, xa, at_a + sb, yb
 
+    def doubletons():
+        it = iter(flat)
+        return zip(it, it, it, it)
 
-def _presolve(rows: Iterable[Row]) -> list[Row]:
-    """The rows less the columns they force to zero, with the same span.
-
-    A one-entry row {c: x} says x_c = 0, so column c is struck from every
-    other row, and a row left with one entry forces its column in turn, to
-    a fixed point (the singleton-row reduction of E. D. Andersen and K. D.
-    Andersen, "Presolving in linear programming", Math. Programming 71,
-    1995).  Returns one row {c: 1} per forced column c in increasing order,
-    then the rows with two or more columns left, in order and struck of the
-    forced ones; the other rows are dropped.  The longer rows are struck in
-    place, and a one-entry row is not kept once its column is read.
-    """
-    kept, todo = [], []
-    touching: dict[int, list[Row]] = {}  # column -> the longer rows on it
-    for r in rows:
-        if len(r) == 1:
-            todo += r
-        elif r:
-            kept.append(r)
+    extra = [r for r in extra if r]
+    todo += [c for r in extra if len(r) == 1 for c in r]
+    if not todo:
+        return [{c1: x1, c2: x2} for c1, x1, c2, x2 in doubletons()] + extra
+    # column -> the doubletons' other columns, and the longer extra rows
+    linked, touching = {}, {}
+    for c1, _, c2, _ in doubletons():
+        linked.setdefault(c1, []).append(c2)
+        linked.setdefault(c2, []).append(c1)
+    for r in extra:
+        if len(r) > 1:
             for c in r:
                 touching.setdefault(c, []).append(r)
     forced = set()
     for c in todo:  # the worklist grows while it is read
         if c not in forced:
             forced.add(c)
+            todo += linked.get(c, ())
             for r in touching.get(c, ()):
                 del r[c]
                 if len(r) == 1:
                     todo += r
-    return [{c: ONE} for c in sorted(forced)] + [r for r in kept if len(r) > 1]
+    return (  # a doubleton's two columns are forced together
+        [{c: ONE} for c in sorted(forced)]
+        + [{c1: x1, c2: x2} for c1, x1, c2, x2 in doubletons() if c1 not in forced]
+        + [r for r in extra if len(r) > 1]
+    )
 
 
 def system_shape(ctx: RepContext) -> tuple[int, int]:
     """The formal (rows, columns), dim W rows per block, that the report
-    prints; ``assemble_system`` stores the rows of ``_presolve``, so it has
-    fewer rows with the same span."""
+    prints; ``assemble_system`` stores presolved rows with the same span."""
     nb = 2 * ctx.n
     return (math.comb(nb, 2) + 1) * ctx.dim_w, nb * ctx.dim_w
 
@@ -279,11 +301,11 @@ def system_shape(ctx: RepContext) -> tuple[int, int]:
 def assemble_system(ctx: RepContext) -> ExactMatrix:
     """Matrix whose nullspace is {a : T a = 0 and T* a = 0}.
 
-    Columns: cocycle coordinates (block p, then monomial).  Rows: the
-    two-form blocks for pairs (p, q) in lex order, less their empty rows
-    (``pairwise_relation_rows``), then the trace block, all through
-    ``_presolve``: one row {c: 1} per column c forced to zero, in order,
-    then the other rows, struck of those columns.
+    Columns: cocycle coordinates (block p, then monomial).  Rows, from
+    ``pairwise_relation_rows`` on the 2n tangent matrices with the trace
+    block as its extra rows: one row {c: 1} per column c forced to zero, in
+    order, then the two-form doubletons on free columns for pairs (p, q) in
+    lex order, then the trace rows, struck of the forced columns.
     """
     n, d, basis = ctx.n, ctx.dim_w, ctx.basis()
     mats = [
@@ -295,7 +317,7 @@ def assemble_system(ctx: RepContext) -> ExactMatrix:
         {p * d + s: x for p, B in enumerate(blocks) for s, x in B[r].items()}
         for r in range(d)
     )
-    rows = _presolve(chain(pairwise_relation_rows(mats), trace))
+    rows = pairwise_relation_rows(mats, trace)
     return ExactMatrix.from_rows(rows, 2 * n * d)
 
 

@@ -22,7 +22,7 @@ from sunharm import verify
 from sunharm.harmonic import (
     _basis_tangent,
     _operators_vanish,
-    _presolve,
+    _tangent_action,
     classify,
     cocycle_from_vector,
     cocycle_to_vector,
@@ -46,7 +46,7 @@ from sunharm.checks import (
     riemann_split_report,
 )
 from sunharm.linalg import ExactMatrix, kernel_basis, rank, same_span, sparse_vector
-from sunharm.symrep import graded_monomials, polarization_family
+from sunharm.symrep import _map_matrix, graded_monomials, polarization_family
 
 from conftest import (
     all_passed,
@@ -62,6 +62,7 @@ from reference import (
     SymTensor,
     apply,
     bracket,
+    complex_tangent,
     dense_matrix,
     dense_part_sub_basis,
     derivative,
@@ -90,6 +91,7 @@ from reference import (
     real_values,
     real_vector,
     rho_apply,
+    rho_matrix,
     scale_vec,
     split_halves,
     symmetric_component_membership,
@@ -405,10 +407,17 @@ def two_form_system(ctx) -> ExactMatrix:
     return ExactMatrix.from_rows(F.sparse_rows()[: -ctx.dim_w], F.cols)
 
 
+def with_key_order(rows):
+    """Rows as lists of (column, entry) pairs, so that equality also
+    compares the order of each row's keys."""
+    return [list(r.items()) for r in rows]
+
+
 def test_system_shape_counts():
     """``system_shape`` is the shape of the formal layout; the assembled
     system stores the formal rows presolved: one row per forced column,
-    then the other rows, in order, struck of the forced columns."""
+    then the other rows, in order, struck of the forced columns, each row's
+    keys in the formal order."""
     ctx = RepContext(2, 1)
     F = formal_assemble_system(ctx)
     assert (F.rows, F.cols) == (21, 12)
@@ -418,28 +427,37 @@ def test_system_shape_counts():
     d = ctx.dim_w
     assert F.cols == 2 * 3 * d
     assert F.rows == (math.comb(6, 2) + 1) * d
-    for n in (1, 2, 3):
-        for m in (1, 2, 3):
-            for dual in (False, True):
-                ctx = RepContext(n, m, dual)
-                F, M = formal_assemble_system(ctx), assemble_system(ctx)
-                assert system_shape(ctx) == (F.rows, F.cols)
-                assert M.cols == F.cols
-                assert M.sparse_rows() == presolved_rows(F.sparse_rows())
-    # the lemma battery's relation systems keep every nonempty formal row
+    for n, m, dual in SMALL_CASES + KERNEL_LARGE_CASES + [(6, 4, True), (8, 4, False)]:
+        ctx = RepContext(n, m, dual)
+        F, M = formal_assemble_system(ctx), assemble_system(ctx)
+        assert system_shape(ctx) == (F.rows, F.cols)
+        assert M.cols == F.cols
+        assert with_key_order(M.sparse_rows()) == with_key_order(
+            presolved_rows(F.sparse_rows())
+        )
+    # the lemma battery's relation systems force nothing, so the builder
+    # returns their formal rows as written
+    _, lowering, dual_top = graded_operators(3, 3)
+    for ops in [*lowering.values(), dual_top]:
+        formal = formal_relation_rows(ops)
+        assert with_key_order(pairwise_relation_rows(ops)) == with_key_order(formal)
+    # the raising ops from grade 1 to grade 2 force columns: presolved
     mid, up = graded_monomials(3, 3, 1), graded_monomials(3, 3, 2)
     ops = [rho_matrix_restricted(xi_plus(e_vec(a, 3)), mid, up) for a in range(3)]
     formal = formal_relation_rows(ops)
-    assert list(pairwise_relation_rows(ops)) == [r for r in formal if r] != formal
+    rows = pairwise_relation_rows(ops)
+    assert with_key_order(rows) == with_key_order(presolved_rows(formal))
+    assert rows != [r for r in formal if r]
 
 
 def test_presolved_rows_filter():
     """Column 0 is forced by a one-entry row, column 1 only once column 0
     is struck from {0, 1}, and column 3 only once column 1 is struck in
-    turn.  The package's worklist and the reference's fixed-point loop keep
-    one row per forced column and the struck longer rows, which span the
-    rows given; a repeated one-entry row, the empty row and a row whose
-    columns are all forced are dropped."""
+    turn.  The package's worklist, given the rows as the extra rows of no
+    ops, and the reference's fixed-point loop keep one row per forced
+    column and the struck longer rows, which span the rows given; a
+    repeated one-entry row, the empty row and a row whose columns are all
+    forced are dropped."""
     one, two = gq(1), gq(2)
     rows = [
         {1: one, 2: one, 4: one},
@@ -452,8 +470,81 @@ def test_presolved_rows_filter():
         {0: one, 3: one},
     ]
     expected = [{0: one}, {1: one}, {3: one}, {2: one, 4: one}, {2: one, 4: one}]
-    assert _presolve([dict(r) for r in rows]) == presolved_rows(rows) == expected
+    got = pairwise_relation_rows([], [dict(r) for r in rows])
+    assert got == presolved_rows(rows) == expected
     assert same_span(expected, rows, 5)
+
+
+def nonzero_scalar(rng):
+    return gq(rng.randint(1, 4), rng.randint(-2, 2))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_relation_rows_match_the_presolved_formal_rows(seed):
+    """On random ops with at most one entry per row and random extra rows,
+    the builder returns, key order included, the reference presolve of the
+    formal relation rows followed by the extra rows."""
+    rng = make_rng(900 + seed)
+    k, d_out, d_in = rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 4)
+    ops = [
+        ExactMatrix.from_rows(
+            [
+                {rng.randrange(d_in): nonzero_scalar(rng)} if rng.random() < 0.9 else {}
+                for _ in range(d_out)
+            ],
+            d_in,
+        )
+        for _ in range(k)
+    ]
+    cols = k * d_in
+    extra = [
+        {c: nonzero_scalar(rng) for c in rng.sample(range(cols), rng.randint(0, min(3, cols)))}
+        for _ in range(rng.randint(0, 3))
+    ]
+    rows = pairwise_relation_rows(ops, [dict(r) for r in extra])
+    assert with_key_order(rows) == with_key_order(
+        presolved_rows(formal_relation_rows(ops) + extra)
+    )
+
+
+@pytest.mark.parametrize(
+    "shapes", [[(1, 2), (2, 2)], [(1, 1), (1, 3)]], ids=["rows", "cols"]
+)
+def test_relation_rows_reject_ops_of_unequal_shape(shapes):
+    """Ops of unequal shape raise: beside a 2 x 2 op, a 1 x 2 op has no
+    output 1 to relate, and beside a 1 x 1 op, a 1 x 3 op's column 2 has no
+    place in a block one column wide."""
+    ops = [ExactMatrix.from_rows([{c - 1: ONE} for _ in range(r)], c) for r, c in shapes]
+    with pytest.raises(ValueError, match="shape"):
+        pairwise_relation_rows(ops)
+
+
+def test_relation_rows_reject_a_two_entry_op_row():
+    """An op is read as its reach, one entry per row at most: a row with
+    two entries raises."""
+    ops = [ExactMatrix.from_rows([{0: ONE, 1: ONE}, {}], 2), ExactMatrix.zeros(2, 2)]
+    with pytest.raises(ValueError, match="more than one entry"):
+        pairwise_relation_rows(ops)
+    with pytest.raises(ValueError, match="more than one entry"):
+        pairwise_relation_rows(ops[::-1])
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_tangent_actions_have_one_entry_per_row_and_column(n, dual):
+    """The builder's precondition: each tangent's matrix, written from its
+    cached action, has at most one entry per row and per column, and equals
+    the reference matrix of rho on that tangent built from the complex
+    directions xi_plus(e_j), xi_minus(e_j)."""
+    for m in range(1, 5):
+        basis = RepContext(n, m, dual).basis()
+        for p in range(2 * n):
+            M = _map_matrix(_tangent_action(n, p, dual), basis, basis)
+            assert M == rho_matrix(complex_tangent(n, p), n, m, dual)
+            rows = M.sparse_rows()
+            assert all(len(r) <= 1 for r in rows)
+            cols = [c for r in rows for c in r]
+            assert len(cols) == len(set(cols))
 
 
 # the five cases of the ``kernel-large`` benchmark workload
