@@ -37,7 +37,7 @@ matrix.  Coordinate order: block p (all Z blocks before all Zbar blocks,
 index ascending), then monomial index in lex order; constraint rows: one
 row {c: 1} per column c forced to zero, in increasing order, then the
 two-form rows for pairs (p, q) in lex order, then the trace block, struck
-of the forced columns (``pairwise_relation_rows``).  A tangent sends a
+of the forced columns (``_reach_relation_rows``).  A tangent sends a
 monomial to one monomial at most, so a two-form row has one or two
 entries, and only those left with two are written.  The rows span the
 formal ones; ``harmonic_kernel`` eliminates the longer rows alone.  Each
@@ -54,14 +54,16 @@ symmetric component exactly when stacking its rows under
 written as rows) leaves the rank unchanged.  Those rows come straight from
 exponents (``symrep.polarization_family``).
 
-Every tangent operator rho(W_p) comes from ``_tangent_action(n, p, dual)``,
-the tangent's monomial action built once: ``assemble_system`` writes its
-matrices with ``symrep._map_matrix``, and ``checks`` reads it too.  The
-``operator-recheck`` verdict of ``classify`` evaluates T and T* on each
-kernel element by applying the actions, independently of the assembled
-matrix.  It applies rho(W) only to the nonzero values, since rho(W) 0 = 0,
-and compares the two terms of each pair of T instead of forming the
-two-form (``_operators_vanish``).
+The assembly builds no tangent operator: ``assemble_system`` writes each
+tangent's reach, output monomial -> (input column, coefficient), straight
+from exponents (``_tangent_reach``), as ``polarization_family`` writes P.
+The checks read each tangent operator rho(W_p) from
+``_tangent_action(n, p, dual)``, the tangent's monomial action built once,
+so they share no code with the assembled matrix.  The ``operator-recheck``
+verdict of ``classify`` evaluates T and T* on each kernel element by
+applying the actions.  It applies rho(W) only to the nonzero values, since
+rho(W) 0 = 0, and compares the two terms of each pair of T instead of
+forming the two-form (``_operators_vanish``).
 
 Compact invariance needs no kernel basis.  ``classify`` certifies that the
 kernel is the image of the polarization map P, whose columns are the
@@ -97,7 +99,6 @@ from .symrep import (
     RepContext,
     _action,
     _extend,
-    _map_matrix,
     check_entry,
     monomials,
     polarization_family,
@@ -138,7 +139,7 @@ def k_generators(n: int) -> tuple[ExactMatrix, ...]:
 @lru_cache(maxsize=None)
 def _tangent_action(n: int, p: int, dual: bool):
     """The p-th complex tangent's ``symrep._action`` on one side, built
-    once: the package's one source of a tangent's operator."""
+    once: the source of every tangent operator the checks apply."""
     return _action(_basis_tangent(n, p), dual)
 
 
@@ -216,38 +217,52 @@ def pairwise_relation_rows(
     a < b together with the rows ``extra``, presolved.
 
     The unknown has one block per op.  Each op is read as its reach, output
-    -> (input, coefficient), so an op row may hold one entry at most.  At an
-    output that both ops of a pair reach, the relation is a doubleton:
-    Op_a's entry in block b and minus Op_b's in block a.  At an output that
-    one op reaches, it forces that entry's column to zero, and no row is
-    written.  A forced column is struck from every other row, and a row
-    left with one entry forces its column in turn, to a fixed point (the
-    singleton-row reduction of E. D. Andersen and K. D. Andersen,
-    "Presolving in linear programming", Math. Programming 71, 1995).
-    Returns one row {c: 1} per forced column c in increasing order, the
-    doubletons left with both columns free in lex pair and output order,
-    then the rows of ``extra`` left with two or more columns, in order and
-    struck in place.  They span the formal rows.  When nothing is forced,
-    no strike pass runs.  Raises ``ValueError`` unless the ops share one
-    shape and each op row holds one entry at most.
+    -> (input, coefficient), so an op row may hold one entry at most; the
+    rows are those of ``_reach_relation_rows`` on the reaches.  Raises
+    ``ValueError`` unless the ops share one shape and each op row holds one
+    entry at most.
     """
     if len({(M.rows, M.cols) for M in ops}) > 1:
         raise ValueError("the ops differ in shape")
-    d = ops[0].cols if ops else 0
-    # each op's reach, per output: the input column (None if unreached),
-    # the coefficient and, negated once per op, minus the coefficient
-    col, val, neg = [], [], []
+    reaches = []
     for M in ops:
         rows = M.sparse_rows()
         if any(len(r) > 1 for r in rows):
             raise ValueError("an op row holds more than one entry")
-        col.append([next(iter(r), None) for r in rows])
-        val.append([r.get(s) for r, s in zip(rows, col[-1])])
-        neg.append([x and -x for x in val[-1]])
+        col = [next(iter(r), None) for r in rows]
+        reaches.append((col, [r.get(s) for r, s in zip(rows, col)]))
+    return _reach_relation_rows(reaches, ops[0].cols if ops else 0, extra)
+
+
+def _reach_relation_rows(
+    reaches: Sequence[tuple[list, list]], d: int, extra: Iterable[Row]
+) -> list[Row]:
+    """The presolved relation rows of ops given by their reaches.
+
+    ``reaches[a]`` is op a's (input column, coefficient) per output, each
+    ``None`` where the output is unreached; ``d`` is the block size, the
+    ops' input dimension.  At an output that both ops of a pair reach, the
+    relation is a doubleton: Op_a's entry in block b and minus Op_b's in
+    block a.  At an output that one op reaches, it forces that entry's
+    column to zero, and no row is written.  A forced column is struck from
+    every other row, and a row left with one entry forces its column in
+    turn, to a fixed point (the singleton-row reduction of E. D. Andersen
+    and K. D. Andersen, "Presolving in linear programming", Math.
+    Programming 71, 1995).
+    Returns one row {c: 1} per forced column c in increasing order, the
+    doubletons left with both columns free in lex pair and output order,
+    then the rows of ``extra`` left with two or more columns, in order and
+    struck in place.  They span the formal rows.  When nothing is forced,
+    no strike pass runs.
+    """
+    col = [c for c, _ in reaches]
+    val = [v for _, v in reaches]
+    # minus each coefficient, negated once per op
+    neg = [[x and -x for x in v] for v in val]
     # the doubletons, flat (c1, x1, c2, x2, ...) so that no tuple is kept
     # per row, and the forced columns
     flat, todo = [], []
-    for a, b in combinations(range(len(ops)), 2):
+    for a, b in combinations(range(len(reaches)), 2):
         at_a, at_b = a * d, b * d
         for sa, xa, sb, yb in zip(col[a], val[a], col[b], neg[b]):
             if sa is None:
@@ -298,27 +313,59 @@ def system_shape(ctx: RepContext) -> tuple[int, int]:
     return (math.comb(nb, 2) + 1) * ctx.dim_w, nb * ctx.dim_w
 
 
+def _tangent_reach(ctx: RepContext, p: int) -> tuple[list, list]:
+    """The reach of rho(W_p) on ``ctx``, written from exponents: for each
+    output monomial beta in ``ctx.basis()`` order, the input column and the
+    coefficient, both ``None`` where beta is unreached.
+
+    W_p = E_ij is Z_p = E_{p,n} or Zbar_{p-n} = E_{n,p-n}, and
+    rho(E_ij) e^alpha = alpha_j e^(alpha - d_j + d_i).  Primal: beta is
+    reached when beta_i >= 1, from alpha = beta - d_i + d_j, with
+    coefficient beta_j + 1.  Dual, the negated transpose: beta is reached
+    when beta_j >= 1, from alpha = beta - d_j + d_i, with coefficient
+    -beta_j.  No monomial action and no matrix is built.
+    """
+    n, m, index = ctx.n, ctx.m, ctx.basis_index()
+    i, j = (p, n) if p < n else (n, p - n)
+    if ctx.dual:  # alpha = beta - d_j + d_i, coefficient -beta_j
+        src, dst, coef = j, i, [gq(-k) for k in range(m + 1)]
+    else:  # alpha = beta - d_i + d_j, coefficient beta_j + 1
+        src, dst, coef = i, j, [gq(k + 1) for k in range(m + 1)]
+    col, val = [], []
+    for beta in ctx.basis():
+        if beta[src]:
+            alpha = list(beta)
+            alpha[src] -= 1
+            alpha[dst] += 1
+            col.append(index[tuple(alpha)])
+            val.append(coef[beta[j]])
+        else:
+            col.append(None)
+            val.append(None)
+    return col, val
+
+
 def assemble_system(ctx: RepContext) -> ExactMatrix:
     """Matrix whose nullspace is {a : T a = 0 and T* a = 0}.
 
     Columns: cocycle coordinates (block p, then monomial).  Rows, from
-    ``pairwise_relation_rows`` on the 2n tangent matrices with the trace
-    block as its extra rows: one row {c: 1} per column c forced to zero, in
-    order, then the two-form doubletons on free columns for pairs (p, q) in
-    lex order, then the trace rows, struck of the forced columns.
+    ``_reach_relation_rows`` on the 2n tangents' reaches
+    (``_tangent_reach``) with the trace block as its extra rows: one row
+    {c: 1} per column c forced to zero, in order, then the two-form
+    doubletons on free columns for pairs (p, q) in lex order, then the
+    trace rows, struck of the forced columns.  No tangent matrix is built.
     """
-    n, d, basis = ctx.n, ctx.dim_w, ctx.basis()
-    mats = [
-        _map_matrix(_tangent_action(n, p, ctx.dual), basis, basis) for p in range(2 * n)
-    ]
+    n, d = ctx.n, ctx.dim_w
+    nb = 2 * n
+    reaches = [_tangent_reach(ctx, p) for p in range(nb)]
     # trace block: block Z_j carries rho(Zbar_j) and block Zbar_j rho(Z_j)
-    blocks = [M.sparse_rows() for M in mats[n:] + mats[:n]]
+    across = reaches[n:] + reaches[:n]
     trace = (
-        {p * d + s: x for p, B in enumerate(blocks) for s, x in B[r].items()}
+        {q * d + c[r]: x[r] for q, (c, x) in enumerate(across) if c[r] is not None}
         for r in range(d)
     )
-    rows = pairwise_relation_rows(mats, trace)
-    return ExactMatrix.from_rows(rows, 2 * n * d)
+    rows = _reach_relation_rows(reaches, d, trace)
+    return ExactMatrix.from_rows(rows, nb * d)
 
 
 def values_to_vector(values: Sequence[dict], index: dict) -> Row:

@@ -23,6 +23,7 @@ from sunharm.harmonic import (
     _basis_tangent,
     _operators_vanish,
     _tangent_action,
+    _tangent_reach,
     classify,
     cocycle_from_vector,
     cocycle_to_vector,
@@ -556,6 +557,75 @@ DEFAULT_GRID_CASES = [
     for kind, n, m in verify.sweep_specs(None, None)
     if kind != "lemmas" and max(n, m) > 3
 ]
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_tangent_reach_matches_the_monomial_action(n, dual):
+    """The closed-form reach that assembly reads agrees with the tangent's
+    monomial action: at every output, ``_tangent_reach`` gives the input
+    column (``None`` where unreached) and the coefficient of the matrix
+    written from ``_tangent_action``, for m = 1..5."""
+    for m in range(1, 6):
+        ctx = RepContext(n, m, dual)
+        basis = ctx.basis()
+        for p in range(2 * n):
+            rows = _map_matrix(_tangent_action(n, p, dual), basis, basis).sparse_rows()
+            col = [next(iter(r), None) for r in rows]
+            val = [r.get(c) for r, c in zip(rows, col)]
+            assert _tangent_reach(ctx, p) == (col, val), (m, p)
+
+
+def test_assembly_builds_no_tangent_operator(monkeypatch):
+    """``assemble_system`` writes the tangents' reaches from exponents: with
+    the tangents' monomial actions and the matrix writer refused, it still
+    assembles the default grid, (1, 5) on both sides and (6, 4) dual."""
+    import sunharm.harmonic as harmonic
+    import sunharm.symrep as symrep
+
+    def refuse(*args):
+        raise AssertionError("assembly built a tangent operator")
+
+    monkeypatch.setattr(harmonic, "_tangent_action", refuse)
+    monkeypatch.setattr(symrep, "_map_matrix", refuse)
+    grid = [(n, m, kind == "verify-dual") for kind, n, m in verify.sweep_specs(None, None)]
+    for n, m, dual in grid + [(1, 5, False), (1, 5, True), (6, 4, True)]:
+        ctx = RepContext(n, m, dual)
+        assert assemble_system(ctx).cols == system_shape(ctx)[1]
+
+
+@pytest.mark.parametrize("dual,p", [(False, 2), (True, 0)], ids=["primal", "dual"])
+def test_recheck_catches_an_assembly_fault(monkeypatch, dual, p):
+    """The assembly reads the closed-form reaches and the operator recheck
+    the monomial actions, so neither shares a fault of the other.  With one
+    coefficient of tangent p doubled at output 1 of (2, 2), inside the free
+    block, the kernel fails the recheck and every verdict built on it.  At
+    p's first reached output, output 0, the presolve strikes the
+    coefficient, and the doubled value changes nothing."""
+    import sunharm.harmonic as harmonic
+
+    real = harmonic._tangent_reach
+
+    def failing(at):
+        def doubled(ctx, q):
+            col, val = real(ctx, q)
+            if q == p:
+                val = list(val)
+                val[at] = val[at] * 2
+            return col, val
+
+        monkeypatch.setattr(harmonic, "_tangent_reach", doubled)
+        entry = verify.verify_case(2, 2, dual)
+        return [c["name"] for c in entry["checks"] if c["status"] != "pass"]
+
+    assert failing(1) == [
+        "operator-recheck",
+        "symmetric-component",
+        "polarization-span",
+        "compact-invariance",
+        "k-module-type",
+    ]
+    assert failing(0) == []
 
 
 @pytest.mark.parametrize("n,m,dual", SMALL_CASES + KERNEL_LARGE_CASES + DEFAULT_GRID_CASES)
@@ -1650,11 +1720,12 @@ def test_verify_builds_p_once_per_case(monkeypatch):
 
 def test_tangent_actions_are_built_once_per_side(monkeypatch):
     """A primal and a dual verify case and a battery at (3, 3) build each of
-    the 2n tangents' monomial actions once per side, 4n in all: every
-    tangent operator comes from ``harmonic._tangent_action``.  The spy
-    patches ``_action`` wherever the package binds it and counts the builds
-    on a tangent; the generators of k_C that ``intertwines`` acts with are
-    not tangents."""
+    the 2n tangents' monomial actions once per side, 4n in all: the
+    operator recheck and the battery read every tangent operator from
+    ``harmonic._tangent_action``, while the assembly writes the tangents'
+    reaches from exponents and builds none.  The spy patches ``_action``
+    wherever the package binds it and counts the builds on a tangent; the
+    generators of k_C that ``intertwines`` acts with are not tangents."""
     import importlib
     import pkgutil
 

@@ -48,7 +48,7 @@ GONE = {
         "transform_cocycle", "Vector", "symmetric_component_membership",
         "_uniform_grade", "plus_part", "minus_part", "_linear_part", "TwoForm",
         "t_op", "tstar_op", "polarization_blocks", "_bracket_mix",
-        "xi_plus", "xi_minus", "e_vec",
+        "xi_plus", "xi_minus", "e_vec", "_map_matrix",
     ),
     "checks": (
         "part_sub_basis", "split_halves", "SymTensor", "rho_apply", "_action",
