@@ -4,10 +4,14 @@ Each check here is an independent computation: spanning sets are written
 down explicitly.  ``lemma_battery`` is the one entry point: it validates
 the case, builds the grade-restricted operators once (``graded_operators``)
 and passes each check the operators it reads.  Every verdict on them is a
-rank test or an exact matrix identity, and no subspace is solved for.  A
-relation subspace is the span of an explicit set when the relation matrix
-annihilates the set, the set is independent and its size is the nullity of
-the matrix.  A map kills the kernel of another when stacking its matrix
+nullity, a rank test or an exact matrix identity, and no subspace is solved
+for.  A relation subspace is the span of an explicit set when the relation
+matrix annihilates the set, the set is independent and its size is the
+nullity of the matrix.  Every relation row has two entries at most, and so
+has every row of the stacked tangent operators, so both nullities come from
+``linalg.forest_nullity``: a spanning forest of the rows, with the explicit
+set as the witnesses of the relation matrix's kernel; neither system is
+eliminated.  A map kills the kernel of another when stacking its matrix
 under the other's leaves the rank unchanged.  The contraction is a
 proportional isometry on the symmetric part when S C^T L^T is a positive
 multiple of the polarization rows S.  The relation spanning sets, S and the
@@ -31,7 +35,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .linalg import ExactMatrix, Row, column_block, rank
+from .linalg import ExactMatrix, Row, column_block, forest_nullity, rank
 from .symrep import (
     RepContext,
     _map_matrix,
@@ -101,7 +105,10 @@ def _operator_grading(n: int, m: int, raising: dict, lowering: dict) -> list[dic
     so the basis e_a settles each claim for every v: a restriction vanishes
     for some v != 0 exactly when its n basis restrictions are linearly
     dependent.  That of xi(v) = xi+(v) + xi-(v) is then nonzero as well,
-    since its two halves land in different grades.
+    since its two halves land in different grades.  Each row of a tangent
+    operator holds one entry at most, so the stacked maps have trivial
+    kernel exactly when ``forest_nullity`` gives nullity 0: every column is
+    grounded by a row.
 
     Extreme linearity: each raising operator's monomial action
     (``harmonic._tangent_action``) sends every top-grade monomial to an
@@ -113,7 +120,10 @@ def _operator_grading(n: int, m: int, raising: dict, lowering: dict) -> list[dic
         ok = False
         if not all(map(_independent, halves)):
             detail = "restriction vanished for a nonzero direction"
-        elif any(rank(_stack_vertically(ops)) < ops[0].cols for ops in halves):
+        elif any(
+            forest_nullity(_stack_vertically(ops).sparse_rows(), ops[0].cols)[0] > 0
+            for ops in halves
+        ):
             detail = "stacked raising/lowering map has a kernel"
         else:
             ok = True
@@ -157,17 +167,28 @@ def _relation_subspace_entry(
     of grade g is the kernel of the relation matrix R, and S is the family
     of polarizations of the degree-(g+1) monomials in the first n variables.
     Three exact facts prove span(S) = ker R with dimension C(n+g, g+1):
-    cols - rank(R) is C(n+g, g+1), R S^T is zero (S lies in ker R) and
-    rank(S) is C(n+g, g+1) (S spans a subspace of full dimension).  The
-    reported dimension is cols - rank(R).
+    the nullity of R is C(n+g, g+1), R S^T is zero (S lies in ker R) and
+    rank(S) is C(n+g, g+1) (S spans a subspace of full dimension).  Every
+    row of R has two entries at most, so ``forest_nullity(R, cols, S)``
+    gives the first two from a spanning forest of R: once R S^T is zero,
+    an ungrounded component of R's columns that a row of S touches has
+    nullity 1.  On the battery every ungrounded component is touched (a
+    test checks this on the default grid and the lemmas-wide cases), so R
+    is never eliminated; a component that no row of S touches, or every
+    one when R S^T is not zero, falls back to the rank of its own rows.
+    The reported dimension is that nullity.
     """
     index = _grade_index(n, m, g)
     cols = n * len(index)
-    R = ExactMatrix.from_rows(pairwise_relation_rows(ops), cols)
-    S = ExactMatrix.from_rows(polarization_family(n, m, g, dual, index), cols)
+    R = pairwise_relation_rows(ops)
+    S = polarization_family(n, m, g, dual, index)
     expected = math.comb(n + g, g + 1)
-    dimension = cols - rank(R)
-    ok = dimension == expected and (R * S.transpose()).is_zero() and rank(S) == expected
+    dimension, annihilated = forest_nullity(R, cols, S)
+    ok = (
+        dimension == expected
+        and annihilated
+        and rank(ExactMatrix.from_rows(S, cols)) == expected
+    )
     return check_entry(
         name,
         ok,
@@ -183,7 +204,7 @@ def _dual_symmetry(n: int, m: int, dual_top: tuple) -> dict:
     exactly the fully symmetric subspace.
 
     The relation subspace {C : rho'(xi+_a) C_b = rho'(xi+_b) C_a} inside
-    n copies of the top dual grade is compared, by rank and annihilation,
+    n copies of the top dual grade is compared, by nullity and annihilation,
     with the explicit symmetric spanning set (exponent shifts of dual
     monomials of degree m+1).  ``dual_top`` holds the rho'(xi+_a) from
     grade m.
@@ -198,7 +219,7 @@ def _symmetric_forcing(n: int, m: int, j: int, lowering: tuple) -> list[dict]:
     the leading component; the hook component violates it.
 
     (a) The relation subspace {w : rho(xi-_a) w_b = rho(xi-_b) w_a} equals,
-    by rank and annihilation, the span of derivative polarizations of
+    by nullity and annihilation, the span of derivative polarizations of
     degree-(j+1) polynomials.  (b) The explicit hook witness
     ``eps_2 (x) e1^j r - eps_1 (x) e1^(j-1) e2 r`` (r the residual last-
     coordinate power) evaluates the two sides of the relation to

@@ -16,15 +16,21 @@ rows to a list of columns, relabelled in that order: the n = 1 split takes
 nullities of such blocks, and the harmonic kernel is solved on the block of
 the columns that its presolve leaves free.
 
-Every rank, kernel and span comes from one elimination, run over the
-Gaussian integers Z[i] so that no rank builds a rational.  It takes the
-rows one at a time, scales each to Gaussian-integer entries, reduces it
-against the pivot rows found so far (in increasing pivot column) by integer
-combinations, and makes the first nonzero column of what is left a new
-pivot.  A pivot row is kept primitive: its leading entry is a positive int
-and the gcd of that and every component of the row is 1, so its entries
-stay bounded by the minors of the input (the fraction-free elimination of
-Bareiss, row by row).  A leading entry that is a unit becomes 1, so about
+The nullity of rows with two entries at most, such as the pairwise
+relations of the lemma battery, comes from a spanning forest of their
+columns (``forest_nullity``): union-find over the rows and one product
+with witnesses of the kernel settle it, and only the components that the
+witnesses leave open are eliminated.
+
+Every other rank, and every kernel and span, comes from one elimination,
+run over the Gaussian integers Z[i] so that no rank builds a rational.  It
+takes the rows one at a time, scales each to Gaussian-integer entries,
+reduces it against the pivot rows found so far (in increasing pivot column)
+by integer combinations, and makes the first nonzero column of what is left
+a new pivot.  A pivot row is kept primitive: its leading entry is a
+positive int and the gcd of that and every component of the row is 1, so
+its entries stay bounded by the minors of the input (the fraction-free
+elimination of Bareiss, row by row).  A leading entry that is a unit becomes 1, so about
 half the pivot rows of the lemma battery are monic.  Only the kernel divides
 each pivot row by its leading entry, once, before back-substituting.  The
 reduced row-echelon form is unique, so ranks and kernels do not depend on
@@ -268,6 +274,82 @@ def _reduced_echelon(rows: Iterable[Row], cols: int) -> dict[int, Row]:
 
 def rank(M: ExactMatrix) -> int:
     return len(_echelon(M._d, M.cols))
+
+
+def forest_nullity(
+    rows: Iterable[Row], cols: int, witnesses: Iterable[Row] = ()
+) -> tuple[int, bool]:
+    """``(nullity, annihilated)`` of rows with at most two nonzero entries
+    each, in Q(i)^cols; ``annihilated`` tells whether every row vanishes on
+    every witness.  Empty rows are skipped.
+
+    The rows are the edges of a graph on the columns and a ground vertex: a
+    two-entry row joins its two columns, a one-entry row joins its column
+    to the ground.  Union-find gives the components.  The witnesses are
+    checked with one product, R W^T.  The nullity is exact:
+
+    * The rows of a spanning forest are independent: a leaf column that is
+      not the ground meets one forest row, so that row takes coefficient 0
+      in any vanishing combination, and the leaf is removed in turn.
+    * Each row reads the columns of one component, so the system is block
+      diagonal by component and the nullity is the sum over components.
+    * A grounded component of k columns has a spanning tree of k rows: its
+      nullity is 0.  An ungrounded one has k - 1 tree rows: nullity <= 1.
+    * When every row vanishes on a witness, so does every row of a
+      component on the witness restricted to that component's columns.  An
+      ungrounded component that a witness touches therefore has nullity 1.
+
+    The ungrounded components left, those that no witness touches or all of
+    them when a witness is not annihilated, add their column count minus
+    the ``rank`` of their rows, in one call.  (An ungrounded component has
+    nullity 1 exactly when it is balanced, every cycle of gain 1: T.
+    Zaslavsky, "Biased graphs. II. The three matroids", J. Combin. Theory
+    Ser. B 51, 1991.  The witnesses prove balance without finding cycles.)
+
+    Raises ``ValueError`` for a row of three entries or more, a zero entry,
+    or a column outside 0..cols - 1, in a row or a witness.
+    """
+    rows = [r for r in rows if r]
+    witnesses = _in_range(witnesses, cols)
+    parent = list(range(cols + 1))  # vertex ``cols`` is the ground
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]  # path halving
+        return c
+
+    for r in rows:
+        if len(r) == 2:
+            (a, x), (b, y) = r.items()
+            ok = (x.re or x.im) and (y.re or y.im) and 0 <= a < cols and 0 <= b < cols
+        elif len(r) == 1:
+            ((a, x),) = r.items()
+            b = cols
+            ok = (x.re or x.im) and 0 <= a < cols
+        else:
+            ok = False
+        if not ok:
+            raise ValueError(
+                f"row with more than two entries, a zero entry or a column"
+                f" outside 0..{cols - 1}"
+            )
+        a, b = find(a), find(b)
+        if a != b:
+            parent[a] = b
+    R = ExactMatrix.from_rows(rows, cols)
+    annihilated = (R * ExactMatrix.from_rows(witnesses, cols).transpose()).is_zero()
+    root = [find(c) for c in range(cols)]
+    # an annihilated witness vanishes on every grounded component
+    touched = set()
+    if annihilated:
+        touched = {root[c] for w in witnesses for c, x in w.items() if x}
+    left = set(root) - touched - {find(cols)}
+    left_cols, left_rows = 0, []
+    if left:
+        left_cols = sum(c in left for c in root)
+        left_rows = [r for r in rows if root[next(iter(r))] in left]
+    nullity = len(touched) + left_cols - rank(ExactMatrix.from_rows(left_rows, cols))
+    return nullity, annihilated
 
 
 def kernel_basis(M: ExactMatrix) -> list[list[GaussianRational]]:

@@ -99,14 +99,16 @@ def polarization_family(
     n copies of grade g into degree g + 1, one row per product monomial.
     """
     d = len(index)
-    tail = (m - g,)
+    coefficient = [ONE] * (g + 2) if dual else [gq(s) for s in range(g + 2)]
     rows = []
     for sigma in monomials(n, g + 1):
+        below = [*sigma, m - g]  # sigma - d_k + (m - g,), edited in place
         row = {}
         for k, s in enumerate(sigma):
             if s:
-                below = sigma[:k] + (s - 1,) + sigma[k + 1 :] + tail
-                row[k * d + index[below]] = ONE if dual else gq(s)
+                below[k] = s - 1
+                row[k * d + index[tuple(below)]] = coefficient[s]
+                below[k] = s
         rows.append(row)
     return rows
 

@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sunharm import ExactMatrix, ONE, ZERO, gq, kernel_basis, rank
-from sunharm import linalg
+from sunharm import checks, linalg
 from sunharm.checks import lemma_battery
-from sunharm.linalg import _echelon, _reduced_echelon, same_span, sparse_vector
-from sunharm.verify import run_sweep
+from sunharm.linalg import (
+    _echelon,
+    _reduced_echelon,
+    forest_nullity,
+    same_span,
+    sparse_vector,
+)
+from sunharm.verify import run_sweep, sweep_specs
 
 from conftest import make_rng
 from reference import (
@@ -410,3 +416,123 @@ def test_echelon_reads_no_row_after_the_rank_is_full():
 
     assert sorted(_echelon(rows(), 3)) == [0, 1, 2]
     assert sorted(_reduced_echelon(rows(), 3)) == [0, 1, 2]
+
+
+# -- nullities of two-entry systems by spanning forests ------------------------
+
+# nonzero entries of two-entry rows: units, non-units and fractions, so that
+# a random cycle's gain is rarely 1
+gains = st.sampled_from([ONE, -ONE, I, gq(2), gq(1, 1), gq(Fraction(1, 3)), gq(-2, 3)])
+
+
+@st.composite
+def two_entry_systems(draw):
+    """Rows of one or two entries on cols columns.  Half the time every
+    two-entry row vanishes on a vector with no zero entry, so that its
+    cycles are balanced; otherwise the entries are drawn freely, so that
+    cycles of gain other than 1 occur.  One-entry rows ground columns, and
+    columns that no row reads stay isolated."""
+    cols = draw(st.integers(1, 7))
+    column = st.integers(0, cols - 1)
+    balanced = None
+    if draw(st.booleans()):
+        balanced = draw(st.lists(gains, min_size=cols, max_size=cols))
+    rows = []
+    for a, b, x, y in draw(st.lists(st.tuples(column, column, gains, gains), max_size=9)):
+        if a == b:
+            rows.append({a: x})
+        else:
+            rows.append({a: x, b: -x * balanced[a] / balanced[b] if balanced else y})
+    rows += [{} for _ in range(draw(st.integers(0, 1)))]
+    return draw(st.permutations(rows)), cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_entry_systems())
+def test_forest_nullity_is_the_nullity(system):
+    rows, cols = system
+    M = ExactMatrix.from_rows(rows, cols)
+    nullity = cols - rank(M)
+    assert forest_nullity(rows, cols) == (nullity, True)
+    # the kernel's own basis touches every balanced ungrounded component
+    kernel = [sparse_vector(v) for v in kernel_basis(M)]
+    assert forest_nullity(rows, cols, kernel) == (nullity, True)
+    # a witness moved by a unit vector on a column some row reads is off
+    # the kernel; the nullity falls back to elimination and stays exact
+    read = [r for r in rows if r]
+    if read:
+        c = min(read[0])
+        moved = dict(kernel[0]) if kernel else {}
+        moved[c] = moved.get(c, ZERO) + 1
+        if not moved[c]:
+            del moved[c]
+        assert forest_nullity(rows, cols, [moved, *kernel[1:]]) == (nullity, False)
+
+
+def test_forest_nullity_on_an_unbalanced_cycle():
+    # x0 = x1, x1 = x2, x2 = 2 x0: the triangle's gain is 2, so its one
+    # component is ungrounded yet has nullity 0; column 3 is isolated
+    rows = [{0: ONE, 1: -ONE}, {1: ONE, 2: -ONE}, {2: ONE, 0: gq(-2)}]
+    assert forest_nullity(rows, 4) == (1, True)
+    assert forest_nullity(rows, 4, [{3: I}]) == (1, True)
+    # with gain 1 the triangle is balanced and (1, 1, 1) spans its kernel
+    rows[2] = {2: ONE, 0: -ONE}
+    assert forest_nullity(rows, 4, [{0: ONE, 1: ONE, 2: ONE}]) == (2, True)
+    # grounding any column grounds the component
+    assert forest_nullity([*rows, {1: gq(3)}], 4) == (1, True)
+
+
+@pytest.mark.parametrize(
+    "rows,witnesses",
+    [
+        ([{0: ONE, 1: ONE, 2: ONE}], ()),  # three entries
+        ([{0: ONE}, {0: ONE, 1: gq(0)}], ()),  # a stored zero
+        ([{-1: ONE}], ()),  # column -1
+        ([{0: ONE, 3: ONE}], ()),  # column cols
+        ([{1: ONE}], [{3: ONE}]),  # a witness column outside
+    ],
+)
+def test_forest_nullity_rejects_malformed_rows(rows, witnesses):
+    with pytest.raises(ValueError, match="outside 0..2"):
+        forest_nullity(rows, 3, witnesses)
+
+
+def test_battery_two_entry_systems_reach_no_elimination(monkeypatch):
+    """On the default grid's batteries and the lemmas-wide cases, the
+    relation systems and the stacked operator systems are decided by their
+    spanning forests: the one ``rank`` inside ``forest_nullity`` is handed
+    no row, and no row of either system reaches the checks' own ``rank``."""
+    # the rows themselves are kept, so that no id is reused
+    forest_rows, checked, system_rows = [], [], []
+    real_forest_rank, real_rank = linalg.rank, checks.rank
+    real_relation_rows = checks.pairwise_relation_rows
+    real_operators = checks.graded_operators
+
+    def forest_rank(M):
+        forest_rows.append(M.rows)
+        return real_forest_rank(M)
+
+    def checks_rank(M):
+        checked.extend(M.sparse_rows())
+        return real_rank(M)
+
+    def relation_rows(ops):
+        rows = real_relation_rows(ops)
+        system_rows.extend(rows)
+        return rows
+
+    def operators(n, m):
+        table = real_operators(n, m)
+        for ops in [*table[0].values(), *table[1].values()]:
+            system_rows.extend(r for M in ops for r in M.sparse_rows())
+        return table
+
+    monkeypatch.setattr(linalg, "rank", forest_rank)
+    monkeypatch.setattr(checks, "rank", checks_rank)
+    monkeypatch.setattr(checks, "pairwise_relation_rows", relation_rows)
+    monkeypatch.setattr(checks, "graded_operators", operators)
+    grid = [(n, m) for kind, n, m in sweep_specs(None, None) if kind == "lemmas"]
+    batteries = [lemma_battery(n, m) for n, m in grid + WIDE_BATTERIES]
+    assert all(e["status"] in ("pass", "vacuous") for b in batteries for e in b)
+    assert len(forest_rows) > 100 and set(forest_rows) == {0}
+    assert checked and {id(r) for r in system_rows}.isdisjoint(map(id, checked))
